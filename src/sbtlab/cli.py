@@ -282,7 +282,10 @@ def cmd_isometry(args) -> int:
 
 def cmd_converge(args) -> int:
     ns = parse_n_grid(args.N)
-    t = parse_t_list(args.T)[0]
+    t_list = parse_t_list(args.T)
+    if len(t_list) > 1:
+        raise ValueError(f"converge takes one --T value, got {args.T!r}")
+    t = t_list[0]
     if args.quantity == "laplacian":
         label, p = resolve_polys(args.poly)[0]
         table = limits.laplacian_limit(p, ns)

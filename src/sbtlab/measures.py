@@ -272,61 +272,102 @@ def sphere_moment(p: RealPoly, n: int, b2=None):
 # The quadric operator splits into commuting holomorphic and antiholomorphic
 # halves, each acting on a-degree-graded polynomials only.  Its exponential
 # therefore factors monomial-wise, and the whole moment functional becomes a
-# bilinear form  coeff(alpha, beta) -> K[alpha, beta]  with
-# K = E^T S E, where E exponentiates the holomorphic half on the small
-# holomorphic basis and S holds sphere moments of monomial products.  The
-# direct route through the full bidegree basis is kept below as a
-# cross-check.
+# bilinear form  coeff(alpha, beta) -> K[alpha, beta]  with K = F S F^T:
+# row alpha of F is the flow of x^alpha through the holomorphic half and S
+# holds sphere moments of monomial products.  At tau = T/(2 b2) the
+# holomorphic half -b2*Lap + Euler^2 + (n-2)*Euler is -(T/2) times the sphere
+# Laplacian, so F is the sphere heat flow run backward for T/2.  K is built
+# lazily, one table per (n, b2, T) that grows by a block of rows and columns
+# whenever a moment brings holomorphic monomials it has not seen.  The direct
+# route through the full bidegree basis is kept below as a cross-check.
 
 _kernel_lock = threading.Lock()
-_gram_cache: dict = {}
-_kernel_cache: dict = {}
+_kernels: dict = {}
+_sphere_moments: dict = {}
 
 
-def _holomorphic_half_matrix(k: int, l: int, n: int, b2) -> np.ndarray:
-    """Matrix of -b2*Lap + Euler^2 + (n-2)*Euler on the degree <= l basis."""
-    space = semigroup.graded_space(k, l, "real")
-    b2 = Fraction(b2)
-
-    def apply(p):
-        e1 = diffops.euler(p)
-        return -diffops.laplacian(p).scale(b2) + diffops.euler(e1) + (n - 2) * e1
-
-    return diffops.operator_matrix(apply, space, exact=True).entries.astype(float)
+def _parity(alpha) -> tuple:
+    out = [e & 1 for e in alpha]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _sphere_gram(k: int, l: int, n: int, b2) -> np.ndarray:
-    key = (k, l, n, Fraction(b2))
+class _KernelTable:
+    """K = F S F^T on the holomorphic monomials seen so far at one (n, b2, T)."""
+
+    def __init__(self, n: int, b2: Fraction, T: float):
+        self.op = diffops.spherical_laplacian_op(n, b2)
+        self.t = -T / 2.0
+        with _kernel_lock:
+            self.moments = _sphere_moments.setdefault((n, b2), {})
+        self.index = {}       # holomorphic monomial -> row and column of K
+        self.columns = []     # support monomials of the flows, by column of F
+        self.support = {}     # support monomial -> column of F
+        self.by_parity = {}   # parity class -> columns (S vanishes across classes)
+        self.flows = np.zeros((0, 0))
+        self.kernel = np.zeros((0, 0))
+        self.lock = threading.Lock()
+
+    def _moment(self, gamma) -> float:
+        # shared by the tables of one (n, b2); a race only computes a value twice
+        value = self.moments.get(gamma)
+        if value is None:
+            value = float(sphere_mono_moment(gamma, self.op.n, self.op.b2))
+            self.moments[gamma] = value
+        return value
+
+    def _grow(self, new: list) -> None:
+        flows = [semigroup.flow_monomial(self.op, self.t, a) for a in new]
+        old = len(self.index)
+        for a in new:
+            self.index[a] = len(self.index)
+        for flow in flows:
+            for gamma in flow:
+                if gamma not in self.support:
+                    self.support[gamma] = len(self.columns)
+                    self.by_parity.setdefault(_parity(gamma), []).append(len(self.columns))
+                    self.columns.append(gamma)
+        f_all = np.zeros((len(self.index), len(self.columns)))
+        f_all[:old, : self.flows.shape[1]] = self.flows
+        for i, flow in enumerate(flows, old):
+            for gamma, v in flow.items():
+                f_all[i, self.support[gamma]] = v
+        used = sorted({self.support[gamma] for flow in flows for gamma in flow})
+        s_rows = np.zeros((len(used), len(self.columns)))
+        for i, col in enumerate(used):
+            gamma = self.columns[col]
+            for j in self.by_parity[_parity(gamma)]:
+                s_rows[i, j] = self._moment(mono_mul(gamma, self.columns[j]))
+        rows = f_all[old:, used].dot(s_rows).dot(f_all.T)
+        kernel = np.empty((len(self.index),) * 2)
+        kernel[:old, :old] = self.kernel
+        kernel[old:, :] = rows
+        kernel[:old, old:] = rows[:, :old].T
+        kernel[old:, old:] = (rows[:, old:] + rows[:, old:].T) / 2.0
+        self.flows = f_all
+        self.kernel = kernel
+
+    def moment(self, q: CxPoly) -> complex:
+        with self.lock:
+            new = [a for ab in q.terms for a in ab if a not in self.index]
+            if new:
+                self._grow(list(dict.fromkeys(new)))
+            rows = [self.index[a] for a, _ in q.terms]
+            cols = [self.index[b] for _, b in q.terms]
+            kernel = self.kernel
+        coeffs = np.array([complex(c) for c in q.terms.values()])
+        return complex(coeffs.dot(kernel[rows, cols]))
+
+
+def _kernel_table(n: int, b2, T: float) -> _KernelTable:
+    key = (n, Fraction(b2), T)
     with _kernel_lock:
-        cached = _gram_cache.get(key)
-    if cached is not None:
-        return cached
-    space = semigroup.graded_space(k, l, "real")
-    gram = np.zeros((space.dim, space.dim))
-    for i, mi in enumerate(space.monomials):
-        for j in range(i, space.dim):
-            val = float(sphere_mono_moment(mono_mul(mi, space.monomials[j]), n, b2))
-            gram[i, j] = val
-            gram[j, i] = val
-    with _kernel_lock:
-        _gram_cache[key] = gram
-    return gram
-
-
-def _quadric_kernel(k: int, l: int, n: int, b2, T: float) -> np.ndarray:
-    key = (k, l, n, Fraction(b2), float(T))
-    with _kernel_lock:
-        cached = _kernel_cache.get(key)
-    if cached is not None:
-        return cached
-    space = semigroup.graded_space(k, l, "real")
-    tau = float(T) / (2.0 * float(b2))
-    half = _holomorphic_half_matrix(k, l, n, b2)
-    e = semigroup.expm_graded(tau * half, space.block_slices)
-    gram = _sphere_gram(k, l, n, b2)
-    kernel = e.T.dot(gram).dot(e)
-    with _kernel_lock:
-        _kernel_cache[key] = kernel
+        kernel = _kernels.get(key)
+    if kernel is None:
+        kernel = _KernelTable(*key)
+        with _kernel_lock:
+            kernel = _kernels.setdefault(key, kernel)
     return kernel
 
 
@@ -346,13 +387,7 @@ def quadric_moment(q: CxPoly, n: int, T, b2=None):
         raise ValueError("quadric moments need T > 0")
     if q.is_zero():
         return 0j
-    l = max(q.a_degree(), q.abar_degree())
-    kernel = _quadric_kernel(k, l, n, b2, float(T))
-    space = semigroup.graded_space(k, l, "real")
-    total = 0j
-    for (a, b), coeff in q.terms.items():
-        total += complex(coeff) * kernel[space.index[a], space.index[b]]
-    return total
+    return _kernel_table(n, b2, float(T)).moment(q)
 
 
 def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):

@@ -4,12 +4,19 @@ Three exponential routes, in decreasing order of exactness:
 
 * ``exp_nilpotent`` -- terminating power series for strictly degree-lowering
   operators, exact in rational mode with rational time.
-* ``exp_graded``    -- matrix exponential on a degree-graded basis.  Graded
-  operators are triangular with monomial-diagonal degree blocks, so the
-  exponential is computed by a block Parlett recurrence whose only
-  transcendentals are the scalar ``exp`` of the diagonal entries (one per
-  eigenvalue, reused).  If two degree blocks carry eigenvalues closer than
-  ``COLLISION_TOL`` the routine falls back to scaling-and-squaring.
+* ``exp_graded``    -- exp(t*A) applied to one polynomial.  The sphere
+  Laplacian, Hermite, plain Laplacian and Euler generators have the form
+  A = lambda_m + c*Laplacian on degree m, so each monomial flows as
+  exp(tA) x^alpha = sum_j f[lambda_m, ..., lambda_{m-2j}] c^j Lap^j x^alpha
+  with f = exp(t*): the Laplacian chain is exact integer arithmetic and the
+  divided-difference weights come from the exponential of one small
+  bidiagonal matrix per degree.  The cost follows the polynomial's terms,
+  not the size of the graded basis.
+  Other generators are realized as matrices on the degree-graded basis and
+  exponentiated by ``expm_graded``: a block Parlett recurrence whose only
+  transcendentals are the scalar ``exp`` of the diagonal entries, falling
+  back to scaling-and-squaring when two degree blocks carry eigenvalues
+  closer than ``COLLISION_TOL``.
 * ``dilation_exp``  -- closed-form dilation semigroup of the Euler operator.
 
 Also here: the commutation-relation exponential identities ("[X,Y] = aY"
@@ -23,13 +30,14 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from . import diffops
-from .diffops import OperatorMatrix, OperatorSpec, PolySpace
-from .polyalg import CxPoly, RealPoly
+from .diffops import DimensionError, OperatorMatrix, OperatorSpec, PolySpace
+from .polyalg import FLOAT, CxPoly, RealPoly, mono_degree, trim
 
 DEFAULT_DIM_CAP = 20_000
 COLLISION_TOL = 1e-8
@@ -227,6 +235,7 @@ class SemigroupElement:
 _space_cache: dict = {}
 _matrix_cache: dict = {}
 _realize_cache: dict = {}
+_flow_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
@@ -241,12 +250,13 @@ def graded_space(k: int, l: int, kind: str) -> PolySpace:
     return space
 
 
-def _check_cap(space: PolySpace, cap=None):
+def _check_cap(op: OperatorSpec, k: int, l: int, cap=None):
+    # complexified bases pair an a-monomial with an abar-monomial: 2k variables
     cap = _dim_cap if cap is None else cap
-    if space.dim > cap:
+    dim = math.comb((2 * k if op.is_complexified else k) + l, l)
+    if dim > cap:
         raise DimensionCapError(
-            f"dim of the degree-{space.l} basis in {space.k} variables is "
-            f"{space.dim}, above the cap {cap}"
+            f"dim of the degree-{l} basis in {k} variables is {dim}, above the cap {cap}"
         )
 
 
@@ -264,26 +274,11 @@ def base_matrix(op: OperatorSpec, k: int, l: int) -> OperatorMatrix:
         space = graded_space(k, l, "complex" if op.is_complexified else "real")
         exact_build = space.dim <= _EXACT_BUILD_LIMIT
         built = diffops.to_matrix(op, k, l, exact=exact_build)
-        if exact_build and op.kind == "spherical_laplacian":
-            _assert_spherical_diagonal(built, op.n, op.b2)
         entries = built.entries.astype(float) if exact_build else built.entries
         cached = OperatorMatrix(space, entries)
         with _cache_lock:
             cached = _matrix_cache.setdefault(key, cached)
     return cached
-
-
-def _assert_spherical_diagonal(mat: OperatorMatrix, n: int, b2) -> None:
-    # degree-m diagonal must equal -(m^2 + (n-2) m)/b2; for b2 = n this is
-    # the -(m + (m^2 - 2m)/n) grading used by the limit experiments
-    for m, sl in enumerate(mat.space.block_slices):
-        want = -Fraction(m * m + (n - 2) * m, 1) / Fraction(b2)
-        for i in range(sl.start, sl.stop):
-            got = mat.entries[i, i]
-            if got != want:
-                raise AssertionError(
-                    f"sphere Laplacian diagonal at degree {m} is {got}, expected {want}"
-                )
 
 
 def realize(op: OperatorSpec, t: float, k: int, l: int, dim_cap=None) -> SemigroupElement:
@@ -293,8 +288,8 @@ def realize(op: OperatorSpec, t: float, k: int, l: int, dim_cap=None) -> Semigro
         element = _realize_cache.get(key)
     if element is not None:
         return element
+    _check_cap(op, k, l, dim_cap)
     base = base_matrix(op, k, l)
-    _check_cap(base.space, dim_cap)
     exp_entries = expm_graded(base.entries * float(t), base.space.block_slices)
     element = SemigroupElement(op, float(t), OperatorMatrix(base.space, exp_entries))
     with _cache_lock:
@@ -302,16 +297,135 @@ def realize(op: OperatorSpec, t: float, k: int, l: int, dim_cap=None) -> Semigro
     return element
 
 
+# ---------------------------------------------------------------------------
+# graded flows, one monomial at a time
+
+# operator kind -> (lambda, c): on degree m the generator acts as the scalar
+# lambda(op, m) plus c times the Laplacian
+_GRADED_FLOWS = {
+    "spherical_laplacian": (lambda op, m: -Fraction(m * m + (op.n - 2) * m) / op.b2, 1),
+    "hermite": (lambda op, m: -m, 1),
+    "laplacian": (lambda op, m: 0, 1),
+    "euler": (lambda op, m: m, 0),
+}
+
+
+def _graded_flow(op: OperatorSpec):
+    """(lambda, c) of a generator with scalar degree blocks, else None."""
+    if op.variables != "x" or op.indices is not None:
+        return None
+    return _GRADED_FLOWS.get(op.kind)
+
+
+@lru_cache(maxsize=None)
+def _laplacian_chain(alpha: tuple) -> tuple:
+    """Lap^j x^alpha for j = 0, 1, ... while nonzero, as {exponents: int} maps."""
+    chain = [{alpha: 1}]
+    while True:
+        lowered = {}
+        for beta, c in chain[-1].items():
+            for i, e in enumerate(beta):
+                if e >= 2:
+                    gamma = trim(beta[:i] + (e - 2,) + beta[i + 1 :])
+                    lowered[gamma] = lowered.get(gamma, 0) + c * e * (e - 1)
+        if not lowered:
+            return tuple(chain)
+        chain.append(lowered)
+
+
+def _exp_divided_differences(z, s: float) -> np.ndarray:
+    """s^j exp[z_0, ..., z_j] for j = 0 .. len(z) - 1.
+
+    The first row of exp(B) for the bidiagonal B with diagonal z and
+    superdiagonal s (Opitz), which stays accurate as the nodes merge, where
+    the divided-difference quotients cancel.  Scaling and squaring: a Taylor
+    series on the centred B / 2^p, whose diagonal is at most 1/2 in size,
+    then p squarings.  With the sign of s taken out every entry is positive,
+    so the squarings do not cancel; the diagonal is reset to exact
+    exponentials after each (Al-Mohy and Higham, SIMAX 31, 2009).
+    """
+    z = np.asarray(z, dtype=float)
+    if not (np.all(np.isfinite(z)) and math.isfinite(s)):
+        raise ValueError("graded flows need a finite time")
+    mid = (z.max() + z.min()) / 2.0
+    y = z - mid
+    radius = float(np.max(np.abs(y)))
+    p = math.ceil(math.log2(2.0 * radius)) if radius > 0.5 else 0
+    scale = 2.0 ** -p
+    a = np.diag(y * scale) + np.diag(np.full(len(z) - 1, abs(s) * scale), 1)
+    x = term = np.eye(len(z))
+    # entry (i, j) needs about j - i + 20 terms when |diagonal| <= 1/2
+    for k in range(1, len(z) + 40):
+        term = term.dot(a) / k
+        x = x + term
+        if np.all(np.abs(term) <= 2.0 ** -53 * x):
+            break
+    for q in range(p):
+        x = x.dot(x)
+        np.fill_diagonal(x, np.exp(y * 2.0 ** (q + 1 - p)))
+    row = x[0] * math.exp(mid)
+    if s < 0:
+        row[1::2] *= -1.0
+    return row
+
+
+@lru_cache(maxsize=None)
+def _flow_weights(op: OperatorSpec, t: float, m: int) -> np.ndarray:
+    """f[lambda_m, ..., lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp(t*)."""
+    lam, c = _graded_flow(op)
+    depth = m // 2 + 1 if c else 1
+    weights = _exp_divided_differences([t * float(lam(op, m - 2 * j)) for j in range(depth)], c * t)
+    weights.flags.writeable = False  # shared by every caller through the cache
+    return weights
+
+
+def flow_monomial(op: OperatorSpec, t: float, alpha: tuple) -> dict:
+    """exp(t*op) x^alpha as {exponents: float}, memoized on (op, t, alpha).
+
+    ``op`` must have scalar degree blocks (see ``_GRADED_FLOWS``); the exact
+    chain Lap^j x^alpha is weighted by ``_flow_weights``.  The returned map
+    is the cached one: callers read it and never change it.
+    """
+    key = (op, t, alpha)
+    with _cache_lock:
+        flowed = _flow_cache.get(key)
+    if flowed is None:
+        chain = _laplacian_chain(alpha) if _graded_flow(op)[1] else ({alpha: 1},)
+        weights = _flow_weights(op, t, mono_degree(alpha))
+        flowed = {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
+        with _cache_lock:
+            flowed = _flow_cache.setdefault(key, flowed)
+    return flowed
+
+
 def exp_graded(op: OperatorSpec, t, q, k: int | None = None, l: int | None = None,
                dim_cap=None):
-    """Apply exp(t*op) to q through its graded matrix; returns a float-mode poly."""
-    k = max(k or 0, q.width())
-    if l is None:
-        l = q.degree()
-    if q.degree() > l:
+    """Apply exp(t*op) to q; returns a float-mode poly.
+
+    Generators with scalar degree blocks flow q term by term; any other
+    operator is realized as a matrix on the graded (k, l) basis, subject to
+    the dimension cap.
+    """
+    if l is not None and q.degree() > l:
         raise ValueError(f"degree {q.degree()} exceeds the requested grade {l}")
-    element = realize(op, t, k, l, dim_cap)
-    return element.realized.apply(q.to_float())
+    if _graded_flow(op) is None:
+        k = max(k or 0, q.width())
+        element = realize(op, t, k, q.degree() if l is None else l, dim_cap)
+        return element.realized.apply(q.to_float())
+    if not isinstance(q, RealPoly):
+        raise TypeError(f"{op.kind} flows act on real polynomials")
+    if op.n is not None and q.width() >= op.n:
+        raise DimensionError(
+            f"polynomial in {q.width()} variables needs ambient dimension > {q.width()}, "
+            f"got {op.n}"
+        )
+    t = float(t)
+    out = {}
+    for alpha, c in q.terms.items():
+        c = float(c)
+        for beta, v in flow_monomial(op, t, alpha).items():
+            out[beta] = out.get(beta, 0.0) + c * v
+    return RealPoly(out, FLOAT)
 
 
 def dilation_exp(lam, q):

@@ -172,3 +172,25 @@ def test_isometry_suite_seed_changes_rows(tmp_path):
     assert main(base + ["--seed", "2", "--out", str(c)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_isometry_beyond_the_dense_basis(tmp_path):
+    # the (8, 10) basis has 43 758 monomials; the sphere flow never builds it
+    out = tmp_path / "big.json"
+    code = main([
+        "isometry", "--poly", "x1^10 + x8", "--N", "50", "--format", "json",
+        "--out", str(out),
+    ])
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 1 and rows[0]["rel_error"] <= 1e-9
+
+
+def test_converge_rejects_several_times(capsys):
+    code = main([
+        "converge", "--quantity", "transform", "--poly", "x1", "--N", "10,100",
+        "--T", "0.5,1.0",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--T" in err

@@ -330,3 +330,64 @@ def test_quadric_moment_satisfies_generator_derivative_identity():
     ) / (2 * h)
     rhs = complex(quadric_moment(gamma_n(q, n, n), n, t0)) / n
     assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def test_quadric_sweep_is_independent_of_the_thread_count(monkeypatch):
+    from sbtlab import limits, measures
+    from sbtlab.transforms import sphere_sbt
+
+    p = random_real_poly(seeded_rng(41), k=3, degree=6, terms=5)
+    sweeps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SBTLAB_THREADS", threads)
+        measures._kernels.clear()
+        q = sphere_sbt(p, 7, 0.9).mod_square()
+        sweeps.append(limits.measure_limit(q, "quadric", T=0.9, ns=(7, 10, 25, 50)).values)
+    assert sweeps[0] == sweeps[1]
+
+
+def test_quadric_kernel_grows_without_changing_earlier_moments():
+    # moments already read from a kernel table stay bit-identical after the
+    # table grows by the monomials of a later integrand
+    n, T = 9, 0.8
+    first = (A1 * ABAR1 + (A1 * A2).scale(GaussianRational(0, 1)) * ABAR1 ** 2)
+    before = quadric_moment(first, n, T)
+    bigger = holomorphic_extend(random_real_poly(seeded_rng(42), k=3, degree=3)).mod_square()
+    quadric_moment(bigger, n, T)
+    assert quadric_moment(first, n, T) == before
+    assert abs(quadric_moment(bigger, n, T) - quadric_moment_direct(bigger, n, T)) <= (
+        1e-12 * abs(quadric_moment_direct(bigger, n, T))
+    )
+
+
+def test_quadric_kernel_table_under_concurrent_growth():
+    # eight threads grow one (n, b2, T) table at once; a lost update would
+    # leave a monomial without its row or a row without its monomial
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from sbtlab import measures
+
+    n, T = 11, 0.55
+    rng = seeded_rng(43)
+    integrands = [
+        holomorphic_extend(random_real_poly(rng, k=3, degree=4, terms=4)).mod_square()
+        for _ in range(24)
+    ]
+    measures._kernels.clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(quadric_moment, q, n, T) for q in integrands]
+            values = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    table = measures._kernel_table(n, n, T)
+    assert sorted(table.index.values()) == list(range(len(table.index)))
+    assert table.kernel.shape == (len(table.index),) * 2
+    assert table.flows.shape == (len(table.index), len(table.columns))
+    measures._kernels.clear()
+    for q, value in zip(integrands, values):
+        serial = quadric_moment(q, n, T)
+        assert abs(value - serial) <= 1e-12 * max(1.0, abs(serial))

@@ -202,8 +202,10 @@ def test_factor_quadric_limit_examples():
 
 
 def test_dimension_cap():
+    # the cap guards the dense route, which the complexified generators take;
+    # it is checked before the (3, 8) bidegree matrix is assembled
     with pytest.raises(DimensionCapError):
-        exp_graded(diffops.HERMITE, 0.5, X1 ** 2, k=3, l=8, dim_cap=10)
+        exp_graded(diffops.gamma_n_op(10), 0.5, CxPoly.a(0) ** 2, k=3, l=8, dim_cap=10)
 
 
 def test_exp_graded_respects_explicit_grade_bound():
@@ -242,3 +244,89 @@ def test_expm_operator_wrapper():
     direct = expm_graded(0.5 * base.entries, base.space.block_slices)
     assert np.array_equal(half.entries, direct)
     assert half.apply(X1.to_float()) == semigroup.exp_graded(diffops.HERMITE, 0.5, X1)
+
+
+# ---------------------------------------------------------------------------
+# graded flows: the generators that flow monomial by monomial
+
+
+def test_graded_flow_table_matches_operator_action():
+    # lambda_m x^alpha + c Lap x^alpha must be the operator itself, exactly
+    ops = [diffops.HERMITE, diffops.LAPLACIAN, diffops.EULER]
+    ops += [diffops.spherical_laplacian_op(n) for n in (4, 7, 10, 25)]
+    ops += [diffops.spherical_laplacian_op(6, Fraction(7, 3))]
+    for op in ops:
+        lam, c = semigroup._graded_flow(op)
+        for alpha in semigroup.graded_space(3, 8, "real").monomials:
+            mono = RealPoly({alpha: 1})
+            m = sum(alpha)
+            want = mono.scale(Fraction(lam(op, m))) + diffops.laplacian(mono).scale(c)
+            assert op.apply(mono) == want, (op, alpha)
+
+
+def test_graded_flow_table_excludes_other_generators():
+    for op in (diffops.gamma_n_op(5), diffops.G_K, diffops.g_uv_op(1),
+               diffops.laplacian_op(indices=(0,)), diffops.LAPLACIAN_A):
+        assert semigroup._graded_flow(op) is None
+
+
+def _exp_divided_differences_reference(z, s):
+    import mpmath
+
+    with mpmath.workdps(250):
+        nodes = [mpmath.mpf(v) for v in z]
+        out = []
+        for j in range(len(nodes)):
+            total = mpmath.mpf(0)
+            for i in range(j + 1):
+                den = mpmath.mpf(1)
+                for k in range(j + 1):
+                    if k != i:
+                        den *= nodes[i] - nodes[k]
+                total += mpmath.exp(nodes[i]) / den
+            out.append(float(total * mpmath.mpf(s) ** j))
+    return np.array(out)
+
+
+def test_exp_divided_differences_against_high_precision():
+    # sphere nodes t*lambda_{m-2j}, forward and backward in time, from nearly
+    # merged (t = 1e-9) to widely spread (t = 3, degree 14)
+    worst = 0.0
+    for n in (3, 5, 50, 1000):
+        for t in (1e-9, 0.05, 0.5, 3.0, -0.05, -1.0, -3.0):
+            for m in (1, 2, 5, 8, 11, 14):
+                z = [-t * (d * d + (n - 2) * d) / n for d in range(m, -1, -2)]
+                ours = semigroup._exp_divided_differences(z, t)
+                ref = _exp_divided_differences_reference(z, t)
+                worst = max(worst, float(np.max(np.abs(ours - ref) / np.abs(ref))))
+    assert worst < 1e-14
+
+
+def test_exp_divided_differences_rejects_non_finite_time():
+    with pytest.raises(ValueError):
+        exp_graded(diffops.HERMITE, math.inf, X1 ** 2)
+
+
+@pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])
+def test_graded_flow_matches_dense_exponential(k, l):
+    rng = seeded_rng(24 + k)
+    space = semigroup.graded_space(k, l, "real")
+    for op, t in ((diffops.spherical_laplacian_op(k + 3), 0.45), (diffops.HERMITE, 0.8)):
+        dense = expm_graded(t * semigroup.base_matrix(op, k, l).entries, space.block_slices)
+        for _ in range(2):
+            p = random_real_poly(rng, k=k, degree=l, terms=6)
+            via_dense = space.poly_from_coords(dense.dot(space.coords(p.to_float())))
+            assert coeff_distance(exp_graded(op, t, p), via_dense) <= 1e-12
+
+
+def test_graded_flow_is_exact_before_the_weights():
+    # x1^4 under the heat flow: exact chain x1^4 -> 12 x1^2 -> 24 with
+    # weights t, t^2/2 from the nilpotent bidiagonal exponential
+    t = 0.25
+    out = exp_graded(diffops.LAPLACIAN, t, X1 ** 4)
+    assert out.terms == {(4,): 1.0, (2,): 12 * t, (): 24 * t * t / 2}
+
+
+def test_graded_flow_checks_the_ambient_dimension():
+    with pytest.raises(diffops.DimensionError):
+        exp_graded(diffops.spherical_laplacian_op(2), 0.5, X1 * X2)

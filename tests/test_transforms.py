@@ -182,3 +182,16 @@ def test_sphere_transform_cubic_eigen_decomposition():
         c * (lam1 - lam3)
     )
     assert coeff_distance(out, expected) < 1e-14
+
+
+@pytest.mark.parametrize("k,l,n", [(8, 10, 20), (12, 12, 30)])
+def test_unitarity_beyond_the_dense_basis(k, l, n):
+    # bases of 43 758 and 2.7 million monomials: the graded flow and the lazy
+    # quadric kernel only see the polynomial's own support
+    rng = seeded_rng(90 + k)
+    lead = RealPoly({(0,) * (k - 1) + (1,): 1})
+    for T in (0.3, 1.7):
+        p = random_real_poly(rng, k=k, degree=l, terms=6) + lead + X1 ** l
+        assert p.degree() == l and p.width() == k
+        for tag in (Sphere(n, T), Limit(T)):
+            assert unitarity_report(p, tag).rel_error <= 1e-9
