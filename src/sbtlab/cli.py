@@ -122,6 +122,8 @@ def parse_poly(text: str) -> RealPoly:
         elif not first:
             err(f"expected '+' or '-', found {text[pos]!r}", pos)
         first = False
+        skip_ws()
+        start = pos
         coeff = Fraction(sign)
         exps: dict = {}
         while True:
@@ -140,13 +142,15 @@ def parse_poly(text: str) -> RealPoly:
             break
         width = max(exps) + 1 if exps else 0
         key = tuple(exps.get(j, 0) for j in range(width))
-        terms.append((key, coeff))
+        terms.append((key, coeff, start))
     mode_float = saw_float
     acc: dict = {}
-    for key, coeff in terms:
+    for key, coeff, start in terms:
         acc[key] = acc.get(key, Fraction(0) if not mode_float else 0.0) + (
             float(coeff) if mode_float else coeff
         )
+        if mode_float and not math.isfinite(acc[key]):
+            err("coefficient overflows a float", start)
     return RealPoly(acc, "float" if mode_float else "exact")
 
 
@@ -196,7 +200,7 @@ def parse_n_grid(text: str) -> tuple:
 
 def parse_t_list(text: str) -> tuple:
     values = tuple(float(x) for x in text.split(",") if x.strip())
-    if not values or any(t <= 0 for t in values):
+    if not values or not all(0 < t < math.inf for t in values):
         raise ValueError(f"bad T list {text!r}")
     return values
 
@@ -433,7 +437,9 @@ def _verify_checks(k: int, deg: int, seed: int, tol_override):
             p * p, Fraction(1)
         ):
             ok = False
-    yield "isserlis-vs-heat", ok, "pairing sums equal heat-operator moments exactly"
+    yield "isserlis-vs-heat", ok, (
+        "pair-partition sums equal the per-monomial heat-at-zero moments exactly"
+    )
 
     q = holomorphic_extend(
         RealPoly({(2,): 1, (0, 1): 1, (): Fraction(1, 2)})
@@ -545,6 +551,9 @@ def main(argv=None) -> int:
         return 1
     except (PolyParseError, DimensionError, DimensionCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,7 +26,12 @@ NOISE_FLOOR = 1e-14
 
 
 def fit_rate(ns, errors, floor: float = NOISE_FLOOR) -> float:
-    """Least-squares decay exponent of errors vs ns; inf for exact agreement."""
+    """Least-squares decay exponent of errors vs ns; inf for exact agreement.
+
+    A NaN error gives a NaN rate: it is not agreement.
+    """
+    if any(e != e for e in errors):
+        return math.nan
     pairs = [(n, e) for n, e in zip(ns, errors) if e > floor]
     if not pairs:
         return math.inf

@@ -11,11 +11,14 @@
                  by pushing the integrand through the exponential of the
                  quadric operator and reading the result on the real points.
 
-Gaussian moments go through the heat-operator-at-zero route and are exact in
-rational mode; the pairing-sum oracle for the same quantity lives in
-``oracle``.  Sphere monomial moments are computed with exact rational
-factorial ratios at every n and only converted to float at the end, which
-keeps the convergence experiments accurate at n = 10^4 and beyond.
+Gaussian moments are the heat flow read at the origin, one monomial at a
+time: the constant coefficient of exp((t/2) Lap) x^alpha is
+prod_i (alpha_i - 1)!! t^{|alpha|/2} when every alpha_i is even and 0
+otherwise, so the cost follows the support of p.  They are exact in rational
+mode; the pairing-sum oracle for the same quantity lives in ``oracle``.
+Sphere monomial moments are computed with exact rational factorial ratios at
+every n and only converted to float at the end, which keeps the convergence
+experiments accurate at n = 10^4 and beyond.
 """
 
 from __future__ import annotations
@@ -120,23 +123,6 @@ class MeasureSpec:
 # ---------------------------------------------------------------------------
 # Gaussian moments via the heat operator at zero
 
-
-def gaussian_moment(p: RealPoly, t):
-    """Integral of p against the centered Gaussian of per-coordinate variance t.
-
-    Computed as the heat flow of p at time t evaluated at the origin; exact
-    for exact p and rational t.
-    """
-    if t <= 0:
-        raise ValueError("gaussian variance must be positive")
-    half = Fraction(t, 2) if isinstance(t, (int, Fraction)) else t / 2.0
-    flowed = semigroup.exp_nilpotent(diffops.LAPLACIAN, half, p)
-    return flowed.coefficient(())
-
-
-# ---------------------------------------------------------------------------
-# complex Gaussian moments via pair counts
-
 _DFACT = {}
 
 
@@ -150,6 +136,57 @@ def _double_factorial(n: int) -> int:
             out *= v
         _DFACT[n] = out
     return _DFACT[n]
+
+
+@lru_cache(maxsize=None)
+def _pairings(alpha: tuple) -> int:
+    """prod_i (alpha_i - 1)!! if every alpha_i is even, else 0.
+
+    The number of ways to pair up the factors of x^alpha within each
+    variable: the Gaussian moment at t = 1, and the numerator of the sphere
+    moment.
+    """
+    out = 1
+    for e in alpha:
+        if e & 1:
+            return 0
+        out *= _double_factorial(e - 1)
+    return out
+
+
+def gaussian_moment(p: RealPoly, t):
+    """Integral of p against the centered Gaussian of per-coordinate variance t.
+
+    The heat flow exp((t/2) Lap) p read at the origin.  The constant
+    coefficient of exp((t/2) Lap) x^alpha is the term j = |alpha|/2 of the
+    terminating series, (t/2)^j / j! Lap^j x^alpha, which is
+    prod_i (alpha_i - 1)!! t^{|alpha|/2} for even alpha and 0 otherwise, so
+    each monomial is read off directly.  Exact for exact p and rational t;
+    for exact p and float t the sum is exact (a float is a dyadic rational)
+    and rounded once; float p sums in floats.
+    """
+    if not 0 < t < math.inf:
+        raise ValueError("gaussian variance must be positive and finite")
+    if p.mode != EXACT:
+        t = float(t)
+        return math.fsum(
+            c * ways * t ** (mono_degree(alpha) // 2)
+            for alpha, c in p.terms.items()
+            if (ways := _pairings(alpha))
+        )
+    # exact coefficient sums by half-degree, then one power of t for each
+    sums: dict = {}
+    for alpha, c in p.terms.items():
+        ways = _pairings(alpha)
+        if ways:
+            j = mono_degree(alpha) // 2
+            sums[j] = sums.get(j, 0) + c * ways
+    total = sum((c * Fraction(t) ** j for j, c in sums.items()), Fraction(0))
+    return total if isinstance(t, (int, Fraction)) else float(total)
+
+
+# ---------------------------------------------------------------------------
+# complex Gaussian moments via pair counts
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +264,11 @@ def gamma_moment(q: CxPoly, T):
     """
     if T <= 0:
         raise ValueError("gamma moments need T > 0")
-    return _complex_gaussian_moment(q, 1.0, math.exp(T))
+    try:
+        e_T = math.exp(T)
+    except OverflowError:
+        raise ValueError(f"gamma moments need e^T to fit in a float, got T={T}") from None
+    return _complex_gaussian_moment(q, 1.0, e_T)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +280,10 @@ def sphere_mono_moment(alpha, n: int, b2) -> Fraction:
     alpha = trim(alpha)
     if len(alpha) > n:
         raise DimensionError(f"monomial in {len(alpha)} variables on an S^{n - 1}")
-    if any(e % 2 for e in alpha):
+    num = _pairings(alpha)
+    if not num:
         return Fraction(0)
     m = mono_degree(alpha) // 2
-    num = Fraction(1)
-    for e in alpha:
-        num *= _double_factorial(e - 1)
     den = Fraction(1)
     for i in range(m):
         den *= n + 2 * i

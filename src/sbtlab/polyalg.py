@@ -18,7 +18,7 @@ polynomial compares equal no matter how many ambient variables it is read in.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from operator import add as _add
 
 import numpy as np
 
@@ -55,7 +55,12 @@ def mono_degree(exponents) -> int:
 
 
 def mono_mul(a, b) -> tuple:
-    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+    """Product of two monomials: the sum of their canonical exponent tuples."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    return tuple(map(_add, a, b)) + a[len(b):]
 
 
 def pad(exponents, k: int) -> tuple:
@@ -184,16 +189,59 @@ def _check_modes(p, q):
 
 
 # ---------------------------------------------------------------------------
+# shared storage
+
+
+class _Poly:
+    """Immutable storage shared by RealPoly and CxPoly: a canonical term map.
+
+    The public constructors validate their input.  Ring operations build
+    their results with ``_trusted``, which stores a dict that is already
+    canonical: trimmed keys and nonzero coefficients of the mode's type.
+    """
+
+    __slots__ = ("terms", "mode")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, terms: dict, mode: str):
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "mode", mode)
+        return p
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial powers need a nonnegative integer")
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return type(self).constant(1, self.mode) if out is None else out
+
+
+def _nonzero(terms: dict) -> dict:
+    # float products and conversions can underflow to zero
+    return {key: c for key, c in terms.items() if c}
+
+
+# ---------------------------------------------------------------------------
 # real polynomials
 
 
-class RealPoly:
+class RealPoly(_Poly):
     """Finitely supported map from exponent tuples to coefficients.
 
     Instances are immutable values; all operations return new polynomials.
     """
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ()
 
     def __init__(self, terms=None, mode=EXACT):
         if mode not in _MODES:
@@ -205,9 +253,6 @@ class RealPoly:
                 clean[trim(alpha)] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealPoly is immutable")
 
     # -- constructors
 
@@ -260,12 +305,12 @@ class RealPoly:
                 terms[a] = s
             else:
                 terms.pop(a, None)
-        return RealPoly(terms, self.mode)
+        return RealPoly._trusted(terms, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealPoly({a: -c for a, c in self.terms.items()}, self.mode)
+        return RealPoly._trusted({a: -c for a, c in self.terms.items()}, self.mode)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RealPoly) else RealPoly.constant(-other, self.mode))
@@ -288,26 +333,20 @@ class RealPoly:
                     terms[key] = s
                 else:
                     terms.pop(key, None)
-        return RealPoly(terms, self.mode)
+        return RealPoly._trusted(terms, self.mode)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers need a nonnegative integer")
-        out = RealPoly.constant(1, self.mode)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c):
         c = _real_coeff(c, self.mode)
         if not c:
             return RealPoly.zero(self.mode)
-        return RealPoly({a: c * v for a, v in self.terms.items()}, self.mode)
+        return RealPoly._trusted(
+            _nonzero({a: c * v for a, v in self.terms.items()}), self.mode
+        )
 
     def dilate(self, lam) -> "RealPoly":
         """Rescale the point: each total-degree-m term picks up lam**m.
@@ -356,7 +395,9 @@ class RealPoly:
     def to_float(self) -> "RealPoly":
         if self.mode == FLOAT:
             return self
-        return RealPoly({a: float(c) for a, c in self.terms.items()}, FLOAT)
+        return RealPoly._trusted(
+            _nonzero({a: float(c) for a, c in self.terms.items()}), FLOAT
+        )
 
     def __eq__(self, other):
         if not isinstance(other, RealPoly):
@@ -374,14 +415,14 @@ class RealPoly:
 # complexified polynomials
 
 
-class CxPoly:
+class CxPoly(_Poly):
     """Polynomial in pairs (a_j, abar_j), stored as (alpha, beta) -> coefficient.
 
     ``alpha`` carries the a-exponents, ``beta`` the abar-exponents.  The
     polynomial is holomorphic iff every beta is empty.
     """
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ()
 
     def __init__(self, terms=None, mode=EXACT):
         if mode not in _MODES:
@@ -393,9 +434,6 @@ class CxPoly:
                 clean[(trim(alpha), trim(beta))] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CxPoly is immutable")
 
     @classmethod
     def zero(cls, mode=EXACT):
@@ -450,12 +488,12 @@ class CxPoly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return CxPoly(terms, self.mode)
+        return CxPoly._trusted(terms, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CxPoly({k: -c for k, c in self.terms.items()}, self.mode)
+        return CxPoly._trusted({k: -c for k, c in self.terms.items()}, self.mode)
 
     def __sub__(self, other):
         return self + (-other)
@@ -478,30 +516,24 @@ class CxPoly:
                     terms[key] = s
                 else:
                     terms.pop(key, None)
-        return CxPoly(terms, self.mode)
+        return CxPoly._trusted(terms, self.mode)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers need a nonnegative integer")
-        out = CxPoly.constant(1, self.mode)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c):
         c = _cx_coeff(c, self.mode)
         if not c:
             return CxPoly.zero(self.mode)
-        return CxPoly({k: c * v for k, v in self.terms.items()}, self.mode)
+        return CxPoly._trusted(
+            _nonzero({k: c * v for k, v in self.terms.items()}), self.mode
+        )
 
     def conjugate(self) -> "CxPoly":
         """Swap a- and abar-exponents and conjugate every coefficient."""
-        return CxPoly(
+        return CxPoly._trusted(
             {(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.mode
         )
 
@@ -580,7 +612,9 @@ class CxPoly:
     def to_float(self) -> "CxPoly":
         if self.mode == FLOAT:
             return self
-        return CxPoly({k: complex(c) for k, c in self.terms.items()}, FLOAT)
+        return CxPoly._trusted(
+            _nonzero({k: complex(c) for k, c in self.terms.items()}), FLOAT
+        )
 
     def __eq__(self, other):
         if not isinstance(other, CxPoly):
@@ -614,12 +648,8 @@ def scale(c, p):
 
 def holomorphic_extend(p: RealPoly) -> CxPoly:
     """Substitute x_j -> a_j; the result is holomorphic and restricts back to p."""
-    mode = p.mode
-    if mode == EXACT:
-        terms = {(a, ()): GaussianRational(c) for a, c in p.terms.items()}
-    else:
-        terms = {(a, ()): complex(c) for a, c in p.terms.items()}
-    return CxPoly(terms, mode)
+    lift = GaussianRational if p.mode == EXACT else complex
+    return CxPoly._trusted({(a, ()): lift(c) for a, c in p.terms.items()}, p.mode)
 
 
 def conjugate(q: CxPoly) -> CxPoly:

@@ -39,7 +39,9 @@ from . import diffops
 from .diffops import DimensionError, OperatorMatrix, OperatorSpec, PolySpace
 from .polyalg import FLOAT, CxPoly, RealPoly, mono_degree, trim
 
-DEFAULT_DIM_CAP = 20_000
+# 7 float64 copies of a dim x dim matrix (the input, scipy.linalg.expm's
+# 5-slice work array and the result) fit in 1 GiB
+DEFAULT_DIM_CAP = 4096
 COLLISION_TOL = 1e-8
 
 _dim_cap = DEFAULT_DIM_CAP
@@ -392,7 +394,9 @@ def flow_monomial(op: OperatorSpec, t: float, alpha: tuple) -> dict:
     if flowed is None:
         chain = _laplacian_chain(alpha) if _graded_flow(op)[1] else ({alpha: 1},)
         weights = _flow_weights(op, t, mono_degree(alpha))
-        flowed = {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
+        flowed = {
+            beta: w * v for w, level in zip(weights.tolist(), chain) for beta, v in level.items()
+        }
         with _cache_lock:
             flowed = _flow_cache.setdefault(key, flowed)
     return flowed
@@ -425,7 +429,7 @@ def exp_graded(op: OperatorSpec, t, q, k: int | None = None, l: int | None = Non
         c = float(c)
         for beta, v in flow_monomial(op, t, alpha).items():
             out[beta] = out.get(beta, 0.0) + c * v
-    return RealPoly(out, FLOAT)
+    return RealPoly._trusted({beta: v for beta, v in out.items() if v}, FLOAT)
 
 
 def dilation_exp(lam, q):

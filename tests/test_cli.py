@@ -194,3 +194,27 @@ def test_converge_rejects_several_times(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "--T" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["isometry", "--poly", "1e400*x1", "--transform", "limit"],
+    ["isometry", "--poly", "1e400*x1"],
+    ["converge", "--quantity", "transform", "--poly", "1e400*x1", "--N", "10,100"],
+    ["isometry", "--poly", "x1", "--transform", "limit", "--T", "800"],
+    ["isometry", "--poly", "x1", "--T", "nan"],
+    ["converge", "--quantity", "diagram", "--poly", "1e200*x1^2", "--N", "10,100"],
+], ids=["limit-1e400", "sphere-1e400", "converge-1e400", "limit-T800", "T-nan",
+        "diagram-overflow"])
+def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+def test_parse_rejects_non_finite_coefficients():
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("x2 - 1e400*x1")
+    assert "column 6" in str(info.value)
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("x2 + 1e200*1e200*x1")
+    assert "column 6" in str(info.value)

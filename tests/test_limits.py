@@ -39,6 +39,11 @@ def test_fit_rate_zero_errors_reports_infinity():
     assert math.isinf(fit_rate((10, 100, 1000), [1e-16, 0.0, 1e-15]))
 
 
+def test_fit_rate_propagates_nan():
+    assert math.isnan(fit_rate((10, 100, 1000), [0.1, math.nan, 0.001]))
+    assert math.isnan(fit_rate((10, 100, 1000), [math.nan, 0.0, 0.0]))
+
+
 def test_fit_rate_needs_enough_points():
     with pytest.raises(ValueError):
         fit_rate((10, 100), [0.1, 0.01])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbtlab import oracle
+from sbtlab import diffops, oracle, semigroup
 from sbtlab.diffops import DimensionError
 from sbtlab.measures import (
     MeasureSpec,
@@ -52,6 +52,38 @@ def test_gaussian_moment_agrees_with_quadrature_oracle():
 
 def test_gaussian_moment_scales_with_variance():
     assert gaussian_moment(X1 ** 4, Fraction(2)) == 12  # 3 t^2
+
+
+def _heat_series_at_zero(p, t):
+    # the whole terminating heat series exp((t/2) Lap) p, read at the origin
+    half = Fraction(t, 2) if isinstance(t, (int, Fraction)) else t / 2.0
+    return semigroup.exp_nilpotent(diffops.LAPLACIAN, half, p).coefficient(())
+
+
+def test_gaussian_moment_equals_the_heat_series_at_zero():
+    rng = seeded_rng(57)
+    for _ in range(40):
+        p = random_real_poly(rng, k=rng.randint(1, 4), degree=rng.randint(1, 6),
+                             terms=rng.randint(1, 6))
+        square = p * p
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        exact = gaussian_moment(square, t)
+        assert type(exact) is Fraction
+        assert exact == _heat_series_at_zero(square, t)
+        assert exact == oracle.isserlis_moment(square, t)
+        tf = rng.uniform(0.05, 3.0)
+        for poly in (square, square.to_float()):
+            value = gaussian_moment(poly, tf)
+            assert type(value) is float
+            assert value == pytest.approx(_heat_series_at_zero(poly, tf), rel=1e-15)
+        # exact p at float t: the exact sum at the dyadic rational t, rounded once
+        assert gaussian_moment(square, tf) == float(gaussian_moment(square, Fraction(tf)))
+
+
+def test_gaussian_moment_rejects_non_finite_variance():
+    for t in (0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            gaussian_moment(X1 ** 2, t)
 
 
 # ---------------------------------------------------------------------------

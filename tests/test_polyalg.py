@@ -2,8 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbtlab.polyalg import (
+    EXACT,
+    FLOAT,
     CxPoly,
     GaussianRational,
     HolomorphicityError,
@@ -201,3 +205,70 @@ def test_named_operation_surface():
 def test_conjugate_fixes_symmetric_real_polynomials():
     sq = (A1 ** 2 + 2 * A1 * A2 - 1).mod_square()
     assert sq.conjugate() == sq
+
+
+# ---------------------------------------------------------------------------
+# powers and trusted construction of ring-op results
+
+
+def test_power_is_the_repeated_product():
+    rng = seeded_rng(13)
+    for _ in range(4):
+        p = random_real_poly(rng, k=3, degree=3, terms=3)
+        q = holomorphic_extend(p) * ABAR1 + A2.scale(GaussianRational(1, -2))
+        for base, one in ((p, RealPoly.constant(1)), (q, CxPoly.constant(1))):
+            product = one
+            for n in range(8):
+                assert base ** n == product
+                product = product * base
+
+
+_EXPONENTS = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+# tiny values make float products and conversions underflow to zero
+_RATIONALS = st.fractions(-4, 4, max_denominator=6) | st.just(Fraction(1, 10 ** 400))
+_FLOATS = st.floats(-1e3, 1e3) | st.sampled_from([1e-200, -3e-170, 5e-324])
+_SCALARS = {
+    (RealPoly, EXACT): _RATIONALS,
+    (RealPoly, FLOAT): _FLOATS,
+    (CxPoly, EXACT): st.builds(GaussianRational, _RATIONALS, _RATIONALS),
+    (CxPoly, FLOAT): st.builds(complex, _FLOATS, _FLOATS),
+}
+_COEFF_TYPES = {
+    (RealPoly, EXACT): Fraction,
+    (RealPoly, FLOAT): float,
+    (CxPoly, EXACT): GaussianRational,
+    (CxPoly, FLOAT): complex,
+}
+
+
+@st.composite
+def _poly_pairs(draw):
+    family = draw(st.sampled_from((RealPoly, CxPoly)))
+    mode = draw(st.sampled_from((EXACT, FLOAT)))
+    key = _EXPONENTS if family is RealPoly else st.tuples(
+        _EXPONENTS, st.one_of(st.just(()), _EXPONENTS)
+    )
+    polys = st.dictionaries(key, _SCALARS[family, mode], max_size=5)
+    p, q = (family(draw(polys), mode) for _ in range(2))
+    return p, q, draw(_SCALARS[family, mode])
+
+
+def _assert_canonical(r):
+    assert r == type(r)(r.terms, r.mode)
+    want = _COEFF_TYPES[type(r), r.mode]
+    assert all(type(c) is want for c in r.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_pairs())
+def test_ring_op_results_equal_their_revalidated_copies(pair):
+    p, q, c = pair
+    results = [p + q, p - q, -p, p * q, p.scale(c), p.to_float(), p ** 2]
+    if isinstance(p, RealPoly):
+        results += [holomorphic_extend(p), holomorphic_extend(p).mod_square()]
+    else:
+        results += [p.conjugate(), p * q.conjugate()]
+        if p.is_holomorphic():
+            results.append(p.mod_square())
+    for r in results:
+        _assert_canonical(r)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sbtlab import diffops, semigroup
-from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance
+from sbtlab import diffops, measures, semigroup
+from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance, holomorphic_extend
 from sbtlab.semigroup import (
     CommutationError,
     DimensionCapError,
@@ -206,6 +206,15 @@ def test_dimension_cap():
     # it is checked before the (3, 8) bidegree matrix is assembled
     with pytest.raises(DimensionCapError):
         exp_graded(diffops.gamma_n_op(10), 0.5, CxPoly.a(0) ** 2, k=3, l=8, dim_cap=10)
+
+
+def test_dimension_cap_bounds_the_dense_memory():
+    # |p|^2 for a degree-6 p in 3 variables lives on the 18 564-monomial
+    # bidegree basis: scipy's expm would ask for 12.8 GiB on it
+    assert 7 * 8 * semigroup.DEFAULT_DIM_CAP ** 2 <= 2 ** 30
+    p = holomorphic_extend(X1 ** 6 + X2 ** 3 * RealPoly.variable(2) + X1)
+    with pytest.raises(DimensionCapError):
+        measures.quadric_moment_direct(p.mod_square(), 9, 1.0)
 
 
 def test_exp_graded_respects_explicit_grade_bound():
