@@ -66,16 +66,14 @@ from .polyalg import (
 )
 from .semigroup import (
     BCHReport,
-    DimensionCapError,
     FactorizationReport,
-    NonNilpotentError,
-    SemigroupElement,
+    GroupGenerator,
     bch_check,
     dilation_exp,
     exp_graded,
-    exp_nilpotent,
     factor_quadric_limit,
-    set_dimension_cap,
+    flow_matrix,
+    group_generator,
 )
 from .transforms import (
     Euclidean,

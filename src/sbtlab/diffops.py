@@ -346,7 +346,7 @@ class PolySpace:
             padded = sorted(_real_monomials(k, l), key=lambda a: (mono_degree(a), a))
             self.monomials = padded
             self.index = {trim(a): i for i, a in enumerate(padded)}
-            degrees = [mono_degree(a) for a in padded]
+            self.degrees = [mono_degree(a) for a in padded]
         elif kind == "complex":
             pairs = []
             singles = _real_monomials(k, l)
@@ -357,18 +357,9 @@ class PolySpace:
             pairs.sort(key=lambda ab: (mono_degree(ab[0]) + mono_degree(ab[1]), ab))
             self.monomials = pairs
             self.index = {(trim(a), trim(b)): i for i, (a, b) in enumerate(pairs)}
-            degrees = [mono_degree(a) + mono_degree(b) for a, b in pairs]
+            self.degrees = [mono_degree(a) + mono_degree(b) for a, b in pairs]
         else:
             raise ValueError(f"unknown space kind {kind!r}")
-        self.degrees = degrees
-        self.block_slices = []
-        start = 0
-        for m in range(l + 1):
-            stop = start
-            while stop < len(degrees) and degrees[stop] == m:
-                stop += 1
-            self.block_slices.append(slice(start, stop))
-            start = stop
 
     @property
     def dim(self) -> int:
@@ -441,11 +432,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.space.dim
 
-    def to_float(self) -> "OperatorMatrix":
-        if self.entries.dtype != object:
-            return self
-        return OperatorMatrix(self.space, self.entries.astype(float))
-
     def apply(self, p):
         vec = self.space.coords(p, dtype=float if self.entries.dtype != object else None)
         out = self.entries.dot(vec)
@@ -453,29 +439,6 @@ class OperatorMatrix:
         if mode == FLOAT and out.dtype == object:
             out = out.astype(complex if self.space.kind == "complex" else float)
         return self.space.poly_from_coords(out, mode)
-
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.space is not other.space and self.space.monomials != other.space.monomials:
-            raise ValueError("operator matrices live on different bases")
-        return OperatorMatrix(self.space, np.dot(self.entries, other.entries))
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def __add__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.space, self.entries + other.entries)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.space, self.entries - other.entries)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.space, self.entries * scalar)
-
-    __rmul__ = __mul__
 
 
 def _exact_entry(c):
@@ -518,4 +481,6 @@ def to_matrix(spec: OperatorSpec, k: int, l: int, exact: bool = True) -> Operato
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA on a shared basis."""
-    return a.compose(b) - b.compose(a)
+    if a.space is not b.space and a.space.monomials != b.space.monomials:
+        raise ValueError("operator matrices live on different bases")
+    return OperatorMatrix(a.space, a.entries.dot(b.entries) - b.entries.dot(a.entries))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffops, measures, transforms
-from .parallel import ordered_map
 from .polyalg import CxPoly, RealPoly, coeff_distance
 
 DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
@@ -120,11 +119,7 @@ def _rate_marker(rate: float):
 def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Coefficient distance between the sphere Laplacian of p and its limit."""
     reference = diffops.hermite(p)
-
-    def one(n):
-        return float(coeff_distance(diffops.spherical_laplacian(p, n, n), reference))
-
-    errors = ordered_map(one, ns)
+    errors = [float(coeff_distance(diffops.spherical_laplacian(p, n, n), reference)) for n in ns]
     return ConvergenceTable(
         quantity="laplacian-to-hermite",
         ns=tuple(ns),
@@ -142,24 +137,16 @@ def measure_limit(q, family: str, T=None, ns=DEFAULT_N_GRID) -> ConvergenceTable
         if not isinstance(q, RealPoly):
             raise TypeError("sphere moments take real polynomials")
         limit = float(measures.gaussian_moment(q, 1))
-
-        def one(n):
-            return float(measures.sphere_moment(q, n))
-
+        values = [float(measures.sphere_moment(q, n)) for n in ns]
     elif family == "quadric":
         if not isinstance(q, CxPoly):
             raise TypeError("quadric moments take complexified polynomials")
         if T is None:
             raise ValueError("quadric moments need T")
         limit = complex(measures.gamma_moment(q, T))
-
-        def one(n):
-            return complex(measures.quadric_moment(q, n, T))
-
+        values = [complex(measures.quadric_moment(q, n, T)) for n in ns]
     else:
         raise ValueError(f"unknown measure family {family!r} (want sphere or quadric)")
-
-    values = ordered_map(one, ns)
     errors = [abs(v - limit) for v in values]
     return ConvergenceTable(
         quantity=f"{family}-moment",
@@ -176,11 +163,7 @@ def measure_limit(q, family: str, T=None, ns=DEFAULT_N_GRID) -> ConvergenceTable
 def transform_limit(p: RealPoly, T, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Coefficient distance between the sphere transform of p and its limit."""
     reference = transforms.limit_sbt(p, T)
-
-    def one(n):
-        return float(coeff_distance(transforms.sphere_sbt(p, n, T), reference))
-
-    errors = ordered_map(one, ns)
+    errors = [float(coeff_distance(transforms.sphere_sbt(p, n, T), reference)) for n in ns]
     return ConvergenceTable(
         quantity="transform-to-limit",
         ns=tuple(ns),
@@ -236,7 +219,7 @@ def diagram_check(p: RealPoly, T, n: int) -> DiagramReport:
 def diagram_convergence(p: RealPoly, T, ns=DEFAULT_N_GRID,
                         finite_tol: float = 1e-9) -> ConvergenceTable:
     """Sweep diagram_check over a grid; errors are distances to the limit norm."""
-    reports = ordered_map(lambda n: diagram_check(p, T, n), ns)
+    reports = [diagram_check(p, T, n) for n in ns]
     for r in reports:
         if r.finite_gap_rel > finite_tol:
             raise AssertionError(

@@ -318,7 +318,8 @@ def sphere_moment(p: RealPoly, n: int, b2=None):
 # Laplacian, so F is the sphere heat flow run backward for T/2.  K is built
 # lazily, one table per (n, b2, T) that grows by a block of rows and columns
 # whenever a moment brings holomorphic monomials it has not seen.  The direct
-# route through the full bidegree basis is kept below as a cross-check.
+# route, which flows each term through both halves of gamma_n, is kept below
+# as a cross-check.
 
 _kernel_lock = threading.Lock()
 _kernels: dict = {}
@@ -336,7 +337,8 @@ class _KernelTable:
     """K = F S F^T on the holomorphic monomials seen so far at one (n, b2, T)."""
 
     def __init__(self, n: int, b2: Fraction, T: float):
-        self.op = diffops.spherical_laplacian_op(n, b2)
+        self.n, self.b2 = n, b2
+        self.gen = semigroup.group_generator(diffops.spherical_laplacian_op(n, b2))
         self.t = -T / 2.0
         with _kernel_lock:
             self.moments = _sphere_moments.setdefault((n, b2), {})
@@ -352,12 +354,12 @@ class _KernelTable:
         # shared by the tables of one (n, b2); a race only computes a value twice
         value = self.moments.get(gamma)
         if value is None:
-            value = float(sphere_mono_moment(gamma, self.op.n, self.op.b2))
+            value = float(sphere_mono_moment(gamma, self.n, self.b2))
             self.moments[gamma] = value
         return value
 
     def _grow(self, new: list) -> None:
-        flows = [semigroup.flow_monomial(self.op, self.t, a) for a in new]
+        flows = [semigroup.flow_monomial(self.gen, self.t, a) for a in new]
         old = len(self.index)
         for a in new:
             self.index[a] = len(self.index)
@@ -378,7 +380,11 @@ class _KernelTable:
             gamma = self.columns[col]
             for j in self.by_parity[_parity(gamma)]:
                 s_rows[i, j] = self._moment(mono_mul(gamma, self.columns[j]))
-        rows = f_all[old:, used].dot(s_rows).dot(f_all.T)
+        try:
+            with np.errstate(over="raise"):
+                rows = f_all[old:, used].dot(s_rows).dot(f_all.T)
+        except FloatingPointError:
+            raise OverflowError("quadric kernel entries overflow a float") from None
         kernel = np.empty((len(self.index),) * 2)
         kernel[:old, :old] = self.kernel
         kernel[old:, :] = rows
@@ -430,10 +436,13 @@ def quadric_moment(q: CxPoly, n: int, T, b2=None):
 
 
 def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):
-    """Reference route: exponentiate Gamma on the full bidegree basis.
+    """Reference route: flow q through exp((T/b2) Gamma), then integrate.
 
-    Slower than :func:`quadric_moment`; used to cross-check the factored
-    kernel at small sizes.
+    Each term of q flows through the holomorphic and antiholomorphic groups
+    of gamma_n in its own parametrization (not the kernel's sphere-Laplacian
+    identity), and the restriction to real points is integrated over the
+    sphere.  Slower than :func:`quadric_moment`; used to cross-check the
+    factored kernel.
     """
     b2 = n if b2 is None else b2
     if q.width() >= n:

@@ -1,23 +1,25 @@
 """Exponentials of graded operators on polynomial spaces.
 
-Three exponential routes, in decreasing order of exactness:
+Every generator here is a sum over commuting groups of variables of
+lambda_g(m_g) + c_g * Lap_g: on a monomial of degree m_g in the group's
+variables it acts as the scalar lambda_g(m_g) = a2*m_g^2 + a1*m_g plus c_g
+times the group's Laplacian (``GroupGenerator``; ``group_generator`` maps
+each ``OperatorSpec`` to its groups).  The groups act on disjoint variables,
+so exp(tA) of a monomial is the product of its per-group flows, and each
+group flows as
 
-* ``exp_nilpotent`` -- terminating power series for strictly degree-lowering
-  operators, exact in rational mode with rational time.
-* ``exp_graded``    -- exp(t*A) applied to one polynomial.  The sphere
-  Laplacian, Hermite, plain Laplacian and Euler generators have the form
-  A = lambda_m + c*Laplacian on degree m, so each monomial flows as
-  exp(tA) x^alpha = sum_j f[lambda_m, ..., lambda_{m-2j}] c^j Lap^j x^alpha
-  with f = exp(t*): the Laplacian chain is exact integer arithmetic and the
-  divided-difference weights come from the exponential of one small
-  bidiagonal matrix per degree.  The cost follows the polynomial's terms,
-  not the size of the graded basis.
-  Other generators are realized as matrices on the degree-graded basis and
-  exponentiated by ``expm_graded``: a block Parlett recurrence whose only
-  transcendentals are the scalar ``exp`` of the diagonal entries, falling
-  back to scaling-and-squaring when two degree blocks carry eigenvalues
-  closer than ``COLLISION_TOL``.
-* ``dilation_exp``  -- closed-form dilation semigroup of the Euler operator.
+    exp(t(lambda + c Lap)) x^alpha = sum_j f[t lambda_m, ..., t lambda_{m-2j}] (ct)^j Lap^j x^alpha
+
+with f = exp.  The chain Lap^j x^alpha is exact integer arithmetic; the
+divided-difference weights come from the exponential of one small bidiagonal
+matrix per degree.  When every lambda is 0 the weights are (ct)^j / j!,
+exact for an exact polynomial and a rational time.
+
+* ``exp_graded``   -- exp(t*A) applied to one polynomial, term by term, so
+  the cost follows the polynomial's terms, not the size of the graded basis.
+* ``flow_matrix``  -- exp(A) on a graded basis, built column by column from
+  the same flows, for the checks that compare matrices.
+* ``dilation_exp`` -- closed-form dilation semigroup of the Euler operator.
 
 Also here: the commutation-relation exponential identities ("[X,Y] = aY"
 factorizations) as a checkable report, and the four-factor dilation/heat
@@ -27,296 +29,162 @@ product that merges into the limiting-measure exponential.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import diffops
 from .diffops import DimensionError, OperatorMatrix, OperatorSpec, PolySpace
-from .polyalg import FLOAT, CxPoly, RealPoly, mono_degree, trim
-
-# 7 float64 copies of a dim x dim matrix (the input, scipy.linalg.expm's
-# 5-slice work array and the result) fit in 1 GiB
-DEFAULT_DIM_CAP = 4096
-COLLISION_TOL = 1e-8
-
-_dim_cap = DEFAULT_DIM_CAP
-
-
-class DimensionCapError(ValueError):
-    """Raised when a graded exponential would exceed the dense-dimension cap."""
-
-
-class NonNilpotentError(ValueError):
-    """Raised when exp_nilpotent is fed an operator that fails to lower degree."""
+from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, mono_degree, trim
 
 
 class CommutationError(ValueError):
     """Raised when the [X, Y] = alpha*Y hypothesis does not hold."""
 
 
-def set_dimension_cap(cap: int) -> None:
-    global _dim_cap
-    _dim_cap = int(cap)
-
-
-def dimension_cap() -> int:
-    return _dim_cap
-
-
 # ---------------------------------------------------------------------------
-# terminating series
+# group generators
 
 
-def exp_nilpotent(op, t, q):
-    """Finite sum exp(t*op) q for a strictly degree-lowering operator.
+class Group(NamedTuple):
+    """a2*m^2 + a1*m on degree m in the group's variables, plus c times their Laplacian.
 
-    Exact when ``q`` is exact and ``t`` is rational; a float ``t`` promotes
-    the result to float mode.
+    ``side`` is "x" for real variables, "a" or "abar" for one side of the
+    complexified ones; ``indices`` restricts the group to those coordinates
+    (0-based), None meaning all of them.
     """
-    apply = op.apply if isinstance(op, OperatorSpec) else op
-    if not isinstance(t, (int, Fraction)) and q.mode == "exact":
-        q = q.to_float()
-    exact_time = isinstance(t, (int, Fraction)) and q.mode == "exact"
-    if not exact_time:
-        t = float(t)
-    out = q
-    term = q
-    n = 0
-    while not term.is_zero():
-        n += 1
-        prev_degree = term.degree()
-        term = apply(term)
-        if term.is_zero():
-            break
-        if term.degree() >= prev_degree:
-            raise NonNilpotentError(
-                f"operator failed to lower degree (still {term.degree()})"
-            )
-        term = term.scale(Fraction(t, n) if exact_time else t / n)
-        out = out + term
-    return out
+
+    side: str
+    indices: tuple | None
+    a2: object
+    a1: object
+    c: object
 
 
-# ---------------------------------------------------------------------------
-# triangular matrix exponential
+def _disjoint(g: Group, h: Group) -> bool:
+    if (g.side == "x") != (h.side == "x"):
+        return False
+    if g.side != h.side:
+        return True
+    return g.indices is not None and h.indices is not None and not set(g.indices) & set(h.indices)
 
 
-def _structure(m: np.ndarray, blocks):
-    """Classify a graded matrix: (is_upper_block_triangular, diag_blocks_diagonal)."""
-    n = m.shape[0]
-    mask_lower = np.zeros((n, n), dtype=bool)
-    mask_offdiag = np.zeros((n, n), dtype=bool)
-    for bi, sl_i in enumerate(blocks):
-        for bj, sl_j in enumerate(blocks):
-            if bi > bj:
-                mask_lower[sl_i, sl_j] = True
-        inner = np.ones((sl_i.stop - sl_i.start,) * 2, dtype=bool)
-        np.fill_diagonal(inner, False)
-        mask_offdiag[sl_i, sl_i] = inner
-    upper = not np.any(m[mask_lower])
-    diagonal_blocks = not np.any(m[mask_offdiag])
-    return upper, diagonal_blocks
+def _part(key, side: str) -> tuple:
+    """The exponents a group on this side reads from a term key."""
+    if side == "x":
+        return key
+    return key[0] if side == "a" else key[1]
 
 
-def _nonzero_blocks(m: np.ndarray, blocks) -> dict:
-    """Strictly-upper nonzero blocks of a graded matrix, keyed by block pair."""
-    out = {}
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            blk = m[blocks[i], blocks[j]]
-            if np.any(blk):
-                out[(i, j)] = blk
-    return out
+def _restrict(exps: tuple, indices) -> tuple:
+    if indices is None:
+        return exps
+    return trim([exps[i] if i < len(exps) else 0 for i in indices])
 
 
-def _expm_nilpotent(m: np.ndarray, blocks) -> np.ndarray:
-    """Terminating series for a strictly block-upper-triangular matrix.
-
-    Powers are carried block-sparse; degree-lowering operators only populate
-    a thin band of superdiagonal blocks, so this avoids dense products.
-    """
-    out = np.eye(m.shape[0])
-    mblocks = _nonzero_blocks(m, blocks)
-    power = {key: blk.copy() for key, blk in mblocks.items()}
-    for key, blk in power.items():
-        out[blocks[key[0]], blocks[key[1]]] += blk
-    order = 1
-    while power:
-        order += 1
-        if order > len(blocks) + 1:
-            raise NonNilpotentError("matrix power series did not terminate")
-        step = {}
-        for (i, k), left in power.items():
-            for (k2, j), right in mblocks.items():
-                if k2 != k:
-                    continue
-                acc = left.dot(right)
-                if (i, j) in step:
-                    step[(i, j)] += acc
-                else:
-                    step[(i, j)] = acc
-        power = {}
-        for key, blk in step.items():
-            blk = blk / order
-            if np.any(blk):
-                power[key] = blk
-                out[blocks[key[0]], blocks[key[1]]] += blk
-    return out
-
-
-def expm_graded(m: np.ndarray, blocks, collision_tol: float = COLLISION_TOL) -> np.ndarray:
-    """exp(m) for a degree-graded matrix.
-
-    Exact-diagonal block Parlett recurrence when degree blocks have separated
-    spectra; scaling-and-squaring fallback otherwise.
-    """
-    m = np.asarray(m, dtype=float)
-    blocks = [b for b in blocks if b.stop > b.start]
-    if m.shape[0] == 0:
-        return m.copy()
-    upper, diag_ok = _structure(m, blocks)
-    if not (upper and diag_ok):
-        return scipy.linalg.expm(m)
-    d = np.diag(m)
-    if not np.any(d):
-        return _expm_nilpotent(m, blocks)
-    # cross-block spectral separation
-    for i in range(len(blocks)):
-        di = d[blocks[i]]
-        for j in range(i + 1, len(blocks)):
-            dj = d[blocks[j]]
-            if np.min(np.abs(di[:, None] - dj[None, :])) < collision_tol:
-                return scipy.linalg.expm(m)
-    mblocks = _nonzero_blocks(m, blocks)
-    f = np.zeros_like(m)
-    fblocks = {}
-    for idx, sl in enumerate(blocks):
-        f[sl, sl] = np.diag(np.exp(d[sl]))
-        fblocks[(idx, idx)] = f[sl, sl]
-    nb = len(blocks)
-    for sep in range(1, nb):
-        for i in range(nb - sep):
-            j = i + sep
-            sl_i, sl_j = blocks[i], blocks[j]
-            c = np.zeros((sl_i.stop - sl_i.start, sl_j.stop - sl_j.start))
-            for k in range(i, j):
-                if (k, j) in mblocks and (i, k) in fblocks:
-                    c += fblocks[(i, k)].dot(mblocks[(k, j)])
-            for k in range(i + 1, j + 1):
-                if (i, k) in mblocks and (k, j) in fblocks:
-                    c -= mblocks[(i, k)].dot(fblocks[(k, j)])
-            if np.any(c):
-                blk = c / (d[sl_i][:, None] - d[sl_j][None, :])
-                f[sl_i, sl_j] = blk
-                fblocks[(i, j)] = blk
-    return f
-
-
-def expm_operator(a: OperatorMatrix) -> OperatorMatrix:
-    """Matrix exponential of a realized operator, block structure aware."""
-    entries = a.entries.astype(float) if a.entries.dtype == object else a.entries
-    return OperatorMatrix(a.space, expm_graded(entries, a.space.block_slices))
-
-
-# ---------------------------------------------------------------------------
-# realized semigroup elements, cached
+def _replace(key, group: Group, sub: tuple):
+    """key with the group's exponents replaced by sub."""
+    exps = sub
+    if group.indices is not None:
+        out = list(_part(key, group.side))
+        out += [0] * (max(group.indices) + 1 - len(out))
+        for i, j in enumerate(group.indices):
+            out[j] = sub[i] if i < len(sub) else 0
+        exps = trim(out)
+    if group.side == "x":
+        return exps
+    return (exps, key[1]) if group.side == "a" else (key[0], exps)
 
 
 @dataclass(frozen=True)
-class SemigroupElement:
-    base: OperatorSpec
-    time: float
-    realized: OperatorMatrix
+class GroupGenerator:
+    """Sum over groups on disjoint variables of lambda_g(m_g) + c_g * Lap_g.
 
+    Closed under ``+`` (groups on the same variables add their coefficients)
+    and scalar ``*``, which is what the exponential identities need.
+    """
 
-_space_cache: dict = {}
-_matrix_cache: dict = {}
-_realize_cache: dict = {}
-_flow_cache: dict = {}
-_cache_lock = threading.Lock()
+    groups: tuple
 
+    @property
+    def is_complexified(self) -> bool:
+        return any(g.side != "x" for g in self.groups)
 
-def graded_space(k: int, l: int, kind: str) -> PolySpace:
-    key = (k, l, kind)
-    with _cache_lock:
-        space = _space_cache.get(key)
-    if space is None:
-        space = PolySpace(k, l, kind)
-        with _cache_lock:
-            space = _space_cache.setdefault(key, space)
-    return space
+    def __add__(self, other):
+        if not isinstance(other, GroupGenerator):
+            return NotImplemented
+        merged = {(g.side, g.indices): g for g in self.groups}
+        for g in other.groups:
+            h = merged.get((g.side, g.indices))
+            if h is not None:
+                g = g._replace(a2=h.a2 + g.a2, a1=h.a1 + g.a1, c=h.c + g.c)
+            elif not all(_disjoint(g, h) for h in merged.values()):
+                raise ValueError("the groups of a sum must share no variables and not mix "
+                                 "real and complexified ones")
+            merged[(g.side, g.indices)] = g
+        return GroupGenerator(tuple(merged.values()))
 
-
-def _check_cap(op: OperatorSpec, k: int, l: int, cap=None):
-    # complexified bases pair an a-monomial with an abar-monomial: 2k variables
-    cap = _dim_cap if cap is None else cap
-    dim = math.comb((2 * k if op.is_complexified else k) + l, l)
-    if dim > cap:
-        raise DimensionCapError(
-            f"dim of the degree-{l} basis in {k} variables is {dim}, above the cap {cap}"
+    def __mul__(self, s):
+        return GroupGenerator(
+            tuple(g._replace(a2=s * g.a2, a1=s * g.a1, c=s * g.c) for g in self.groups)
         )
 
+    __rmul__ = __mul__
 
-# above this dimension, matrices are assembled in float directly; the exact
-# object-array route costs ~10x more and buys nothing once exp() is involved
-_EXACT_BUILD_LIMIT = 600
-
-
-def base_matrix(op: OperatorSpec, k: int, l: int) -> OperatorMatrix:
-    """Float matrix of op on the graded (k, l) basis, cached."""
-    key = (op, k, l)
-    with _cache_lock:
-        cached = _matrix_cache.get(key)
-    if cached is None:
-        space = graded_space(k, l, "complex" if op.is_complexified else "real")
-        exact_build = space.dim <= _EXACT_BUILD_LIMIT
-        built = diffops.to_matrix(op, k, l, exact=exact_build)
-        entries = built.entries.astype(float) if exact_build else built.entries
-        cached = OperatorMatrix(space, entries)
-        with _cache_lock:
-            cached = _matrix_cache.setdefault(key, cached)
-    return cached
+    def apply(self, p):
+        """The generator's action on a polynomial, exact for exact p and coefficients."""
+        if not isinstance(p, CxPoly if self.is_complexified else RealPoly):
+            raise TypeError(f"this generator does not act on {type(p).__name__}")
+        terms = {}
+        for key, coeff in p.terms.items():
+            for g in self.groups:
+                sub = _restrict(_part(key, g.side), g.indices)
+                m = mono_degree(sub)
+                terms[key] = terms.get(key, 0) + coeff * (g.a2 * m * m + g.a1 * m)
+                chain = _laplacian_chain(sub) if g.c else ()
+                for beta, v in chain[1].items() if len(chain) > 1 else ():
+                    lowered = _replace(key, g, beta)
+                    terms[lowered] = terms.get(lowered, 0) + coeff * g.c * v
+        return type(p)(terms, p.mode)
 
 
-def realize(op: OperatorSpec, t: float, k: int, l: int, dim_cap=None) -> SemigroupElement:
-    """exp(t * op) on the graded (k, l) basis, memoized on (op, k, l, t)."""
-    key = (op, k, l, float(t))
-    with _cache_lock:
-        element = _realize_cache.get(key)
-    if element is not None:
-        return element
-    _check_cap(op, k, l, dim_cap)
-    base = base_matrix(op, k, l)
-    exp_entries = expm_graded(base.entries * float(t), base.space.block_slices)
-    element = SemigroupElement(op, float(t), OperatorMatrix(base.space, exp_entries))
-    with _cache_lock:
-        element = _realize_cache.setdefault(key, element)
-    return element
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-# ---------------------------------------------------------------------------
-# graded flows, one monomial at a time
+def _both_sides(a2, a1, c) -> tuple:
+    return tuple(Group(side, None, a2, a1, c) for side in ("a", "abar"))
 
-# operator kind -> (lambda, c): on degree m the generator acts as the scalar
-# lambda(op, m) plus c times the Laplacian
-_GRADED_FLOWS = {
-    "spherical_laplacian": (lambda op, m: -Fraction(m * m + (op.n - 2) * m) / op.b2, 1),
-    "hermite": (lambda op, m: -m, 1),
-    "laplacian": (lambda op, m: 0, 1),
-    "euler": (lambda op, m: m, 0),
+
+# operator kind -> the groups of its generator
+_GROUPS = {
+    "laplacian": lambda op: (Group(op.variables, op.indices, 0, 0, 1),),
+    "euler": lambda op: (Group(op.variables, op.indices, 0, 1, 0),),
+    "hermite": lambda op: (Group("x", None, 0, -1, 1),),
+    "spherical_laplacian": lambda op: (
+        Group("x", None, Fraction(-1) / op.b2, Fraction(2 - op.n) / op.b2, 1),
+    ),
+    "jsq_a": lambda op: (Group("a", None, 1, op.n - 2, -op.b2),),
+    "jsq_abar": lambda op: (Group("abar", None, 1, op.n - 2, -op.b2),),
+    "gamma_n": lambda op: _both_sides(_HALF, Fraction(op.n - 2, 2), -op.b2 / 2),
+    "g_k": lambda op: _both_sides(0, _HALF, -_HALF),
+    "g_uv": lambda op: (
+        Group("x", tuple(range(op.half_k)), 0, _HALF, -_QUARTER),
+        Group("x", tuple(range(op.half_k, 2 * op.half_k)), 0, _HALF, _QUARTER),
+    ),
 }
 
 
-def _graded_flow(op: OperatorSpec):
-    """(lambda, c) of a generator with scalar degree blocks, else None."""
-    if op.variables != "x" or op.indices is not None:
-        return None
-    return _GRADED_FLOWS.get(op.kind)
+@lru_cache(maxsize=None)
+def group_generator(op: OperatorSpec) -> GroupGenerator:
+    """The groups of a named operator; its action equals ``op.apply`` exactly."""
+    return GroupGenerator(_GROUPS[op.kind](op))
+
+
+# ---------------------------------------------------------------------------
+# flows, one monomial at a time
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +212,8 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
     series on the centred B / 2^p, whose diagonal is at most 1/2 in size,
     then p squarings.  With the sign of s taken out every entry is positive,
     so the squarings do not cancel; the diagonal is reset to exact
-    exponentials after each (Al-Mohy and Higham, SIMAX 31, 2009).
+    exponentials after each (Al-Mohy and Higham, SIMAX 31, 2009).  Raises
+    OverflowError when a weight does not fit in a float.
     """
     z = np.asarray(z, dtype=float)
     if not (np.all(np.isfinite(z)) and math.isfinite(s)):
@@ -356,80 +225,115 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
     scale = 2.0 ** -p
     a = np.diag(y * scale) + np.diag(np.full(len(z) - 1, abs(s) * scale), 1)
     x = term = np.eye(len(z))
-    # entry (i, j) needs about j - i + 20 terms when |diagonal| <= 1/2
-    for k in range(1, len(z) + 40):
-        term = term.dot(a) / k
-        x = x + term
-        if np.all(np.abs(term) <= 2.0 ** -53 * x):
-            break
-    for q in range(p):
-        x = x.dot(x)
-        np.fill_diagonal(x, np.exp(y * 2.0 ** (q + 1 - p)))
-    row = x[0] * math.exp(mid)
+    try:
+        with np.errstate(over="raise"):
+            # entry (i, j) needs about j - i + 20 terms when |diagonal| <= 1/2
+            for k in range(1, len(z) + 40):
+                term = term.dot(a) / k
+                x = x + term
+                if np.all(np.abs(term) <= 2.0 ** -53 * x):
+                    break
+            for q in range(p):
+                x = x.dot(x)
+                np.fill_diagonal(x, np.exp(y * 2.0 ** (q + 1 - p)))
+            row = x[0] * math.exp(mid)
+    except FloatingPointError:
+        raise OverflowError("graded-flow weights overflow a float") from None
     if s < 0:
         row[1::2] *= -1.0
     return row
 
 
 @lru_cache(maxsize=None)
-def _flow_weights(op: OperatorSpec, t: float, m: int) -> np.ndarray:
-    """f[lambda_m, ..., lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp(t*)."""
-    lam, c = _graded_flow(op)
+def _flow_weights(a2, a1, c, t, m: int, exact: bool) -> tuple:
+    """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp."""
     depth = m // 2 + 1 if c else 1
-    weights = _exp_divided_differences([t * float(lam(op, m - 2 * j)) for j in range(depth)], c * t)
-    weights.flags.writeable = False  # shared by every caller through the cache
-    return weights
+    if exact:
+        ct = Fraction(c) * t
+        return tuple(ct ** j / math.factorial(j) for j in range(depth))
+    z = [t * float(a2 * d * d + a1 * d) for d in range(m, m - 2 * depth, -2)]
+    return tuple(_exp_divided_differences(z, c * t).tolist())
 
 
-def flow_monomial(op: OperatorSpec, t: float, alpha: tuple) -> dict:
-    """exp(t*op) x^alpha as {exponents: float}, memoized on (op, t, alpha).
+# (a2, a1, c, t, exact, sub-monomial) -> its flow; the maps are shared, never changed
+_group_flows: dict = {}
 
-    ``op`` must have scalar degree blocks (see ``_GRADED_FLOWS``); the exact
-    chain Lap^j x^alpha is weighted by ``_flow_weights``.  The returned map
-    is the cached one: callers read it and never change it.
-    """
-    key = (op, t, alpha)
-    with _cache_lock:
-        flowed = _flow_cache.get(key)
+
+def _group_flow(g: Group, t, exact: bool, sub: tuple) -> dict:
+    key = (g.a2, g.a1, g.c, t, exact, sub)
+    flowed = _group_flows.get(key)
     if flowed is None:
-        chain = _laplacian_chain(alpha) if _graded_flow(op)[1] else ({alpha: 1},)
-        weights = _flow_weights(op, t, mono_degree(alpha))
-        flowed = {
-            beta: w * v for w, level in zip(weights.tolist(), chain) for beta, v in level.items()
-        }
-        with _cache_lock:
-            flowed = _flow_cache.setdefault(key, flowed)
+        chain = _laplacian_chain(sub) if g.c else ({sub: 1},)
+        weights = _flow_weights(g.a2, g.a1, g.c, t, mono_degree(sub), exact)
+        flowed = _group_flows.setdefault(
+            key, {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
+        )
     return flowed
 
 
-def exp_graded(op: OperatorSpec, t, q, k: int | None = None, l: int | None = None,
-               dim_cap=None):
-    """Apply exp(t*op) to q; returns a float-mode poly.
+def flow_monomial(gen: GroupGenerator, t, key, exact: bool = False) -> dict:
+    """exp(t*gen) of the monomial ``key`` as {key: weight}.
 
-    Generators with scalar degree blocks flow q term by term; any other
-    operator is realized as a matrix on the graded (k, l) basis, subject to
-    the dimension cap.
+    The product of the monomial's group flows, each memoized on (group
+    generator, t, sub-monomial).  A group over all of a real monomial's
+    variables returns the memoized map itself: callers read it and never
+    change it.
     """
-    if l is not None and q.degree() > l:
-        raise ValueError(f"degree {q.degree()} exceeds the requested grade {l}")
-    if _graded_flow(op) is None:
-        k = max(k or 0, q.width())
-        element = realize(op, t, k, q.degree() if l is None else l, dim_cap)
-        return element.realized.apply(q.to_float())
-    if not isinstance(q, RealPoly):
-        raise TypeError(f"{op.kind} flows act on real polynomials")
-    if op.n is not None and q.width() >= op.n:
+    groups = gen.groups
+    if len(groups) == 1 and groups[0].side == "x" and groups[0].indices is None:
+        return _group_flow(groups[0], t, exact, key)
+    flowed = {key: 1}
+    for g in groups:
+        product = {}
+        for k0, v0 in flowed.items():
+            sub = _restrict(_part(k0, g.side), g.indices)
+            for beta, w in _group_flow(g, t, exact, sub).items():
+                k1 = _replace(k0, g, beta)
+                product[k1] = product.get(k1, 0) + v0 * w
+        flowed = product
+    return flowed
+
+
+def exp_graded(op, t, q):
+    """Apply exp(t*op) to q, term by term; ``op`` is an OperatorSpec or a GroupGenerator.
+
+    The result is exact when q is exact, t is rational and every lambda of
+    the generator is 0 (a strictly degree-lowering flow); otherwise it is a
+    float-mode poly.
+    """
+    gen = op if isinstance(op, GroupGenerator) else group_generator(op)
+    kind = CxPoly if gen.is_complexified else RealPoly
+    if not isinstance(q, kind):
+        raise TypeError(f"this flow acts on {kind.__name__}, got {type(q).__name__}")
+    n = getattr(op, "n", None)
+    if n is not None and q.width() >= n:
         raise DimensionError(
-            f"polynomial in {q.width()} variables needs ambient dimension > {q.width()}, "
-            f"got {op.n}"
+            f"polynomial in {q.width()} variables needs ambient dimension > {q.width()}, got {n}"
         )
-    t = float(t)
+    exact = (
+        q.mode == EXACT
+        and isinstance(t, (int, Fraction))
+        and all(not g.a2 and not g.a1 and isinstance(g.c, (int, Fraction)) for g in gen.groups)
+    )
+    if not exact:
+        t = float(t)
     out = {}
-    for alpha, c in q.terms.items():
-        c = float(c)
-        for beta, v in flow_monomial(op, t, alpha).items():
-            out[beta] = out.get(beta, 0.0) + c * v
-    return RealPoly._trusted({beta: v for beta, v in out.items() if v}, FLOAT)
+    for key, c in q.terms.items():
+        if not exact:
+            c = complex(c) if kind is CxPoly else float(c)
+        for beta, v in flow_monomial(gen, t, key, exact).items():
+            out[beta] = out.get(beta, 0) + c * v
+    return kind._trusted({beta: v for beta, v in out.items() if v}, EXACT if exact else FLOAT)
+
+
+def flow_matrix(gen: GroupGenerator, space: PolySpace) -> np.ndarray:
+    """exp(gen) on a graded basis, built column by column from monomial flows."""
+    out = np.zeros((space.dim, space.dim))
+    for j, mono in enumerate(space.monomials):
+        key = trim(mono) if space.kind == "real" else (trim(mono[0]), trim(mono[1]))
+        for beta, v in flow_monomial(gen, 1.0, key).items():
+            out[space.index[beta], j] = v
+    return out
 
 
 def dilation_exp(lam, q):
@@ -446,12 +350,6 @@ def dilation_exp(lam, q):
 
 # ---------------------------------------------------------------------------
 # commutation-relation exponential identities
-
-
-def _as_float_entries(x) -> np.ndarray:
-    if isinstance(x, OperatorMatrix):
-        return x.entries.astype(float) if x.entries.dtype == object else np.asarray(x.entries, dtype=float)
-    return np.asarray(x, dtype=float)
 
 
 def _phi_product(alpha: float) -> float:
@@ -487,40 +385,37 @@ class BCHReport:
         return self.max_deviation <= tol
 
 
-def bch_check(x, y, alpha: float, hypothesis_tol: float = 1e-12) -> BCHReport:
+def bch_check(x: GroupGenerator, y: GroupGenerator, alpha: float, k: int, l: int,
+              hypothesis_tol: float = 1e-12) -> BCHReport:
     """Verify the exponential identities that follow from [X, Y] = alpha*Y.
 
         e^X e^Y   = e^{X + (alpha/(1-e^{-alpha})) Y}
         e^Y e^X   = e^{X + (alpha/(e^{alpha}-1)) Y}
         e^{X+Y}   = e^X e^{((1-e^{-alpha})/alpha) Y}
 
+    as matrices on the graded basis of k variables and degree at most l.
     The third is the splitting that turns a combined flow into a dilation
     followed by a plain heat flow.  Raises :class:`CommutationError` if the
-    commutation hypothesis fails.
+    commutation hypothesis fails on the matrices of X and Y.
     """
-    blocks = None
-    if isinstance(x, OperatorMatrix):
-        blocks = x.space.block_slices
-    elif isinstance(y, OperatorMatrix):
-        blocks = y.space.block_slices
-    xm = _as_float_entries(x)
-    ym = _as_float_entries(y)
-    if blocks is None:
-        blocks = [slice(0, xm.shape[0])]
-    comm = xm.dot(ym) - ym.dot(xm)
-    scale = max(1.0, np.max(np.abs(ym)))
-    residual = float(np.max(np.abs(comm - alpha * ym)))
+    space = PolySpace(k, l, "complex" if (x + y).is_complexified else "real")
+    xm = diffops.operator_matrix(x.apply, space, exact=False)
+    ym = diffops.operator_matrix(y.apply, space, exact=False)
+    comm = diffops.commutator(xm, ym).entries
+    scale = max(1.0, np.max(np.abs(ym.entries)))
+    residual = float(np.max(np.abs(comm - alpha * ym.entries)))
     if residual > hypothesis_tol * scale:
         raise CommutationError(
             f"[X, Y] differs from alpha*Y by {residual:.3e} (alpha={alpha})"
         )
 
-    def ex(mat):
-        return expm_graded(mat, blocks)
+    def ex(gen):
+        return flow_matrix(gen, space)
 
-    dev_product = float(np.max(np.abs(ex(xm).dot(ex(ym)) - ex(xm + _phi_product(alpha) * ym))))
-    dev_reversed = float(np.max(np.abs(ex(ym).dot(ex(xm)) - ex(xm + _phi_reversed(alpha) * ym))))
-    dev_merge = float(np.max(np.abs(ex(xm + ym) - ex(xm).dot(ex(_phi_merge(alpha) * ym)))))
+    ex_x, ex_y = ex(x), ex(y)
+    dev_product = float(np.max(np.abs(ex_x.dot(ex_y) - ex(x + _phi_product(alpha) * y))))
+    dev_reversed = float(np.max(np.abs(ex_y.dot(ex_x) - ex(x + _phi_reversed(alpha) * y))))
+    dev_merge = float(np.max(np.abs(ex(x + y) - ex_x.dot(ex(_phi_merge(alpha) * y)))))
     return BCHReport(float(alpha), residual, dev_product, dev_reversed, dev_merge)
 
 
@@ -552,16 +447,15 @@ def factor_quadric_limit(k: int, l: int, t: float) -> FactorizationReport:
     """
     u = tuple(range(k))
     v = tuple(range(k, 2 * k))
-    lap_u = base_matrix(diffops.laplacian_op(indices=u), 2 * k, l)
-    lap_v = base_matrix(diffops.laplacian_op(indices=v), 2 * k, l)
-    eul_u = base_matrix(diffops.euler_op(indices=u), 2 * k, l)
-    eul_v = base_matrix(diffops.euler_op(indices=v), 2 * k, l)
-    g = base_matrix(diffops.g_uv_op(k), 2 * k, l)
-    space = g.space
-    blocks = space.block_slices
+    lap_u = group_generator(diffops.laplacian_op(indices=u))
+    lap_v = group_generator(diffops.laplacian_op(indices=v))
+    eul_u = group_generator(diffops.euler_op(indices=u))
+    eul_v = group_generator(diffops.euler_op(indices=v))
+    g = group_generator(diffops.g_uv_op(k))
+    space = PolySpace(2 * k, l, "real")
 
-    def ex(mat, coeff):
-        return expm_graded(coeff * mat.entries, blocks)
+    def ex(gen, coeff):
+        return flow_matrix(coeff * gen, space)
 
     lhs = ex(lap_u, 0.5).dot(ex(g, t))
     et = math.exp(t)

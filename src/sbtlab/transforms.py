@@ -68,7 +68,7 @@ def euclidean_sbt(p: RealPoly, s, t) -> CxPoly:
     if not 0 < t < 2 * s:
         raise ValueError(f"need 0 < t < 2s, got s={s}, t={t}")
     half = Fraction(t, 2) if isinstance(t, (int, Fraction)) else t / 2.0
-    return holomorphic_extend(semigroup.exp_nilpotent(diffops.LAPLACIAN, half, p))
+    return holomorphic_extend(semigroup.exp_graded(diffops.LAPLACIAN, half, p))
 
 
 def sphere_sbt(p: RealPoly, n: int, T) -> CxPoly:

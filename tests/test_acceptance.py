@@ -70,9 +70,7 @@ def test_criterion_3_two_route_agreement():
     for _, p in SUITE:
         for t in T_GRID:
             via_generator = semigroup.exp_graded(diffops.HERMITE, t / 2.0, p)
-            heat = semigroup.exp_nilpotent(
-                diffops.LAPLACIAN, (1.0 - math.exp(-t)) / 2.0, p
-            )
+            heat = semigroup.exp_graded(diffops.LAPLACIAN, (1.0 - math.exp(-t)) / 2.0, p)
             via_split = heat.dilate(math.exp(-t / 2.0))
             worst = max(worst, float(coeff_distance(via_generator, via_split)))
     assert worst <= 1e-12, f"worst coefficient distance {worst:.3e}"
@@ -82,17 +80,15 @@ def test_criterion_3_two_route_agreement():
 def test_criterion_4_commutation_identities():
     t = 1.0
     worst = 0.0
+    eul = semigroup.group_generator(diffops.EULER)
+    lap = semigroup.group_generator(diffops.LAPLACIAN)
     for k in (1, 2, 3):
-        eul = diffops.to_matrix(diffops.EULER, k, 8).to_float()
-        lap = diffops.to_matrix(diffops.LAPLACIAN, k, 8).to_float()
-        rep = semigroup.bch_check((-t / 2.0) * eul, (t / 2.0) * lap, t)
+        rep = semigroup.bch_check((-t / 2.0) * eul, (t / 2.0) * lap, t, k, 8)
         worst = max(worst, rep.max_deviation)
 
-        g = semigroup.base_matrix(diffops.g_uv_op(k), 2 * k, 8).to_float()
-        lap_u = semigroup.base_matrix(
-            diffops.laplacian_op(indices=tuple(range(k))), 2 * k, 8
-        ).to_float()
-        rep = semigroup.bch_check(t * g, 0.5 * lap_u, -t)
+        g = semigroup.group_generator(diffops.g_uv_op(k))
+        lap_u = semigroup.group_generator(diffops.laplacian_op(indices=tuple(range(k))))
+        rep = semigroup.bch_check(t * g, 0.5 * lap_u, -t, 2 * k, 8)
         worst = max(worst, rep.max_deviation)
     assert worst <= 1e-11, f"worst identity deviation {worst:.3e}"
     _report(

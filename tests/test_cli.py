@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from sbtlab import transforms
 from sbtlab.cli import PolyParseError, main, parse_n_grid, parse_poly
 from sbtlab.polyalg import RealPoly
 
@@ -203,8 +205,10 @@ def test_converge_rejects_several_times(capsys):
     ["isometry", "--poly", "x1", "--transform", "limit", "--T", "800"],
     ["isometry", "--poly", "x1", "--T", "nan"],
     ["converge", "--quantity", "diagram", "--poly", "1e200*x1^2", "--N", "10,100"],
+    ["isometry", "--poly", "x1^60", "--N", "5", "--T", "1"],
+    ["isometry", "--poly", "x1^6", "--N", "5", "--T", "400"],
 ], ids=["limit-1e400", "sphere-1e400", "converge-1e400", "limit-T800", "T-nan",
-        "diagram-overflow"])
+        "diagram-overflow", "kernel-overflow", "flow-weight-overflow"])
 def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -218,3 +222,14 @@ def test_parse_rejects_non_finite_coefficients():
     with pytest.raises(PolyParseError) as info:
         parse_poly("x2 + 1e200*1e200*x1")
     assert "column 6" in str(info.value)
+
+
+def test_a_nan_gap_fails_the_tolerance(monkeypatch, capsys):
+    def nan_report(p, tag):
+        return transforms.TransformResult(p, None, tag, 1.0, math.nan)
+
+    monkeypatch.setattr(transforms, "unitarity_report", nan_report)
+    assert main(["isometry", "--poly", "x1", "--N", "10,100", "--T", "1.0"]) == 1
+    assert ",nan,nan" in capsys.readouterr().out
+    assert main(["verify", "--k", "2", "--deg", "3"]) == 1
+    assert "FAIL unitarity: worst relative norm gap nan" in capsys.readouterr().out

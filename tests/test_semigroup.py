@@ -6,18 +6,18 @@ import pytest
 import scipy.linalg
 
 from sbtlab import diffops, measures, semigroup
+from sbtlab.diffops import PolySpace
 from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance, holomorphic_extend
 from sbtlab.semigroup import (
     CommutationError,
-    DimensionCapError,
-    NonNilpotentError,
+    Group,
+    GroupGenerator,
     bch_check,
     dilation_exp,
     exp_graded,
-    exp_nilpotent,
-    expm_graded,
     factor_quadric_limit,
-    realize,
+    flow_matrix,
+    group_generator,
 )
 from sbtlab.suite import random_real_poly
 
@@ -27,28 +27,43 @@ X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
 
 
+def _flow_vs_scipy(op, t, k, l, relative=False):
+    """Flow-built exp(t*op) on the graded (k, l) basis against scipy's expm.
+
+    The largest entrywise deviation, or with ``relative`` that deviation over
+    the largest entry of scipy's matrix.
+    """
+    space = diffops.space_for(op, k, l)
+    ours = flow_matrix(t * group_generator(op), space)
+    ref = scipy.linalg.expm(t * diffops.to_matrix(op, k, l, exact=False).entries)
+    deviation = float(np.max(np.abs(ours - ref)))
+    return deviation / float(np.max(np.abs(ref))) if relative else deviation
+
+
 def test_exp_nilpotent_examples():
-    # heat flow at time t applies exp((t/2) * laplacian)
-    assert exp_nilpotent(diffops.LAPLACIAN, Fraction(1, 2), X1 ** 2) == X1 ** 2 + 1
-    assert exp_nilpotent(diffops.LAPLACIAN, Fraction(3, 2), X1) == X1
+    # heat flow at time t applies exp((t/2) * laplacian), exactly at rational t
+    assert exp_graded(diffops.LAPLACIAN, Fraction(1, 2), X1 ** 2) == X1 ** 2 + 1
+    assert exp_graded(diffops.LAPLACIAN, Fraction(3, 2), X1) == X1
     t = 1 - math.exp(-0.8)
-    out = exp_nilpotent(diffops.LAPLACIAN, t / 2, X1 ** 2)
+    out = exp_graded(diffops.LAPLACIAN, t / 2, X1 ** 2)
     assert coeff_distance(out, (X1 ** 2).to_float() + RealPoly.constant(t, "float")) < 1e-15
 
 
 def test_exp_nilpotent_exact_for_rational_time():
     p = X1 ** 4 + 2 * X1 ** 2 * X2 ** 2
-    out = exp_nilpotent(diffops.LAPLACIAN, Fraction(1, 3), p)
+    out = exp_graded(diffops.LAPLACIAN, Fraction(1, 3), p)
     assert out.mode == "exact"
     # second-order term: (1/2) (1/3)^2 Lap^2 p
     lap2 = diffops.laplacian(diffops.laplacian(p))
     expected = p + diffops.laplacian(p).scale(Fraction(1, 3)) + lap2.scale(Fraction(1, 18))
     assert out == expected
-
-
-def test_exp_nilpotent_rejects_non_nilpotent():
-    with pytest.raises(NonNilpotentError):
-        exp_nilpotent(diffops.EULER, Fraction(1), X1 ** 2 + X1)
+    # every lambda 0 on every group: the g_uv heat parts and a complexified side
+    half = Fraction(1, 2)
+    u_heat = exp_graded(diffops.laplacian_op(indices=(0,)), half, X1 ** 2 * X2 ** 2)
+    assert u_heat == X1 ** 2 * X2 ** 2 + X2 ** 2
+    a_heat = exp_graded(diffops.LAPLACIAN_A, half, CxPoly.a(0) ** 2 * CxPoly.abar(0))
+    assert a_heat.mode == "exact"
+    assert a_heat == (CxPoly.a(0) ** 2 + 1) * CxPoly.abar(0)
 
 
 def test_exp_graded_sphere_eigenvector():
@@ -76,12 +91,14 @@ def test_exp_graded_gamma_on_a1_squared():
 
 
 def test_exp_graded_agrees_with_exp_nilpotent():
+    # the exact weights (t^j / j!) against the float divided differences of
+    # the same all-zero nodes
     rng = seeded_rng(21)
     for _ in range(5):
         p = random_real_poly(rng, k=2, degree=5, terms=4)
-        t = 0.37
-        a = exp_nilpotent(diffops.LAPLACIAN, t, p)
-        b = exp_graded(diffops.laplacian_op(), t, p)
+        a = exp_graded(diffops.LAPLACIAN, Fraction(37, 100), p)
+        b = exp_graded(diffops.laplacian_op(), 0.37, p)
+        assert a.mode == "exact" and b.mode == "float"
         assert coeff_distance(a, b) < 1e-13
 
 
@@ -120,72 +137,84 @@ def test_dilation_exp_matches_euler_exponential():
 
 
 def test_realized_element_at_time_zero_is_identity():
-    element = realize(diffops.HERMITE, 0.0, 2, 3)
-    assert np.array_equal(element.realized.entries, np.eye(element.realized.dim))
+    matrix = flow_matrix(0.0 * group_generator(diffops.HERMITE), PolySpace(2, 3))
+    assert np.array_equal(matrix, np.eye(len(matrix)))
 
 
 def test_spherical_diagonal_eigenvalues():
     # degree-m diagonal entries are -(m + (m^2 - 2m)/n) when b2 = n
     n = 9
-    mat = semigroup.base_matrix(diffops.spherical_laplacian_op(n), 2, 5)
-    for m, sl in enumerate(mat.space.block_slices):
-        want = -(m + (m * m - 2 * m) / n)
-        for i in range(sl.start, sl.stop):
-            assert mat.entries[i, i] == pytest.approx(want, abs=1e-15)
+    mat = diffops.to_matrix(diffops.spherical_laplacian_op(n), 2, 5)
+    for i, m in enumerate(mat.space.degrees):
+        assert mat.entries[i, i] == -(m + Fraction(m * m - 2 * m, n))
 
 
 def test_expm_graded_matches_scipy():
     cases = [
-        (semigroup.base_matrix(diffops.spherical_laplacian_op(6), 2, 6), 0.45),
-        (semigroup.base_matrix(diffops.HERMITE, 3, 4), 0.8),
-        (semigroup.base_matrix(diffops.gamma_n_op(5), 1, 4), 0.9 / 5),
-        (semigroup.base_matrix(diffops.laplacian_op(), 2, 6), 0.33),
+        (diffops.spherical_laplacian_op(6), 0.45, 2, 6),
+        (diffops.HERMITE, 0.8, 3, 4),
+        (diffops.gamma_n_op(5), 0.9 / 5, 1, 4),
+        (diffops.laplacian_op(), 0.33, 2, 6),
     ]
-    for base, t in cases:
-        a = base.entries * t
-        ours = expm_graded(a, base.space.block_slices)
-        ref = scipy.linalg.expm(a)
-        assert np.max(np.abs(ours - ref)) < 1e-11
+    for op, t, k, l in cases:
+        assert _flow_vs_scipy(op, t, k, l) < 1e-11, (op, k, l)
+    # every other kind of group: entries reach 1e3, so the gap is relative
+    cases = [
+        (diffops.gamma_n_op(5), 0.9 / 5, 2, 6),
+        (diffops.G_K, 0.7, 2, 6),
+        (diffops.jsq_a_op(6), 0.1, 2, 6),
+        (diffops.jsq_abar_op(6), 0.1, 2, 5),
+        (diffops.euler_op(variables="abar"), 0.6, 2, 5),
+        (diffops.g_uv_op(2), 0.9, 4, 8),
+        (diffops.laplacian_op(indices=(0, 2, 4)), 0.5, 6, 6),
+    ]
+    for op, t, k, l in cases:
+        assert _flow_vs_scipy(op, t, k, l, relative=True) < 1e-11, (op, k, l)
 
 
 def test_expm_graded_falls_back_on_collisions():
-    # two identical eigenvalues in different degree blocks force the fallback
-    m = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    blocks = [slice(0, 2), slice(2, 3)]
-    out = expm_graded(m, blocks)
-    assert np.max(np.abs(out - scipy.linalg.expm(m))) < 1e-12
+    # lambda(m) = m^2 - 4m gives lambda(4) = lambda(0) and lambda(3) = lambda(1):
+    # x^alpha of degree 4 and 3 flow through merged divided-difference nodes
+    gen = GroupGenerator((Group("x", None, 1, -4, 1),))
+    space = PolySpace(2, 4)
+    assert gen.apply(X1 ** 4) == 12 * X1 ** 2
+    dense = diffops.operator_matrix(gen.apply, space, exact=False).entries
+    for t in (0.3, -0.7):
+        ref = scipy.linalg.expm(t * dense)
+        gap = np.max(np.abs(flow_matrix(t * gen, space) - ref)) / np.max(np.abs(ref))
+        assert gap < 1e-12
 
 
 def test_bch_identities_dilation_heat():
     # X = -(T/2) Euler, Y = (T/2) Lap, [X, Y] = T Y; the merge identity is
     # exactly the dilation-then-heat splitting of the limit transform
+    eul = group_generator(diffops.EULER)
+    lap = group_generator(diffops.LAPLACIAN)
     for t in (0.5, 1.0, 2.0):
-        eul = diffops.to_matrix(diffops.EULER, 2, 6).to_float()
-        lap = diffops.to_matrix(diffops.LAPLACIAN, 2, 6).to_float()
-        report = bch_check((-t / 2) * eul, (t / 2) * lap, t)
+        report = bch_check((-t / 2) * eul, (t / 2) * lap, t, 2, 6)
         assert report.max_deviation < 1e-11
 
 
 def test_bch_identities_limit_measure():
     # X = T G, Y = (1/2) Lap_u, [X, Y] = -T Y
-    g = semigroup.base_matrix(diffops.g_uv_op(1), 2, 6).to_float()
-    lap_u = semigroup.base_matrix(diffops.laplacian_op(indices=(0,)), 2, 6).to_float()
+    g = group_generator(diffops.g_uv_op(1))
+    lap_u = group_generator(diffops.laplacian_op(indices=(0,)))
     for t in (0.5, 1.0):
-        report = bch_check(t * g, 0.5 * lap_u, -t)
+        report = bch_check(t * g, 0.5 * lap_u, -t, 2, 6)
         assert report.max_deviation < 1e-11
 
 
 def test_bch_trivial_with_zero_y():
-    eul = diffops.to_matrix(diffops.EULER, 1, 3).to_float()
-    report = bch_check(eul, 0.0 * eul, 0.7)
+    eul = group_generator(diffops.EULER)
+    report = bch_check(eul, 0.0 * eul, 0.7, 1, 3)
     assert report.max_deviation < 1e-14
 
 
 def test_bch_rejects_broken_hypothesis():
-    eul = diffops.to_matrix(diffops.EULER, 1, 3).to_float()
-    lap = diffops.to_matrix(diffops.LAPLACIAN, 1, 3).to_float()
+    eul = group_generator(diffops.EULER)
+    lap = group_generator(diffops.LAPLACIAN)
     with pytest.raises(CommutationError):
-        bch_check(eul, lap, 5.0)
+        bch_check(eul, lap, 5.0, 1, 3)
 
 
 def test_factor_quadric_limit_examples():
@@ -193,66 +222,57 @@ def test_factor_quadric_limit_examples():
     assert factor_quadric_limit(2, 2, 0.8).max_deviation <= 1e-12
     tiny = factor_quadric_limit(1, 4, 1e-9)
     # as the time goes to zero both sides collapse onto the plain heat factor
-    heat = expm_graded(
-        0.5 * semigroup.base_matrix(diffops.laplacian_op(indices=(0,)), 2, 4).entries,
-        tiny.lhs.space.block_slices,
-    )
+    lap_u = diffops.to_matrix(diffops.laplacian_op(indices=(0,)), 2, 4, exact=False)
+    heat = scipy.linalg.expm(0.5 * lap_u.entries)
     assert np.max(np.abs(tiny.lhs.entries - heat)) < 1e-7
     assert tiny.max_deviation < 1e-8
 
 
-def test_dimension_cap():
-    # the cap guards the dense route, which the complexified generators take;
-    # it is checked before the (3, 8) bidegree matrix is assembled
-    with pytest.raises(DimensionCapError):
-        exp_graded(diffops.gamma_n_op(10), 0.5, CxPoly.a(0) ** 2, k=3, l=8, dim_cap=10)
-
-
-def test_dimension_cap_bounds_the_dense_memory():
+def test_quadric_moment_direct_needs_no_basis_matrix():
     # |p|^2 for a degree-6 p in 3 variables lives on the 18 564-monomial
-    # bidegree basis: scipy's expm would ask for 12.8 GiB on it
-    assert 7 * 8 * semigroup.DEFAULT_DIM_CAP ** 2 <= 2 ** 30
+    # bidegree basis, whose float64 matrix alone takes 2.6 GiB; the direct
+    # route flows the integrand's own terms and allocates a few MiB at most
+    import tracemalloc
+
     p = holomorphic_extend(X1 ** 6 + X2 ** 3 * RealPoly.variable(2) + X1)
-    with pytest.raises(DimensionCapError):
-        measures.quadric_moment_direct(p.mod_square(), 9, 1.0)
-
-
-def test_exp_graded_respects_explicit_grade_bound():
-    with pytest.raises(ValueError):
-        exp_graded(diffops.HERMITE, 0.5, X1 ** 4, l=2)
+    q = p.mod_square()
+    assert PolySpace(3, 12, "complex").dim == 18564
+    tracemalloc.start()
+    try:
+        direct = measures.quadric_moment_direct(q, 9, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 23
+    kernel = measures.quadric_moment(q, 9, 1.0)
+    assert abs(direct - kernel) <= 1e-12 * abs(kernel)
 
 
 def test_exp_nilpotent_rational_time_on_float_polynomial():
-    out = exp_nilpotent(diffops.LAPLACIAN, Fraction(1, 2), (X1 ** 2).to_float())
+    out = exp_graded(diffops.LAPLACIAN, Fraction(1, 2), (X1 ** 2).to_float())
     assert out.mode == "float"
     assert coeff_distance(out, (X1 ** 2 + 1).to_float()) == 0
 
 
 def test_expm_graded_collision_fallback_on_real_operator_family():
     # at ambient dimension 4 the bidegree operator's degree-6 and degree-8
-    # blocks share the eigenvalue 24, forcing the scaling-and-squaring path;
-    # the result must still match a doubled-precision reference via scipy
-    base = semigroup.base_matrix(diffops.gamma_n_op(4), 2, 8)
-    d = np.diag(base.entries)
-    blocks = [b for b in base.space.block_slices if b.stop > b.start]
-    gaps = [
-        np.min(np.abs(d[blocks[i]][:, None] - d[blocks[j]][None, :]))
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-    ]
-    assert min(gaps) == 0.0  # genuine collision, not a near-miss
-    t = 0.4 / 4
-    ours = expm_graded(base.entries * t, base.space.block_slices)
-    ref = scipy.linalg.expm(base.entries * t)
-    assert np.max(np.abs(ours - ref)) == 0.0  # fallback is scipy itself
+    # blocks share the eigenvalue 24, a collision across degree blocks that
+    # the per-group flows never see; scipy itself is good to about 1e-12 here
+    base = diffops.to_matrix(diffops.gamma_n_op(4), 2, 8, exact=False)
+    eigenvalues = {}
+    for m, d in zip(base.space.degrees, np.diag(base.entries)):
+        eigenvalues.setdefault(d, set()).add(m)
+    assert {6, 8} <= eigenvalues[24.0]  # genuine collision, not a near-miss
+    assert _flow_vs_scipy(diffops.gamma_n_op(4), 0.4 / 4, 2, 8, relative=True) < 1e-11
 
 
 def test_expm_operator_wrapper():
-    base = semigroup.base_matrix(diffops.HERMITE, 2, 3)
-    half = semigroup.expm_operator(0.5 * base)
-    direct = expm_graded(0.5 * base.entries, base.space.block_slices)
-    assert np.array_equal(half.entries, direct)
-    assert half.apply(X1.to_float()) == semigroup.exp_graded(diffops.HERMITE, 0.5, X1)
+    # the flow-built matrix acts on coefficient vectors as exp_graded does
+    op = diffops.HERMITE
+    space = PolySpace(2, 3)
+    matrix = diffops.OperatorMatrix(space, flow_matrix(0.5 * group_generator(op), space))
+    assert matrix.apply(X1.to_float()) == exp_graded(op, 0.5, X1)
+    assert _flow_vs_scipy(op, 0.5, 2, 3) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +280,39 @@ def test_expm_operator_wrapper():
 
 
 def test_graded_flow_table_matches_operator_action():
-    # lambda_m x^alpha + c Lap x^alpha must be the operator itself, exactly
-    ops = [diffops.HERMITE, diffops.LAPLACIAN, diffops.EULER]
-    ops += [diffops.spherical_laplacian_op(n) for n in (4, 7, 10, 25)]
-    ops += [diffops.spherical_laplacian_op(6, Fraction(7, 3))]
-    for op in ops:
-        lam, c = semigroup._graded_flow(op)
-        for alpha in semigroup.graded_space(3, 8, "real").monomials:
-            mono = RealPoly({alpha: 1})
-            m = sum(alpha)
-            want = mono.scale(Fraction(lam(op, m))) + diffops.laplacian(mono).scale(c)
-            assert op.apply(mono) == want, (op, alpha)
+    # the groups' lambda(m) + c Lap must be the operator itself, exactly, for
+    # every kind, index subset and a/abar side, on every monomial up to degree 8
+    real_ops = [diffops.HERMITE, diffops.LAPLACIAN, diffops.EULER, diffops.g_uv_op(1)]
+    real_ops += [diffops.spherical_laplacian_op(n) for n in (4, 7, 10, 25)]
+    real_ops += [diffops.spherical_laplacian_op(6, Fraction(7, 3))]
+    for indices in ((0,), (1, 2), (0, 2), (2,)):
+        real_ops += [diffops.laplacian_op(indices), diffops.euler_op(indices)]
+    cx_ops = [diffops.G_K, diffops.gamma_n_op(5), diffops.gamma_n_op(6, Fraction(7, 3))]
+    cx_ops += [diffops.jsq_a_op(n) for n in (3, 8)] + [diffops.jsq_abar_op(n) for n in (3, 8)]
+    for side in ("a", "abar"):
+        for indices in (None, (0,), (1,)):
+            cx_ops += [diffops.laplacian_op(indices, side), diffops.euler_op(indices, side)]
+    for ops, space in ((real_ops, PolySpace(3, 8)), (cx_ops, PolySpace(2, 8, "complex"))):
+        monos = [space.basis_poly(i) for i in range(space.dim)]
+        for op in ops:
+            gen = group_generator(op)
+            for mono in monos:
+                assert gen.apply(mono) == op.apply(mono), (op, mono)
 
 
-def test_graded_flow_table_excludes_other_generators():
-    for op in (diffops.gamma_n_op(5), diffops.G_K, diffops.g_uv_op(1),
-               diffops.laplacian_op(indices=(0,)), diffops.LAPLACIAN_A):
-        assert semigroup._graded_flow(op) is None
+def test_group_generators_add_and_scale():
+    x = group_generator(diffops.g_uv_op(1))
+    y = group_generator(diffops.laplacian_op(indices=(0,)))
+    space = PolySpace(2, 4)
+    for s in (Fraction(1, 3), 2):
+        combined = x + s * y
+        for i in range(space.dim):
+            mono = space.basis_poly(i)
+            assert combined.apply(mono) == x.apply(mono) + y.apply(mono).scale(s)
+    with pytest.raises(ValueError):
+        group_generator(diffops.LAPLACIAN) + y  # all variables overlap x1
+    with pytest.raises(ValueError):
+        group_generator(diffops.LAPLACIAN) + group_generator(diffops.G_K)
 
 
 def _exp_divided_differences_reference(z, s):
@@ -319,9 +355,9 @@ def test_exp_divided_differences_rejects_non_finite_time():
 @pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])
 def test_graded_flow_matches_dense_exponential(k, l):
     rng = seeded_rng(24 + k)
-    space = semigroup.graded_space(k, l, "real")
+    space = PolySpace(k, l)
     for op, t in ((diffops.spherical_laplacian_op(k + 3), 0.45), (diffops.HERMITE, 0.8)):
-        dense = expm_graded(t * semigroup.base_matrix(op, k, l).entries, space.block_slices)
+        dense = scipy.linalg.expm(t * diffops.to_matrix(op, k, l, exact=False).entries)
         for _ in range(2):
             p = random_real_poly(rng, k=k, degree=l, terms=6)
             via_dense = space.poly_from_coords(dense.dot(space.coords(p.to_float())))
