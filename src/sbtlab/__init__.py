@@ -1,19 +1,22 @@
 """Symbolic-numeric laboratory for sphere transforms and their large-dimension limits."""
 
 from .diffops import (
+    EULER,
+    G_K,
+    HERMITE,
+    LAPLACIAN,
     DimensionError,
+    GroupGenerator,
     OperatorMatrix,
-    OperatorSpec,
     PolySpace,
     commutator,
-    euler,
-    g_k,
-    gamma_n,
-    hermite,
-    jsq_a,
-    jsq_abar,
-    laplacian,
-    spherical_laplacian,
+    euler_op,
+    g_uv_op,
+    gamma_n_op,
+    jsq_a_op,
+    jsq_abar_op,
+    laplacian_op,
+    spherical_laplacian_op,
     to_matrix,
 )
 from .limits import (
@@ -51,29 +54,20 @@ from .polyalg import (
     HolomorphicityError,
     ModeMismatchError,
     RealPoly,
-    add,
     coeff_distance,
-    conjugate,
     cx_poly_from_json,
-    dilate,
-    evaluate,
     holomorphic_extend,
-    mod_square,
-    mul,
     poly_to_json,
     real_poly_from_json,
-    scale,
 )
 from .semigroup import (
     BCHReport,
     FactorizationReport,
-    GroupGenerator,
     bch_check,
     dilation_exp,
     exp_graded,
     factor_quadric_limit,
     flow_matrix,
-    group_generator,
 )
 from .transforms import (
     Euclidean,

@@ -346,22 +346,22 @@ def _verify_checks(k: int, deg: int, seed: int, tol_override):
 
     # -- operators and matrices
     n_dim = max(k + 2, 5)
-    ops = [
-        diffops.LAPLACIAN,
-        diffops.EULER,
-        diffops.HERMITE,
-        diffops.spherical_laplacian_op(n_dim),
-    ]
+    ops = {
+        "laplacian": diffops.LAPLACIAN,
+        "euler": diffops.EULER,
+        "hermite": diffops.HERMITE,
+        "spherical_laplacian": diffops.spherical_laplacian_op(n_dim),
+    }
     ok = True
     detail = ""
-    for op in ops:
+    for name, op in ops.items():
         mat = diffops.to_matrix(op, k, deg)
         for p in polys[:3]:
             direct = op.apply(p)
             via = mat.apply(p)
             if coeff_distance(direct, via) != 0:
                 ok = False
-                detail = f"{op.kind} disagrees with its matrix"
+                detail = f"{name} disagrees with its matrix"
     yield "matrix-vs-symbolic", ok, detail or "matrices reproduce symbolic action"
 
     eul = diffops.to_matrix(diffops.EULER, k, deg)
@@ -370,15 +370,13 @@ def _verify_checks(k: int, deg: int, seed: int, tol_override):
     yield "euler-laplacian-commutator", ok, "[Euler, Lap] = -2 Lap exactly"
 
     t_bch = 1.0
-    eul_gen = semigroup.group_generator(diffops.EULER)
-    lap_gen = semigroup.group_generator(diffops.LAPLACIAN)
-    rep = semigroup.bch_check((-t_bch / 2.0) * eul_gen, (t_bch / 2.0) * lap_gen, t_bch, k, deg)
+    rep = semigroup.bch_check((-t_bch / 2.0) * diffops.EULER, (t_bch / 2.0) * diffops.LAPLACIAN,
+                              t_bch, k, deg)
     ok = rep.ok(tol(1e-11))
     yield "bch-dilation-heat", ok, f"max deviation {rep.max_deviation:.2e}"
 
-    g_gen = semigroup.group_generator(diffops.g_uv_op(1))
-    lap_u = semigroup.group_generator(diffops.laplacian_op(indices=(0,)))
-    rep = semigroup.bch_check(t_bch * g_gen, 0.5 * lap_u, -t_bch, 2, min(deg, 6))
+    rep = semigroup.bch_check(t_bch * diffops.g_uv_op(1), 0.5 * diffops.laplacian_op(indices=(0,)),
+                              -t_bch, 2, min(deg, 6))
     ok = rep.ok(tol(1e-11))
     yield "bch-limit-measure", ok, f"max deviation {rep.max_deviation:.2e}"
 

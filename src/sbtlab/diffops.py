@@ -1,19 +1,26 @@
 """Differential operators on polynomial spaces and their graded matrices.
 
-Symbolic side: each operator is a linear self-map of ``RealPoly`` or
-``CxPoly``, built from coordinate second derivatives and Euler (degree)
-operators.  Matrix side: ``to_matrix`` realizes an operator on the monomial
-basis of the k-variable polynomials of degree at most l, ordered by total
-degree then lexicographically.  Degree-preserving-or-lowering operators are
-then block upper-triangular (ascending-degree ordering) with their Euler
-eigenvalues sitting on the diagonal.
+Every operator here is a ``GroupGenerator``: a sum over commuting groups of
+variables of lambda_g(m_g) + c_g * Lap_g, where m_g is a monomial's degree
+in the group's variables, lambda_g(m) = a2*m^2 + a1*m and Lap_g is the
+group's Laplacian.  The named operators (``LAPLACIAN``, ``EULER``,
+``HERMITE``, ``G_K`` and the ``*_op`` constructors) write their groups once;
+``apply`` is their exact action on ``RealPoly`` or ``CxPoly`` and the
+semigroup module flows the same groups.  Matrix side: ``to_matrix`` realizes
+an operator on the monomial basis of the k-variable polynomials of degree at
+most l, ordered by total degree then lexicographically.
+Degree-preserving-or-lowering operators are then block upper-triangular
+(ascending-degree ordering) with their Euler eigenvalues sitting on the
+diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +31,6 @@ from .polyalg import (
     GaussianRational,
     RealPoly,
     mono_degree,
-    pad,
     trim,
 )
 
@@ -34,281 +40,241 @@ class DimensionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# symbolic building blocks
+# group generators
 
 
-def _d2_real(p: RealPoly, j: int) -> RealPoly:
-    terms = {}
-    for a, c in p.terms.items():
-        if j >= len(a) or a[j] < 2:
-            continue
-        e = a[j]
-        key = a[:j] + (e - 2,) + a[j + 1 :]
-        terms[trim(key)] = terms.get(trim(key), 0) + c * e * (e - 1)
-    return RealPoly(terms, p.mode)
+class Group(NamedTuple):
+    """a2*m^2 + a1*m on degree m in the group's variables, plus c times their Laplacian.
 
-
-def _d2_cx(q: CxPoly, j: int, side: str) -> CxPoly:
-    terms = {}
-    for (a, b), c in q.terms.items():
-        src = a if side == "a" else b
-        if j >= len(src) or src[j] < 2:
-            continue
-        e = src[j]
-        new = src[:j] + (e - 2,) + src[j + 1 :]
-        key = (trim(new), b) if side == "a" else (a, trim(new))
-        terms[key] = terms.get(key, 0) + c * e * (e - 1)
-    return CxPoly(terms, q.mode)
-
-
-def _euler_weight(exps, indices):
-    if indices is None:
-        return mono_degree(exps)
-    return sum(exps[j] for j in indices if j < len(exps))
-
-
-def laplacian(p, variables: str | None = None, indices=None):
-    """Sum of coordinate second derivatives.
-
-    For ``CxPoly`` pass ``variables="a"`` or ``"abar"`` to pick the side.
-    ``indices`` restricts the sum to a subset of coordinates (0-based).
+    ``side`` is "x" for real variables, "a" or "abar" for one side of the
+    complexified ones; ``indices`` restricts the group to those coordinates
+    (0-based), None meaning all of them.
     """
-    if isinstance(p, RealPoly):
-        cols = range(p.width()) if indices is None else indices
-        out = RealPoly.zero(p.mode)
-        for j in cols:
-            out = out + _d2_real(p, j)
-        return out
-    if variables not in ("a", "abar"):
-        raise ValueError("complex laplacian needs variables='a' or 'abar'")
-    cols = range(p.width()) if indices is None else indices
-    out = CxPoly.zero(p.mode)
-    for j in cols:
-        out = out + _d2_cx(p, j, variables)
-    return out
+
+    side: str
+    indices: tuple | None
+    a2: object
+    a1: object
+    c: object
+
+    def _part(self, key) -> tuple:
+        if self.side == "x":
+            return key
+        return key[0] if self.side == "a" else key[1]
+
+    def exponents(self, key) -> tuple:
+        """The exponents this group reads from a term key."""
+        exps = self._part(key)
+        if self.indices is None:
+            return exps
+        return trim([exps[i] if i < len(exps) else 0 for i in self.indices])
+
+    def substitute(self, key, sub: tuple):
+        """key with this group's exponents replaced by sub."""
+        exps = sub
+        if self.indices is not None:
+            out = list(self._part(key))
+            out += [0] * (max(self.indices) + 1 - len(out))
+            for i, j in enumerate(self.indices):
+                out[j] = sub[i] if i < len(sub) else 0
+            exps = trim(out)
+        if self.side == "x":
+            return exps
+        return (exps, key[1]) if self.side == "a" else (key[0], exps)
+
+    def disjoint(self, other: "Group") -> bool:
+        if (self.side == "x") != (other.side == "x"):
+            return False
+        if self.side != other.side:
+            return True
+        return (self.indices is not None and other.indices is not None
+                and not set(self.indices) & set(other.indices))
 
 
-def euler(p, variables: str | None = None, indices=None):
-    """Cauchy-Euler operator: scales every monomial by its (partial) degree."""
-    if isinstance(p, RealPoly):
+@lru_cache(maxsize=None)
+def _laplacian_chain(alpha: tuple) -> tuple:
+    """Lap^j x^alpha for j = 0, 1, ... while nonzero, as {exponents: int} maps."""
+    chain = [{alpha: 1}]
+    while True:
+        lowered = {}
+        for beta, c in chain[-1].items():
+            for i, e in enumerate(beta):
+                if e >= 2:
+                    gamma = trim(beta[:i] + (e - 2,) + beta[i + 1 :])
+                    lowered[gamma] = lowered.get(gamma, 0) + c * e * (e - 1)
+        if not lowered:
+            return tuple(chain)
+        chain.append(lowered)
+
+
+@dataclass(frozen=True)
+class GroupGenerator:
+    """Sum over groups on disjoint variables of lambda_g(m_g) + c_g * Lap_g.
+
+    ``n`` is the ambient dimension of an operator restricted from a sphere
+    or quadric, None for the flat ones; such an operator acts only on
+    polynomials in fewer than n variables.  Closed under ``+`` (groups on
+    the same variables add their coefficients, the smaller n is kept) and
+    scalar ``*``, which is what the exponential identities need.
+    """
+
+    groups: tuple
+    n: int | None = None
+
+    @property
+    def is_complexified(self) -> bool:
+        return any(g.side != "x" for g in self.groups)
+
+    def check_domain(self, p) -> None:
+        """Raise unless p is a polynomial this generator acts on."""
+        kind = CxPoly if self.is_complexified else RealPoly
+        if not isinstance(p, kind):
+            raise TypeError(f"this generator acts on {kind.__name__}, got {type(p).__name__}")
+        if self.n is not None and p.width() >= self.n:
+            raise DimensionError(
+                f"polynomial in {p.width()} variables needs ambient dimension > {p.width()}, "
+                f"got {self.n}"
+            )
+
+    def __add__(self, other):
+        if not isinstance(other, GroupGenerator):
+            return NotImplemented
+        merged = {(g.side, g.indices): g for g in self.groups}
+        for g in other.groups:
+            h = merged.get((g.side, g.indices))
+            if h is not None:
+                g = g._replace(a2=h.a2 + g.a2, a1=h.a1 + g.a1, c=h.c + g.c)
+            elif not all(g.disjoint(h) for h in merged.values()):
+                raise ValueError("the groups of a sum must share no variables and not mix "
+                                 "real and complexified ones")
+            merged[(g.side, g.indices)] = g
+        n = min((m for m in (self.n, other.n) if m is not None), default=None)
+        return GroupGenerator(tuple(merged.values()), n)
+
+    def __mul__(self, s):
+        return GroupGenerator(
+            tuple(g._replace(a2=s * g.a2, a1=s * g.a1, c=s * g.c) for g in self.groups), self.n
+        )
+
+    __rmul__ = __mul__
+
+    def apply(self, p):
+        """The generator's action on a polynomial, exact for exact p and coefficients."""
+        self.check_domain(p)
         terms = {}
-        for a, c in p.terms.items():
-            w = _euler_weight(a, indices)
-            if w:
-                terms[a] = c * w
-        return RealPoly(terms, p.mode)
-    if variables not in ("a", "abar"):
-        raise ValueError("complex euler needs variables='a' or 'abar'")
-    terms = {}
-    for (a, b), c in p.terms.items():
-        w = _euler_weight(a if variables == "a" else b, indices)
-        if w:
-            terms[(a, b)] = c * w
-    return CxPoly(terms, p.mode)
+        for key, coeff in p.terms.items():
+            for g in self.groups:
+                sub = g.exponents(key)
+                m = mono_degree(sub)
+                terms[key] = terms.get(key, 0) + coeff * (g.a2 * m * m + g.a1 * m)
+                chain = _laplacian_chain(sub) if g.c else ()
+                for beta, v in chain[1].items() if len(chain) > 1 else ():
+                    lowered = g.substitute(key, beta)
+                    terms[lowered] = terms.get(lowered, 0) + coeff * g.c * v
+        return type(p)(terms, p.mode)
 
 
-def hermite(p: RealPoly) -> RealPoly:
-    """Gaussian Dirichlet-form generator: laplacian minus Euler."""
-    return laplacian(p) - euler(p)
+# ---------------------------------------------------------------------------
+# the named operators
+
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-def _coerce_b2(b2, mode):
-    if mode == EXACT:
-        if isinstance(b2, (int, Fraction)):
-            return Fraction(b2)
-        raise ValueError("exact-mode operators need a rational radius-squared")
-    return float(b2)
+@lru_cache(maxsize=None)
+def _one_side(variables, indices, a2, a1, c) -> GroupGenerator:
+    if variables not in ("x", "a", "abar"):
+        raise ValueError(f"variables must be 'x', 'a' or 'abar', got {variables!r}")
+    return GroupGenerator((Group(variables, indices, a2, a1, c),))
 
 
-def spherical_laplacian(p: RealPoly, n: int, b2) -> RealPoly:
-    """Unique k-variable representative of the sphere Laplacian of p.
+def _both_sides(a2, a1, c, n=None) -> GroupGenerator:
+    return GroupGenerator(tuple(Group(side, None, a2, a1, c) for side in ("a", "abar")), n)
 
-    On the radius-b sphere in n ambient dimensions the Laplacian of a
-    polynomial in k < n variables agrees with exactly one k-variable
-    polynomial, namely
+
+def _radius2(name: str, n: int, b2) -> Fraction:
+    """b2 (default n) of an operator restricted from the radius-sqrt(b2) sphere in R^n."""
+    if n is None or n < 1:
+        raise ValueError(f"{name} needs ambient dimension n >= 1")
+    b2 = Fraction(n if b2 is None else b2)
+    if b2 <= 0:
+        raise ValueError(f"{name} needs b2 > 0")
+    return b2
+
+
+def laplacian_op(indices=None, variables="x") -> GroupGenerator:
+    """Sum of the second derivatives in the coordinates ``indices`` (0-based, None for all).
+
+    ``variables`` picks the real variables ("x") or one side, "a" or
+    "abar", of the complexified ones.
+    """
+    return _one_side(variables, None if indices is None else tuple(indices), 0, 0, 1)
+
+
+def euler_op(indices=None, variables="x") -> GroupGenerator:
+    """Cauchy-Euler operator sum_j x_j d/dx_j: scales every monomial by its (partial) degree."""
+    return _one_side(variables, None if indices is None else tuple(indices), 0, 1, 0)
+
+
+LAPLACIAN = laplacian_op()
+EULER = euler_op()
+# Gaussian Dirichlet-form generator: laplacian minus Euler
+HERMITE = GroupGenerator((Group("x", None, 0, -1, 1),))
+# Large-dimension limit of gamma_n / n, and of its infinite-variable version:
+#     -(1/2) sum_j (d^2/da_j^2 + d^2/dabar_j^2) + (1/2)(a da + abar dabar)
+G_K = _both_sides(0, _HALF, -_HALF)
+
+
+@lru_cache(maxsize=None)
+def spherical_laplacian_op(n: int, b2=None) -> GroupGenerator:
+    """Unique k-variable representative of the Laplacian on the radius-b sphere in R^n.
+
+    On that sphere the Laplacian of a polynomial in k < n variables agrees
+    with exactly one k-variable polynomial, namely
 
         laplacian(p) - (1/b^2) * (euler^2 + (n-2) euler) p.
     """
-    if p.width() >= n:
-        raise DimensionError(
-            f"polynomial in {p.width()} variables needs ambient dimension > {p.width()}, got {n}"
-        )
-    b2 = _coerce_b2(b2, p.mode)
-    e1 = euler(p)
-    correction = (euler(e1) + (n - 2) * e1).scale(
-        Fraction(1, 1) / b2 if p.mode == EXACT else 1.0 / b2
-    )
-    return laplacian(p) - correction
+    b2 = _radius2("spherical_laplacian", n, b2)
+    return GroupGenerator((Group("x", None, -1 / b2, (2 - n) / b2, 1),), n)
 
 
-def jsq_a(q: CxPoly, n: int, b2) -> CxPoly:
+@lru_cache(maxsize=None)
+def jsq_a_op(n: int, b2=None) -> GroupGenerator:
     """Squared holomorphic angular momentum, restricted to the quadric a.a = b^2:
 
         -b^2 * sum_j d^2/da_j^2 + (a da)^2 + (n-2)(a da).
     """
-    if q.width() >= n:
-        raise DimensionError(
-            f"polynomial in {q.width()} variables needs ambient dimension > {q.width()}, got {n}"
-        )
-    b2 = _coerce_b2(b2, q.mode)
-    e1 = euler(q, "a")
-    return -laplacian(q, "a").scale(b2) + euler(e1, "a") + (n - 2) * e1
+    b2 = _radius2("jsq_a", n, b2)
+    return GroupGenerator((Group("a", None, 1, n - 2, -b2),), n)
 
 
-def jsq_abar(q: CxPoly, n: int, b2) -> CxPoly:
-    """Antiholomorphic counterpart of :func:`jsq_a`."""
-    if q.width() >= n:
-        raise DimensionError(
-            f"polynomial in {q.width()} variables needs ambient dimension > {q.width()}, got {n}"
-        )
-    b2 = _coerce_b2(b2, q.mode)
-    e1 = euler(q, "abar")
-    return -laplacian(q, "abar").scale(b2) + euler(e1, "abar") + (n - 2) * e1
+@lru_cache(maxsize=None)
+def jsq_abar_op(n: int, b2=None) -> GroupGenerator:
+    """Antiholomorphic counterpart of :func:`jsq_a_op`, in the abar variables."""
+    b2 = _radius2("jsq_abar", n, b2)
+    return GroupGenerator((Group("abar", None, 1, n - 2, -b2),), n)
 
 
-def gamma_n(q: CxPoly, n: int, b2) -> CxPoly:
-    """Half-sum of the squared angular momenta; a self-map of the 2k-variable polynomials."""
-    s = jsq_a(q, n, b2) + jsq_abar(q, n, b2)
-    return s.scale(Fraction(1, 2)) if q.mode == EXACT else s.scale(0.5)
+@lru_cache(maxsize=None)
+def gamma_n_op(n: int, b2=None) -> GroupGenerator:
+    """Gamma_n = (jsq_a + jsq_abar) / 2; a self-map of the 2k-variable polynomials."""
+    b2 = _radius2("gamma_n", n, b2)
+    return _both_sides(_HALF, Fraction(n - 2, 2), -b2 / 2, n)
 
 
-def g_k(q: CxPoly) -> CxPoly:
-    """Large-dimension limit of gamma_n / n:
-
-        -(1/2) sum_j (d^2/da_j^2 + d^2/dabar_j^2) + (1/2)(a da + abar dabar).
-    """
-    half = Fraction(1, 2) if q.mode == EXACT else 0.5
-    second = laplacian(q, "a") + laplacian(q, "abar")
-    first = euler(q, "a") + euler(q, "abar")
-    return (first - second).scale(half)
-
-
-def g_uv(p: RealPoly, k: int) -> RealPoly:
-    """Real-coordinate form of :func:`g_k` under a = u + iv with u, v real:
+@lru_cache(maxsize=None)
+def g_uv_op(k: int) -> GroupGenerator:
+    """Real-coordinate form of ``G_K`` under a = u + iv with u, v real:
 
         (1/4)(-Lap_u + 2 u du + Lap_v + 2 v dv)
 
     acting on polynomials in 2k variables (u_1..u_k, v_1..v_k).
     """
-    u = tuple(range(k))
-    v = tuple(range(k, 2 * k))
-    quarter = Fraction(1, 4) if p.mode == EXACT else 0.25
-    out = (
-        -laplacian(p, indices=u)
-        + 2 * euler(p, indices=u)
-        + laplacian(p, indices=v)
-        + 2 * euler(p, indices=v)
-    )
-    return out.scale(quarter)
-
-
-# ---------------------------------------------------------------------------
-# operator specifications
-
-_REAL_KINDS = {"laplacian", "euler", "hermite", "spherical_laplacian", "g_uv"}
-_CX_KINDS = {"jsq_a", "jsq_abar", "gamma_n", "g_k"}
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Hashable tag naming one of the supported operators.
-
-    ``n``/``b2`` parametrize the sphere and quadric families; ``variables``
-    selects the real/holomorphic/antiholomorphic flavor of laplacian and
-    euler; ``indices`` restricts those to a coordinate subset; ``half_k``
-    fixes the u/v split of the real-coordinate g operator.
-    """
-
-    kind: str
-    n: int | None = None
-    b2: Fraction | None = None
-    variables: str = "x"
-    indices: tuple | None = None
-    half_k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _REAL_KINDS | _CX_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("spherical_laplacian", "jsq_a", "jsq_abar", "gamma_n"):
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{self.kind} needs ambient dimension n >= 1")
-            if self.b2 is None or self.b2 <= 0:
-                raise ValueError(f"{self.kind} needs b2 > 0")
-        if self.kind == "g_uv" and not self.half_k:
-            raise ValueError("g_uv needs half_k")
-
-    @property
-    def is_complexified(self) -> bool:
-        return self.kind in _CX_KINDS or self.variables in ("a", "abar")
-
-    def apply(self, p):
-        if self.kind == "laplacian":
-            var = None if isinstance(p, RealPoly) else self.variables
-            return laplacian(p, var, self.indices)
-        if self.kind == "euler":
-            var = None if isinstance(p, RealPoly) else self.variables
-            return euler(p, var, self.indices)
-        if self.kind == "hermite":
-            return hermite(p)
-        if self.kind == "spherical_laplacian":
-            return spherical_laplacian(p, self.n, self.b2)
-        if self.kind == "jsq_a":
-            return jsq_a(p, self.n, self.b2)
-        if self.kind == "jsq_abar":
-            return jsq_abar(p, self.n, self.b2)
-        if self.kind == "gamma_n":
-            return gamma_n(p, self.n, self.b2)
-        if self.kind == "g_k":
-            return g_k(p)
-        if self.kind == "g_uv":
-            return g_uv(p, self.half_k)
-        raise AssertionError(self.kind)
-
-    def __call__(self, p):
-        return self.apply(p)
-
-
-LAPLACIAN = OperatorSpec("laplacian")
-EULER = OperatorSpec("euler")
-HERMITE = OperatorSpec("hermite")
-LAPLACIAN_A = OperatorSpec("laplacian", variables="a")
-EULER_A = OperatorSpec("euler", variables="a")
-G_K = OperatorSpec("g_k")
-# The infinite-variable version acts on any finitely supported polynomial
-# exactly as g_k does, so its restriction is the same operator tag.
-G_INFTY_RESTRICTED = G_K
-
-
-def spherical_laplacian_op(n: int, b2=None) -> OperatorSpec:
-    return OperatorSpec("spherical_laplacian", n=n, b2=Fraction(b2 if b2 is not None else n))
-
-
-def jsq_a_op(n: int, b2=None) -> OperatorSpec:
-    return OperatorSpec("jsq_a", n=n, b2=Fraction(b2 if b2 is not None else n))
-
-
-def jsq_abar_op(n: int, b2=None) -> OperatorSpec:
-    return OperatorSpec("jsq_abar", n=n, b2=Fraction(b2 if b2 is not None else n))
-
-
-def gamma_n_op(n: int, b2=None) -> OperatorSpec:
-    return OperatorSpec("gamma_n", n=n, b2=Fraction(b2 if b2 is not None else n))
-
-
-def g_uv_op(k: int) -> OperatorSpec:
-    return OperatorSpec("g_uv", half_k=k)
-
-
-def laplacian_op(indices=None, variables="x") -> OperatorSpec:
-    return OperatorSpec(
-        "laplacian", variables=variables, indices=None if indices is None else tuple(indices)
-    )
-
-
-def euler_op(indices=None, variables="x") -> OperatorSpec:
-    return OperatorSpec(
-        "euler", variables=variables, indices=None if indices is None else tuple(indices)
-    )
+    if not k:
+        raise ValueError("g_uv needs half_k")
+    return GroupGenerator((
+        Group("x", tuple(range(k)), 0, _HALF, -_QUARTER),
+        Group("x", tuple(range(k, 2 * k)), 0, _HALF, _QUARTER),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +368,6 @@ class PolySpace:
         return CxPoly({self.monomials[i]: v for i, v in enumerate(vec) if v}, mode)
 
 
-def space_for(spec: OperatorSpec, k: int, l: int) -> PolySpace:
-    return PolySpace(k, l, "complex" if spec.is_complexified else "real")
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -474,9 +436,10 @@ def operator_matrix(apply_fn, space: PolySpace, exact: bool = True) -> OperatorM
     return OperatorMatrix(space, entries)
 
 
-def to_matrix(spec: OperatorSpec, k: int, l: int, exact: bool = True) -> OperatorMatrix:
-    """Matrix of the named operator on the degree-graded basis of k variables."""
-    return operator_matrix(spec.apply, space_for(spec, k, l), exact=exact)
+def to_matrix(gen: GroupGenerator, k: int, l: int, exact: bool = True) -> OperatorMatrix:
+    """Matrix of an operator on the degree-graded basis of k variables."""
+    space = PolySpace(k, l, "complex" if gen.is_complexified else "real")
+    return operator_matrix(gen.apply, space, exact=exact)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -118,8 +118,10 @@ def _rate_marker(rate: float):
 
 def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Coefficient distance between the sphere Laplacian of p and its limit."""
-    reference = diffops.hermite(p)
-    errors = [float(coeff_distance(diffops.spherical_laplacian(p, n, n), reference)) for n in ns]
+    reference = diffops.HERMITE.apply(p)
+    errors = [
+        float(coeff_distance(diffops.spherical_laplacian_op(n).apply(p), reference)) for n in ns
+    ]
     return ConvergenceTable(
         quantity="laplacian-to-hermite",
         ns=tuple(ns),
@@ -202,18 +204,17 @@ class DiagramReport:
 def diagram_check(p: RealPoly, T, n: int) -> DiagramReport:
     """Norm chain at one dimension: sphere norm, quadric norm, limit norm.
 
-    The first two agree at every n; both converge to the third.
+    The domain and range norms of the sphere transform's unitarity report,
+    then the range norm of the limit transform's.  The first two agree at
+    every n; both converge to the third.
     """
     if p.width() >= n:
         raise diffops.DimensionError(
             f"diagram check needs ambient dimension > {p.width()}, got {n}"
         )
-    sphere_norm = float(measures.sphere_moment(p * p, n))
-    flowed = transforms.sphere_sbt(p, n, T)
-    quadric_norm = complex(measures.quadric_moment(flowed.mod_square(), n, T)).real
-    limit_out = transforms.limit_sbt(p, T)
-    gamma_norm = complex(measures.gamma_moment(limit_out.mod_square(), T)).real
-    return DiagramReport(n, float(T), sphere_norm, quadric_norm, gamma_norm)
+    sphere = transforms.unitarity_report(p, transforms.Sphere(n, T))
+    limit = transforms.unitarity_report(p, transforms.Limit(T))
+    return DiagramReport(n, float(T), sphere.domain_norm2, sphere.range_norm2, limit.range_norm2)
 
 
 def diagram_convergence(p: RealPoly, T, ns=DEFAULT_N_GRID,

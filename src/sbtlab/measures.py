@@ -211,6 +211,7 @@ def _pairing_ways(j: int, l: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _pair_moment(j: int, l: int, c2, g2):
     """E[a^j abar^l] for a complex Gaussian with E[a^2] = c2 and E[a abar] = g2.
 
@@ -275,8 +276,9 @@ def gamma_moment(q: CxPoly, T):
 # sphere moments
 
 
-def sphere_mono_moment(alpha, n: int, b2) -> Fraction:
-    """Exact moment of a monomial over the radius-sqrt(b2) sphere in R^n."""
+@lru_cache(maxsize=None)
+def sphere_mono_moment(alpha: tuple, n: int, b2) -> Fraction:
+    """Exact moment of a monomial over the radius-sqrt(b2) sphere in R^n (memoized)."""
     alpha = trim(alpha)
     if len(alpha) > n:
         raise DimensionError(f"monomial in {len(alpha)} variables on an S^{n - 1}")
@@ -323,7 +325,6 @@ def sphere_moment(p: RealPoly, n: int, b2=None):
 
 _kernel_lock = threading.Lock()
 _kernels: dict = {}
-_sphere_moments: dict = {}
 
 
 def _parity(alpha) -> tuple:
@@ -338,10 +339,8 @@ class _KernelTable:
 
     def __init__(self, n: int, b2: Fraction, T: float):
         self.n, self.b2 = n, b2
-        self.gen = semigroup.group_generator(diffops.spherical_laplacian_op(n, b2))
+        self.gen = diffops.spherical_laplacian_op(n, b2)
         self.t = -T / 2.0
-        with _kernel_lock:
-            self.moments = _sphere_moments.setdefault((n, b2), {})
         self.index = {}       # holomorphic monomial -> row and column of K
         self.columns = []     # support monomials of the flows, by column of F
         self.support = {}     # support monomial -> column of F
@@ -349,14 +348,6 @@ class _KernelTable:
         self.flows = np.zeros((0, 0))
         self.kernel = np.zeros((0, 0))
         self.lock = threading.Lock()
-
-    def _moment(self, gamma) -> float:
-        # shared by the tables of one (n, b2); a race only computes a value twice
-        value = self.moments.get(gamma)
-        if value is None:
-            value = float(sphere_mono_moment(gamma, self.n, self.b2))
-            self.moments[gamma] = value
-        return value
 
     def _grow(self, new: list) -> None:
         flows = [semigroup.flow_monomial(self.gen, self.t, a) for a in new]
@@ -375,11 +366,12 @@ class _KernelTable:
             for gamma, v in flow.items():
                 f_all[i, self.support[gamma]] = v
         used = sorted({self.support[gamma] for flow in flows for gamma in flow})
+        n, b2 = self.n, self.b2
         s_rows = np.zeros((len(used), len(self.columns)))
         for i, col in enumerate(used):
             gamma = self.columns[col]
             for j in self.by_parity[_parity(gamma)]:
-                s_rows[i, j] = self._moment(mono_mul(gamma, self.columns[j]))
+                s_rows[i, j] = float(sphere_mono_moment(mono_mul(gamma, self.columns[j]), n, b2))
         try:
             with np.errstate(over="raise"):
                 rows = f_all[old:, used].dot(s_rows).dot(f_all.T)

@@ -63,12 +63,6 @@ def mono_mul(a, b) -> tuple:
     return tuple(map(_add, a, b)) + a[len(b):]
 
 
-def pad(exponents, k: int) -> tuple:
-    if len(exponents) > k:
-        raise ValueError(f"multi-index {exponents} does not fit in {k} variables")
-    return tuple(exponents) + (0,) * (k - len(exponents))
-
-
 # ---------------------------------------------------------------------------
 # coefficients
 
@@ -284,11 +278,6 @@ class RealPoly(_Poly):
 
     def coefficient(self, alpha):
         return self.terms.get(trim(alpha), _real_coeff(0, self.mode))
-
-    def homogeneous_part(self, m: int) -> "RealPoly":
-        return RealPoly(
-            {a: c for a, c in self.terms.items() if mono_degree(a) == m}, self.mode
-        )
 
     # -- ring operations
 
@@ -629,43 +618,13 @@ class CxPoly(_Poly):
 
 
 # ---------------------------------------------------------------------------
-# named operation surface
-
-Poly = (RealPoly, CxPoly)
-
-
-def add(p, q):
-    return p + q
-
-
-def mul(p, q):
-    return p * q
-
-
-def scale(c, p):
-    return p.scale(c)
+# extension and distance
 
 
 def holomorphic_extend(p: RealPoly) -> CxPoly:
     """Substitute x_j -> a_j; the result is holomorphic and restricts back to p."""
     lift = GaussianRational if p.mode == EXACT else complex
     return CxPoly._trusted({(a, ()): lift(c) for a, c in p.terms.items()}, p.mode)
-
-
-def conjugate(q: CxPoly) -> CxPoly:
-    return q.conjugate()
-
-
-def mod_square(q: CxPoly) -> CxPoly:
-    return q.mod_square()
-
-
-def evaluate(q, point):
-    return q.evaluate(point)
-
-
-def dilate(q, lam):
-    return q.dilate(lam)
 
 
 def coeff_distance(p, q):

@@ -1,12 +1,11 @@
 """Exponentials of graded operators on polynomial spaces.
 
-Every generator here is a sum over commuting groups of variables of
-lambda_g(m_g) + c_g * Lap_g: on a monomial of degree m_g in the group's
-variables it acts as the scalar lambda_g(m_g) = a2*m_g^2 + a1*m_g plus c_g
-times the group's Laplacian (``GroupGenerator``; ``group_generator`` maps
-each ``OperatorSpec`` to its groups).  The groups act on disjoint variables,
-so exp(tA) of a monomial is the product of its per-group flows, and each
-group flows as
+Every generator is a ``diffops.GroupGenerator``: a sum over commuting groups
+of variables of lambda_g(m_g) + c_g * Lap_g, which on a monomial of degree
+m_g in the group's variables acts as the scalar lambda_g(m_g) =
+a2*m_g^2 + a1*m_g plus c_g times the group's Laplacian.  The groups act on
+disjoint variables, so exp(tA) of a monomial is the product of its
+per-group flows, and each group flows as
 
     exp(t(lambda + c Lap)) x^alpha = sum_j f[t lambda_m, ..., t lambda_{m-2j}] (ct)^j Lap^j x^alpha
 
@@ -32,12 +31,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import diffops
-from .diffops import DimensionError, OperatorMatrix, OperatorSpec, PolySpace
+from .diffops import Group, GroupGenerator, OperatorMatrix, PolySpace, _laplacian_chain
 from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, mono_degree, trim
 
 
@@ -46,161 +44,7 @@ class CommutationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# group generators
-
-
-class Group(NamedTuple):
-    """a2*m^2 + a1*m on degree m in the group's variables, plus c times their Laplacian.
-
-    ``side`` is "x" for real variables, "a" or "abar" for one side of the
-    complexified ones; ``indices`` restricts the group to those coordinates
-    (0-based), None meaning all of them.
-    """
-
-    side: str
-    indices: tuple | None
-    a2: object
-    a1: object
-    c: object
-
-
-def _disjoint(g: Group, h: Group) -> bool:
-    if (g.side == "x") != (h.side == "x"):
-        return False
-    if g.side != h.side:
-        return True
-    return g.indices is not None and h.indices is not None and not set(g.indices) & set(h.indices)
-
-
-def _part(key, side: str) -> tuple:
-    """The exponents a group on this side reads from a term key."""
-    if side == "x":
-        return key
-    return key[0] if side == "a" else key[1]
-
-
-def _restrict(exps: tuple, indices) -> tuple:
-    if indices is None:
-        return exps
-    return trim([exps[i] if i < len(exps) else 0 for i in indices])
-
-
-def _replace(key, group: Group, sub: tuple):
-    """key with the group's exponents replaced by sub."""
-    exps = sub
-    if group.indices is not None:
-        out = list(_part(key, group.side))
-        out += [0] * (max(group.indices) + 1 - len(out))
-        for i, j in enumerate(group.indices):
-            out[j] = sub[i] if i < len(sub) else 0
-        exps = trim(out)
-    if group.side == "x":
-        return exps
-    return (exps, key[1]) if group.side == "a" else (key[0], exps)
-
-
-@dataclass(frozen=True)
-class GroupGenerator:
-    """Sum over groups on disjoint variables of lambda_g(m_g) + c_g * Lap_g.
-
-    Closed under ``+`` (groups on the same variables add their coefficients)
-    and scalar ``*``, which is what the exponential identities need.
-    """
-
-    groups: tuple
-
-    @property
-    def is_complexified(self) -> bool:
-        return any(g.side != "x" for g in self.groups)
-
-    def __add__(self, other):
-        if not isinstance(other, GroupGenerator):
-            return NotImplemented
-        merged = {(g.side, g.indices): g for g in self.groups}
-        for g in other.groups:
-            h = merged.get((g.side, g.indices))
-            if h is not None:
-                g = g._replace(a2=h.a2 + g.a2, a1=h.a1 + g.a1, c=h.c + g.c)
-            elif not all(_disjoint(g, h) for h in merged.values()):
-                raise ValueError("the groups of a sum must share no variables and not mix "
-                                 "real and complexified ones")
-            merged[(g.side, g.indices)] = g
-        return GroupGenerator(tuple(merged.values()))
-
-    def __mul__(self, s):
-        return GroupGenerator(
-            tuple(g._replace(a2=s * g.a2, a1=s * g.a1, c=s * g.c) for g in self.groups)
-        )
-
-    __rmul__ = __mul__
-
-    def apply(self, p):
-        """The generator's action on a polynomial, exact for exact p and coefficients."""
-        if not isinstance(p, CxPoly if self.is_complexified else RealPoly):
-            raise TypeError(f"this generator does not act on {type(p).__name__}")
-        terms = {}
-        for key, coeff in p.terms.items():
-            for g in self.groups:
-                sub = _restrict(_part(key, g.side), g.indices)
-                m = mono_degree(sub)
-                terms[key] = terms.get(key, 0) + coeff * (g.a2 * m * m + g.a1 * m)
-                chain = _laplacian_chain(sub) if g.c else ()
-                for beta, v in chain[1].items() if len(chain) > 1 else ():
-                    lowered = _replace(key, g, beta)
-                    terms[lowered] = terms.get(lowered, 0) + coeff * g.c * v
-        return type(p)(terms, p.mode)
-
-
-_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
-
-
-def _both_sides(a2, a1, c) -> tuple:
-    return tuple(Group(side, None, a2, a1, c) for side in ("a", "abar"))
-
-
-# operator kind -> the groups of its generator
-_GROUPS = {
-    "laplacian": lambda op: (Group(op.variables, op.indices, 0, 0, 1),),
-    "euler": lambda op: (Group(op.variables, op.indices, 0, 1, 0),),
-    "hermite": lambda op: (Group("x", None, 0, -1, 1),),
-    "spherical_laplacian": lambda op: (
-        Group("x", None, Fraction(-1) / op.b2, Fraction(2 - op.n) / op.b2, 1),
-    ),
-    "jsq_a": lambda op: (Group("a", None, 1, op.n - 2, -op.b2),),
-    "jsq_abar": lambda op: (Group("abar", None, 1, op.n - 2, -op.b2),),
-    "gamma_n": lambda op: _both_sides(_HALF, Fraction(op.n - 2, 2), -op.b2 / 2),
-    "g_k": lambda op: _both_sides(0, _HALF, -_HALF),
-    "g_uv": lambda op: (
-        Group("x", tuple(range(op.half_k)), 0, _HALF, -_QUARTER),
-        Group("x", tuple(range(op.half_k, 2 * op.half_k)), 0, _HALF, _QUARTER),
-    ),
-}
-
-
-@lru_cache(maxsize=None)
-def group_generator(op: OperatorSpec) -> GroupGenerator:
-    """The groups of a named operator; its action equals ``op.apply`` exactly."""
-    return GroupGenerator(_GROUPS[op.kind](op))
-
-
-# ---------------------------------------------------------------------------
 # flows, one monomial at a time
-
-
-@lru_cache(maxsize=None)
-def _laplacian_chain(alpha: tuple) -> tuple:
-    """Lap^j x^alpha for j = 0, 1, ... while nonzero, as {exponents: int} maps."""
-    chain = [{alpha: 1}]
-    while True:
-        lowered = {}
-        for beta, c in chain[-1].items():
-            for i, e in enumerate(beta):
-                if e >= 2:
-                    gamma = trim(beta[:i] + (e - 2,) + beta[i + 1 :])
-                    lowered[gamma] = lowered.get(gamma, 0) + c * e * (e - 1)
-        if not lowered:
-            return tuple(chain)
-        chain.append(lowered)
 
 
 def _exp_divided_differences(z, s: float) -> np.ndarray:
@@ -286,30 +130,22 @@ def flow_monomial(gen: GroupGenerator, t, key, exact: bool = False) -> dict:
     for g in groups:
         product = {}
         for k0, v0 in flowed.items():
-            sub = _restrict(_part(k0, g.side), g.indices)
-            for beta, w in _group_flow(g, t, exact, sub).items():
-                k1 = _replace(k0, g, beta)
+            for beta, w in _group_flow(g, t, exact, g.exponents(k0)).items():
+                k1 = g.substitute(k0, beta)
                 product[k1] = product.get(k1, 0) + v0 * w
         flowed = product
     return flowed
 
 
-def exp_graded(op, t, q):
-    """Apply exp(t*op) to q, term by term; ``op`` is an OperatorSpec or a GroupGenerator.
+def exp_graded(gen: GroupGenerator, t, q):
+    """Apply exp(t*gen) to q, term by term.
 
     The result is exact when q is exact, t is rational and every lambda of
     the generator is 0 (a strictly degree-lowering flow); otherwise it is a
     float-mode poly.
     """
-    gen = op if isinstance(op, GroupGenerator) else group_generator(op)
+    gen.check_domain(q)
     kind = CxPoly if gen.is_complexified else RealPoly
-    if not isinstance(q, kind):
-        raise TypeError(f"this flow acts on {kind.__name__}, got {type(q).__name__}")
-    n = getattr(op, "n", None)
-    if n is not None and q.width() >= n:
-        raise DimensionError(
-            f"polynomial in {q.width()} variables needs ambient dimension > {q.width()}, got {n}"
-        )
     exact = (
         q.mode == EXACT
         and isinstance(t, (int, Fraction))
@@ -447,11 +283,11 @@ def factor_quadric_limit(k: int, l: int, t: float) -> FactorizationReport:
     """
     u = tuple(range(k))
     v = tuple(range(k, 2 * k))
-    lap_u = group_generator(diffops.laplacian_op(indices=u))
-    lap_v = group_generator(diffops.laplacian_op(indices=v))
-    eul_u = group_generator(diffops.euler_op(indices=u))
-    eul_v = group_generator(diffops.euler_op(indices=v))
-    g = group_generator(diffops.g_uv_op(k))
+    lap_u = diffops.laplacian_op(indices=u)
+    lap_v = diffops.laplacian_op(indices=v)
+    eul_u = diffops.euler_op(indices=u)
+    eul_v = diffops.euler_op(indices=v)
+    g = diffops.g_uv_op(k)
     space = PolySpace(2 * k, l, "real")
 
     def ex(gen, coeff):

@@ -12,11 +12,15 @@ from fractions import Fraction
 
 import sympy
 
-from sbtlab.polyalg import RealPoly
+from sbtlab.polyalg import CxPoly, RealPoly
 
 
 def sympy_symbols(k: int):
     return sympy.symbols(f"x1:{k + 1}")
+
+
+def _monomial(syms, alpha):
+    return sympy.Mul(*(x ** e for x, e in zip(syms, alpha)))
 
 
 def to_sympy(p: RealPoly, syms):
@@ -24,10 +28,17 @@ def to_sympy(p: RealPoly, syms):
     for alpha, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) \
             else sympy.Float(c)
-        for j, e in enumerate(alpha):
-            if e:
-                term *= syms[j] ** e
-        expr += term
+        expr += term * _monomial(syms, alpha)
+    return expr
+
+
+def to_sympy_cx(q: CxPoly, a_syms, abar_syms):
+    """An exact complexified polynomial, with a_j and abar_j as independent symbols."""
+    expr = sympy.Integer(0)
+    for (a, b), c in q.terms.items():
+        coeff = sympy.Rational(c.re.numerator, c.re.denominator) \
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+        expr += coeff * _monomial(a_syms, a) * _monomial(abar_syms, b)
     return expr
 
 

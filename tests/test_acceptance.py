@@ -80,14 +80,13 @@ def test_criterion_3_two_route_agreement():
 def test_criterion_4_commutation_identities():
     t = 1.0
     worst = 0.0
-    eul = semigroup.group_generator(diffops.EULER)
-    lap = semigroup.group_generator(diffops.LAPLACIAN)
     for k in (1, 2, 3):
-        rep = semigroup.bch_check((-t / 2.0) * eul, (t / 2.0) * lap, t, k, 8)
+        rep = semigroup.bch_check((-t / 2.0) * diffops.EULER, (t / 2.0) * diffops.LAPLACIAN,
+                                  t, k, 8)
         worst = max(worst, rep.max_deviation)
 
-        g = semigroup.group_generator(diffops.g_uv_op(k))
-        lap_u = semigroup.group_generator(diffops.laplacian_op(indices=tuple(range(k))))
+        g = diffops.g_uv_op(k)
+        lap_u = diffops.laplacian_op(indices=tuple(range(k)))
         rep = semigroup.bch_check(t * g, 0.5 * lap_u, -t, 2 * k, 8)
         worst = max(worst, rep.max_deviation)
     assert worst <= 1e-11, f"worst identity deviation {worst:.3e}"
@@ -127,7 +126,7 @@ DEG4_SUITE = [
 def test_criterion_6_operator_convergence():
     for n in DEFAULT_N_GRID:
         err = coeff_distance(
-            diffops.spherical_laplacian(X1, n, n), diffops.hermite(X1)
+            diffops.spherical_laplacian_op(n).apply(X1), diffops.HERMITE.apply(X1)
         )
         assert err == Fraction(1, n)
     rates = []

@@ -233,3 +233,22 @@ def test_a_nan_gap_fails_the_tolerance(monkeypatch, capsys):
     assert ",nan,nan" in capsys.readouterr().out
     assert main(["verify", "--k", "2", "--deg", "3"]) == 1
     assert "FAIL unitarity: worst relative norm gap nan" in capsys.readouterr().out
+
+
+def test_cold_import_needs_only_numpy():
+    # the package and its CLI run on numpy alone; scipy, sympy, mpmath and
+    # hypothesis serve the tests
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sbtlab
+
+    src = str(Path(sbtlab.__file__).resolve().parent.parent)
+    code = ("import sys, sbtlab, sbtlab.cli; "
+            "print(sorted(m for m in ('scipy', 'sympy', 'mpmath', 'hypothesis') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

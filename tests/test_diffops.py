@@ -4,17 +4,19 @@ import pytest
 
 from sbtlab import diffops
 from sbtlab.diffops import (
+    EULER,
+    G_K,
+    HERMITE,
+    LAPLACIAN,
     DimensionError,
     commutator,
-    euler,
-    g_k,
-    g_uv,
-    gamma_n,
-    hermite,
-    jsq_a,
-    jsq_abar,
-    laplacian,
-    spherical_laplacian,
+    euler_op,
+    g_uv_op,
+    gamma_n_op,
+    jsq_a_op,
+    jsq_abar_op,
+    laplacian_op,
+    spherical_laplacian_op,
     to_matrix,
 )
 from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance
@@ -29,15 +31,15 @@ ABAR1 = CxPoly.abar(0)
 
 
 def test_laplacian_examples():
-    assert laplacian(X1 ** 2) == RealPoly.constant(2)
-    assert laplacian(X1 ** 4) == 12 * X1 ** 2
-    assert laplacian(X1 * X2).is_zero()
+    assert LAPLACIAN.apply(X1 ** 2) == RealPoly.constant(2)
+    assert LAPLACIAN.apply(X1 ** 4) == 12 * X1 ** 2
+    assert LAPLACIAN.apply(X1 * X2).is_zero()
 
 
 def test_euler_examples():
-    assert euler(X1 ** 2) == 2 * X1 ** 2
-    assert euler(RealPoly.constant(7)).is_zero()
-    assert euler(X1 + X2 ** 3) == X1 + 3 * X2 ** 3
+    assert EULER.apply(X1 ** 2) == 2 * X1 ** 2
+    assert EULER.apply(RealPoly.constant(7)).is_zero()
+    assert EULER.apply(X1 + X2 ** 3) == X1 + 3 * X2 ** 3
 
 
 def test_hermite_examples_against_symbolic_oracle():
@@ -46,24 +48,24 @@ def test_hermite_examples_against_symbolic_oracle():
         (X1 ** 2, RealPoly.constant(2) - 2 * X1 ** 2),
         (RealPoly.constant(1), RealPoly.zero()),
     ]:
-        assert hermite(p) == expected
-        assert hermite(p) == sympy_hermite(p)
+        assert HERMITE.apply(p) == expected
+        assert HERMITE.apply(p) == sympy_hermite(p)
 
 
 def test_hermite_matches_symbolic_oracle_on_random_inputs():
     rng = seeded_rng(11)
     for _ in range(10):
         p = random_real_poly(rng, k=3, degree=5, terms=5)
-        assert hermite(p) == sympy_hermite(p)
+        assert HERMITE.apply(p) == sympy_hermite(p)
 
 
 @pytest.mark.parametrize("n", [4, 10, 100])
 def test_spherical_laplacian_examples(n):
     # first-degree eigenvector with the 1/n-corrected eigenvalue
-    assert spherical_laplacian(X1, n, n) == X1.scale(-Fraction(n - 1, n))
+    assert spherical_laplacian_op(n, n).apply(X1) == X1.scale(-Fraction(n - 1, n))
     # the degree-2 correction vanishes, so the value matches the limit operator
-    assert spherical_laplacian(X1 ** 2, n, n) == RealPoly.constant(2) - 2 * X1 ** 2
-    assert spherical_laplacian(RealPoly.constant(1), n, Fraction(7, 2)).is_zero()
+    assert spherical_laplacian_op(n, n).apply(X1 ** 2) == RealPoly.constant(2) - 2 * X1 ** 2
+    assert spherical_laplacian_op(n, Fraction(7, 2)).apply(RealPoly.constant(1)).is_zero()
 
 
 def test_spherical_laplacian_matches_angular_momentum_oracle():
@@ -71,7 +73,7 @@ def test_spherical_laplacian_matches_angular_momentum_oracle():
     for n, b2 in [(5, 5), (7, Fraction(3, 2)), (11, 11)]:
         for _ in range(4):
             p = random_real_poly(rng, k=3, degree=4, terms=4)
-            assert spherical_laplacian(p, n, b2) == sympy_sphere_laplacian(p, n, b2)
+            assert spherical_laplacian_op(n, b2).apply(p) == sympy_sphere_laplacian(p, n, b2)
 
 
 def test_spherical_laplacian_closed_form_identity():
@@ -80,23 +82,23 @@ def test_spherical_laplacian_closed_form_identity():
     for _ in range(8):
         p = random_real_poly(rng, k=3, degree=5, terms=5)
         n = 9
-        e1 = euler(p)
-        expected = laplacian(p) - e1 + (2 * e1 - euler(e1)).scale(Fraction(1, n))
-        assert spherical_laplacian(p, n, n) == expected
+        e1 = EULER.apply(p)
+        expected = LAPLACIAN.apply(p) - e1 + (2 * e1 - EULER.apply(e1)).scale(Fraction(1, n))
+        assert spherical_laplacian_op(n, n).apply(p) == expected
 
 
 def test_spherical_laplacian_rejects_too_few_dimensions():
     p = RealPoly({(1, 1, 1): 1})
     with pytest.raises(DimensionError):
-        spherical_laplacian(p, 3, 3)
+        spherical_laplacian_op(3, 3).apply(p)
 
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_jsq_a_examples(n):
-    assert jsq_a(A1, n, n) == A1.scale(n - 1)
-    assert jsq_a(A1 ** 2, n, n) == A1 ** 2 * (2 * n) - CxPoly.constant(2 * n)
-    assert jsq_a(ABAR1, n, n).is_zero()
-    assert jsq_abar(ABAR1, n, n) == ABAR1.scale(n - 1)
+    assert jsq_a_op(n, n).apply(A1) == A1.scale(n - 1)
+    assert jsq_a_op(n, n).apply(A1 ** 2) == A1 ** 2 * (2 * n) - CxPoly.constant(2 * n)
+    assert jsq_a_op(n, n).apply(ABAR1).is_zero()
+    assert jsq_abar_op(n, n).apply(ABAR1) == ABAR1.scale(n - 1)
 
 
 def test_jsq_a_matches_angular_momentum_oracle():
@@ -111,35 +113,35 @@ def test_jsq_a_matches_angular_momentum_oracle():
         p = random_real_poly(rng, k=2, degree=4, terms=4)
         oracle_out = sympy_sphere_laplacian(p, n, n)
         expected = holomorphic_extend(oracle_out.scale(-Fraction(n)))
-        assert jsq_a(holomorphic_extend(p), n, n) == expected
+        assert jsq_a_op(n, n).apply(holomorphic_extend(p)) == expected
 
 
 @pytest.mark.parametrize("n", [5, 12])
 def test_gamma_examples(n):
-    assert gamma_n(A1 * ABAR1, n, n) == (A1 * ABAR1).scale(n - 1)
-    assert gamma_n(A1 ** 2, n, n) == (A1 ** 2).scale(n) - CxPoly.constant(n)
-    assert gamma_n(CxPoly.constant(1), n, n).is_zero()
+    assert gamma_n_op(n, n).apply(A1 * ABAR1) == (A1 * ABAR1).scale(n - 1)
+    assert gamma_n_op(n, n).apply(A1 ** 2) == (A1 ** 2).scale(n) - CxPoly.constant(n)
+    assert gamma_n_op(n, n).apply(CxPoly.constant(1)).is_zero()
 
 
 def test_gamma_preserves_holomorphy():
     q = A1 ** 3 + A1 * CxPoly.a(1)
-    out = gamma_n(q, 8, 8)
+    out = gamma_n_op(8, 8).apply(q)
     assert out.is_holomorphic()
-    assert jsq_abar(q, 8, 8).is_zero()
+    assert jsq_abar_op(8, 8).apply(q).is_zero()
 
 
 def test_g_k_examples():
-    assert g_k(A1 * ABAR1) == A1 * ABAR1
-    assert g_k(A1 ** 2) == A1 ** 2 - 1
-    assert g_k(CxPoly.constant(3)).is_zero()
+    assert G_K.apply(A1 * ABAR1) == A1 * ABAR1
+    assert G_K.apply(A1 ** 2) == A1 ** 2 - 1
+    assert G_K.apply(CxPoly.constant(3)).is_zero()
 
 
 def test_gamma_over_n_converges_to_g_k():
     q = A1 ** 2 * ABAR1 + CxPoly.a(1) * ABAR1 ** 2 - 2 * A1
-    limit = g_k(q)
+    limit = G_K.apply(q)
     previous = None
     for n in (10, 100, 1000, 10000):
-        diff = coeff_distance(gamma_n(q, n, n).scale(Fraction(1, n)), limit)
+        diff = coeff_distance(gamma_n_op(n, n).apply(q).scale(Fraction(1, n)), limit)
         scaled = float(diff) * n
         assert scaled < 10  # error is O(1/n) with a modest constant
         if previous is not None:
@@ -153,9 +155,9 @@ def test_g_uv_matches_complex_form():
     from sbtlab.polyalg import holomorphic_extend
 
     p = RealPoly({(2,): 1, (1,): -3})  # polynomial in u_1 only
-    out = g_uv(p, 1)
+    out = g_uv_op(1).apply(p)
     expected = (
-        -laplacian(p, indices=(0,)) + 2 * euler(p, indices=(0,))
+        -laplacian_op((0,)).apply(p) + 2 * euler_op((0,)).apply(p)
     ).scale(Fraction(1, 4))
     assert out == expected
 
@@ -222,6 +224,37 @@ def test_commutator_self_and_bilinearity():
 def test_jsq_rejects_small_ambient_dimension():
     q = A1 * CxPoly.a(1) * CxPoly.a(2)
     with pytest.raises(DimensionError):
-        jsq_a(q, 3, 3)
+        jsq_a_op(3, 3).apply(q)
     with pytest.raises(DimensionError):
-        gamma_n(q, 2, 2)
+        gamma_n_op(2, 2).apply(q)
+
+
+def test_operator_constructors_check_their_parameters():
+    for make in (spherical_laplacian_op, jsq_a_op, jsq_abar_op, gamma_n_op):
+        for n, b2 in ((0, None), (5, 0), (5, Fraction(-1, 2))):
+            with pytest.raises(ValueError):
+                make(n, b2)
+    with pytest.raises(ValueError):
+        g_uv_op(0)
+    with pytest.raises(ValueError):
+        laplacian_op(variables="y")
+    assert spherical_laplacian_op(7) is spherical_laplacian_op(7)
+    assert laplacian_op([0, 2], "a") is laplacian_op((0, 2), "a")
+
+
+def test_generators_check_their_domain():
+    with pytest.raises(TypeError):
+        HERMITE.apply(A1)
+    with pytest.raises(TypeError):
+        G_K.apply(X1)
+    # a sum keeps the smaller ambient dimension, a multiple keeps its own
+    assert (spherical_laplacian_op(9) + HERMITE).n == 9
+    assert (2 * jsq_a_op(6)).n == 6
+    both = spherical_laplacian_op(9) + spherical_laplacian_op(4)
+    assert both.n == 4
+    wide = X1 * X2 * RealPoly.variable(2) * RealPoly.variable(3)
+    with pytest.raises(DimensionError):
+        both.apply(wide)
+    narrow = X1 * X2 * RealPoly.variable(2)
+    assert both.apply(narrow) == spherical_laplacian_op(9).apply(narrow) + (
+        spherical_laplacian_op(4).apply(narrow))

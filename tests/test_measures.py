@@ -353,7 +353,7 @@ def test_quadric_moment_satisfies_generator_derivative_identity():
     # d/dT of the moment equals 1/n times the moment of the flowed generator
     # image; checked by central differences, an ODE-level cross-check that is
     # independent of both computational routes
-    from sbtlab.diffops import gamma_n
+    from sbtlab.diffops import gamma_n_op
 
     n = 6
     q = (A1 + 1).mod_square() * (A2.mod_square() + 1)
@@ -361,7 +361,7 @@ def test_quadric_moment_satisfies_generator_derivative_identity():
     lhs = (
         complex(quadric_moment(q, n, t0 + h)) - complex(quadric_moment(q, n, t0 - h))
     ) / (2 * h)
-    rhs = complex(quadric_moment(gamma_n(q, n, n), n, t0)) / n
+    rhs = complex(quadric_moment(gamma_n_op(n).apply(q), n, t0)) / n
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 

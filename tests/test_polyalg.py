@@ -192,16 +192,6 @@ def test_coeff_distance_exact():
     assert coeff_distance(p, p) == 0
 
 
-def test_named_operation_surface():
-    from sbtlab.polyalg import add, dilate, evaluate, mul, scale
-
-    assert add(X1, X2) == X1 + X2
-    assert mul(X1, X2) == X1 * X2
-    assert scale(Fraction(2), X1) == 2 * X1
-    assert dilate(X1 ** 2, Fraction(3)) == 9 * X1 ** 2
-    assert evaluate(X1 ** 2 + 1, [2]) == 5
-
-
 def test_conjugate_fixes_symmetric_real_polynomials():
     sq = (A1 ** 2 + 2 * A1 * A2 - 1).mod_square()
     assert sq.conjugate() == sq

@@ -4,24 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy
 
 from sbtlab import diffops, measures, semigroup
-from sbtlab.diffops import PolySpace
+from sbtlab.diffops import Group, GroupGenerator, PolySpace
 from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance, holomorphic_extend
 from sbtlab.semigroup import (
     CommutationError,
-    Group,
-    GroupGenerator,
     bch_check,
     dilation_exp,
     exp_graded,
     factor_quadric_limit,
     flow_matrix,
-    group_generator,
 )
 from sbtlab.suite import random_real_poly
 
-from conftest import seeded_rng
+from conftest import seeded_rng, to_sympy, to_sympy_cx
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
@@ -33,8 +31,8 @@ def _flow_vs_scipy(op, t, k, l, relative=False):
     The largest entrywise deviation, or with ``relative`` that deviation over
     the largest entry of scipy's matrix.
     """
-    space = diffops.space_for(op, k, l)
-    ours = flow_matrix(t * group_generator(op), space)
+    space = PolySpace(k, l, "complex" if op.is_complexified else "real")
+    ours = flow_matrix(t * op, space)
     ref = scipy.linalg.expm(t * diffops.to_matrix(op, k, l, exact=False).entries)
     deviation = float(np.max(np.abs(ours - ref)))
     return deviation / float(np.max(np.abs(ref))) if relative else deviation
@@ -54,14 +52,14 @@ def test_exp_nilpotent_exact_for_rational_time():
     out = exp_graded(diffops.LAPLACIAN, Fraction(1, 3), p)
     assert out.mode == "exact"
     # second-order term: (1/2) (1/3)^2 Lap^2 p
-    lap2 = diffops.laplacian(diffops.laplacian(p))
-    expected = p + diffops.laplacian(p).scale(Fraction(1, 3)) + lap2.scale(Fraction(1, 18))
+    lap2 = diffops.LAPLACIAN.apply(diffops.LAPLACIAN.apply(p))
+    expected = p + diffops.LAPLACIAN.apply(p).scale(Fraction(1, 3)) + lap2.scale(Fraction(1, 18))
     assert out == expected
     # every lambda 0 on every group: the g_uv heat parts and a complexified side
     half = Fraction(1, 2)
     u_heat = exp_graded(diffops.laplacian_op(indices=(0,)), half, X1 ** 2 * X2 ** 2)
     assert u_heat == X1 ** 2 * X2 ** 2 + X2 ** 2
-    a_heat = exp_graded(diffops.LAPLACIAN_A, half, CxPoly.a(0) ** 2 * CxPoly.abar(0))
+    a_heat = exp_graded(diffops.laplacian_op(variables="a"), half, CxPoly.a(0) ** 2 * CxPoly.abar(0))
     assert a_heat.mode == "exact"
     assert a_heat == (CxPoly.a(0) ** 2 + 1) * CxPoly.abar(0)
 
@@ -137,7 +135,7 @@ def test_dilation_exp_matches_euler_exponential():
 
 
 def test_realized_element_at_time_zero_is_identity():
-    matrix = flow_matrix(0.0 * group_generator(diffops.HERMITE), PolySpace(2, 3))
+    matrix = flow_matrix(0.0 * diffops.HERMITE, PolySpace(2, 3))
     assert np.array_equal(matrix, np.eye(len(matrix)))
 
 
@@ -188,31 +186,29 @@ def test_expm_graded_falls_back_on_collisions():
 def test_bch_identities_dilation_heat():
     # X = -(T/2) Euler, Y = (T/2) Lap, [X, Y] = T Y; the merge identity is
     # exactly the dilation-then-heat splitting of the limit transform
-    eul = group_generator(diffops.EULER)
-    lap = group_generator(diffops.LAPLACIAN)
     for t in (0.5, 1.0, 2.0):
-        report = bch_check((-t / 2) * eul, (t / 2) * lap, t, 2, 6)
+        report = bch_check((-t / 2) * diffops.EULER, (t / 2) * diffops.LAPLACIAN, t, 2, 6)
         assert report.max_deviation < 1e-11
 
 
 def test_bch_identities_limit_measure():
     # X = T G, Y = (1/2) Lap_u, [X, Y] = -T Y
-    g = group_generator(diffops.g_uv_op(1))
-    lap_u = group_generator(diffops.laplacian_op(indices=(0,)))
+    g = diffops.g_uv_op(1)
+    lap_u = diffops.laplacian_op(indices=(0,))
     for t in (0.5, 1.0):
         report = bch_check(t * g, 0.5 * lap_u, -t, 2, 6)
         assert report.max_deviation < 1e-11
 
 
 def test_bch_trivial_with_zero_y():
-    eul = group_generator(diffops.EULER)
+    eul = diffops.EULER
     report = bch_check(eul, 0.0 * eul, 0.7, 1, 3)
     assert report.max_deviation < 1e-14
 
 
 def test_bch_rejects_broken_hypothesis():
-    eul = group_generator(diffops.EULER)
-    lap = group_generator(diffops.LAPLACIAN)
+    eul = diffops.EULER
+    lap = diffops.LAPLACIAN
     with pytest.raises(CommutationError):
         bch_check(eul, lap, 5.0, 1, 3)
 
@@ -270,7 +266,7 @@ def test_expm_operator_wrapper():
     # the flow-built matrix acts on coefficient vectors as exp_graded does
     op = diffops.HERMITE
     space = PolySpace(2, 3)
-    matrix = diffops.OperatorMatrix(space, flow_matrix(0.5 * group_generator(op), space))
+    matrix = diffops.OperatorMatrix(space, flow_matrix(0.5 * op, space))
     assert matrix.apply(X1.to_float()) == exp_graded(op, 0.5, X1)
     assert _flow_vs_scipy(op, 0.5, 2, 3) < 1e-12
 
@@ -279,30 +275,85 @@ def test_expm_operator_wrapper():
 # graded flows: the generators that flow monomial by monomial
 
 
+def _sympy_lap(f, xs):
+    return sum(sympy.diff(f, x, 2) for x in xs)
+
+
+def _sympy_euler(f, xs):
+    return sum(x * sympy.diff(f, x) for x in xs)
+
+
+def _sympy_sphere(f, xs, n, b2):
+    e = _sympy_euler(f, xs)
+    return _sympy_lap(f, xs) - (_sympy_euler(e, xs) + (n - 2) * e) / b2
+
+
+def _sympy_jsq(f, xs, n, b2):
+    e = _sympy_euler(f, xs)
+    return -b2 * _sympy_lap(f, xs) + _sympy_euler(e, xs) + (n - 2) * e
+
+
 def test_graded_flow_table_matches_operator_action():
-    # the groups' lambda(m) + c Lap must be the operator itself, exactly, for
-    # every kind, index subset and a/abar side, on every monomial up to degree 8
-    real_ops = [diffops.HERMITE, diffops.LAPLACIAN, diffops.EULER, diffops.g_uv_op(1)]
-    real_ops += [diffops.spherical_laplacian_op(n) for n in (4, 7, 10, 25)]
-    real_ops += [diffops.spherical_laplacian_op(6, Fraction(7, 3))]
+    # every named generator's groups must act as sympy's differentiation of
+    # the operator's defining expression, exactly, for every kind, index
+    # subset and a/abar side; the input has a random nonzero rational on
+    # every monomial, so a changed lambda or c of any group shows
+    rng = seeded_rng(71)
+    x = sympy.symbols("x1:4")
+    a, abar = sympy.symbols("a1:3"), sympy.symbols("abar1:3")
+    r = sympy.Rational
+    real_ops = [
+        (diffops.HERMITE, lambda f: _sympy_lap(f, x) - _sympy_euler(f, x)),
+        (diffops.LAPLACIAN, lambda f: _sympy_lap(f, x)),
+        (diffops.EULER, lambda f: _sympy_euler(f, x)),
+        (diffops.g_uv_op(1), lambda f: (-_sympy_lap(f, x[:1]) + 2 * _sympy_euler(f, x[:1])
+                                        + _sympy_lap(f, x[1:2]) + 2 * _sympy_euler(f, x[1:2])) / 4),
+        (diffops.spherical_laplacian_op(6, Fraction(7, 3)),
+         lambda f: _sympy_sphere(f, x, 6, r(7, 3))),
+    ]
+    real_ops += [(diffops.spherical_laplacian_op(n), lambda f, n=n: _sympy_sphere(f, x, n, n))
+                 for n in (4, 7, 10, 25)]
     for indices in ((0,), (1, 2), (0, 2), (2,)):
-        real_ops += [diffops.laplacian_op(indices), diffops.euler_op(indices)]
-    cx_ops = [diffops.G_K, diffops.gamma_n_op(5), diffops.gamma_n_op(6, Fraction(7, 3))]
-    cx_ops += [diffops.jsq_a_op(n) for n in (3, 8)] + [diffops.jsq_abar_op(n) for n in (3, 8)]
-    for side in ("a", "abar"):
+        xs = [x[i] for i in indices]
+        real_ops += [(diffops.laplacian_op(indices), lambda f, xs=xs: _sympy_lap(f, xs)),
+                     (diffops.euler_op(indices), lambda f, xs=xs: _sympy_euler(f, xs))]
+    cx_ops = [
+        (diffops.G_K, lambda f: (_sympy_euler(f, a) + _sympy_euler(f, abar)
+                                 - _sympy_lap(f, a) - _sympy_lap(f, abar)) / 2),
+        (diffops.gamma_n_op(6, Fraction(7, 3)),
+         lambda f: (_sympy_jsq(f, a, 6, r(7, 3)) + _sympy_jsq(f, abar, 6, r(7, 3))) / 2),
+        (diffops.gamma_n_op(5), lambda f: (_sympy_jsq(f, a, 5, 5) + _sympy_jsq(f, abar, 5, 5)) / 2),
+    ]
+    for n in (3, 8):
+        cx_ops += [(diffops.jsq_a_op(n), lambda f, n=n: _sympy_jsq(f, a, n, n)),
+                   (diffops.jsq_abar_op(n), lambda f, n=n: _sympy_jsq(f, abar, n, n))]
+    for side, syms in (("a", a), ("abar", abar)):
         for indices in (None, (0,), (1,)):
-            cx_ops += [diffops.laplacian_op(indices, side), diffops.euler_op(indices, side)]
-    for ops, space in ((real_ops, PolySpace(3, 8)), (cx_ops, PolySpace(2, 8, "complex"))):
-        monos = [space.basis_poly(i) for i in range(space.dim)]
-        for op in ops:
-            gen = group_generator(op)
-            for mono in monos:
-                assert gen.apply(mono) == op.apply(mono), (op, mono)
+            xs = syms if indices is None else [syms[i] for i in indices]
+            cx_ops += [(diffops.laplacian_op(indices, side), lambda f, xs=xs: _sympy_lap(f, xs)),
+                       (diffops.euler_op(indices, side), lambda f, xs=xs: _sympy_euler(f, xs))]
+
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+    real_space, cx_space = PolySpace(3, 4), PolySpace(2, 4, "complex")
+    p = RealPoly({mono: coefficient() for mono in real_space.monomials})
+    q = CxPoly({mono: coefficient() for mono in cx_space.monomials})
+    assert len(p.terms) == 35 and len(q.terms) == 70
+    for ops, poly, as_sympy in (
+        (real_ops, p, lambda u: to_sympy(u, x)),
+        (cx_ops, q, lambda u: to_sympy_cx(u, a, abar)),
+    ):
+        f = as_sympy(poly)
+        for op, defining in ops:
+            out = op.apply(poly)
+            assert out.mode == "exact"
+            assert sympy.expand(as_sympy(out) - defining(f)) == 0, op
 
 
 def test_group_generators_add_and_scale():
-    x = group_generator(diffops.g_uv_op(1))
-    y = group_generator(diffops.laplacian_op(indices=(0,)))
+    x = diffops.g_uv_op(1)
+    y = diffops.laplacian_op(indices=(0,))
     space = PolySpace(2, 4)
     for s in (Fraction(1, 3), 2):
         combined = x + s * y
@@ -310,9 +361,9 @@ def test_group_generators_add_and_scale():
             mono = space.basis_poly(i)
             assert combined.apply(mono) == x.apply(mono) + y.apply(mono).scale(s)
     with pytest.raises(ValueError):
-        group_generator(diffops.LAPLACIAN) + y  # all variables overlap x1
+        diffops.LAPLACIAN + y  # all variables overlap x1
     with pytest.raises(ValueError):
-        group_generator(diffops.LAPLACIAN) + group_generator(diffops.G_K)
+        diffops.LAPLACIAN + diffops.G_K
 
 
 def _exp_divided_differences_reference(z, s):
