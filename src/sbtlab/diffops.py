@@ -180,7 +180,6 @@ class GroupGenerator:
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-@lru_cache(maxsize=None)
 def _one_side(variables, indices, a2, a1, c) -> GroupGenerator:
     if variables not in ("x", "a", "abar"):
         raise ValueError(f"variables must be 'x', 'a' or 'abar', got {variables!r}")
@@ -232,12 +231,14 @@ def spherical_laplacian_op(n: int, b2=None) -> GroupGenerator:
     with exactly one k-variable polynomial, namely
 
         laplacian(p) - (1/b^2) * (euler^2 + (n-2) euler) p.
+
+    Memoized: every sphere transform builds one, about 2 000 per round of
+    the benchmark's suite workload.
     """
     b2 = _radius2("spherical_laplacian", n, b2)
     return GroupGenerator((Group("x", None, -1 / b2, (2 - n) / b2, 1),), n)
 
 
-@lru_cache(maxsize=None)
 def jsq_a_op(n: int, b2=None) -> GroupGenerator:
     """Squared holomorphic angular momentum, restricted to the quadric a.a = b^2:
 
@@ -247,21 +248,18 @@ def jsq_a_op(n: int, b2=None) -> GroupGenerator:
     return GroupGenerator((Group("a", None, 1, n - 2, -b2),), n)
 
 
-@lru_cache(maxsize=None)
 def jsq_abar_op(n: int, b2=None) -> GroupGenerator:
     """Antiholomorphic counterpart of :func:`jsq_a_op`, in the abar variables."""
     b2 = _radius2("jsq_abar", n, b2)
     return GroupGenerator((Group("abar", None, 1, n - 2, -b2),), n)
 
 
-@lru_cache(maxsize=None)
 def gamma_n_op(n: int, b2=None) -> GroupGenerator:
     """Gamma_n = (jsq_a + jsq_abar) / 2; a self-map of the 2k-variable polynomials."""
     b2 = _radius2("gamma_n", n, b2)
     return _both_sides(_HALF, Fraction(n - 2, 2), -b2 / 2, n)
 
 
-@lru_cache(maxsize=None)
 def g_uv_op(k: int) -> GroupGenerator:
     """Real-coordinate form of ``G_K`` under a = u + iv with u, v real:
 

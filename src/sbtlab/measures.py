@@ -211,7 +211,6 @@ def _pairing_ways(j: int, l: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _pair_moment(j: int, l: int, c2, g2):
     """E[a^j abar^l] for a complex Gaussian with E[a^2] = c2 and E[a abar] = g2.
 
@@ -233,13 +232,16 @@ def _complex_gaussian_moment(q: CxPoly, c2, g2):
     else:
         c2, g2 = float(c2), float(g2)
         total = 0j
+    moments = {}  # (j, l) -> _pair_moment, shared by the terms of q
     for (a, b), coeff in q.terms.items():
         factor = Fraction(1) if exact else 1.0
         for j in range(max(len(a), len(b))):
             aj = a[j] if j < len(a) else 0
             bj = b[j] if j < len(b) else 0
             if aj or bj:
-                pm = _pair_moment(aj, bj, c2, g2)
+                pm = moments.get((aj, bj))
+                if pm is None:
+                    pm = moments[aj, bj] = _pair_moment(aj, bj, c2, g2)
                 if not pm:
                     factor = None
                     break

@@ -111,6 +111,18 @@ def test_xi_moment_validates_parameters():
         xi_moment(A1, 1, 0)
 
 
+def test_xi_moment_exactness_does_not_depend_on_call_order():
+    # float and exact parameters of equal value: E[a^2 abar^2] = 2 s^2 + (s - t)^2
+    q = A1 ** 2 * ABAR1 ** 2
+    s, t = Fraction(5, 4), Fraction(1, 2)
+    assert xi_moment(q.to_float(), float(s), float(t)) == 59 / 16
+    exact = xi_moment(q, s, t)
+    assert isinstance(exact, GaussianRational)
+    assert exact == GaussianRational(Fraction(59, 16))
+    again = xi_moment(q.to_float(), float(s), float(t))
+    assert isinstance(again, complex) and again == 59 / 16
+
+
 # ---------------------------------------------------------------------------
 # gamma
 
