@@ -35,6 +35,7 @@ from .measures import (
     gaussian_moment,
     inner_product,
     moment,
+    norm2,
     quadric_moment,
     sphere_moment,
     xi_moment,

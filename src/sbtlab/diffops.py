@@ -159,8 +159,14 @@ class GroupGenerator:
     __rmul__ = __mul__
 
     def apply(self, p):
-        """The generator's action on a polynomial, exact for exact p and coefficients."""
+        """The generator's action on a polynomial.
+
+        Exact for exact p and rational group coefficients; a float
+        coefficient gives a float-mode result, as ``exp_graded`` does.
+        """
         self.check_domain(p)
+        if not all(isinstance(v, (int, Fraction)) for g in self.groups for v in (g.a2, g.a1, g.c)):
+            p = p.to_float()
         terms = {}
         for key, coeff in p.terms.items():
             for g in self.groups:

@@ -11,6 +11,10 @@
                  by pushing the integrand through the exponential of the
                  quadric operator and reading the result on the real points.
 
+``moment(spec, q)`` integrates any polynomial; ``norm2(spec, f)`` gives the
+squared L2 norm of f as a bilinear form over f's own terms, without forming
+f*f or |f|^2.
+
 Gaussian moments are the heat flow read at the origin, one monomial at a
 time: the constant coefficient of exp((t/2) Lap) x^alpha is
 prod_i (alpha_i - 1)!! t^{|alpha|/2} when every alpha_i is even and 0
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +41,7 @@ from .polyalg import (
     EXACT,
     CxPoly,
     GaussianRational,
+    HolomorphicityError,
     RealPoly,
     mono_degree,
     mono_mul,
@@ -252,11 +256,25 @@ def _complex_gaussian_moment(q: CxPoly, c2, g2):
     return total
 
 
-def xi_moment(q: CxPoly, s, t):
-    """Integral of q against the two-parameter complex Gaussian (0 < t < 2s)."""
+def _xi_params(s, t) -> tuple:
     if not 0 < t < 2 * s:
         raise ValueError(f"xi moments need 0 < t < 2s, got s={s}, t={t}")
-    return _complex_gaussian_moment(q, s - t, s)
+    return s - t, s
+
+
+def _gamma_params(T) -> tuple:
+    if T <= 0:
+        raise ValueError("gamma moments need T > 0")
+    try:
+        e_T = math.exp(T)
+    except OverflowError:
+        raise ValueError(f"gamma moments need e^T to fit in a float, got T={T}") from None
+    return 1.0, e_T
+
+
+def xi_moment(q: CxPoly, s, t):
+    """Integral of q against the two-parameter complex Gaussian (0 < t < 2s)."""
+    return _complex_gaussian_moment(q, *_xi_params(s, t))
 
 
 def gamma_moment(q: CxPoly, T):
@@ -265,13 +283,7 @@ def gamma_moment(q: CxPoly, T):
     Per coordinate E[a abar] = e^T and E[a^2] = 1.  (The value e^T, not
     2 e^T, is what the quadrature oracle and unitarity both confirm.)
     """
-    if T <= 0:
-        raise ValueError("gamma moments need T > 0")
-    try:
-        e_T = math.exp(T)
-    except OverflowError:
-        raise ValueError(f"gamma moments need e^T to fit in a float, got T={T}") from None
-    return _complex_gaussian_moment(q, 1.0, e_T)
+    return _complex_gaussian_moment(q, *_gamma_params(T))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +299,16 @@ def sphere_mono_moment(alpha: tuple, n: int, b2) -> Fraction:
     num = _pairings(alpha)
     if not num:
         return Fraction(0)
-    m = mono_degree(alpha) // 2
-    den = Fraction(1)
+    return num * _sphere_radial(mono_degree(alpha) // 2, n, b2)
+
+
+@lru_cache(maxsize=None)
+def _sphere_radial(m: int, n: int, b2) -> Fraction:
+    """b2^m / (n (n + 2) ... (n + 2m - 2)): a degree-2m sphere moment over its pairings."""
+    den = 1
     for i in range(m):
         den *= n + 2 * i
-    return num / den * Fraction(b2) ** m
+    return Fraction(b2) ** m / den
 
 
 def sphere_moment(p: RealPoly, n: int, b2=None):
@@ -314,129 +331,71 @@ def sphere_moment(p: RealPoly, n: int, b2=None):
 #
 # The quadric operator splits into commuting holomorphic and antiholomorphic
 # halves, each acting on a-degree-graded polynomials only.  Its exponential
-# therefore factors monomial-wise, and the whole moment functional becomes a
-# bilinear form  coeff(alpha, beta) -> K[alpha, beta]  with K = F S F^T:
-# row alpha of F is the flow of x^alpha through the holomorphic half and S
-# holds sphere moments of monomial products.  At tau = T/(2 b2) the
-# holomorphic half -b2*Lap + Euler^2 + (n-2)*Euler is -(T/2) times the sphere
-# Laplacian, so F is the sphere heat flow run backward for T/2.  K is built
-# lazily, one table per (n, b2, T) that grows by a block of rows and columns
-# whenever a moment brings holomorphic monomials it has not seen.  The direct
-# route, which flows each term through both halves of gamma_n, is kept below
-# as a cross-check.
-
-_kernel_lock = threading.Lock()
-_kernels: dict = {}
+# therefore factors monomial-wise, and the moment of a^alpha abar^beta is
+# K[alpha, beta] = (F S F^T)[alpha, beta]: row alpha of F is the flow of
+# x^alpha through the holomorphic half and S holds sphere moments of monomial
+# products.  At tau = T/(2 b2) the holomorphic half -b2*Lap + Euler^2 +
+# (n-2)*Euler is -(T/2) times the sphere Laplacian, so F is the sphere heat
+# flow run backward for T/2.  Each call builds F on its own monomials and S
+# on their flows' support, from the memoized monomial flows, so a value does
+# not depend on what was computed before it.  The direct route, which flows
+# each term through both halves of gamma_n, is kept below as a cross-check.
 
 
-def _parity(alpha) -> tuple:
-    out = [e & 1 for e in alpha]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+def _quadric_flows(monos: list, n: int, b2, T) -> tuple:
+    """F, rows the backward sphere flows of ``monos``, and S on their support."""
+    gen = diffops.spherical_laplacian_op(n, b2)
+    flows = [semigroup.flow_monomial(gen, -float(T) / 2.0, a) for a in monos]
+    support = {}
+    for flow in flows:
+        for gamma in flow:
+            support.setdefault(gamma, len(support))
+    f = np.zeros((len(monos), len(support)))
+    for i, flow in enumerate(flows):
+        for gamma, v in flow.items():
+            f[i, support[gamma]] = v
+    width = max(map(len, support), default=0)
+    return f, _sphere_gram(_exponent_matrix(support, width), n, b2)
 
 
-class _KernelTable:
-    """K = F S F^T on the holomorphic monomials seen so far at one (n, b2, T)."""
-
-    def __init__(self, n: int, b2: Fraction, T: float):
-        self.n, self.b2 = n, b2
-        self.gen = diffops.spherical_laplacian_op(n, b2)
-        self.t = -T / 2.0
-        self.index = {}       # holomorphic monomial -> row and column of K
-        self.columns = []     # support monomials of the flows, by column of F
-        self.support = {}     # support monomial -> column of F
-        self.by_parity = {}   # parity class -> columns (S vanishes across classes)
-        self.flows = np.zeros((0, 0))
-        self.kernel = np.zeros((0, 0))
-        self.lock = threading.Lock()
-
-    def _grow(self, new: list) -> None:
-        flows = [semigroup.flow_monomial(self.gen, self.t, a) for a in new]
-        old = len(self.index)
-        for a in new:
-            self.index[a] = len(self.index)
-        for flow in flows:
-            for gamma in flow:
-                if gamma not in self.support:
-                    self.support[gamma] = len(self.columns)
-                    self.by_parity.setdefault(_parity(gamma), []).append(len(self.columns))
-                    self.columns.append(gamma)
-        f_all = np.zeros((len(self.index), len(self.columns)))
-        f_all[:old, : self.flows.shape[1]] = self.flows
-        for i, flow in enumerate(flows, old):
-            for gamma, v in flow.items():
-                f_all[i, self.support[gamma]] = v
-        used = sorted({self.support[gamma] for flow in flows for gamma in flow})
-        n, b2 = self.n, self.b2
-        s_rows = np.zeros((len(used), len(self.columns)))
-        for i, col in enumerate(used):
-            gamma = self.columns[col]
-            for j in self.by_parity[_parity(gamma)]:
-                s_rows[i, j] = float(sphere_mono_moment(mono_mul(gamma, self.columns[j]), n, b2))
-        try:
-            with np.errstate(over="raise"):
-                rows = f_all[old:, used].dot(s_rows).dot(f_all.T)
-        except FloatingPointError:
-            raise OverflowError("quadric kernel entries overflow a float") from None
-        kernel = np.empty((len(self.index),) * 2)
-        kernel[:old, :old] = self.kernel
-        kernel[old:, :] = rows
-        kernel[:old, old:] = rows[:, :old].T
-        kernel[old:, old:] = (rows[:, old:] + rows[:, old:].T) / 2.0
-        self.flows = f_all
-        self.kernel = kernel
-
-    def moment(self, q: CxPoly) -> complex:
-        with self.lock:
-            new = [a for ab in q.terms for a in ab if a not in self.index]
-            if new:
-                self._grow(list(dict.fromkeys(new)))
-            rows = [self.index[a] for a, _ in q.terms]
-            cols = [self.index[b] for _, b in q.terms]
-            kernel = self.kernel
-        coeffs = np.array([complex(c) for c in q.terms.values()])
-        return complex(coeffs.dot(kernel[rows, cols]))
-
-
-def _kernel_table(n: int, b2, T: float) -> _KernelTable:
-    key = (n, Fraction(b2), T)
-    with _kernel_lock:
-        kernel = _kernels.get(key)
-    if kernel is None:
-        kernel = _KernelTable(*key)
-        with _kernel_lock:
-            kernel = _kernels.setdefault(key, kernel)
-    return kernel
+def _check_quadric(q: CxPoly, n: int, T) -> None:
+    if q.width() >= n:
+        raise DimensionError(
+            f"quadric moments need ambient dimension > {q.width()}, got {n}"
+        )
+    if T <= 0:
+        raise ValueError("quadric moments need T > 0")
 
 
 def quadric_moment(q: CxPoly, n: int, T, b2=None):
     """Integral of q against the heat-kernel measure on the complexified sphere.
 
     Equivalent to flowing q through exp((T/b2) * Gamma) and integrating the
-    restriction to real points over the sphere.
+    restriction to real points over the sphere; computed as
+    sum c_{alpha beta} (F S F^T)[alpha, beta] over q's own holomorphic and
+    antiholomorphic monomials.
     """
     b2 = n if b2 is None else b2
-    k = q.width()
-    if k >= n:
-        raise DimensionError(
-            f"quadric moments need ambient dimension > {k}, got {n}"
-        )
-    if T <= 0:
-        raise ValueError("quadric moments need T > 0")
+    _check_quadric(q, n, T)
     if q.is_zero():
         return 0j
-    return _kernel_table(n, b2, float(T)).moment(q)
+    monos = list(dict.fromkeys(a for ab in q.terms for a in ab))
+    index = {a: i for i, a in enumerate(monos)}
+    f, s = _quadric_flows(monos, n, b2, T)
+    rows = f[[index[a] for a, _ in q.terms]]
+    cols = f[[index[b] for _, b in q.terms]]
+    coeffs = np.array([complex(c) for c in q.terms.values()])
+    return _finite(complex(coeffs.dot((rows.dot(s) * cols).sum(axis=1))))
 
 
 def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):
     """Reference route: flow q through exp((T/b2) Gamma), then integrate.
 
     Each term of q flows through the holomorphic and antiholomorphic groups
-    of gamma_n in its own parametrization (not the kernel's sphere-Laplacian
-    identity), and the restriction to real points is integrated over the
-    sphere.  Slower than :func:`quadric_moment`; used to cross-check the
-    factored kernel.
+    of gamma_n in its own parametrization (not the sphere-Laplacian identity
+    behind :func:`quadric_moment`), and the restriction to real points is
+    integrated over the sphere.  Slower than :func:`quadric_moment`; used to
+    cross-check it.
     """
     b2 = n if b2 is None else b2
     if q.width() >= n:
@@ -452,6 +411,147 @@ def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):
         if mono:
             total += complex(coeff) * float(mono)
     return total
+
+
+# ---------------------------------------------------------------------------
+# squared norms as bilinear forms over the polynomial's own terms
+
+
+def _exponent_matrix(monos, width: int) -> np.ndarray:
+    rows = [a + (0,) * (width - len(a)) for a in monos]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+def _table_product(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """G[a, b] = prod_j table[exps[a, j], exps[b, j]] for every pair of exponent rows."""
+    gram = np.ones((len(exps), len(exps)))
+    for column in exps.T:
+        gram *= table[column[:, None], column[None, :]]
+    return gram
+
+
+def _sphere_gram(exps: np.ndarray, n: int, b2) -> np.ndarray:
+    """S[g, d]: moment of x^(exps[g] + exps[d]) over the radius-sqrt(b2) sphere in R^n.
+
+    The pairing counts (e - 1)!! factor over the coordinates, read from a
+    table indexed by the exponents of g and d; the radial factor goes by the
+    total degree.
+    """
+    top = int(exps.max(initial=0))
+    double_factorials = np.array([0.0 if e & 1 else float(_double_factorial(e - 1))
+                                  for e in range(2 * top + 1)])
+    pairings = _table_product(double_factorials[np.add.outer(range(top + 1), range(top + 1))], exps)
+    degrees = exps.sum(axis=1)
+    radial = np.zeros(2 * int(degrees.max(initial=0)) + 1)
+    radial[::2] = [float(_sphere_radial(m, n, b2)) for m in range(len(radial[::2]))]
+    return pairings * radial[np.add.outer(degrees, degrees)]
+
+
+def _complex_gaussian_gram(exps: np.ndarray, c2, g2) -> np.ndarray:
+    """M[a, b] = prod_j E[a^{alpha_j} abar^{beta_j}] over the exponent rows alpha, beta."""
+    top = int(exps.max(initial=0))
+    c2, g2 = float(c2), float(g2)
+    table = np.array([[_pair_moment(j, l, c2, g2) for l in range(top + 1)]
+                      for j in range(top + 1)], dtype=float)
+    return _table_product(table, exps)
+
+
+def _finite(value):
+    if not math.isfinite(abs(value)):
+        raise OverflowError("a moment or norm overflows a float")
+    return value
+
+
+def _hermitian_form(gram: np.ndarray, coeffs: np.ndarray) -> float:
+    """conj(c)^T G c for a real symmetric G."""
+    value = coeffs.real.dot(gram.dot(coeffs.real))
+    if coeffs.imag.any():
+        value += coeffs.imag.dot(gram.dot(coeffs.imag))
+    return _finite(float(value))
+
+
+def _parity(alpha) -> tuple:
+    out = [e & 1 for e in alpha]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _real_norm2(p: RealPoly, radial) -> float:
+    """sum p_alpha p_beta pairings(alpha + beta) radial(|alpha + beta| / 2), rounded once.
+
+    Only pairs in the same parity class contribute.  The coefficients are
+    brought to one denominator, so the sum runs over integers by half-degree.
+    """
+    ratios = [c.as_integer_ratio() for c in p.terms.values()]
+    den = math.lcm(*(d for _, d in ratios))
+    classes: dict = {}
+    for alpha, (num, d) in zip(p.terms, ratios):
+        classes.setdefault(_parity(alpha), []).append((alpha, num * (den // d)))
+    sums: dict = {}
+    for terms in classes.values():
+        for i, (alpha, ca) in enumerate(terms):
+            for j in range(i, len(terms)):
+                beta, cb = terms[j]
+                gamma = mono_mul(alpha, beta)
+                m = mono_degree(gamma) // 2
+                w = ca * cb * _pairings(gamma)
+                sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
+    weights = {m: radial(m) for m in sums}
+    common = math.lcm(*(w.denominator for w in weights.values()))
+    num = sum(s * weights[m].numerator * (common // weights[m].denominator) for m, s in sums.items())
+    # int / int rounds once, correctly
+    return num / (common * den * den)
+
+
+def _holomorphic_terms(f) -> tuple:
+    if not isinstance(f, CxPoly):
+        raise TypeError("complex-family norms take complexified polynomials")
+    if not f.is_holomorphic():
+        raise HolomorphicityError("squared norms need a holomorphic polynomial")
+    monos = [a for a, _ in f.terms]
+    return monos, np.array([complex(c) for c in f.terms.values()])
+
+
+def _quadric_norm2(f: CxPoly, n: int, T, b2) -> float:
+    """conj(y)^T S y with y = F^T f, f flowed back through the sphere heat flow first."""
+    _check_quadric(f, n, T)
+    monos, coeffs = _holomorphic_terms(f)
+    flows, s = _quadric_flows(monos, n, b2, T)
+    return _hermitian_form(s, coeffs.dot(flows))
+
+
+def norm2(spec: MeasureSpec, f) -> float:
+    """Squared L2 norm of f under spec, as a bilinear form over f's own terms.
+
+    * gauss, sphere (real f): sum p_alpha p_beta M(alpha + beta) over pairs
+      in one parity class, summed exactly and rounded once, so for exact f
+      it is ``float(moment(spec, f * f))`` bit for bit.
+    * xi, gamma (holomorphic f): conj(f)^T M f with
+      M[alpha, beta] = prod_j E[a^{alpha_j} abar^{beta_j}].
+    * quadric (holomorphic f): conj(y)^T S y with y = F^T f, the sphere heat
+      flow of f run backward for T/2, and S the sphere moments of products
+      of y's monomials.
+    """
+    if spec.family in ("gauss", "sphere"):
+        if not isinstance(f, RealPoly):
+            raise TypeError(f"{spec.family} norms take real polynomials")
+        if spec.family == "gauss":
+            if not 0 < spec.t < math.inf:
+                raise ValueError("gaussian variance must be positive and finite")
+            t = Fraction(spec.t)
+            return _real_norm2(f, lambda m: t ** m)
+        if f.width() > spec.n:
+            raise DimensionError(
+                f"polynomial in {f.width()} variables cannot live on an S^{spec.n - 1}"
+            )
+        return _real_norm2(f, lambda m: _sphere_radial(m, spec.n, spec.b2))
+    if spec.family == "quadric":
+        return _quadric_norm2(f, spec.n, spec.T, spec.b2)
+    monos, coeffs = _holomorphic_terms(f)
+    params = _xi_params(spec.s, spec.t) if spec.family == "xi" else _gamma_params(spec.T)
+    gram = _complex_gaussian_gram(_exponent_matrix(monos, f.width()), *params)
+    return _hermitian_form(gram, coeffs)
 
 
 # ---------------------------------------------------------------------------

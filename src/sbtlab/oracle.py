@@ -8,7 +8,6 @@ enumeration of pair partitions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,10 +90,12 @@ MAX_QUAD_POINTS = 4_000_000
 def _grid(sigmas, order):
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     weights = weights / math.sqrt(2.0 * math.pi)
-    axes_pts = [sigma * nodes for sigma in sigmas]
-    pts = np.array(list(itertools.product(*axes_pts)))
-    wts = np.array([math.prod(ws) for ws in itertools.product(*([weights] * len(sigmas)))])
-    return pts, wts
+    axes = np.meshgrid(*[sigma * nodes for sigma in sigmas], indexing="ij")
+    pts = np.stack([axis.ravel() for axis in axes], axis=-1)
+    wts = weights
+    for _ in sigmas[1:]:
+        wts = np.multiply.outer(wts, weights)
+    return pts, wts.ravel()
 
 
 def quad_gauss_moment(q, family: MeasureSpec, order: int) -> OracleEstimate:

@@ -220,6 +220,19 @@ class _Poly:
         return type(self).constant(1, self.mode) if out is None else out
 
 
+class _Powers(dict):
+    """points[:, j] ** e by (j, e), each computed once per evaluation."""
+
+    def __init__(self, points: np.ndarray):
+        super().__init__()
+        self.points = points
+
+    def __missing__(self, key):
+        j, e = key
+        out = self[key] = self.points[:, j] ** e
+        return out
+
+
 def _nonzero(terms: dict) -> dict:
     # float products and conversions can underflow to zero
     return {key: c for key, c in terms.items() if c}
@@ -371,11 +384,12 @@ class RealPoly(_Poly):
         """Vectorized evaluation on an (n, k) array of sample points."""
         x = np.asarray(x)
         out = np.zeros(x.shape[0])
+        power = _Powers(x)
         for a, c in self.terms.items():
             v = np.full(x.shape[0], float(c))
             for j, e in enumerate(a):
                 if e:
-                    v *= x[:, j] ** e
+                    v *= power[j, e]
             out += v
         return out
 
@@ -574,15 +588,15 @@ class CxPoly(_Poly):
         """Vectorized evaluation on an (n, k) complex array."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape[0], dtype=complex)
-        zbar = z.conjugate()
+        power, power_bar = _Powers(z), _Powers(z.conjugate())
         for (a, b), c in self.terms.items():
             v = np.full(z.shape[0], complex(c))
             for j, e in enumerate(a):
                 if e:
-                    v *= z[:, j] ** e
+                    v *= power[j, e]
             for j, e in enumerate(b):
                 if e:
-                    v *= zbar[:, j] ** e
+                    v *= power_bar[j, e]
             out += v
         return out
 

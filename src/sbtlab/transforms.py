@@ -9,8 +9,9 @@ the result as a holomorphic polynomial in the complexified variables:
                        large-n limit of the sphere transform.
 
 ``unitarity_report`` pairs the squared domain norm of the input with the
-squared range norm of the output under the matching measure; the two agree
-for every transform here, at finite n included.
+squared range norm of the output under the matching measure
+(``measures.norm2``); the two agree for every transform here, at finite n
+included.
 """
 
 from __future__ import annotations
@@ -134,17 +135,17 @@ def apply_transform(p: RealPoly, tag) -> CxPoly:
     raise TypeError(f"unknown transform tag {tag!r}")
 
 
+def _norm_specs(tag) -> tuple:
+    """The domain and range measures of a transform."""
+    if isinstance(tag, Euclidean):
+        return measures.MeasureSpec.gauss(tag.s), measures.MeasureSpec.xi(tag.s, tag.t)
+    if isinstance(tag, Sphere):
+        return measures.MeasureSpec.sphere(tag.n), measures.MeasureSpec.quadric(tag.n, tag.T)
+    return measures.MeasureSpec.gauss(1), measures.MeasureSpec.gamma(tag.T)
+
+
 def unitarity_report(p: RealPoly, tag) -> TransformResult:
     """Domain norm of p vs range norm of its transform, as squared L2 norms."""
     output = apply_transform(p, tag)
-    square = output.mod_square()
-    if isinstance(tag, Euclidean):
-        domain = float(measures.gaussian_moment(p * p, tag.s))
-        rng = measures.xi_moment(square, tag.s, tag.t)
-    elif isinstance(tag, Sphere):
-        domain = float(measures.sphere_moment(p * p, tag.n))
-        rng = measures.quadric_moment(square, tag.n, tag.T)
-    else:
-        domain = float(measures.gaussian_moment(p * p, 1))
-        rng = measures.gamma_moment(square, tag.T)
-    return TransformResult(p, output, tag, domain, float(complex(rng).real))
+    domain, rng = _norm_specs(tag)
+    return TransformResult(p, output, tag, measures.norm2(domain, p), measures.norm2(rng, output))

@@ -19,7 +19,8 @@ from sbtlab.diffops import (
     spherical_laplacian_op,
     to_matrix,
 )
-from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance
+from sbtlab.polyalg import EXACT, FLOAT, CxPoly, RealPoly, coeff_distance
+from sbtlab.semigroup import exp_graded
 from sbtlab.suite import random_real_poly
 
 from conftest import seeded_rng, sympy_hermite, sympy_sphere_laplacian
@@ -257,3 +258,17 @@ def test_generators_check_their_domain():
     narrow = X1 * X2 * RealPoly.variable(2)
     assert both.apply(narrow) == spherical_laplacian_op(9).apply(narrow) + (
         spherical_laplacian_op(4).apply(narrow))
+
+
+def test_apply_mode_follows_the_generator_coefficients():
+    # rational groups act exactly on exact input; a float group coefficient
+    # gives a float-mode result, as exp_graded does
+    p = RealPoly.variable(0) ** 2
+    exact = HERMITE.apply(p)
+    assert exact.mode == EXACT and exact == RealPoly({(): 2, (2,): -2})
+    scaled = (0.1 * HERMITE).apply(p)
+    assert scaled.mode == FLOAT
+    assert coeff_distance(scaled, exact.to_float().scale(0.1)) <= 1e-16
+    assert exp_graded(0.1 * HERMITE, 1.0, p).mode == FLOAT
+    q = CxPoly.a(0) * CxPoly.abar(0)
+    assert (0.5 * G_K).apply(q) == G_K.apply(q).to_float().scale(0.5)

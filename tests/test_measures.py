@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbtlab import diffops, oracle, semigroup
 from sbtlab.diffops import DimensionError
@@ -11,14 +13,15 @@ from sbtlab.measures import (
     gaussian_moment,
     inner_product,
     moment,
+    norm2,
     quadric_moment,
     quadric_moment_direct,
     sphere_mono_moment,
     sphere_moment,
     xi_moment,
 )
-from sbtlab.polyalg import CxPoly, GaussianRational, RealPoly, holomorphic_extend
-from sbtlab.suite import random_real_poly
+from sbtlab.polyalg import CxPoly, GaussianRational, HolomorphicityError, RealPoly, holomorphic_extend
+from sbtlab.suite import acceptance_suite, random_real_poly
 
 from conftest import seeded_rng
 
@@ -377,48 +380,149 @@ def test_quadric_moment_satisfies_generator_derivative_identity():
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_quadric_kernel_grows_without_changing_earlier_moments():
-    # moments already read from a kernel table stay bit-identical after the
-    # table grows by the monomials of a later integrand
-    n, T = 9, 0.8
-    first = (A1 * ABAR1 + (A1 * A2).scale(GaussianRational(0, 1)) * ABAR1 ** 2)
-    before = quadric_moment(first, n, T)
-    bigger = holomorphic_extend(random_real_poly(seeded_rng(42), k=3, degree=3)).mod_square()
-    quadric_moment(bigger, n, T)
-    assert quadric_moment(first, n, T) == before
-    assert abs(quadric_moment(bigger, n, T) - quadric_moment_direct(bigger, n, T)) <= (
-        1e-12 * abs(quadric_moment_direct(bigger, n, T))
-    )
+@st.composite
+def _real_polys(draw, max_width=3, max_exponent=4):
+    exps = st.lists(st.integers(0, max_exponent), min_size=0, max_size=max_width).map(tuple)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return RealPoly(draw(st.dictionaries(exps, coeffs, max_size=6)))
 
 
-def test_quadric_kernel_table_under_concurrent_growth():
-    # eight threads grow one (n, b2, T) table at once; a lost update would
-    # leave a monomial without its row or a row without its monomial
+@st.composite
+def _quadric_integrands(draw):
+    """A general (not only mod-square) integrand in at most 3 variables."""
+    exps = st.lists(st.integers(0, 3), min_size=0, max_size=3).map(tuple)
+    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    return CxPoly(draw(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quadric_integrands(), st.lists(_quadric_integrands(), max_size=4),
+       st.sampled_from([(5, 0.3), (9, 0.8), (12, 1.7)]))
+def test_quadric_moment_and_norm_do_not_depend_on_earlier_calls(q, earlier, nT):
+    # every value is built per call from its own monomials, so a moment or a
+    # norm computed fresh is bitwise the same after any other moments at the
+    # same (n, T)
+    n, T = nT
+    f = holomorphic_extend(random_real_poly(seeded_rng(len(earlier)), k=3, degree=4))
+    spec = MeasureSpec.quadric(n, T)
+    semigroup._group_flows.clear()
+    fresh = (quadric_moment(q, n, T), norm2(spec, f))
+    for other in earlier:
+        quadric_moment(other, n, T)
+        norm2(spec, holomorphic_extend(RealPoly({a: 1 for a, _ in other.terms})))
+    assert (quadric_moment(q, n, T), norm2(spec, f)) == fresh
+    assert abs(fresh[0] - quadric_moment_direct(q, n, T)) <= 1e-12 * max(1.0, abs(fresh[0]))
+
+
+def test_quadric_moments_and_norms_under_concurrent_threads():
+    # eight threads at a 1 us switch interval read and fill the shared flow
+    # memos at once; every value is bitwise the serial one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    from sbtlab import measures
-
     n, T = 11, 0.55
+    spec = MeasureSpec.quadric(n, T)
     rng = seeded_rng(43)
-    integrands = [
-        holomorphic_extend(random_real_poly(rng, k=3, degree=4, terms=4)).mod_square()
-        for _ in range(24)
-    ]
-    measures._kernels.clear()
+    polys = [holomorphic_extend(random_real_poly(rng, k=3, degree=4, terms=4)) for _ in range(24)]
+
+    def both(f):
+        return quadric_moment(f.mod_square(), n, T), norm2(spec, f)
+
+    semigroup._group_flows.clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(quadric_moment, q, n, T) for q in integrands]
-            values = [f.result(timeout=60) for f in futures]
+            values = [fut.result(timeout=60) for fut in [pool.submit(both, f) for f in polys]]
     finally:
         sys.setswitchinterval(switch)
-    table = measures._kernel_table(n, n, T)
-    assert sorted(table.index.values()) == list(range(len(table.index)))
-    assert table.kernel.shape == (len(table.index),) * 2
-    assert table.flows.shape == (len(table.index), len(table.columns))
-    measures._kernels.clear()
-    for q, value in zip(integrands, values):
-        serial = quadric_moment(q, n, T)
-        assert abs(value - serial) <= 1e-12 * max(1.0, abs(serial))
+    semigroup._group_flows.clear()
+    assert values == [both(f) for f in polys]
+
+
+def test_sphere_gap_of_x1_40_does_not_depend_on_earlier_degrees():
+    # x1^40 at (n, T) = (5, 1) gives one gap in a fresh process and the same
+    # gap after x1^10, x1^20 and x1^30 have been checked in this one
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sbtlab
+    from sbtlab.transforms import Sphere, unitarity_report
+
+    src = str(Path(sbtlab.__file__).resolve().parent.parent)
+    code = ("from sbtlab import *; "
+            "print(repr(unitarity_report(RealPoly({(40,): 1}), Sphere(5, 1.0)).rel_error))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    fresh = float(out.stdout)
+    for m in (10, 20, 30):
+        unitarity_report(RealPoly({(m,): 1}), Sphere(5, 1.0))
+    assert unitarity_report(RealPoly({(40,): 1}), Sphere(5, 1.0)).rel_error == fresh
+    assert math.isfinite(fresh)
+
+
+# ---------------------------------------------------------------------------
+# squared norms against the moment of the square
+
+
+def _domain_specs():
+    return (MeasureSpec.gauss(1), MeasureSpec.gauss(Fraction(7, 3)), MeasureSpec.gauss(0.37),
+            MeasureSpec.sphere(4), MeasureSpec.sphere(25), MeasureSpec.sphere(6, Fraction(7, 3)),
+            MeasureSpec.sphere(9, 2.5))
+
+
+def _range_cases(p, n, T):
+    from sbtlab.transforms import euclidean_sbt, limit_sbt, sphere_sbt
+
+    t = -math.expm1(-T)
+    return ((MeasureSpec.xi(1.0, t), euclidean_sbt(p, 1.0, t)),
+            (MeasureSpec.xi(2.5, T), euclidean_sbt(p, 2.5, T)),
+            (MeasureSpec.gamma(T), limit_sbt(p, T)),
+            (MeasureSpec.quadric(n, T), sphere_sbt(p, n, T)))
+
+
+def _assert_range_norms_match(p, n, T):
+    for spec, f in _range_cases(p, n, T):
+        reference = complex(moment(spec, f.mod_square())).real
+        assert abs(norm2(spec, f) - reference) <= 1e-14 * abs(reference), spec
+
+
+def test_norm2_matches_the_moment_of_the_square_on_the_acceptance_suite():
+    for _, p in acceptance_suite():
+        for spec in _domain_specs():
+            assert norm2(spec, p) == float(moment(spec, p * p)), spec
+        for T in (0.1, 0.5, 1.0, 2.0):
+            for n in (5, 10, 25, 50):
+                _assert_range_norms_match(p, n, T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_real_polys(), st.integers(4, 30), st.floats(0.1, 2.0))
+def test_norm2_matches_the_moment_of_the_square(p, n, T):
+    for spec in _domain_specs():
+        assert norm2(spec, p) == float(moment(spec, p * p)), spec
+    _assert_range_norms_match(p, n, T)
+
+
+def test_norm2_of_float_input_is_the_exact_sum_rounded_once():
+    p = RealPoly({(3,): 0.3, (1, 2): 1.7, (0, 4): -0.1}, "float")
+    exact = RealPoly({a: Fraction(c) for a, c in p.terms.items()})
+    for spec in _domain_specs():
+        assert norm2(spec, p) == float(moment(spec, exact * exact))
+
+
+def test_norm2_checks_its_input():
+    with pytest.raises(TypeError):
+        norm2(MeasureSpec.gauss(1), A1)
+    with pytest.raises(TypeError):
+        norm2(MeasureSpec.gamma(1.0), X1)
+    with pytest.raises(HolomorphicityError):
+        norm2(MeasureSpec.xi(1, 1), A1 * ABAR1)
+    with pytest.raises(DimensionError):
+        norm2(MeasureSpec.sphere(2), X1 * X2 * RealPoly.variable(2))
+    with pytest.raises(DimensionError):
+        norm2(MeasureSpec.quadric(2, 1.0), A1 * A2)
+    assert norm2(MeasureSpec.quadric(5, 1.0), CxPoly.zero()) == 0.0
+    assert norm2(MeasureSpec.sphere(5), RealPoly.zero()) == 0.0

@@ -186,8 +186,8 @@ def test_sphere_transform_cubic_eigen_decomposition():
 
 @pytest.mark.parametrize("k,l,n", [(8, 10, 20), (12, 12, 30)])
 def test_unitarity_beyond_the_dense_basis(k, l, n):
-    # bases of 43 758 and 2.7 million monomials: the graded flow and the lazy
-    # quadric kernel only see the polynomial's own support
+    # bases of 43 758 and 2.7 million monomials: the graded flow and the
+    # quadric norm only see the polynomial's own support
     rng = seeded_rng(90 + k)
     lead = RealPoly({(0,) * (k - 1) + (1,): 1})
     for T in (0.3, 1.7):
