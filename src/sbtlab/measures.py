@@ -440,7 +440,8 @@ def _sphere_gram(exps: np.ndarray, n: int, b2) -> np.ndarray:
     top = int(exps.max(initial=0))
     double_factorials = np.array([0.0 if e & 1 else float(_double_factorial(e - 1))
                                   for e in range(2 * top + 1)])
-    pairings = _table_product(double_factorials[np.add.outer(range(top + 1), range(top + 1))], exps)
+    sums = np.add.outer(range(top + 1), range(top + 1))
+    pairings = _table_product(double_factorials[sums], exps)
     degrees = exps.sum(axis=1)
     radial = np.zeros(2 * int(degrees.max(initial=0)) + 1)
     radial[::2] = [float(_sphere_radial(m, n, b2)) for m in range(len(radial[::2]))]
@@ -451,8 +452,11 @@ def _complex_gaussian_gram(exps: np.ndarray, c2, g2) -> np.ndarray:
     """M[a, b] = prod_j E[a^{alpha_j} abar^{beta_j}] over the exponent rows alpha, beta."""
     top = int(exps.max(initial=0))
     c2, g2 = float(c2), float(g2)
-    table = np.array([[_pair_moment(j, l, c2, g2) for l in range(top + 1)]
-                      for j in range(top + 1)], dtype=float)
+    try:
+        table = np.array([[_pair_moment(j, l, c2, g2) for l in range(top + 1)]
+                          for j in range(top + 1)], dtype=float)
+    except OverflowError:
+        raise OverflowError("complex Gaussian moments overflow a float") from None
     return _table_product(table, exps)
 
 
@@ -499,7 +503,8 @@ def _real_norm2(p: RealPoly, radial) -> float:
                 sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
     weights = {m: radial(m) for m in sums}
     common = math.lcm(*(w.denominator for w in weights.values()))
-    num = sum(s * weights[m].numerator * (common // weights[m].denominator) for m, s in sums.items())
+    num = sum(s * w.numerator * (common // w.denominator)
+              for s, w in zip(sums.values(), weights.values()))
     # int / int rounds once, correctly
     return num / (common * den * den)
 

@@ -20,7 +20,13 @@ from sbtlab.measures import (
     sphere_moment,
     xi_moment,
 )
-from sbtlab.polyalg import CxPoly, GaussianRational, HolomorphicityError, RealPoly, holomorphic_extend
+from sbtlab.polyalg import (
+    CxPoly,
+    GaussianRational,
+    HolomorphicityError,
+    RealPoly,
+    holomorphic_extend,
+)
 from sbtlab.suite import acceptance_suite, random_real_poly
 
 from conftest import seeded_rng
