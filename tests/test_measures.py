@@ -417,7 +417,10 @@ def test_quadric_moment_and_norm_do_not_depend_on_earlier_calls(q, earlier, nT):
         quadric_moment(other, n, T)
         norm2(spec, holomorphic_extend(RealPoly({a: 1 for a, _ in other.terms})))
     assert (quadric_moment(q, n, T), norm2(spec, f)) == fresh
-    assert abs(fresh[0] - quadric_moment_direct(q, n, T)) <= 1e-12 * max(1.0, abs(fresh[0]))
+    assert fresh[0] == pytest.approx(quadric_moment_direct(q, n, T), rel=1e-12, abs=1e-12)
+    square = f.mod_square()
+    direct = quadric_moment_direct(square, n, T)
+    assert abs(quadric_moment(square, n, T) - direct) <= 1e-12 * abs(direct)
 
 
 def test_quadric_moments_and_norms_under_concurrent_threads():
