@@ -125,11 +125,17 @@ class GroupGenerator:
     def is_complexified(self) -> bool:
         return any(g.side != "x" for g in self.groups)
 
+    @property
+    def family(self) -> type:
+        """The polynomial family this generator acts on."""
+        return CxPoly if self.is_complexified else RealPoly
+
     def check_domain(self, p) -> None:
         """Raise unless p is a polynomial this generator acts on."""
-        kind = CxPoly if self.is_complexified else RealPoly
-        if not isinstance(p, kind):
-            raise TypeError(f"this generator acts on {kind.__name__}, got {type(p).__name__}")
+        if not isinstance(p, self.family):
+            raise TypeError(
+                f"this generator acts on {self.family.__name__}, got {type(p).__name__}"
+            )
         if self.n is not None and p.width() >= self.n:
             raise DimensionError(
                 f"polynomial in {p.width()} variables needs ambient dimension > {p.width()}, "
@@ -312,6 +318,7 @@ class PolySpace:
         self.k = k
         self.l = l
         self.kind = kind
+        self.family = RealPoly if kind == "real" else CxPoly
         if kind == "real":
             padded = sorted(_real_monomials(k, l), key=lambda a: (mono_degree(a), a))
             self.monomials = padded
@@ -336,40 +343,28 @@ class PolySpace:
         return len(self.monomials)
 
     def basis_poly(self, i: int, mode=EXACT):
-        if self.kind == "real":
-            return RealPoly({self.monomials[i]: 1}, mode)
-        a, b = self.monomials[i]
-        return CxPoly({(a, b): 1}, mode)
+        return self.family({self.monomials[i]: 1}, mode)
 
     def coords(self, p, dtype=None) -> np.ndarray:
         """Coefficient vector of p in this basis (raises if p does not fit)."""
-        if self.kind == "real":
-            if not isinstance(p, RealPoly):
-                raise TypeError("real space expects a RealPoly")
-        elif not isinstance(p, CxPoly):
-            raise TypeError("complex space expects a CxPoly")
-        if p.mode == EXACT and dtype is None:
+        if not isinstance(p, self.family):
+            raise TypeError(f"{self.kind} space expects a {self.family.__name__}")
+        exact = p.mode == EXACT and dtype is None
+        if exact:
             vec = np.zeros(self.dim, dtype=object)
-            if self.kind == "real":
-                vec[:] = Fraction(0)
-            else:
-                vec[:] = GaussianRational(0)
+            vec[:] = self.family._coeff(0, EXACT)
         else:
-            vec = np.zeros(self.dim, dtype=complex if self.kind == "complex" else float)
+            vec = np.zeros(self.dim, dtype=self.family._float)
         for key, c in p.terms.items():
             if key not in self.index:
                 raise ValueError(
                     f"monomial {key} outside basis of k={self.k}, l={self.l}"
                 )
-            vec[self.index[key]] = c if p.mode == EXACT and dtype is None else (
-                complex(c) if self.kind == "complex" else float(c)
-            )
+            vec[self.index[key]] = c if exact else self.family._float(c)
         return vec
 
     def poly_from_coords(self, vec, mode=FLOAT):
-        if self.kind == "real":
-            return RealPoly({self.monomials[i]: v for i, v in enumerate(vec) if v}, mode)
-        return CxPoly({self.monomials[i]: v for i, v in enumerate(vec) if v}, mode)
+        return self.family({self.monomials[i]: v for i, v in enumerate(vec) if v}, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ class OperatorMatrix:
         out = self.entries.dot(vec)
         mode = EXACT if (self.entries.dtype == object and p.mode == EXACT) else FLOAT
         if mode == FLOAT and out.dtype == object:
-            out = out.astype(complex if self.space.kind == "complex" else float)
+            out = out.astype(self.space.family._float)
         return self.space.poly_from_coords(out, mode)
 
 

@@ -1,15 +1,20 @@
-"""Sparse multivariate polynomial algebra.
+"""Sparse multivariate polynomial algebra: one body, two families.
 
-Two families of polynomials:
+``_Poly`` writes every operation once: ring operations, scaling, dilation,
+evaluation, conversion, comparison, printing and JSON reading.  A family
+only says how a monomial key splits into exponent tuples, how keys
+multiply, which coefficients and scalars it takes and how its variables
+are named:
 
-* ``RealPoly`` -- polynomials in real variables x1, x2, ...
-* ``CxPoly``   -- polynomials in complexified pairs (a1, abar1), (a2, abar2), ...
+* ``RealPoly`` -- real variables x1, x2, ...; a key is one exponent tuple.
+* ``CxPoly``   -- complexified pairs (a1, abar1), (a2, abar2), ...; a key is
+  a pair (alpha, beta) of a- and abar-exponents.
 
-Both are sparse maps from exponent tuples to coefficients and come in two
-coefficient modes: ``"exact"`` (arbitrary-precision rationals, Gaussian
-rationals for the complex case) and ``"float"`` (binary64 / complex128).
-Modes never mix silently in ring operations; conversion is explicit via
-``to_float()``.
+Both come in two coefficient modes: ``"exact"`` (arbitrary-precision
+rationals, Gaussian rationals for the complex case) and ``"float"``
+(binary64 / complex128).  Neither modes nor families mix in ring
+operations: mixed modes raise ``ModeMismatchError``, mixed families
+``TypeError``.  Conversion is explicit via ``to_float()``.
 
 Exponent tuples are canonicalized by trimming trailing zeros, so the same
 polynomial compares equal no matter how many ambient variables it is read in.
@@ -61,6 +66,11 @@ def mono_mul(a, b) -> tuple:
     if not b:
         return a
     return tuple(map(_add, a, b)) + a[len(b):]
+
+
+def _pair_mul(k1, k2) -> tuple:
+    """Product of two (alpha, beta) keys."""
+    return mono_mul(k1[0], k2[0]), mono_mul(k1[1], k2[1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +193,18 @@ def _check_modes(p, q):
 
 
 # ---------------------------------------------------------------------------
-# shared storage
+# one polynomial body
 
 
 class _Poly:
-    """Immutable storage shared by RealPoly and CxPoly: a canonical term map.
+    """Immutable sparse polynomial: a canonical map from monomial keys to coefficients.
+
+    A family sets ``_parts`` (key -> exponent tuples) and ``_join`` (back),
+    ``_key_mul`` (product of two keys), ``_scalars`` (accepted by ring
+    operations), ``_coeff`` (coefficient coercion), ``_float`` (float-mode
+    coefficient type), ``_value`` (the arithmetic of ``evaluate``) and
+    ``_names`` (one variable name per part).  Variables of a second part
+    read the conjugate of the point's coordinates.
 
     The public constructors validate their input.  Ring operations build
     their results with ``_trusted``, which stores a dict that is already
@@ -195,6 +212,18 @@ class _Poly:
     """
 
     __slots__ = ("terms", "mode")
+
+    def __init__(self, terms=None, mode=EXACT):
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        coeff, parts, join = self._coeff, self._parts, self._join
+        clean = {}
+        for key, c in (terms or {}).items():
+            c = coeff(c, mode)
+            if c:
+                clean[join(*map(trim, parts(key)))] = c
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -205,6 +234,97 @@ class _Poly:
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "mode", mode)
         return p
+
+    # -- constructors
+
+    @classmethod
+    def zero(cls, mode=EXACT):
+        return cls({}, mode)
+
+    @classmethod
+    def constant(cls, c, mode=EXACT):
+        # the key of the unit monomial: one empty exponent tuple per part
+        return cls({cls._join(*((),) * len(cls._names)): c}, mode)
+
+    # -- structure
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _key_degree(self, key) -> int:
+        return sum(map(mono_degree, self._parts(key)))
+
+    def _sorted_keys(self) -> list:
+        """Keys in printing order: total degree, then the key itself."""
+        return sorted(self.terms, key=lambda key: (self._key_degree(key), key))
+
+    def degree(self) -> int:
+        """Total degree (|alpha| + |beta| for pairs); 0 for the zero polynomial."""
+        return max(map(self._key_degree, self.terms), default=0)
+
+    def width(self) -> int:
+        """Smallest k such that every part lies in its first k variables."""
+        return max((len(m) for key in self.terms for m in self._parts(key)), default=0)
+
+    # -- ring operations
+
+    def _lift(self, other):
+        """other as a polynomial of this family and mode; None for any other operand."""
+        if isinstance(other, self._scalars):
+            return self.constant(other, self.mode)
+        if type(other) is not type(self):
+            return None
+        _check_modes(self, other)
+        return other
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            s = terms.get(key, 0) + c
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+        return self._trusted(terms, self.mode)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._trusted({key: -c for key, c in self.terms.items()}, self.mode)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_modes(self, other)
+        key_mul = self._key_mul
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = key_mul(k1, k2)
+                s = terms.get(key, 0) + c1 * c2
+                if s:
+                    terms[key] = s
+                else:
+                    terms.pop(key, None)
+        return self._trusted(terms, self.mode)
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -217,19 +337,136 @@ class _Poly:
             n >>= 1
             if n:
                 base = base * base
-        return type(self).constant(1, self.mode) if out is None else out
+        return self.constant(1, self.mode) if out is None else out
+
+    def scale(self, c):
+        c = self._coeff(c, self.mode)
+        if not c:
+            return self.zero(self.mode)
+        return self._trusted(
+            _nonzero({key: c * v for key, v in self.terms.items()}), self.mode
+        )
+
+    def dilate(self, lam):
+        """Rescale the point x -> lam*x (a -> lam*a, abar -> conj(lam)*abar).
+
+        A term picks up lam**|alpha| (times conj(lam)**|beta|).  A float or
+        complex ``lam`` promotes an exact polynomial to float mode.
+        """
+        p = self
+        if p.mode == EXACT and not isinstance(lam, (int, Fraction, GaussianRational)):
+            p = p.to_float()
+        lam = p._coeff(lam, p.mode)
+        factors = (lam, lam.conjugate())
+        terms = {}
+        for key, c in p.terms.items():
+            for f, mono in zip(factors, p._parts(key)):
+                c = c * f ** mono_degree(mono)
+            terms[key] = c
+        return p._trusted(_nonzero(terms), p.mode)
+
+    # -- evaluation
+
+    def evaluate(self, point):
+        """Evaluate at a point (sequence of numbers, length >= width).
+
+        Real polynomials compute in the point's own arithmetic, so an exact
+        point gives an exact value; complexified ones compute in complex
+        floats, and abar_j reads the conjugate of coordinate j.
+        """
+        point = [self._value(z) for z in point]
+        if len(point) < self.width():
+            raise ValueError(
+                f"need {self.width()} coordinates, got {len(point)}"
+            )
+        total = self._value(0)
+        for key, c in self.terms.items():
+            v = self._value(c)
+            for side, mono in enumerate(self._parts(key)):
+                for j, e in enumerate(mono):
+                    if e:
+                        v = v * (point[j].conjugate() if side else point[j]) ** e
+            total = total + v
+        return total
+
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation on an (n, k) array of sample points."""
+        dtype, parts = self._float, self._parts
+        x = np.asarray(x, dtype=dtype)
+        out = np.zeros(x.shape[0], dtype=dtype)
+        power = _Powers(x)
+        for key, c in self.terms.items():
+            v = np.full(x.shape[0], dtype(c))
+            for side, mono in enumerate(parts(key)):
+                for j, e in enumerate(mono):
+                    if e:
+                        v *= power[side, j, e]
+            out += v
+        return out
+
+    # -- conversions, comparisons and printing
+
+    def to_float(self):
+        if self.mode == FLOAT:
+            return self
+        return self._trusted(
+            _nonzero({key: self._float(c) for key, c in self.terms.items()}), FLOAT
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.mode == other.mode and self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r}, mode={self.mode!r})"
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for key in self._sorted_keys():
+            mono = "*".join(filter(None, map(_format_vars, self._parts(key), self._names)))
+            coeff = _format_coeff(self.terms[key])
+            bits.append(f"{coeff}*{mono}" if mono else coeff)
+        return " + ".join(bits)
+
+    @classmethod
+    def _from_json(cls, rows: list):
+        """Read ``poly_to_json`` rows: exact when every ``re`` and ``im`` is a
+        "num/den" string, float when none is; any other mix is rejected."""
+        strings = {isinstance(row[part], str) for row in rows for part in ("re", "im")}
+        if len(strings) > 1:
+            raise ValueError('JSON rows must write every number as a "num/den" string, or none')
+        exact = False not in strings
+        width = len(cls._names)
+        terms = {}
+        for row in rows:
+            parts = (tuple(row["a_exponents"]), tuple(row["abar_exponents"]))
+            re, im = _json_number(row["re"]), _json_number(row["im"])
+            if width == 1 and (parts[1] or im):
+                raise ValueError(
+                    "real polynomial rows cannot carry abar exponents or imaginary parts"
+                )
+            c = re if width == 1 else GaussianRational(re, im) if exact else complex(re, im)
+            terms[cls._join(*parts[:width])] = c
+        return cls(terms, EXACT if exact else FLOAT)
 
 
 class _Powers(dict):
-    """points[:, j] ** e by (j, e), each computed once per evaluation."""
+    """Column powers by (side, j, e), each computed once per evaluation.
+
+    Side 0 reads points[:, j], side 1 its conjugate.
+    """
 
     def __init__(self, points: np.ndarray):
         super().__init__()
         self.points = points
 
     def __missing__(self, key):
-        j, e = key
-        out = self[key] = self.points[:, j] ** e
+        side, j, e = key
+        column = self.points[:, j]
+        out = self[key] = (column.conjugate() if side else column) ** e
         return out
 
 
@@ -239,183 +476,32 @@ def _nonzero(terms: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# real polynomials
+# the two families
 
 
 class RealPoly(_Poly):
-    """Finitely supported map from exponent tuples to coefficients.
+    """Polynomial in real variables x1, x2, ...: exponent tuple alpha -> coefficient.
 
     Instances are immutable values; all operations return new polynomials.
     """
 
     __slots__ = ()
-
-    def __init__(self, terms=None, mode=EXACT):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        clean = {}
-        for alpha, c in (terms or {}).items():
-            c = _real_coeff(c, mode)
-            if c:
-                clean[trim(alpha)] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls, mode=EXACT):
-        return cls({}, mode)
-
-    @classmethod
-    def constant(cls, c, mode=EXACT):
-        return cls({(): c}, mode)
+    _names = ("x",)
+    _scalars = (int, float, Fraction)
+    _float = float
+    _coeff = staticmethod(_real_coeff)
+    _value = staticmethod(lambda z: z)
+    _parts = staticmethod(lambda alpha: (alpha,))
+    _join = staticmethod(lambda alpha: alpha)
+    _key_mul = staticmethod(mono_mul)
 
     @classmethod
     def variable(cls, index: int, mode=EXACT):
         """The coordinate x_{index+1} (index is 0-based)."""
         return cls({(0,) * index + (1,): 1}, mode)
 
-    # -- structure
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((mono_degree(a) for a in self.terms), default=0)
-
-    def width(self) -> int:
-        """Smallest k such that the polynomial lies in the first k variables."""
-        return max((len(a) for a in self.terms), default=0)
-
     def coefficient(self, alpha):
-        return self.terms.get(trim(alpha), _real_coeff(0, self.mode))
-
-    # -- ring operations
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = RealPoly.constant(other, self.mode)
-        if not isinstance(other, RealPoly):
-            return NotImplemented
-        _check_modes(self, other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a, 0) + c
-            if s:
-                terms[a] = s
-            else:
-                terms.pop(a, None)
-        return RealPoly._trusted(terms, self.mode)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RealPoly._trusted({a: -c for a, c in self.terms.items()}, self.mode)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RealPoly) else RealPoly.constant(-other, self.mode))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, RealPoly):
-            return NotImplemented
-        _check_modes(self, other)
-        terms = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                key = mono_mul(a1, a2)
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return RealPoly._trusted(terms, self.mode)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = _real_coeff(c, self.mode)
-        if not c:
-            return RealPoly.zero(self.mode)
-        return RealPoly._trusted(
-            _nonzero({a: c * v for a, v in self.terms.items()}), self.mode
-        )
-
-    def dilate(self, lam) -> "RealPoly":
-        """Rescale the point: each total-degree-m term picks up lam**m.
-
-        A float ``lam`` promotes an exact polynomial to float mode.
-        """
-        p = self
-        if p.mode == EXACT and not isinstance(lam, (int, Fraction)):
-            p = p.to_float()
-        return RealPoly(
-            {a: c * lam ** mono_degree(a) for a, c in p.terms.items()}, p.mode
-        )
-
-    # -- evaluation
-
-    def evaluate(self, point):
-        """Evaluate at a point (sequence of numbers, length >= width)."""
-        point = list(point)
-        if len(point) < self.width():
-            raise ValueError(
-                f"need {self.width()} coordinates, got {len(point)}"
-            )
-        total = 0
-        for a, c in self.terms.items():
-            v = c
-            for j, e in enumerate(a):
-                if e:
-                    v = v * point[j] ** e
-            total = total + v
-        return total
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (n, k) array of sample points."""
-        x = np.asarray(x)
-        out = np.zeros(x.shape[0])
-        power = _Powers(x)
-        for a, c in self.terms.items():
-            v = np.full(x.shape[0], float(c))
-            for j, e in enumerate(a):
-                if e:
-                    v *= power[j, e]
-            out += v
-        return out
-
-    # -- conversions and comparisons
-
-    def to_float(self) -> "RealPoly":
-        if self.mode == FLOAT:
-            return self
-        return RealPoly._trusted(
-            _nonzero({a: float(c) for a, c in self.terms.items()}), FLOAT
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, RealPoly):
-            return NotImplemented
-        return self.mode == other.mode and self.terms == other.terms
-
-    def __repr__(self):
-        return f"RealPoly({format_real(self)!r}, mode={self.mode!r})"
-
-    def __str__(self):
-        return format_real(self)
-
-
-# ---------------------------------------------------------------------------
-# complexified polynomials
+        return self.terms.get(trim(alpha), self._coeff(0, self.mode))
 
 
 class CxPoly(_Poly):
@@ -426,25 +512,14 @@ class CxPoly(_Poly):
     """
 
     __slots__ = ()
-
-    def __init__(self, terms=None, mode=EXACT):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        clean = {}
-        for (alpha, beta), c in (terms or {}).items():
-            c = _cx_coeff(c, mode)
-            if c:
-                clean[(trim(alpha), trim(beta))] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
-
-    @classmethod
-    def zero(cls, mode=EXACT):
-        return cls({}, mode)
-
-    @classmethod
-    def constant(cls, c, mode=EXACT):
-        return cls({((), ()): c}, mode)
+    _names = ("a", "abar")
+    _scalars = (int, float, complex, Fraction, GaussianRational)
+    _float = complex
+    _coeff = staticmethod(_cx_coeff)
+    _value = complex
+    _parts = staticmethod(lambda key: key)
+    _join = staticmethod(lambda alpha, beta: (alpha, beta))
+    _key_mul = staticmethod(_pair_mul)
 
     @classmethod
     def a(cls, index: int, mode=EXACT):
@@ -454,17 +529,8 @@ class CxPoly(_Poly):
     def abar(cls, index: int, mode=EXACT):
         return cls({((), (0,) * index + (1,)): 1}, mode)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_holomorphic(self) -> bool:
         return all(not beta for _, beta in self.terms)
-
-    def degree(self) -> int:
-        """Total bidegree |alpha| + |beta|; 0 for the zero polynomial."""
-        return max(
-            (mono_degree(a) + mono_degree(b) for a, b in self.terms), default=0
-        )
 
     def a_degree(self) -> int:
         return max((mono_degree(a) for a, _ in self.terms), default=0)
@@ -472,67 +538,8 @@ class CxPoly(_Poly):
     def abar_degree(self) -> int:
         return max((mono_degree(b) for _, b in self.terms), default=0)
 
-    def width(self) -> int:
-        return max((max(len(a), len(b)) for a, b in self.terms), default=0)
-
     def coefficient(self, alpha, beta=()):
-        return self.terms.get((trim(alpha), trim(beta)), _cx_coeff(0, self.mode))
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, GaussianRational)):
-            other = CxPoly.constant(other, self.mode)
-        if not isinstance(other, CxPoly):
-            return NotImplemented
-        _check_modes(self, other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return CxPoly._trusted(terms, self.mode)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CxPoly._trusted({k: -c for k, c in self.terms.items()}, self.mode)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, GaussianRational)):
-            return self.scale(other)
-        if not isinstance(other, CxPoly):
-            return NotImplemented
-        _check_modes(self, other)
-        terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (mono_mul(a1, a2), mono_mul(b1, b2))
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return CxPoly._trusted(terms, self.mode)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = _cx_coeff(c, self.mode)
-        if not c:
-            return CxPoly.zero(self.mode)
-        return CxPoly._trusted(
-            _nonzero({k: c * v for k, v in self.terms.items()}), self.mode
-        )
+        return self.terms.get((trim(alpha), trim(beta)), self._coeff(0, self.mode))
 
     def conjugate(self) -> "CxPoly":
         """Swap a- and abar-exponents and conjugate every coefficient."""
@@ -546,60 +553,6 @@ class CxPoly(_Poly):
             raise HolomorphicityError("mod_square needs a holomorphic polynomial")
         return self * self.conjugate()
 
-    def dilate(self, lam) -> "CxPoly":
-        """Rescale the point a -> lam*a (and abar -> conj(lam)*abar)."""
-        p = self
-        if p.mode == EXACT and not isinstance(lam, (int, Fraction, GaussianRational)):
-            p = p.to_float()
-        if p.mode == EXACT:
-            lam = _as_gaussian(lam) if not isinstance(lam, GaussianRational) else lam
-            lam_bar = lam.conjugate()
-        else:
-            lam = complex(lam)
-            lam_bar = lam.conjugate()
-        return CxPoly(
-            {
-                (a, b): c * lam ** mono_degree(a) * lam_bar ** mono_degree(b)
-                for (a, b), c in p.terms.items()
-            },
-            p.mode,
-        )
-
-    def evaluate(self, point):
-        """Evaluate at complex coordinates; abar-variables get conjugates."""
-        point = [complex(z) for z in point]
-        if len(point) < self.width():
-            raise ValueError(
-                f"need {self.width()} coordinates, got {len(point)}"
-            )
-        total = 0j
-        for (a, b), c in self.terms.items():
-            v = complex(c)
-            for j, e in enumerate(a):
-                if e:
-                    v *= point[j] ** e
-            for j, e in enumerate(b):
-                if e:
-                    v *= point[j].conjugate() ** e
-            total += v
-        return total
-
-    def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (n, k) complex array."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape[0], dtype=complex)
-        power, power_bar = _Powers(z), _Powers(z.conjugate())
-        for (a, b), c in self.terms.items():
-            v = np.full(z.shape[0], complex(c))
-            for j, e in enumerate(a):
-                if e:
-                    v *= power[j, e]
-            for j, e in enumerate(b):
-                if e:
-                    v *= power_bar[j, e]
-            out += v
-        return out
-
     def as_real_monomials(self) -> dict:
         """Collapse to real points a = abar = x: map x-exponents to coefficients."""
         out = {}
@@ -611,24 +564,6 @@ class CxPoly(_Poly):
             else:
                 out.pop(key, None)
         return out
-
-    def to_float(self) -> "CxPoly":
-        if self.mode == FLOAT:
-            return self
-        return CxPoly._trusted(
-            _nonzero({k: complex(c) for k, c in self.terms.items()}), FLOAT
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, CxPoly):
-            return NotImplemented
-        return self.mode == other.mode and self.terms == other.terms
-
-    def __repr__(self):
-        return f"CxPoly({format_cx(self)!r}, mode={self.mode!r})"
-
-    def __str__(self):
-        return format_cx(self)
 
 
 # ---------------------------------------------------------------------------
@@ -690,30 +625,6 @@ def _format_vars(alpha, name):
     return "*".join(parts)
 
 
-def format_real(p: RealPoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for a in sorted(p.terms, key=lambda a: (mono_degree(a), a)):
-        mono = _format_vars(a, "x")
-        coeff = _format_coeff(p.terms[a])
-        bits.append(f"{coeff}*{mono}" if mono else coeff)
-    return " + ".join(bits)
-
-
-def format_cx(q: CxPoly) -> str:
-    if q.is_zero():
-        return "0"
-    bits = []
-    for a, b in sorted(
-        q.terms, key=lambda k: (mono_degree(k[0]) + mono_degree(k[1]), k)
-    ):
-        mono = "*".join(x for x in (_format_vars(a, "a"), _format_vars(b, "abar")) if x)
-        coeff = _format_coeff(q.terms[(a, b)])
-        bits.append(f"{coeff}*{mono}" if mono else coeff)
-    return " + ".join(bits)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization: term lists [{a_exponents, abar_exponents, re, im}];
 # exact rationals travel as "num/den" strings.
@@ -735,26 +646,10 @@ def _number_to_json(c):
 
 def poly_to_json(p) -> list:
     rows = []
-    if isinstance(p, RealPoly):
-        items = sorted(
-            ((a, ()) for a in p.terms), key=lambda k: (mono_degree(k[0]), k)
-        )
-        get = lambda key: p.terms[key[0]]
-    else:
-        items = sorted(
-            p.terms, key=lambda k: (mono_degree(k[0]) + mono_degree(k[1]), k)
-        )
-        get = lambda key: p.terms[key]
-    for key in items:
-        re, im = _number_to_json(get(key))
-        rows.append(
-            {
-                "a_exponents": list(key[0]),
-                "abar_exponents": list(key[1]),
-                "re": re,
-                "im": im,
-            }
-        )
+    for key in p._sorted_keys():
+        alpha, beta = (*p._parts(key), ())[:2]
+        re, im = _number_to_json(p.terms[key])
+        rows.append({"a_exponents": list(alpha), "abar_exponents": list(beta), "re": re, "im": im})
     return rows
 
 
@@ -765,26 +660,5 @@ def _json_number(value):
     return float(value)
 
 
-def real_poly_from_json(rows: list) -> RealPoly:
-    terms = {}
-    exact = all(isinstance(row["re"], str) for row in rows) if rows else True
-    for row in rows:
-        if row["abar_exponents"]:
-            raise ValueError("real polynomial rows cannot carry abar exponents")
-        re = _json_number(row["re"])
-        im = _json_number(row["im"])
-        if im:
-            raise ValueError("real polynomial rows cannot carry imaginary parts")
-        terms[tuple(row["a_exponents"])] = re
-    return RealPoly(terms, EXACT if exact else FLOAT)
-
-
-def cx_poly_from_json(rows: list) -> CxPoly:
-    terms = {}
-    exact = all(isinstance(row["re"], str) for row in rows) if rows else True
-    for row in rows:
-        re = _json_number(row["re"])
-        im = _json_number(row["im"])
-        key = (tuple(row["a_exponents"]), tuple(row["abar_exponents"]))
-        terms[key] = GaussianRational(re, im) if exact else complex(re, im)
-    return CxPoly(terms, EXACT if exact else FLOAT)
+real_poly_from_json = RealPoly._from_json
+cx_poly_from_json = CxPoly._from_json

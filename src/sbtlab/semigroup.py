@@ -36,7 +36,7 @@ import numpy as np
 
 from . import diffops
 from .diffops import Group, GroupGenerator, OperatorMatrix, PolySpace, _laplacian_chain
-from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, mono_degree, trim
+from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, mono_degree
 
 
 class CommutationError(ValueError):
@@ -145,7 +145,7 @@ def exp_graded(gen: GroupGenerator, t, q):
     float-mode poly.
     """
     gen.check_domain(q)
-    kind = CxPoly if gen.is_complexified else RealPoly
+    kind = gen.family
     exact = (
         q.mode == EXACT
         and isinstance(t, (int, Fraction))
@@ -156,7 +156,7 @@ def exp_graded(gen: GroupGenerator, t, q):
     out = {}
     for key, c in q.terms.items():
         if not exact:
-            c = complex(c) if kind is CxPoly else float(c)
+            c = kind._float(c)
         for beta, v in flow_monomial(gen, t, key, exact).items():
             out[beta] = out.get(beta, 0) + c * v
     return kind._trusted({beta: v for beta, v in out.items() if v}, EXACT if exact else FLOAT)
@@ -165,8 +165,7 @@ def exp_graded(gen: GroupGenerator, t, q):
 def flow_matrix(gen: GroupGenerator, space: PolySpace) -> np.ndarray:
     """exp(gen) on a graded basis, built column by column from monomial flows."""
     out = np.zeros((space.dim, space.dim))
-    for j, mono in enumerate(space.monomials):
-        key = trim(mono) if space.kind == "real" else (trim(mono[0]), trim(mono[1]))
+    for key, j in space.index.items():
         for beta, v in flow_monomial(gen, 1.0, key).items():
             out[space.index[beta], j] = v
     return out

@@ -61,9 +61,6 @@ class Limit:
             raise ValueError("limit transform needs T > 0")
 
 
-TransformTag = (Euclidean, Sphere, Limit)
-
-
 def euclidean_sbt(p: RealPoly, s, t) -> CxPoly:
     """Heat-flow p for time t, then extend holomorphically (0 < t < 2s)."""
     if not 0 < t < 2 * s:

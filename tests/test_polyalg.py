@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -262,3 +263,101 @@ def test_ring_op_results_equal_their_revalidated_copies(pair):
             results.append(p.mod_square())
     for r in results:
         _assert_canonical(r)
+
+
+# ---------------------------------------------------------------------------
+# families never mix; JSON reading has one exactness rule; printed forms
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+def test_mixing_families_raises_type_error_in_both_orders(op):
+    for left, right in ((X1, A1), (A1, X1)):
+        with pytest.raises(TypeError):
+            op(left, right)
+
+
+def test_json_rows_mixing_exact_and_float_numbers_are_rejected():
+    with pytest.raises(ValueError, match="num/den"):
+        cx_poly_from_json([{"a_exponents": [1], "abar_exponents": [], "re": "1/2", "im": 0.1}])
+    exact_row = {"a_exponents": [1], "abar_exponents": [], "re": "1/2", "im": "0/1"}
+    float_row = {"a_exponents": [2], "abar_exponents": [], "re": 0.5, "im": 0.0}
+    for read in (real_poly_from_json, cx_poly_from_json):
+        with pytest.raises(ValueError, match="num/den") as caught:
+            read([exact_row, float_row])
+        assert not isinstance(caught.value, ModeMismatchError)
+
+
+def test_real_json_rows_reject_abar_exponents_and_imaginary_parts():
+    row = {"a_exponents": [], "abar_exponents": [1], "re": 0.25, "im": -1.0}
+    with pytest.raises(ValueError, match="abar exponents"):
+        real_poly_from_json([row])
+    with pytest.raises(ValueError, match="imaginary parts"):
+        real_poly_from_json([dict(row, abar_exponents=[])])
+
+
+def _golden_polys():
+    G = GaussianRational
+    real = 3 * X1 * X2 ** 2 - X1 ** 2 + RealPoly.constant(Fraction(-1, 3)) + X2
+    cx = (A1 * ABAR2).scale(G(1, -2)) + A1 ** 2 + ABAR1.scale(G(Fraction(3, 4), Fraction(1, 5))) \
+        + CxPoly.constant(G(0, 1)) + A2
+    cx_float = ((A1 * ABAR2).scale(G(1, -2)) + A1 ** 2 + CxPoly.constant(G(Fraction(1, 3)))) \
+        .to_float() + ABAR1.to_float().scale(0.5j)
+    return {
+        "real_exact": real,
+        "real_float": (real - X2).to_float() + 0.1 * X1.to_float(),
+        "real_zero_exact": RealPoly.zero(),
+        "real_zero_float": RealPoly.zero(FLOAT),
+        "cx_exact": cx,
+        "cx_float": cx_float,
+        "cx_zero_exact": CxPoly.zero(),
+        "cx_zero_float": CxPoly.zero(FLOAT),
+    }
+
+
+_GOLDEN_STR = {
+    "real_exact": "-1/3 + 1*x2 + -1*x1^2 + 3*x1*x2^2",
+    "real_float": "-0.3333333333333333 + 0.1*x1 + -1.0*x1^2 + 3.0*x1*x2^2",
+    "real_zero_exact": "0",
+    "real_zero_float": "0",
+    "cx_exact": "(0+1i) + (3/4+1/5i)*abar1 + 1*a2 + (1-2i)*a1*abar2 + 1*a1^2",
+    "cx_float": "0.3333333333333333 + 0.5j*abar1 + (1-2j)*a1*abar2 + 1.0*a1^2",
+    "cx_zero_exact": "0",
+    "cx_zero_float": "0",
+}
+
+_GOLDEN_JSON = {
+    "real_exact": '[{"a_exponents": [], "abar_exponents": [], "re": "-1/3", "im": "0/1"}, '
+                  '{"a_exponents": [0, 1], "abar_exponents": [], "re": "1/1", "im": "0/1"}, '
+                  '{"a_exponents": [2], "abar_exponents": [], "re": "-1/1", "im": "0/1"}, '
+                  '{"a_exponents": [1, 2], "abar_exponents": [], "re": "3/1", "im": "0/1"}]',
+    "real_float": '[{"a_exponents": [], "abar_exponents": [], "re": -0.3333333333333333, '
+                  '"im": 0.0}, '
+                  '{"a_exponents": [1], "abar_exponents": [], "re": 0.1, "im": 0.0}, '
+                  '{"a_exponents": [2], "abar_exponents": [], "re": -1.0, "im": 0.0}, '
+                  '{"a_exponents": [1, 2], "abar_exponents": [], "re": 3.0, "im": 0.0}]',
+    "real_zero_exact": "[]",
+    "real_zero_float": "[]",
+    "cx_exact": '[{"a_exponents": [], "abar_exponents": [], "re": "0/1", "im": "1/1"}, '
+                '{"a_exponents": [], "abar_exponents": [1], "re": "3/4", "im": "1/5"}, '
+                '{"a_exponents": [0, 1], "abar_exponents": [], "re": "1/1", "im": "0/1"}, '
+                '{"a_exponents": [1], "abar_exponents": [0, 1], "re": "1/1", "im": "-2/1"}, '
+                '{"a_exponents": [2], "abar_exponents": [], "re": "1/1", "im": "0/1"}]',
+    "cx_float": '[{"a_exponents": [], "abar_exponents": [], "re": 0.3333333333333333, '
+                '"im": 0.0}, '
+                '{"a_exponents": [], "abar_exponents": [1], "re": 0.0, "im": 0.5}, '
+                '{"a_exponents": [1], "abar_exponents": [0, 1], "re": 1.0, "im": -2.0}, '
+                '{"a_exponents": [2], "abar_exponents": [], "re": 1.0, "im": 0.0}]',
+    "cx_zero_exact": "[]",
+    "cx_zero_float": "[]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_STR))
+def test_printed_forms_are_pinned(name):
+    p = _golden_polys()[name]
+    assert str(p) == _GOLDEN_STR[name]
+    assert repr(p) == f"{type(p).__name__}({_GOLDEN_STR[name]!r}, mode={p.mode!r})"
+    assert json.dumps(poly_to_json(p)) == _GOLDEN_JSON[name]
+    read = real_poly_from_json if isinstance(p, RealPoly) else cx_poly_from_json
+    # rows without numbers read as exact
+    assert read(json.loads(_GOLDEN_JSON[name])) == (p if p.terms else type(p).zero())
