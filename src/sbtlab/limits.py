@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffops, measures, transforms
-from .polyalg import CxPoly, RealPoly, coeff_distance
+from .polyalg import RealPoly, coeff_distance
 
 DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
 
@@ -54,7 +54,6 @@ class ConvergenceTable:
     references: list
     errors: list
     fitted_rate: float
-    reference_label: str = ""
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -80,19 +79,6 @@ class ConvergenceTable:
             )
         return rows
 
-    def to_json_obj(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "reference_label": self.reference_label,
-            "meta": dict(self.meta),
-            "rows": [
-                {"N": n, "value": _jsonable(v), "reference": _jsonable(r), "abs_error": e}
-                for n, v, r, e in zip(self.ns, self.values, self.references, self.errors)
-            ],
-            # the rate is an observation of this run, not an asserted constant
-            "fitted_rate": _rate_marker(self.fitted_rate),
-        }
-
 
 def _rate_or_nan(ns, errors):
     """Fitted rate, or NaN when the grid has too few informative points."""
@@ -100,20 +86,6 @@ def _rate_or_nan(ns, errors):
         return fit_rate(ns, errors)
     except ValueError:
         return math.nan
-
-
-def _jsonable(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    return v
-
-
-def _rate_marker(rate: float):
-    if math.isinf(rate):
-        return "inf"
-    if math.isnan(rate):
-        return "nan"
-    return rate
 
 
 def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
@@ -129,22 +101,15 @@ def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
         references=[0.0] * len(ns),
         errors=list(errors),
         fitted_rate=_rate_or_nan(ns, errors),
-        reference_label=str(reference),
     )
 
 
 def measure_limit(q, family: str, T=None, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Finite-n sphere or quadric moments of q against the Gaussian limit."""
     if family == "sphere":
-        if not isinstance(q, RealPoly):
-            raise TypeError("sphere moments take real polynomials")
         limit = float(measures.gaussian_moment(q, 1))
         values = [float(measures.sphere_moment(q, n)) for n in ns]
     elif family == "quadric":
-        if not isinstance(q, CxPoly):
-            raise TypeError("quadric moments take complexified polynomials")
-        if T is None:
-            raise ValueError("quadric moments need T")
         limit = complex(measures.gamma_moment(q, T))
         values = [complex(measures.quadric_moment(q, n, T)) for n in ns]
     else:
@@ -157,7 +122,6 @@ def measure_limit(q, family: str, T=None, ns=DEFAULT_N_GRID) -> ConvergenceTable
         references=[limit] * len(ns),
         errors=errors,
         fitted_rate=_rate_or_nan(ns, errors),
-        reference_label=f"limit moment {limit}",
         meta={} if T is None else {"T": T},
     )
 
@@ -173,7 +137,6 @@ def transform_limit(p: RealPoly, T, ns=DEFAULT_N_GRID) -> ConvergenceTable:
         references=[0.0] * len(ns),
         errors=list(errors),
         fitted_rate=_rate_or_nan(ns, errors),
-        reference_label=str(reference),
         meta={"T": T},
     )
 
@@ -238,6 +201,5 @@ def diagram_convergence(p: RealPoly, T, ns=DEFAULT_N_GRID,
         references=[r.gamma_norm2 for r in reports],
         errors=errors,
         fitted_rate=_rate_or_nan(ns, errors),
-        reference_label="limit-range norm",
         meta={"T": T},
     )

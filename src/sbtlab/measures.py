@@ -11,18 +11,18 @@
                  by pushing the integrand through the exponential of the
                  quadric operator and reading the result on the real points.
 
-``moment(spec, q)`` integrates any polynomial; ``norm2(spec, f)`` gives the
-squared L2 norm of f as a bilinear form over f's own terms, without forming
-f*f or |f|^2.
+Each measure is defined once, by its ``MeasureSpec``: the spec checks every
+parameter on construction and each integrand in ``check``, and supplies the
+numbers the routines read.  ``moment(spec, q)`` and ``norm2(spec, f)``, the
+squared L2 norm as a bilinear form over f's own terms, share one routine per
+measure kind; the per-family functions build a spec and call ``moment``.
+Real moments are pairing counts prod_i (alpha_i - 1)!! times a radial weight
+of |alpha|/2, summed over integers by half-degree and ended by one division,
+which keeps the convergence experiments accurate at n = 10^4 and beyond.
 
-Gaussian moments are the heat flow read at the origin, one monomial at a
-time: the constant coefficient of exp((t/2) Lap) x^alpha is
-prod_i (alpha_i - 1)!! t^{|alpha|/2} when every alpha_i is even and 0
-otherwise, so the cost follows the support of p.  They are exact in rational
-mode; the pairing-sum oracle for the same quantity lives in ``oracle``.
-Sphere monomial moments are computed with exact rational factorial ratios at
-every n and only converted to float at the end, which keeps the convergence
-experiments accurate at n = 10^4 and beyond.
+Exactness: a moment is exact only when the input is exact and every
+parameter is rational (gamma's e^T never is, and quadric moments go through
+float flows).  Otherwise a real moment is the exact sum, rounded once.
 """
 
 from __future__ import annotations
@@ -45,15 +45,23 @@ from .polyalg import (
     RealPoly,
     mono_degree,
     mono_mul,
-    trim,
 )
 
-_FAMILIES = ("gauss", "xi", "gamma", "sphere", "quadric")
+# the positive, finite parameters of each family; sphere and quadric also
+# take an ambient dimension n >= 2
+_PARAMS = {
+    "gauss": ("t",),
+    "xi": ("s", "t"),
+    "gamma": ("T",),
+    "sphere": ("b2",),
+    "quadric": ("T", "b2"),
+}
+_REAL = ("gauss", "sphere")
 
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Tagged parameters of one measure family; validated on construction."""
+    """One measure: its family and parameters, checked once on construction."""
 
     family: str
     t: object = None
@@ -63,29 +71,22 @@ class MeasureSpec:
     b2: object = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        names = _PARAMS.get(self.family)
+        if names is None:
             raise ValueError(f"unknown measure family {self.family!r}")
-        if self.family == "gauss":
-            if self.t is None or self.t <= 0:
-                raise ValueError("gauss needs variance t > 0")
-        elif self.family == "xi":
-            if self.s is None or self.t is None or not 0 < self.t < 2 * self.s:
-                raise ValueError("xi needs 0 < t < 2s")
-        elif self.family == "gamma":
-            if self.T is None or self.T <= 0:
-                raise ValueError("gamma needs T > 0")
-        elif self.family == "sphere":
-            if self.n is None or self.n < 2:
-                raise ValueError("sphere needs ambient dimension n >= 2")
-            if self.b2 is None or self.b2 <= 0:
-                raise ValueError("sphere needs b2 > 0")
-        elif self.family == "quadric":
-            if self.n is None or self.n < 2:
-                raise ValueError("quadric needs ambient dimension n >= 2")
-            if self.b2 is None or self.b2 <= 0:
-                raise ValueError("quadric needs b2 > 0")
-            if self.T is None or self.T <= 0:
-                raise ValueError("quadric needs T > 0")
+        if self.family in ("sphere", "quadric") and not (isinstance(self.n, int) and self.n >= 2):
+            raise ValueError(f"{self.family} needs ambient dimension n >= 2, got n={self.n}")
+        for name in names:
+            value = getattr(self, name)
+            if value is None or not 0 < value < math.inf:
+                raise ValueError(f"{self.family} needs {name} > 0 and finite, got {name}={value}")
+        if self.family == "xi" and not self.t < 2 * self.s:
+            raise ValueError(f"xi needs 0 < t < 2s, got s={self.s}, t={self.t}")
+        if self.family == "gamma":
+            try:
+                math.exp(self.T)
+            except OverflowError:
+                raise ValueError(f"gamma needs e^T to fit in a float, got T={self.T}") from None
 
     @classmethod
     def gauss(cls, t):
@@ -107,6 +108,40 @@ class MeasureSpec:
     def quadric(cls, n, T, b2=None):
         return cls("quadric", n=n, T=T, b2=n if b2 is None else b2)
 
+    @property
+    def rational(self) -> bool:
+        """Whether every number the measure supplies is rational, so exact input stays exact."""
+        return self.family in ("gauss", "xi", "sphere") and all(
+            isinstance(getattr(self, name), (int, Fraction)) for name in _PARAMS[self.family]
+        )
+
+    def check(self, f) -> None:
+        """Raise unless f is a polynomial this measure integrates."""
+        real = self.family in _REAL
+        if not isinstance(f, RealPoly if real else CxPoly):
+            kind = "real" if real else "complexified"
+            raise TypeError(f"{self.family} moments take {kind} polynomials")
+        if self.family == "sphere" and f.width() > self.n:
+            raise DimensionError(
+                f"polynomial in {f.width()} variables cannot live on an S^{self.n - 1}"
+            )
+        if self.family == "quadric" and f.width() >= self.n:
+            raise DimensionError(
+                f"quadric moments need ambient dimension > {f.width()}, got {self.n}"
+            )
+
+    def radial(self, m: int) -> Fraction:
+        """Moment of a degree-2m monomial of the real kinds over its pairing count."""
+        if self.family == "gauss":
+            return _gauss_radial(m, self.t)
+        return _sphere_radial(m, self.n, self.b2)
+
+    def covariances(self) -> tuple:
+        """(E[a^2], E[a abar]) per coordinate of the complex Gaussians xi and gamma."""
+        if self.family == "xi":
+            return self.s - self.t, self.s
+        return 1.0, math.exp(self.T)
+
     def to_json(self) -> str:
         raw = {k: v for k, v in asdict(self).items() if v is not None}
         for key, value in raw.items():
@@ -125,7 +160,7 @@ class MeasureSpec:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moments via the heat operator at zero
+# real kinds: pairing counts times a radial weight
 
 _DFACT = {}
 
@@ -158,39 +193,77 @@ def _pairings(alpha: tuple) -> int:
     return out
 
 
-def gaussian_moment(p: RealPoly, t):
-    """Integral of p against the centered Gaussian of per-coordinate variance t.
+@lru_cache(maxsize=1024)
+def _gauss_radial(m: int, t) -> Fraction:
+    """t^m: a degree-2m Gaussian moment over its pairings."""
+    return Fraction(t) ** m
 
-    The heat flow exp((t/2) Lap) p read at the origin.  The constant
-    coefficient of exp((t/2) Lap) x^alpha is the term j = |alpha|/2 of the
-    terminating series, (t/2)^j / j! Lap^j x^alpha, which is
-    prod_i (alpha_i - 1)!! t^{|alpha|/2} for even alpha and 0 otherwise, so
-    each monomial is read off directly.  Exact for exact p and rational t;
-    for exact p and float t the sum is exact (a float is a dyadic rational)
-    and rounded once; float p sums in floats.
+
+@lru_cache(maxsize=None)
+def _sphere_radial(m: int, n: int, b2) -> Fraction:
+    """b2^m / (n (n + 2) ... (n + 2m - 2)): a degree-2m sphere moment over its pairings."""
+    den = 1
+    for i in range(m):
+        den *= n + 2 * i
+    return Fraction(b2) ** m / den
+
+
+def sphere_mono_moment(alpha: tuple, n: int, b2) -> Fraction:
+    """Exact moment of a monomial over the radius-sqrt(b2) sphere in R^n (len(alpha) <= n)."""
+    return _pairings(alpha) * _sphere_radial(mono_degree(alpha) // 2, n, b2)
+
+
+def _parity(alpha) -> tuple:
+    out = [e & 1 for e in alpha]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _real_integral(spec: MeasureSpec, p: RealPoly, square: bool = False):
+    """sum c_alpha pairings(alpha) radial(|alpha| / 2) over p's terms.
+
+    With ``square`` the sum runs over pairs, p_alpha p_beta at alpha + beta:
+    the squared norm, without forming p * p.  Only pairs in one parity class
+    contribute.  The coefficients are brought to one denominator, so the
+    sums run over integers by half-degree and end in one int / int division,
+    which rounds once, correctly.  A moment of exact p under a rational
+    spec is returned as that exact Fraction instead.
     """
-    if not 0 < t < math.inf:
-        raise ValueError("gaussian variance must be positive and finite")
-    if p.mode != EXACT:
-        t = float(t)
-        return math.fsum(
-            c * ways * t ** (mono_degree(alpha) // 2)
-            for alpha, c in p.terms.items()
-            if (ways := _pairings(alpha))
-        )
-    # exact coefficient sums by half-degree, then one power of t for each
+    ratios = [c.as_integer_ratio() for c in p.terms.values()]
+    den = math.lcm(*(d for _, d in ratios))
+    coeffs = [num * (den // d) for num, d in ratios]
     sums: dict = {}
-    for alpha, c in p.terms.items():
-        ways = _pairings(alpha)
-        if ways:
-            j = mono_degree(alpha) // 2
-            sums[j] = sums.get(j, 0) + c * ways
-    total = sum((c * Fraction(t) ** j for j, c in sums.items()), Fraction(0))
-    return total if isinstance(t, (int, Fraction)) else float(total)
+    if square:
+        den *= den
+        classes: dict = {}
+        for alpha, c in zip(p.terms, coeffs):
+            classes.setdefault(_parity(alpha), []).append((alpha, c))
+        for terms in classes.values():
+            for i, (alpha, ca) in enumerate(terms):
+                for j in range(i, len(terms)):
+                    beta, cb = terms[j]
+                    gamma = mono_mul(alpha, beta)
+                    m = mono_degree(gamma) // 2
+                    w = ca * cb * _pairings(gamma)
+                    sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
+    else:
+        for alpha, c in zip(p.terms, coeffs):
+            ways = _pairings(alpha)
+            if ways:
+                m = mono_degree(alpha) // 2
+                sums[m] = sums.get(m, 0) + c * ways
+    weights = [spec.radial(m) for m in sums]
+    common = math.lcm(*(w.denominator for w in weights))
+    num = sum(s * w.numerator * (common // w.denominator)
+              for s, w in zip(sums.values(), weights))
+    if not square and p.mode == EXACT and spec.rational:
+        return Fraction(num, common * den)
+    return num / (common * den)
 
 
 # ---------------------------------------------------------------------------
-# complex Gaussian moments via pair counts
+# complex Gaussians: per-coordinate pair moments
 
 
 @lru_cache(maxsize=None)
@@ -215,115 +288,69 @@ def _pairing_ways(j: int, l: int) -> tuple:
     return tuple(out)
 
 
-def _pair_moment(j: int, l: int, c2, g2):
-    """E[a^j abar^l] for a complex Gaussian with E[a^2] = c2 and E[a abar] = g2.
+class _PairMoments(dict):
+    """E[a^j abar^l] at key (j, l) for E[a^2] = c2 and E[a abar] = g2, filled as keys are read.
 
     Sum over pairings: m cross pairings weight g2 each, the leftovers pair
     within their own group and weight c2.  All terms are nonnegative when
     c2 >= 0 (the limiting-range family), so no cancellation occurs.
     """
-    total = 0
-    for m, ways in _pairing_ways(j, l):
-        total += ways * g2 ** m * c2 ** ((j + l - 2 * m) // 2)
-    return total
+
+    def __init__(self, c2, g2):
+        super().__init__()
+        self.c2, self.g2 = c2, g2
+
+    def __missing__(self, key):
+        j, l = key
+        total = 0
+        try:
+            for m, ways in _pairing_ways(j, l):
+                total += ways * self.g2 ** m * self.c2 ** ((j + l - 2 * m) // 2)
+        except OverflowError:
+            raise OverflowError("complex Gaussian moments overflow a float") from None
+        self[key] = total
+        return total
 
 
-def _complex_gaussian_moment(q: CxPoly, c2, g2):
-    exact = q.mode == EXACT and isinstance(c2, (int, Fraction)) and isinstance(g2, (int, Fraction))
-    if exact:
-        c2, g2 = Fraction(c2), Fraction(g2)
-        total = GaussianRational(0)
-    else:
-        c2, g2 = float(c2), float(g2)
-        total = 0j
-    moments = {}  # (j, l) -> _pair_moment, shared by the terms of q
+# one table per covariance pair and number type, shared by every moment and
+# Gram product at those covariances: an entry depends on (j, l, c2, g2) alone
+_pair_table = lru_cache(maxsize=256, typed=True)(_PairMoments)
+
+
+def _pair_moments(spec: MeasureSpec, exact: bool) -> _PairMoments:
+    """The pair-moment table of a complex Gaussian spec: Fractions when exact, else floats."""
+    number = Fraction if exact else float
+    return _pair_table(*map(number, spec.covariances()))
+
+
+def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
+    exact = q.mode == EXACT and spec.rational
+    moments = _pair_moments(spec, exact)
+    total = GaussianRational(0) if exact else 0j
+    one = Fraction(1) if exact else 1.0
     for (a, b), coeff in q.terms.items():
-        factor = Fraction(1) if exact else 1.0
+        factor = one
         for j in range(max(len(a), len(b))):
             aj = a[j] if j < len(a) else 0
             bj = b[j] if j < len(b) else 0
             if aj or bj:
-                pm = moments.get((aj, bj))
-                if pm is None:
-                    pm = moments[aj, bj] = _pair_moment(aj, bj, c2, g2)
+                pm = moments[aj, bj]
                 if not pm:
-                    factor = None
                     break
                 factor = factor * pm
-        if factor is None:
-            continue
-        total = total + (coeff if exact else complex(coeff)) * factor
-    return total
+        else:
+            total = total + (coeff if exact else complex(coeff)) * factor
+    return total if exact else _finite(total)
 
 
-def _xi_params(s, t) -> tuple:
-    if not 0 < t < 2 * s:
-        raise ValueError(f"xi moments need 0 < t < 2s, got s={s}, t={t}")
-    return s - t, s
-
-
-def _gamma_params(T) -> tuple:
-    if T <= 0:
-        raise ValueError("gamma moments need T > 0")
-    try:
-        e_T = math.exp(T)
-    except OverflowError:
-        raise ValueError(f"gamma moments need e^T to fit in a float, got T={T}") from None
-    return 1.0, e_T
-
-
-def xi_moment(q: CxPoly, s, t):
-    """Integral of q against the two-parameter complex Gaussian (0 < t < 2s)."""
-    return _complex_gaussian_moment(q, *_xi_params(s, t))
-
-
-def gamma_moment(q: CxPoly, T):
-    """Integral of q against the limiting-range Gaussian of parameter T > 0.
-
-    Per coordinate E[a abar] = e^T and E[a^2] = 1.  (The value e^T, not
-    2 e^T, is what the quadrature oracle and unitarity both confirm.)
-    """
-    return _complex_gaussian_moment(q, *_gamma_params(T))
-
-
-# ---------------------------------------------------------------------------
-# sphere moments
-
-
-@lru_cache(maxsize=None)
-def sphere_mono_moment(alpha: tuple, n: int, b2) -> Fraction:
-    """Exact moment of a monomial over the radius-sqrt(b2) sphere in R^n (memoized)."""
-    alpha = trim(alpha)
-    if len(alpha) > n:
-        raise DimensionError(f"monomial in {len(alpha)} variables on an S^{n - 1}")
-    num = _pairings(alpha)
-    if not num:
-        return Fraction(0)
-    return num * _sphere_radial(mono_degree(alpha) // 2, n, b2)
-
-
-@lru_cache(maxsize=None)
-def _sphere_radial(m: int, n: int, b2) -> Fraction:
-    """b2^m / (n (n + 2) ... (n + 2m - 2)): a degree-2m sphere moment over its pairings."""
-    den = 1
-    for i in range(m):
-        den *= n + 2 * i
-    return Fraction(b2) ** m / den
-
-
-def sphere_moment(p: RealPoly, n: int, b2=None):
-    """Integral of p against the normalized sphere measure (b2 defaults to n)."""
-    b2 = n if b2 is None else b2
-    if p.width() > n:
-        raise DimensionError(
-            f"polynomial in {p.width()} variables cannot live on an S^{n - 1}"
-        )
-    total = Fraction(0)
-    for alpha, c in p.terms.items():
-        mono = sphere_mono_moment(alpha, n, b2)
-        if mono:
-            total += (c if p.mode == EXACT else Fraction(c)) * mono
-    return total if p.mode == EXACT else float(total)
+def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
+    """M[a, b] = prod_j E[a^{alpha_j} abar^{beta_j}] over the exponent rows alpha, beta."""
+    moments = _pair_moments(spec, exact=False)
+    used = set(exps.ravel().tolist())
+    top = range(max(used, default=0) + 1)
+    table = np.array([[moments[j, l] if j in used and l in used else 0.0 for l in top]
+                      for j in top])
+    return _table_product(table, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +369,10 @@ def sphere_moment(p: RealPoly, n: int, b2=None):
 # each term through both halves of gamma_n, is kept below as a cross-check.
 
 
-def _quadric_flows(monos: list, n: int, b2, T) -> tuple:
+def _quadric_flows(monos: list, spec: MeasureSpec) -> tuple:
     """F, rows the backward sphere flows of ``monos``, and S on their support."""
-    gen = diffops.spherical_laplacian_op(n, b2)
-    flows = [semigroup.flow_monomial(gen, -float(T) / 2.0, a) for a in monos]
+    gen = diffops.spherical_laplacian_op(spec.n, spec.b2)
+    flows = [semigroup.flow_monomial(gen, -float(spec.T) / 2.0, a) for a in monos]
     support = {}
     for flow in flows:
         for gamma in flow:
@@ -355,33 +382,16 @@ def _quadric_flows(monos: list, n: int, b2, T) -> tuple:
         for gamma, v in flow.items():
             f[i, support[gamma]] = v
     width = max(map(len, support), default=0)
-    return f, _sphere_gram(_exponent_matrix(support, width), n, b2)
+    return f, _sphere_gram(_exponent_matrix(support, width), spec.n, spec.b2)
 
 
-def _check_quadric(q: CxPoly, n: int, T) -> None:
-    if q.width() >= n:
-        raise DimensionError(
-            f"quadric moments need ambient dimension > {q.width()}, got {n}"
-        )
-    if T <= 0:
-        raise ValueError("quadric moments need T > 0")
-
-
-def quadric_moment(q: CxPoly, n: int, T, b2=None):
-    """Integral of q against the heat-kernel measure on the complexified sphere.
-
-    Equivalent to flowing q through exp((T/b2) * Gamma) and integrating the
-    restriction to real points over the sphere; computed as
-    sum c_{alpha beta} (F S F^T)[alpha, beta] over q's own holomorphic and
-    antiholomorphic monomials.
-    """
-    b2 = n if b2 is None else b2
-    _check_quadric(q, n, T)
+def _quadric_moment(spec: MeasureSpec, q: CxPoly):
+    """sum c_{alpha beta} (F S F^T)[alpha, beta] over q's own monomials."""
     if q.is_zero():
         return 0j
     monos = list(dict.fromkeys(a for ab in q.terms for a in ab))
     index = {a: i for i, a in enumerate(monos)}
-    f, s = _quadric_flows(monos, n, b2, T)
+    f, s = _quadric_flows(monos, spec)
     rows = f[[index[a] for a, _ in q.terms]]
     cols = f[[index[b] for _, b in q.terms]]
     coeffs = np.array([complex(c) for c in q.terms.values()])
@@ -397,24 +407,21 @@ def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):
     integrated over the sphere.  Slower than :func:`quadric_moment`; used to
     cross-check it.
     """
-    b2 = n if b2 is None else b2
-    if q.width() >= n:
-        raise DimensionError(
-            f"quadric moments need ambient dimension > {q.width()}, got {n}"
-        )
+    spec = MeasureSpec.quadric(n, T, b2)
+    spec.check(q)
     flowed = semigroup.exp_graded(
-        diffops.gamma_n_op(n, b2), float(T) / float(b2), q
+        diffops.gamma_n_op(n, spec.b2), float(T) / float(spec.b2), q
     )
     total = 0j
     for alpha, coeff in flowed.as_real_monomials().items():
-        mono = sphere_mono_moment(alpha, n, b2)
+        mono = sphere_mono_moment(alpha, n, spec.b2)
         if mono:
             total += complex(coeff) * float(mono)
     return total
 
 
 # ---------------------------------------------------------------------------
-# squared norms as bilinear forms over the polynomial's own terms
+# Gram tables over exponent rows
 
 
 def _exponent_matrix(monos, width: int) -> np.ndarray:
@@ -448,18 +455,6 @@ def _sphere_gram(exps: np.ndarray, n: int, b2) -> np.ndarray:
     return pairings * radial[np.add.outer(degrees, degrees)]
 
 
-def _complex_gaussian_gram(exps: np.ndarray, c2, g2) -> np.ndarray:
-    """M[a, b] = prod_j E[a^{alpha_j} abar^{beta_j}] over the exponent rows alpha, beta."""
-    top = int(exps.max(initial=0))
-    c2, g2 = float(c2), float(g2)
-    try:
-        table = np.array([[_pair_moment(j, l, c2, g2) for l in range(top + 1)]
-                          for j in range(top + 1)], dtype=float)
-    except OverflowError:
-        raise OverflowError("complex Gaussian moments overflow a float") from None
-    return _table_product(table, exps)
-
-
 def _finite(value):
     if not math.isfinite(abs(value)):
         raise OverflowError("a moment or norm overflows a float")
@@ -474,56 +469,18 @@ def _hermitian_form(gram: np.ndarray, coeffs: np.ndarray) -> float:
     return _finite(float(value))
 
 
-def _parity(alpha) -> tuple:
-    out = [e & 1 for e in alpha]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# moments and squared norms
 
 
-def _real_norm2(p: RealPoly, radial) -> float:
-    """sum p_alpha p_beta pairings(alpha + beta) radial(|alpha + beta| / 2), rounded once.
-
-    Only pairs in the same parity class contribute.  The coefficients are
-    brought to one denominator, so the sum runs over integers by half-degree.
-    """
-    ratios = [c.as_integer_ratio() for c in p.terms.values()]
-    den = math.lcm(*(d for _, d in ratios))
-    classes: dict = {}
-    for alpha, (num, d) in zip(p.terms, ratios):
-        classes.setdefault(_parity(alpha), []).append((alpha, num * (den // d)))
-    sums: dict = {}
-    for terms in classes.values():
-        for i, (alpha, ca) in enumerate(terms):
-            for j in range(i, len(terms)):
-                beta, cb = terms[j]
-                gamma = mono_mul(alpha, beta)
-                m = mono_degree(gamma) // 2
-                w = ca * cb * _pairings(gamma)
-                sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
-    weights = {m: radial(m) for m in sums}
-    common = math.lcm(*(w.denominator for w in weights.values()))
-    num = sum(s * w.numerator * (common // w.denominator)
-              for s, w in zip(sums.values(), weights.values()))
-    # int / int rounds once, correctly
-    return num / (common * den * den)
-
-
-def _holomorphic_terms(f) -> tuple:
-    if not isinstance(f, CxPoly):
-        raise TypeError("complex-family norms take complexified polynomials")
-    if not f.is_holomorphic():
-        raise HolomorphicityError("squared norms need a holomorphic polynomial")
-    monos = [a for a, _ in f.terms]
-    return monos, np.array([complex(c) for c in f.terms.values()])
-
-
-def _quadric_norm2(f: CxPoly, n: int, T, b2) -> float:
-    """conj(y)^T S y with y = F^T f, f flowed back through the sphere heat flow first."""
-    _check_quadric(f, n, T)
-    monos, coeffs = _holomorphic_terms(f)
-    flows, s = _quadric_flows(monos, n, b2, T)
-    return _hermitian_form(s, coeffs.dot(flows))
+def moment(spec: MeasureSpec, q):
+    """Integral of q against the measure described by spec."""
+    spec.check(q)
+    if spec.family in _REAL:
+        return _real_integral(spec, q)
+    if spec.family == "quadric":
+        return _quadric_moment(spec, q)
+    return _complex_gaussian_moment(spec, q)
 
 
 def norm2(spec: MeasureSpec, f) -> float:
@@ -538,44 +495,51 @@ def norm2(spec: MeasureSpec, f) -> float:
       flow of f run backward for T/2, and S the sphere moments of products
       of y's monomials.
     """
-    if spec.family in ("gauss", "sphere"):
-        if not isinstance(f, RealPoly):
-            raise TypeError(f"{spec.family} norms take real polynomials")
-        if spec.family == "gauss":
-            if not 0 < spec.t < math.inf:
-                raise ValueError("gaussian variance must be positive and finite")
-            t = Fraction(spec.t)
-            return _real_norm2(f, lambda m: t ** m)
-        if f.width() > spec.n:
-            raise DimensionError(
-                f"polynomial in {f.width()} variables cannot live on an S^{spec.n - 1}"
-            )
-        return _real_norm2(f, lambda m: _sphere_radial(m, spec.n, spec.b2))
+    spec.check(f)
+    if spec.family in _REAL:
+        return _real_integral(spec, f, square=True)
+    if not f.is_holomorphic():
+        raise HolomorphicityError("squared norms need a holomorphic polynomial")
+    monos = [a for a, _ in f.terms]
+    coeffs = np.array([complex(c) for c in f.terms.values()])
     if spec.family == "quadric":
-        return _quadric_norm2(f, spec.n, spec.T, spec.b2)
-    monos, coeffs = _holomorphic_terms(f)
-    params = _xi_params(spec.s, spec.t) if spec.family == "xi" else _gamma_params(spec.T)
-    gram = _complex_gaussian_gram(_exponent_matrix(monos, f.width()), *params)
+        flows, s = _quadric_flows(monos, spec)
+        return _hermitian_form(s, coeffs.dot(flows))
+    gram = _complex_gaussian_gram(spec, _exponent_matrix(monos, f.width()))
     return _hermitian_form(gram, coeffs)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
+def gaussian_moment(p: RealPoly, t):
+    """Integral of p against the centered Gaussian of per-coordinate variance t."""
+    return moment(MeasureSpec.gauss(t), p)
 
 
-def moment(spec: MeasureSpec, q):
-    """Integral of q against the measure described by spec."""
-    if spec.family == "gauss":
-        return gaussian_moment(q, spec.t)
-    if spec.family == "xi":
-        return xi_moment(q, spec.s, spec.t)
-    if spec.family == "gamma":
-        return gamma_moment(q, spec.T)
-    if spec.family == "sphere":
-        return sphere_moment(q, spec.n, spec.b2)
-    if spec.family == "quadric":
-        return quadric_moment(q, spec.n, spec.T, spec.b2)
-    raise AssertionError(spec.family)
+def xi_moment(q: CxPoly, s, t):
+    """Integral of q against the two-parameter complex Gaussian (0 < t < 2s)."""
+    return moment(MeasureSpec.xi(s, t), q)
+
+
+def gamma_moment(q: CxPoly, T):
+    """Integral of q against the limiting-range Gaussian of parameter T > 0.
+
+    Per coordinate E[a abar] = e^T and E[a^2] = 1.  (The value e^T, not
+    2 e^T, is what the quadrature oracle and unitarity both confirm.)
+    """
+    return moment(MeasureSpec.gamma(T), q)
+
+
+def sphere_moment(p: RealPoly, n: int, b2=None):
+    """Integral of p against the normalized sphere measure (b2 defaults to n)."""
+    return moment(MeasureSpec.sphere(n, b2), p)
+
+
+def quadric_moment(q: CxPoly, n: int, T, b2=None):
+    """Integral of q against the heat-kernel measure on the complexified sphere.
+
+    Equivalent to flowing q through exp((T/b2) * Gamma) and integrating the
+    restriction to real points over the sphere.
+    """
+    return moment(MeasureSpec.quadric(n, T, b2), q)
 
 
 def inner_product(q1, q2, spec: MeasureSpec):
@@ -584,10 +548,5 @@ def inner_product(q1, q2, spec: MeasureSpec):
     Real families take real polynomials; complex families take complexified
     ones and conjugate the second argument.
     """
-    if spec.family in ("gauss", "sphere"):
-        if not isinstance(q1, RealPoly) or not isinstance(q2, RealPoly):
-            raise TypeError(f"{spec.family} inner products take real polynomials")
-        return moment(spec, q1 * q2)
-    if not isinstance(q1, CxPoly) or not isinstance(q2, CxPoly):
-        raise TypeError(f"{spec.family} inner products take complexified polynomials")
-    return moment(spec, q1 * q2.conjugate())
+    spec.check(q2)
+    return moment(spec, q1 * (q2.conjugate() if isinstance(q2, CxPoly) else q2))

@@ -207,8 +207,10 @@ def test_converge_rejects_several_times(capsys):
     ["converge", "--quantity", "diagram", "--poly", "1e200*x1^2", "--N", "10,100"],
     ["isometry", "--poly", "x1^6", "--N", "5", "--T", "400"],
     ["isometry", "--poly", "x1^2", "--transform", "limit", "--T", "400"],
+    ["converge", "--quantity", "sphere-moment", "--poly", "x1^4", "--N", "1,5,10"],
 ], ids=["limit-1e400", "sphere-1e400", "converge-1e400", "limit-T800", "T-nan",
-        "diagram-overflow", "flow-weight-overflow", "limit-moment-overflow"])
+        "diagram-overflow", "flow-weight-overflow", "limit-moment-overflow",
+        "sphere-moment-N1"])
 def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -223,6 +225,15 @@ def test_degree_60_sphere_row_is_finite_and_fails_the_tolerance(capsys):
     assert "nan" not in out and "inf" not in out
     row = out.splitlines()[1].split(",")
     assert 1e-9 < float(row[6]) < math.inf
+
+
+def test_float_sphere_moment_reference_is_rounded_once(capsys):
+    # the Gaussian limit of a float input is its exact moment, rounded once
+    argv = ["converge", "--quantity", "sphere-moment", "--poly", "0.3*x1^4+0.7*x1^2*x2^2-0.1",
+            "--N", "10,100"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert [row.split(",")[4] for row in rows] == ["1.5", "1.5"]
 
 
 def test_parse_rejects_non_finite_coefficients():

@@ -147,6 +147,3 @@ def test_table_serialization():
     assert [row["N"] for row in rows] == [10, 100, 1000]
     assert set(rows[0]) == {"N", "T", "quantity", "value", "reference",
                             "abs_error", "rel_error"}
-    obj = table.to_json_obj()
-    assert obj["fitted_rate"] == pytest.approx(1.0)
-    assert len(obj["rows"]) == 3

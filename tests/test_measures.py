@@ -28,6 +28,7 @@ from sbtlab.polyalg import (
     holomorphic_extend,
 )
 from sbtlab.suite import acceptance_suite, random_real_poly
+from sbtlab.transforms import Limit, Sphere
 
 from conftest import seeded_rng
 
@@ -316,6 +317,45 @@ def test_measure_spec_validation():
         MeasureSpec.sphere(1)
     with pytest.raises(ValueError):
         MeasureSpec.quadric(4, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sphere_moment(X1 ** 2, 5, -1),
+    lambda: sphere_moment(X1 ** 2, 5, 0),
+    lambda: gamma_moment(A1 * ABAR1, math.nan),
+    lambda: gamma_moment(A1 * ABAR1, math.inf),
+    lambda: MeasureSpec.gamma(math.nan),
+    lambda: MeasureSpec.sphere(5, math.nan),
+    lambda: Limit(math.nan),
+    lambda: Sphere(5, math.inf),
+], ids=["sphere-b2-negative", "sphere-b2-zero", "gamma-T-nan", "gamma-T-inf",
+        "spec-gamma-nan", "spec-sphere-b2-nan", "limit-T-nan", "sphere-T-inf"])
+def test_every_parameter_must_be_positive_and_finite(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_complex_gaussian_moment_overflow_raises():
+    # E[a^3 abar] = 3 e^T overflows at T = 709, though e^T itself fits; the
+    # moment read (inf+nanj), and the difference of two such terms (nan+nanj)
+    for q in (A1 ** 3 * ABAR1, A1 ** 3 * ABAR1 - A1 * ABAR1 ** 3):
+        with pytest.raises(OverflowError):
+            gamma_moment(q, 709.0)
+
+
+def test_moments_are_exact_only_for_exact_input_and_rational_parameters():
+    # a float input integrates as the exact sum at its binary values, rounded once
+    p = RealPoly({(4,): 0.3, (2, 2): 0.7, (): -0.1}, "float")
+    exact = RealPoly({a: Fraction(c) for a, c in p.terms.items()})
+    for t in (1, 0.37, Fraction(7, 3)):
+        value = gaussian_moment(p, t)
+        assert type(value) is float
+        assert value == float(gaussian_moment(exact, Fraction(t)))
+    assert gaussian_moment(p, 1) == 1.5  # the exact sum is 1.49999999999999991673...
+    value = sphere_moment(exact, 9, 2.5)
+    assert type(value) is float
+    assert value == float(sphere_moment(exact, 9, Fraction(5, 2)))
+    assert type(sphere_moment(exact, 9, Fraction(5, 2))) is Fraction
 
 
 def test_measure_spec_json_round_trip():

@@ -162,14 +162,6 @@ def test_unitarity_across_full_acceptance_suite_spot():
         assert rep.rel_error <= 1e-9, label
 
 
-def test_transform_result_json_row():
-    rep = unitarity_report(X1, Sphere(10, 0.5))
-    row = rep.to_json_row("x1")
-    assert row["input"] == "x1"
-    assert row["n"] == 10 and row["T"] == 0.5
-    assert row["rel_error"] <= 1e-12
-
-
 def test_sphere_transform_cubic_eigen_decomposition():
     # hand eigenbasis on span{x1, x1^3}: x1^3 - (3n/(n+2)) x1 has eigenvalue
     # -(3n+3)/n, x1 has eigenvalue -(n-1)/n
