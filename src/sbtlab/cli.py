@@ -257,10 +257,6 @@ def cmd_isometry(args) -> int:
             else:
                 tags = [("", transforms.Euclidean(args.s, t))]
             for n, tag in tags:
-                if isinstance(tag, transforms.Sphere) and p.width() >= tag.n:
-                    raise DimensionError(
-                        f"{label}: needs ambient dimension > {p.width()}, got {tag.n}"
-                    )
                 report = transforms.unitarity_report(p, tag)
                 rows.append(
                     {

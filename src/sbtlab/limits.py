@@ -172,10 +172,6 @@ def diagram_check(p: RealPoly, T, n: int, limit_norm2: float | None = None) -> D
     n: a sweep passes it in as ``limit_norm2``.  The first two agree at
     every n; both converge to the third.
     """
-    if p.width() >= n:
-        raise diffops.DimensionError(
-            f"diagram check needs ambient dimension > {p.width()}, got {n}"
-        )
     sphere = transforms.unitarity_report(p, transforms.Sphere(n, T))
     if limit_norm2 is None:
         limit_norm2 = transforms.unitarity_report(p, transforms.Limit(T)).range_norm2

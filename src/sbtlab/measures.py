@@ -27,9 +27,8 @@ float flows).  Otherwise a real moment is the exact sum, rounded once.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -141,22 +140,6 @@ class MeasureSpec:
         if self.family == "xi":
             return self.s - self.t, self.s
         return 1.0, math.exp(self.T)
-
-    def to_json(self) -> str:
-        raw = {k: v for k, v in asdict(self).items() if v is not None}
-        for key, value in raw.items():
-            if isinstance(value, Fraction):
-                raw[key] = f"{value.numerator}/{value.denominator}"
-        return json.dumps(raw, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasureSpec":
-        raw = json.loads(text)
-        for key, value in raw.items():
-            if isinstance(value, str) and key != "family":
-                num, _, den = value.partition("/")
-                raw[key] = Fraction(int(num), int(den or "1"))
-        return cls(**raw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Independent brute-force cross-checks for the moment machinery.
 
 Nothing here shares code with the analytic moment routes: sphere moments are
-re-estimated by Monte Carlo on Gaussian directions, Gaussian-family moments
-by tensorized Gauss-Hermite quadrature, and real Gaussian moments by direct
-enumeration of pair partitions.
+re-estimated by Monte Carlo, from k Gaussian coordinates and one chi-square
+draw for the other n - k, Gaussian-family moments by tensorized
+Gauss-Hermite quadrature, and real Gaussian moments by direct enumeration of
+pair partitions.
 """
 
 from __future__ import annotations
@@ -44,14 +45,17 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
                      seed: int = 0, chunk: int = 1 << 16) -> OracleEstimate:
     """Average p over points sampled uniformly from the radius-sqrt(n) sphere.
 
-    Gaussian vectors in n dimensions are rescaled to the sphere.  Sampling is
-    split into a fixed number of counter-based substreams, so the estimate
-    depends only on (samples, seed), not on how the work is scheduled.
+    Only the k coordinates p reads are drawn.  A uniform point is a Gaussian
+    vector g in n dimensions scaled to length sqrt(n), and the squared length
+    of its other n - k coordinates is one chi-square draw with n - k degrees
+    of freedom, so each sample costs k normals and one gamma variate, not n
+    normals.  Sampling is split into a fixed number of counter-based
+    substreams, so the estimate depends only on (samples, seed), not on how
+    the work is scheduled.
     """
+    MeasureSpec.sphere(n).check(p)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if p.width() > n:
-        raise ValueError(f"polynomial in {p.width()} variables on an S^{n - 1}")
     k = max(p.width(), 1)
     per = [samples // N_SUBSTREAMS] * N_SUBSTREAMS
     per[-1] += samples - sum(per)
@@ -64,10 +68,11 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
         left = count
         while left > 0:
             size = min(chunk, left)
-            x = rng.standard_normal((size, n))
-            radius = np.sqrt((x * x).sum(axis=1))
-            pts = x[:, :k] * (math.sqrt(n) / radius)[:, None]
-            vals = p.eval_array(pts)
+            x = rng.standard_normal((size, k))
+            radius2 = (x * x).sum(axis=1)
+            if n > k:
+                radius2 += rng.chisquare(n - k, size)
+            vals = p.eval_array(x * np.sqrt(n / radius2)[:, None])
             total += float(vals.sum())
             total_sq += float((vals * vals).sum())
             left -= size

@@ -456,7 +456,10 @@ class _Poly:
 class _Powers(dict):
     """Column powers by (side, j, e), each computed once per evaluation.
 
-    Side 0 reads points[:, j], side 1 its conjugate.
+    Side 0 reads points[:, j], side 1 its conjugate.  Power e is power e - 1
+    times the column, one multiply each, so power e carries e - 1 roundings:
+    numpy sends ``column ** e`` for e >= 3 to libm ``pow``, some fifty times
+    slower.
     """
 
     def __init__(self, points: np.ndarray):
@@ -465,8 +468,12 @@ class _Powers(dict):
 
     def __missing__(self, key):
         side, j, e = key
-        column = self.points[:, j]
-        out = self[key] = (column.conjugate() if side else column) ** e
+        if e == 1:
+            column = self.points[:, j]
+            out = column.conjugate() if side else column
+        else:
+            out = self[side, j, e - 1] * self[side, j, 1]
+        self[key] = out
         return out
 
 
@@ -531,12 +538,6 @@ class CxPoly(_Poly):
 
     def is_holomorphic(self) -> bool:
         return all(not beta for _, beta in self.terms)
-
-    def a_degree(self) -> int:
-        return max((mono_degree(a) for a, _ in self.terms), default=0)
-
-    def abar_degree(self) -> int:
-        return max((mono_degree(b) for _, b in self.terms), default=0)
 
     def coefficient(self, alpha, beta=()):
         return self.terms.get((trim(alpha), trim(beta)), self._coeff(0, self.mode))
@@ -650,6 +651,9 @@ def poly_to_json(p) -> list:
         alpha, beta = (*p._parts(key), ())[:2]
         re, im = _number_to_json(p.terms[key])
         rows.append({"a_exponents": list(alpha), "abar_exponents": list(beta), "re": re, "im": im})
+    if not rows and p.mode == FLOAT:
+        # [] reads back as exact, so a float zero writes one zero row
+        rows.append({"a_exponents": [], "abar_exponents": [], "re": 0.0, "im": 0.0})
     return rows
 
 

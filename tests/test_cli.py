@@ -84,7 +84,8 @@ def test_isometry_precondition_violation_exits_two(capsys):
         "isometry", "--poly", "x1*x2*x3*x4*x5", "--N", "3", "--T", "1.0",
     ])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: polynomial in 5 variables needs ambient dimension > 5, got 3" in \
+        capsys.readouterr().err
 
 
 def test_isometry_overtight_tolerance_exits_one(tmp_path):

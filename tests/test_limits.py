@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sbtlab.diffops import DimensionError
 from sbtlab.limits import (
     DEFAULT_N_GRID,
     diagram_check,
@@ -134,6 +135,11 @@ def test_diagram_check_x1_squared_at_n_100():
     assert rep.finite_gap_rel <= 1e-9
     # the finite-dimension norm differs from the limit by the moment gap
     assert rep.limit_gap_abs == pytest.approx(3 - 300 / 102, rel=1e-9)
+
+
+def test_diagram_check_takes_the_flow_width_check():
+    with pytest.raises(DimensionError, match="needs ambient dimension > 2, got 2"):
+        diagram_check(X1 * X2, 1.0, 2)
 
 
 def test_diagram_convergence_rate():

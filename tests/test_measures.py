@@ -358,18 +358,6 @@ def test_moments_are_exact_only_for_exact_input_and_rational_parameters():
     assert type(sphere_moment(exact, 9, Fraction(5, 2))) is Fraction
 
 
-def test_measure_spec_json_round_trip():
-    specs = [
-        MeasureSpec.gauss(Fraction(1, 2)),
-        MeasureSpec.xi(1.0, 0.5),
-        MeasureSpec.gamma(2.0),
-        MeasureSpec.sphere(10),
-        MeasureSpec.quadric(10, 1.5),
-    ]
-    for spec in specs:
-        assert MeasureSpec.from_json(spec.to_json()) == spec
-
-
 def test_moment_dispatcher_matches_direct_calls():
     p = X1 ** 2
     q = A1 * ABAR1

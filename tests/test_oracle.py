@@ -1,9 +1,17 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from sbtlab.measures import MeasureSpec, gamma_moment, gaussian_moment, xi_moment
+from sbtlab.diffops import DimensionError
+from sbtlab.measures import (
+    MeasureSpec,
+    gamma_moment,
+    gaussian_moment,
+    sphere_moment,
+    xi_moment,
+)
 from sbtlab.oracle import (
     InsufficientOrderError,
     isserlis_moment,
@@ -113,3 +121,27 @@ def test_mc_independent_of_thread_count(monkeypatch):
 def test_mc_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         mc_sphere_moment(X1, 5, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("p, n, error", [
+    (RealPoly.constant(1), 0, ValueError),
+    (X1, 1, ValueError),
+    (X1, 2.5, ValueError),
+    (X1 * X2 * RealPoly.variable(2), 2, DimensionError),
+], ids=["n=0", "n=1", "n=2.5", "width-above-n"])
+def test_mc_checks_the_sphere_like_the_exact_moment(p, n, error):
+    with pytest.raises(error):
+        mc_sphere_moment(p, n, samples=1000)
+    with pytest.raises(error):
+        sphere_moment(p, n)
+
+
+@pytest.mark.parametrize("n, samples", [(2, 200_000), (3, 200_000), (10 ** 6, 20_000)])
+def test_mc_draws_only_the_coordinates_p_reads(n, samples):
+    # n = width draws no chi-square; at n = 10^6 the other coordinates are
+    # one chi-square draw per sample, never an n-column array
+    p = X1 ** 4 + X1 ** 2 * X2 ** 2 - 2 * X2 ** 2 + X1 * X2
+    start = time.perf_counter()
+    est = mc_sphere_moment(p, n, samples=samples, seed=31)
+    assert time.perf_counter() - start < 2.0
+    assert abs(est.value - float(sphere_moment(p, n))) <= 4 * est.std_error
