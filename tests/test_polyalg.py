@@ -141,6 +141,11 @@ def test_evaluate_needs_enough_coordinates():
         (X1 * X2).evaluate([1.0])
 
 
+def _gauss(z) -> GaussianRational:
+    z = complex(z)
+    return GaussianRational(Fraction(z.real), Fraction(z.imag))
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 13, 24])
 def test_eval_array_monomials_against_exact_values(degree):
     # powers are built by repeated multiplication, so a degree-d monomial
@@ -165,11 +170,6 @@ def test_eval_array_monomials_against_exact_values(degree):
             else:
                 gap = _gauss(value) - want
                 assert gap.re ** 2 + gap.im ** 2 <= bound2 * (want.re ** 2 + want.im ** 2)
-
-
-def _gauss(z) -> GaussianRational:
-    z = complex(z)
-    return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
 def test_dilate_examples():
