@@ -7,9 +7,6 @@ from .diffops import (
     LAPLACIAN,
     DimensionError,
     GroupGenerator,
-    OperatorMatrix,
-    PolySpace,
-    commutator,
     euler_op,
     g_uv_op,
     gamma_n_op,
@@ -17,7 +14,6 @@ from .diffops import (
     jsq_abar_op,
     laplacian_op,
     spherical_laplacian_op,
-    to_matrix,
 )
 from .limits import (
     ConvergenceTable,
@@ -68,7 +64,6 @@ from .semigroup import (
     dilation_exp,
     exp_graded,
     factor_quadric_limit,
-    flow_matrix,
 )
 from .transforms import (
     Euclidean,

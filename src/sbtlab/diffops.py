@@ -1,4 +1,4 @@
-"""Differential operators on polynomial spaces and their graded matrices.
+"""Differential operators on polynomial spaces.
 
 Every operator here is a ``GroupGenerator``: a sum over commuting groups of
 variables of lambda_g(m_g) + c_g * Lap_g, where m_g is a monomial's degree
@@ -6,33 +6,24 @@ in the group's variables, lambda_g(m) = a2*m^2 + a1*m and Lap_g is the
 group's Laplacian.  The named operators (``LAPLACIAN``, ``EULER``,
 ``HERMITE``, ``G_K`` and the ``*_op`` constructors) write their groups once;
 ``apply`` is their exact action on ``RealPoly`` or ``CxPoly`` and the
-semigroup module flows the same groups.  Matrix side: ``to_matrix`` realizes
-an operator on the monomial basis of the k-variable polynomials of degree at
-most l, ordered by total degree then lexicographically.
-Degree-preserving-or-lowering operators are then block upper-triangular
-(ascending-degree ordering) with their Euler eigenvalues sitting on the
-diagonal.
+semigroup module flows the same groups.  ``basis_keys`` lists the monomials
+of the k-variable polynomials of degree at most l, ordered by total degree
+then lexicographically, for the checks that run over a whole graded basis.
+Each operator keeps or lowers the degree: its degree-preserving part scales
+a monomial by the sum of its groups' lambda_g(m_g), and each Laplacian
+lowers the degree by two.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-import numpy as np
-
-from .polyalg import (
-    EXACT,
-    FLOAT,
-    CxPoly,
-    GaussianRational,
-    RealPoly,
-    mono_degree,
-    trim,
-)
+from .polyalg import CxPoly, RealPoly, mono_degree, trim
 
 
 class DimensionError(ValueError):
@@ -202,14 +193,24 @@ def _both_sides(a2, a1, c, n=None) -> GroupGenerator:
     return GroupGenerator(tuple(Group(side, None, a2, a1, c) for side in ("a", "abar")), n)
 
 
-def _radius2(name: str, n: int, b2) -> Fraction:
-    """b2 (default n) of an operator restricted from the radius-sqrt(b2) sphere in R^n."""
-    if n is None or n < 1:
-        raise ValueError(f"{name} needs ambient dimension n >= 1")
+def ambient_dimension(name: str, n, least: int) -> int:
+    """n as an int; ValueError unless it is an integer (of any integer type) >= least."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} needs an integer ambient dimension, got n={n}") from None
+    if value < least:
+        raise ValueError(f"{name} needs ambient dimension n >= {least}, got n={value}")
+    return value
+
+
+def _ambient(name: str, n, b2) -> tuple:
+    """(n, b2) of an operator restricted from the radius-sqrt(b2) sphere in R^n; b2 defaults to n."""
+    n = ambient_dimension(name, n, 1)
     b2 = Fraction(n if b2 is None else b2)
     if b2 <= 0:
         raise ValueError(f"{name} needs b2 > 0")
-    return b2
+    return n, b2
 
 
 def laplacian_op(indices=None, variables="x") -> GroupGenerator:
@@ -235,7 +236,7 @@ HERMITE = GroupGenerator((Group("x", None, 0, -1, 1),))
 G_K = _both_sides(0, _HALF, -_HALF)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def spherical_laplacian_op(n: int, b2=None) -> GroupGenerator:
     """Unique k-variable representative of the Laplacian on the radius-b sphere in R^n.
 
@@ -244,10 +245,11 @@ def spherical_laplacian_op(n: int, b2=None) -> GroupGenerator:
 
         laplacian(p) - (1/b^2) * (euler^2 + (n-2) euler) p.
 
-    Memoized: every sphere transform builds one, about 2 000 per round of
+    Memoized, apart for each argument type so that a float n is still
+    rejected: every sphere transform builds one, about 2 000 per round of
     the benchmark's suite workload.
     """
-    b2 = _radius2("spherical_laplacian", n, b2)
+    n, b2 = _ambient("spherical_laplacian", n, b2)
     return GroupGenerator((Group("x", None, -1 / b2, (2 - n) / b2, 1),), n)
 
 
@@ -256,19 +258,19 @@ def jsq_a_op(n: int, b2=None) -> GroupGenerator:
 
         -b^2 * sum_j d^2/da_j^2 + (a da)^2 + (n-2)(a da).
     """
-    b2 = _radius2("jsq_a", n, b2)
+    n, b2 = _ambient("jsq_a", n, b2)
     return GroupGenerator((Group("a", None, 1, n - 2, -b2),), n)
 
 
 def jsq_abar_op(n: int, b2=None) -> GroupGenerator:
     """Antiholomorphic counterpart of :func:`jsq_a_op`, in the abar variables."""
-    b2 = _radius2("jsq_abar", n, b2)
+    n, b2 = _ambient("jsq_abar", n, b2)
     return GroupGenerator((Group("abar", None, 1, n - 2, -b2),), n)
 
 
 def gamma_n_op(n: int, b2=None) -> GroupGenerator:
     """Gamma_n = (jsq_a + jsq_abar) / 2; a self-map of the 2k-variable polynomials."""
-    b2 = _radius2("gamma_n", n, b2)
+    n, b2 = _ambient("gamma_n", n, b2)
     return _both_sides(_HALF, Fraction(n - 2, 2), -b2 / 2, n)
 
 
@@ -291,158 +293,24 @@ def g_uv_op(k: int) -> GroupGenerator:
 # graded monomial bases
 
 
-def _real_monomials(k: int, l: int):
-    basis = [()]
-    for m in range(1, l + 1):
-        block = set()
+def basis_keys(k: int, l: int, complexified: bool = False) -> list:
+    """Term keys of the monomials of degree at most l in k variables.
+
+    Real keys are exponent tuples; complexified keys are (a, abar) pairs of
+    them, graded by a's degree plus abar's.  Ordered by total degree, then
+    lexicographically, so the degree blocks are contiguous.
+    """
+    if k < 0 or l < 0:
+        raise ValueError("need k >= 0 and l >= 0")
+    singles = []
+    for m in range(l + 1):
         for combo in combinations_with_replacement(range(k), m):
             exps = [0] * k
             for j in combo:
                 exps[j] += 1
-            block.add(tuple(exps))
-        basis.extend(sorted(block))
-    return basis
-
-
-class PolySpace:
-    """Ordered monomial basis of the k-variable polynomials of degree <= l.
-
-    ``kind="real"`` enumerates x-monomials; ``kind="complex"`` enumerates
-    (a, abar) bidegree monomials.  Basis order is total degree, then
-    lexicographic, so degree blocks are contiguous.
-    """
-
-    def __init__(self, k: int, l: int, kind: str = "real"):
-        if k < 0 or l < 0:
-            raise ValueError("need k >= 0 and l >= 0")
-        self.k = k
-        self.l = l
-        self.kind = kind
-        self.family = RealPoly if kind == "real" else CxPoly
-        if kind == "real":
-            padded = sorted(_real_monomials(k, l), key=lambda a: (mono_degree(a), a))
-            self.monomials = padded
-            self.index = {trim(a): i for i, a in enumerate(padded)}
-            self.degrees = [mono_degree(a) for a in padded]
-        elif kind == "complex":
-            pairs = []
-            singles = _real_monomials(k, l)
-            for a in singles:
-                for b in singles:
-                    if mono_degree(a) + mono_degree(b) <= l:
-                        pairs.append((a, b))
-            pairs.sort(key=lambda ab: (mono_degree(ab[0]) + mono_degree(ab[1]), ab))
-            self.monomials = pairs
-            self.index = {(trim(a), trim(b)): i for i, (a, b) in enumerate(pairs)}
-            self.degrees = [mono_degree(a) + mono_degree(b) for a, b in pairs]
-        else:
-            raise ValueError(f"unknown space kind {kind!r}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
-
-    def basis_poly(self, i: int, mode=EXACT):
-        return self.family({self.monomials[i]: 1}, mode)
-
-    def coords(self, p, dtype=None) -> np.ndarray:
-        """Coefficient vector of p in this basis (raises if p does not fit)."""
-        if not isinstance(p, self.family):
-            raise TypeError(f"{self.kind} space expects a {self.family.__name__}")
-        exact = p.mode == EXACT and dtype is None
-        if exact:
-            vec = np.zeros(self.dim, dtype=object)
-            vec[:] = self.family._coeff(0, EXACT)
-        else:
-            vec = np.zeros(self.dim, dtype=self.family._float)
-        for key, c in p.terms.items():
-            if key not in self.index:
-                raise ValueError(
-                    f"monomial {key} outside basis of k={self.k}, l={self.l}"
-                )
-            vec[self.index[key]] = c if exact else self.family._float(c)
-        return vec
-
-    def poly_from_coords(self, vec, mode=FLOAT):
-        return self.family({self.monomials[i]: v for i, v in enumerate(vec) if v}, mode)
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Matrix of a linear operator on a graded monomial basis.
-
-    ``entries[i, j]`` is the coefficient of basis monomial i in the image of
-    basis monomial j, so matrix-vector products act on coefficient vectors.
-    Exact matrices use object-dtype rational entries; float matrices use
-    float64.
-    """
-
-    space: PolySpace
-    entries: np.ndarray
-
-    def __post_init__(self):
-        n, m = self.entries.shape
-        if n != m or n != self.space.dim:
-            raise ValueError("operator matrix must be square of the basis dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def apply(self, p):
-        vec = self.space.coords(p, dtype=float if self.entries.dtype != object else None)
-        out = self.entries.dot(vec)
-        mode = EXACT if (self.entries.dtype == object and p.mode == EXACT) else FLOAT
-        if mode == FLOAT and out.dtype == object:
-            out = out.astype(self.space.family._float)
-        return self.space.poly_from_coords(out, mode)
-
-
-def _exact_entry(c):
-    if isinstance(c, GaussianRational):
-        if c.im:
-            raise ValueError("operator matrix entries must be real")
-        return c.re
-    return Fraction(c)
-
-
-def operator_matrix(apply_fn, space: PolySpace, exact: bool = True) -> OperatorMatrix:
-    """Realize a symbolic operator on a graded basis, column by column."""
-    if exact:
-        entries = np.zeros((space.dim, space.dim), dtype=object)
-        entries[:, :] = Fraction(0)
-    else:
-        entries = np.zeros((space.dim, space.dim))
-    for j in range(space.dim):
-        image = apply_fn(space.basis_poly(j, EXACT if exact else FLOAT))
-        for key, c in image.terms.items():
-            if key not in space.index:
-                raise ValueError(
-                    f"operator leaves the basis: produced {key} from column {j}"
-                )
-            if exact:
-                value = _exact_entry(c)
-            else:
-                z = complex(c)
-                if z.imag:
-                    raise ValueError("operator matrix entries must be real")
-                value = z.real
-            entries[space.index[key], j] = value
-    return OperatorMatrix(space, entries)
-
-
-def to_matrix(gen: GroupGenerator, k: int, l: int, exact: bool = True) -> OperatorMatrix:
-    """Matrix of an operator on the degree-graded basis of k variables."""
-    space = PolySpace(k, l, "complex" if gen.is_complexified else "real")
-    return operator_matrix(gen.apply, space, exact=exact)
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """AB - BA on a shared basis."""
-    if a.space is not b.space and a.space.monomials != b.space.monomials:
-        raise ValueError("operator matrices live on different bases")
-    return OperatorMatrix(a.space, a.entries.dot(b.entries) - b.entries.dot(a.entries))
+            singles.append(tuple(exps))
+    if not complexified:
+        return [trim(a) for a in sorted(singles, key=lambda a: (sum(a), a))]
+    pairs = [(a, b) for a in singles for b in singles if sum(a) + sum(b) <= l]
+    pairs.sort(key=lambda ab: (sum(ab[0]) + sum(ab[1]), ab))
+    return [(trim(a), trim(b)) for a, b in pairs]

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffops, semigroup
-from .diffops import DimensionError
+from .diffops import DimensionError, ambient_dimension
 from .polyalg import (
     EXACT,
     CxPoly,
@@ -47,7 +47,7 @@ from .polyalg import (
 )
 
 # the positive, finite parameters of each family; sphere and quadric also
-# take an ambient dimension n >= 2
+# take an integer ambient dimension n >= 2, and their b2 defaults to n
 _PARAMS = {
     "gauss": ("t",),
     "xi": ("s", "t"),
@@ -73,8 +73,11 @@ class MeasureSpec:
         names = _PARAMS.get(self.family)
         if names is None:
             raise ValueError(f"unknown measure family {self.family!r}")
-        if self.family in ("sphere", "quadric") and not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError(f"{self.family} needs ambient dimension n >= 2, got n={self.n}")
+        if self.family in ("sphere", "quadric"):
+            n = ambient_dimension(self.family, self.n, 2)
+            object.__setattr__(self, "n", n)
+            if self.b2 is None:
+                object.__setattr__(self, "b2", n)
         for name in names:
             value = getattr(self, name)
             if value is None or not 0 < value < math.inf:
@@ -101,11 +104,11 @@ class MeasureSpec:
 
     @classmethod
     def sphere(cls, n, b2=None):
-        return cls("sphere", n=n, b2=n if b2 is None else b2)
+        return cls("sphere", n=n, b2=b2)
 
     @classmethod
     def quadric(cls, n, T, b2=None):
-        return cls("quadric", n=n, T=T, b2=n if b2 is None else b2)
+        return cls("quadric", n=n, T=T, b2=b2)
 
     @property
     def rational(self) -> bool:

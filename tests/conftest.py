@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
-from sbtlab.polyalg import CxPoly, RealPoly
+from sbtlab import diffops, semigroup
+from sbtlab.polyalg import FLOAT, CxPoly, RealPoly
 
 
 def sympy_symbols(k: int):
@@ -84,6 +86,26 @@ def sympy_sphere_laplacian(p: RealPoly, n: int, b2) -> RealPoly:
         total += (n - k) * (-syms[j] * sympy.diff(expr, syms[j]))
         total += tail * sympy.diff(expr, syms[j], 2)
     return from_sympy(sympy.expand(total / sympy.Rational(Fraction(b2))), syms)
+
+
+def graded_matrices(gen, t, k: int, l: int):
+    """(keys, flow, dense): exp(t*gen) and gen as float matrices on the graded (k, l) basis.
+
+    Column j of ``flow`` is ``flow_monomial``'s flow of basis monomial
+    ``keys[j]`` under t*gen, and column j of ``dense`` is ``gen.apply`` of it,
+    so scipy's expm of t*dense is an independent reference for ``flow``.
+    """
+    keys = diffops.basis_keys(k, l, gen.is_complexified)
+    index = {key: i for i, key in enumerate(keys)}
+    flow = np.zeros((len(keys), len(keys)))
+    dense = np.zeros((len(keys), len(keys)))
+    for j, key in enumerate(keys):
+        for beta, v in semigroup.flow_monomial(t * gen, 1.0, key).items():
+            flow[index[beta], j] = v
+        for beta, c in gen.apply(gen.family({key: 1.0}, FLOAT)).terms.items():
+            assert complex(c).imag == 0
+            dense[index[beta], j] = complex(c).real
+    return keys, flow, dense
 
 
 def seeded_rng(seed: int = 1234) -> random.Random:

@@ -149,6 +149,19 @@ def test_verify_small_run(capsys):
     assert captured.count("PASS") >= 15
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["isometry", "--poly", "suite", "--k", "0"], "--k"),
+    (["isometry", "--poly", "suite", "--deg", "0"], "--deg"),
+    (["verify", "--k", "0"], "--k"),
+    (["verify", "--max-degree", "0"], "--deg"),
+], ids=["isometry-k", "isometry-deg", "verify-k", "verify-max-degree"])
+def test_empty_random_suite_exits_two(argv, option, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {option} must be at least 1, got 0" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_overtight_tolerance_fails(capsys):
     code = main(["verify", "--k", "2", "--deg", "4", "--tol", "1e-20"])
     assert code == 1

@@ -1,15 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sbtlab import diffops
+from sbtlab import diffops, measures, transforms
 from sbtlab.diffops import (
     EULER,
     G_K,
     HERMITE,
     LAPLACIAN,
     DimensionError,
-    commutator,
     euler_op,
     g_uv_op,
     gamma_n_op,
@@ -17,9 +17,9 @@ from sbtlab.diffops import (
     jsq_abar_op,
     laplacian_op,
     spherical_laplacian_op,
-    to_matrix,
 )
 from sbtlab.polyalg import EXACT, FLOAT, CxPoly, RealPoly, coeff_distance
+from sbtlab.oracle import mc_sphere_moment
 from sbtlab.semigroup import exp_graded
 from sbtlab.suite import random_real_poly
 
@@ -163,63 +163,64 @@ def test_g_uv_matches_complex_form():
     assert out == expected
 
 
+def _images(op, k, l) -> dict:
+    """op.apply of each monomial of the graded (k, l) basis, exactly: the columns of op's matrix."""
+    return {key: op.apply(op.family({key: 1}))
+            for key in diffops.basis_keys(k, l, op.is_complexified)}
+
+
+def _commutator(a, b, m):
+    return a.apply(b.apply(m)) - b.apply(a.apply(m))
+
+
 def test_to_matrix_examples():
-    m = to_matrix(diffops.EULER, 1, 2)
-    assert [m.entries[i, i] for i in range(3)] == [0, 1, 2]
+    eul = _images(diffops.EULER, 1, 2)
+    assert eul == {(): RealPoly(), (1,): X1, (2,): 2 * X1 ** 2}
 
-    lap = to_matrix(diffops.LAPLACIAN, 1, 2)
-    dense = [[lap.entries[i, j] for j in range(3)] for i in range(3)]
-    assert dense == [[0, 0, 2], [0, 0, 0], [0, 0, 0]]
+    lap = _images(diffops.LAPLACIAN, 1, 2)
+    assert lap == {(): RealPoly(), (1,): RealPoly(), (2,): RealPoly.constant(2)}
 
-    herm = to_matrix(diffops.HERMITE, 1, 2)
-    assert (herm.entries == (lap.entries - m.entries)).all()
-
-
-def test_matrix_agrees_with_symbolic_application():
-    rng = seeded_rng(15)
-    ops = [
-        diffops.LAPLACIAN,
-        diffops.EULER,
-        diffops.HERMITE,
-        diffops.spherical_laplacian_op(8),
-    ]
-    for op in ops:
-        mat = to_matrix(op, 3, 5)
-        for _ in range(4):
-            p = random_real_poly(rng, k=3, degree=5, terms=5)
-            assert mat.apply(p) == op.apply(p)
-
-
-def test_matrix_agrees_for_complex_operators():
-    op = diffops.gamma_n_op(6)
-    mat = to_matrix(op, 2, 3)
-    q = A1 ** 2 * ABAR1 + CxPoly.a(1) - ABAR1 ** 3
-    assert mat.apply(q) == op.apply(q)
+    herm = _images(diffops.HERMITE, 1, 2)
+    assert herm == {key: lap[key] - eul[key] for key in lap}
 
 
 def test_matrix_is_block_triangular_by_degree():
-    mat = to_matrix(diffops.spherical_laplacian_op(6), 2, 4)
-    degrees = mat.space.degrees
-    for i in range(mat.dim):
-        for j in range(mat.dim):
-            if mat.entries[i, j] != 0:
-                assert degrees[i] <= degrees[j]
-                assert degrees[i] == degrees[j] or i != j
+    # each image keeps or lowers the degree, and its top-degree part is the
+    # monomial itself times its Euler eigenvalue
+    for key, image in _images(diffops.spherical_laplacian_op(6), 2, 4).items():
+        for beta in image.terms:
+            assert sum(beta) < sum(key) or beta == key
 
 
 def test_commutator_euler_laplacian_exact():
-    eul = to_matrix(diffops.EULER, 2, 4)
-    lap = to_matrix(diffops.LAPLACIAN, 2, 4)
-    comm = commutator(eul, lap)
-    assert (comm.entries == -2 * lap.entries).all()
+    for key, lap in _images(diffops.LAPLACIAN, 2, 4).items():
+        assert _commutator(diffops.EULER, diffops.LAPLACIAN, RealPoly({key: 1})) == lap.scale(-2)
 
 
 def test_commutator_self_and_bilinearity():
-    eul = to_matrix(diffops.EULER, 2, 4)
-    herm = to_matrix(diffops.HERMITE, 2, 4)
-    lap = to_matrix(diffops.LAPLACIAN, 2, 4)
-    assert not commutator(eul, eul).entries.any()
-    assert (commutator(eul, herm).entries == -2 * lap.entries).all()
+    for key, lap in _images(diffops.LAPLACIAN, 2, 4).items():
+        m = RealPoly({key: 1})
+        assert _commutator(diffops.EULER, diffops.EULER, m).is_zero()
+        assert _commutator(diffops.EULER, diffops.HERMITE, m) == lap.scale(-2)
+
+
+@pytest.mark.parametrize("n", [np.int64(5), np.int32(5), 5], ids=["int64", "int32", "int"])
+def test_ambient_dimension_accepts_any_integer_type(n):
+    # a numpy integer is an integer n; a float n, even 5.0, is not
+    p = X1 ** 2
+    spec = measures.MeasureSpec.sphere(n)
+    assert spec.n == 5 and type(spec.n) is int
+    assert measures.sphere_moment(p, n) == measures.sphere_moment(p, 5) == 1
+    estimates = [mc_sphere_moment(p, m, samples=1000, seed=3) for m in (n, 5)]
+    assert estimates[0] == estimates[1]
+    assert transforms.Sphere(n, 1.0).apply(p) == transforms.Sphere(5, 1.0).apply(p)
+    assert spherical_laplacian_op(n).n == 5
+    makers = (measures.MeasureSpec.sphere, lambda m: transforms.Sphere(m, 1.0),
+              spherical_laplacian_op, gamma_n_op)
+    for bad in (float(n), np.float64(n), 2.5):
+        for make in makers:
+            with pytest.raises(ValueError, match="integer ambient dimension"):
+                make(bad)
 
 
 def test_jsq_rejects_small_ambient_dimension():

@@ -7,7 +7,7 @@ import scipy.linalg
 import sympy
 
 from sbtlab import diffops, measures, semigroup
-from sbtlab.diffops import Group, GroupGenerator, PolySpace
+from sbtlab.diffops import Group, GroupGenerator, basis_keys
 from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance, holomorphic_extend
 from sbtlab.semigroup import (
     CommutationError,
@@ -15,11 +15,11 @@ from sbtlab.semigroup import (
     dilation_exp,
     exp_graded,
     factor_quadric_limit,
-    flow_matrix,
+    flow_monomial,
 )
 from sbtlab.suite import random_real_poly
 
-from conftest import seeded_rng, to_sympy, to_sympy_cx
+from conftest import graded_matrices, seeded_rng, to_sympy, to_sympy_cx
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
@@ -31,9 +31,8 @@ def _flow_vs_scipy(op, t, k, l, relative=False):
     The largest entrywise deviation, or with ``relative`` that deviation over
     the largest entry of scipy's matrix.
     """
-    space = PolySpace(k, l, "complex" if op.is_complexified else "real")
-    ours = flow_matrix(t * op, space)
-    ref = scipy.linalg.expm(t * diffops.to_matrix(op, k, l, exact=False).entries)
+    _, ours, dense = graded_matrices(op, t, k, l)
+    ref = scipy.linalg.expm(t * dense)
     deviation = float(np.max(np.abs(ours - ref)))
     return deviation / float(np.max(np.abs(ref))) if relative else deviation
 
@@ -135,16 +134,19 @@ def test_dilation_exp_matches_euler_exponential():
 
 
 def test_realized_element_at_time_zero_is_identity():
-    matrix = flow_matrix(0.0 * diffops.HERMITE, PolySpace(2, 3))
-    assert np.array_equal(matrix, np.eye(len(matrix)))
+    # every basis monomial flows to itself, so the flow matrix is the identity
+    for key in basis_keys(2, 3):
+        assert flow_monomial(0.0 * diffops.HERMITE, 1.0, key) == {key: 1.0}
 
 
 def test_spherical_diagonal_eigenvalues():
     # degree-m diagonal entries are -(m + (m^2 - 2m)/n) when b2 = n
+    # (the coefficient of each basis monomial in its own image, exactly)
     n = 9
-    mat = diffops.to_matrix(diffops.spherical_laplacian_op(n), 2, 5)
-    for i, m in enumerate(mat.space.degrees):
-        assert mat.entries[i, i] == -(m + Fraction(m * m - 2 * m, n))
+    op = diffops.spherical_laplacian_op(n)
+    for key in basis_keys(2, 5):
+        m = sum(key)
+        assert op.apply(RealPoly({key: 1})).terms.get(key, 0) == -(m + Fraction(m * m - 2 * m, n))
 
 
 def test_expm_graded_matches_scipy():
@@ -174,12 +176,11 @@ def test_expm_graded_falls_back_on_collisions():
     # lambda(m) = m^2 - 4m gives lambda(4) = lambda(0) and lambda(3) = lambda(1):
     # x^alpha of degree 4 and 3 flow through merged divided-difference nodes
     gen = GroupGenerator((Group("x", None, 1, -4, 1),))
-    space = PolySpace(2, 4)
     assert gen.apply(X1 ** 4) == 12 * X1 ** 2
-    dense = diffops.operator_matrix(gen.apply, space, exact=False).entries
     for t in (0.3, -0.7):
+        _, flow, dense = graded_matrices(gen, t, 2, 4)
         ref = scipy.linalg.expm(t * dense)
-        gap = np.max(np.abs(flow_matrix(t * gen, space) - ref)) / np.max(np.abs(ref))
+        gap = np.max(np.abs(flow - ref)) / np.max(np.abs(ref))
         assert gap < 1e-12
 
 
@@ -213,14 +214,33 @@ def test_bch_rejects_broken_hypothesis():
         bch_check(eul, lap, 5.0, 1, 3)
 
 
+def test_bch_check_builds_no_basis_matrix():
+    # the (4, 8) basis has 495 monomials; checking on their flows needs a few
+    # hundred KiB, where the basis-sized exponential matrices took 15.7 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = bch_check(diffops.g_uv_op(2), 0.5 * diffops.laplacian_op(indices=(0, 1)),
+                           -1.0, 4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert report.max_deviation < 1e-11
+
+
 def test_factor_quadric_limit_examples():
     assert factor_quadric_limit(1, 4, 1.0).max_deviation <= 1e-11
     assert factor_quadric_limit(2, 2, 0.8).max_deviation <= 1e-12
     tiny = factor_quadric_limit(1, 4, 1e-9)
-    # as the time goes to zero both sides collapse onto the plain heat factor
-    lap_u = diffops.to_matrix(diffops.laplacian_op(indices=(0,)), 2, 4, exact=False)
-    heat = scipy.linalg.expm(0.5 * lap_u.entries)
-    assert np.max(np.abs(tiny.lhs.entries - heat)) < 1e-7
+    # as the time goes to zero both sides collapse onto the plain heat factor:
+    # the left side e^{Lap_u/2} e^{1e-9 G}, from the same monomial flows,
+    # against scipy's e^{Lap_u/2}
+    _, heat_flow, lap_u = graded_matrices(diffops.laplacian_op(indices=(0,)), 0.5, 2, 4)
+    _, g_flow, _ = graded_matrices(diffops.g_uv_op(1), 1e-9, 2, 4)
+    heat = scipy.linalg.expm(0.5 * lap_u)
+    assert np.max(np.abs(heat_flow.dot(g_flow) - heat)) < 1e-7
     assert tiny.max_deviation < 1e-8
 
 
@@ -232,7 +252,7 @@ def test_quadric_moment_direct_needs_no_basis_matrix():
 
     p = holomorphic_extend(X1 ** 6 + X2 ** 3 * RealPoly.variable(2) + X1)
     q = p.mod_square()
-    assert PolySpace(3, 12, "complex").dim == 18564
+    assert len(basis_keys(3, 12, complexified=True)) == 18564
     tracemalloc.start()
     try:
         direct = measures.quadric_moment_direct(q, 9, 1.0)
@@ -254,20 +274,21 @@ def test_expm_graded_collision_fallback_on_real_operator_family():
     # at ambient dimension 4 the bidegree operator's degree-6 and degree-8
     # blocks share the eigenvalue 24, a collision across degree blocks that
     # the per-group flows never see; scipy itself is good to about 1e-12 here
-    base = diffops.to_matrix(diffops.gamma_n_op(4), 2, 8, exact=False)
+    keys, _, dense = graded_matrices(diffops.gamma_n_op(4), 1, 2, 8)
     eigenvalues = {}
-    for m, d in zip(base.space.degrees, np.diag(base.entries)):
-        eigenvalues.setdefault(d, set()).add(m)
+    for (a, abar), d in zip(keys, np.diag(dense)):
+        eigenvalues.setdefault(d, set()).add(sum(a) + sum(abar))
     assert {6, 8} <= eigenvalues[24.0]  # genuine collision, not a near-miss
     assert _flow_vs_scipy(diffops.gamma_n_op(4), 0.4 / 4, 2, 8, relative=True) < 1e-11
 
 
 def test_expm_operator_wrapper():
-    # the flow-built matrix acts on coefficient vectors as exp_graded does
+    # the flow-built matrix's column of a basis monomial is its exp_graded flow
     op = diffops.HERMITE
-    space = PolySpace(2, 3)
-    matrix = diffops.OperatorMatrix(space, flow_matrix(0.5 * op, space))
-    assert matrix.apply(X1.to_float()) == exp_graded(op, 0.5, X1)
+    keys, flow, _ = graded_matrices(op, 0.5, 2, 3)
+    j = keys.index((1,))
+    column = {keys[i]: v for i, v in enumerate(flow[:, j]) if v}
+    assert RealPoly(column, "float") == exp_graded(op, 0.5, X1)
     assert _flow_vs_scipy(op, 0.5, 2, 3) < 1e-12
 
 
@@ -336,9 +357,8 @@ def test_graded_flow_table_matches_operator_action():
     def coefficient():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
 
-    real_space, cx_space = PolySpace(3, 4), PolySpace(2, 4, "complex")
-    p = RealPoly({mono: coefficient() for mono in real_space.monomials})
-    q = CxPoly({mono: coefficient() for mono in cx_space.monomials})
+    p = RealPoly({key: coefficient() for key in basis_keys(3, 4)})
+    q = CxPoly({key: coefficient() for key in basis_keys(2, 4, complexified=True)})
     assert len(p.terms) == 35 and len(q.terms) == 70
     for ops, poly, as_sympy in (
         (real_ops, p, lambda u: to_sympy(u, x)),
@@ -354,11 +374,10 @@ def test_graded_flow_table_matches_operator_action():
 def test_group_generators_add_and_scale():
     x = diffops.g_uv_op(1)
     y = diffops.laplacian_op(indices=(0,))
-    space = PolySpace(2, 4)
     for s in (Fraction(1, 3), 2):
         combined = x + s * y
-        for i in range(space.dim):
-            mono = space.basis_poly(i)
+        for key in basis_keys(2, 4):
+            mono = RealPoly({key: 1})
             assert combined.apply(mono) == x.apply(mono) + y.apply(mono).scale(s)
     with pytest.raises(ValueError):
         diffops.LAPLACIAN + y  # all variables overlap x1
@@ -406,12 +425,14 @@ def test_exp_divided_differences_rejects_non_finite_time():
 @pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])
 def test_graded_flow_matches_dense_exponential(k, l):
     rng = seeded_rng(24 + k)
-    space = PolySpace(k, l)
     for op, t in ((diffops.spherical_laplacian_op(k + 3), 0.45), (diffops.HERMITE, 0.8)):
-        dense = scipy.linalg.expm(t * diffops.to_matrix(op, k, l, exact=False).entries)
+        keys, _, dense = graded_matrices(op, t, k, l)
+        expm = scipy.linalg.expm(t * dense)
         for _ in range(2):
             p = random_real_poly(rng, k=k, degree=l, terms=6)
-            via_dense = space.poly_from_coords(dense.dot(space.coords(p.to_float())))
+            assert set(p.terms) <= set(keys)
+            coords = np.array([float(p.terms.get(key, 0)) for key in keys])
+            via_dense = RealPoly(dict(zip(keys, expm.dot(coords))), "float")
             assert coeff_distance(exp_graded(op, t, p), via_dense) <= 1e-12
 
 
