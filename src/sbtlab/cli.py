@@ -154,7 +154,7 @@ def parse_poly(text: str) -> RealPoly:
 
 
 def _check_suite_shape(k: int, deg: int) -> None:
-    """Raise unless --k and --deg give random polynomials at least one variable and degree."""
+    """Raise unless --k and --deg are at least 1, as the random suite polynomials need."""
     for option, value in (("--k", k), ("--deg", deg)):
         if value < 1:
             raise ValueError(f"{option} must be at least 1, got {value}")
