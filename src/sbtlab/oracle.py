@@ -2,9 +2,9 @@
 
 Nothing here shares code with the analytic moment routes: sphere moments are
 re-estimated by Monte Carlo, from k Gaussian coordinates and one chi-square
-draw for the other n - k, Gaussian-family moments by tensorized
-Gauss-Hermite quadrature, and real Gaussian moments by direct enumeration of
-pair partitions.
+draw for the other n - k, in independent PCG64 substreams; Gaussian-family
+moments by tensorized Gauss-Hermite quadrature; and real Gaussian moments by
+direct enumeration of pair partitions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -49,9 +49,15 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     vector g in n dimensions scaled to length sqrt(n), and the squared length
     of its other n - k coordinates is one chi-square draw with n - k degrees
     of freedom, so each sample costs k normals and one gamma variate, not n
-    normals.  Sampling is split into a fixed number of counter-based
-    substreams, so the estimate depends only on (samples, seed), not on how
-    the work is scheduled.
+    normals.  Each coordinate is drawn as one contiguous row, so the squared
+    length adds k rows and every column the polynomial reads is contiguous.
+
+    Sampling is split into N_SUBSTREAMS independent PCG64 streams spawned
+    from SeedSequence(seed), so the estimate depends only on (samples, seed),
+    not on how the work is scheduled.  Each substream keeps (count, mean,
+    sum of squared deviations), merged in substream order by the pairwise
+    update of Chan, Golub & LeVeque (1979), so the standard error does not
+    cancel when the mean is large against the spread.
     """
     MeasureSpec.sphere(n).check(p)
     if samples < 1000:
@@ -62,28 +68,35 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
 
     def run_substream(args):
         idx, count = args
-        rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
-        total = 0.0
-        total_sq = 0.0
-        left = count
-        while left > 0:
-            size = min(chunk, left)
-            x = rng.standard_normal((size, k))
-            radius2 = (x * x).sum(axis=1)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        )
+        parts = []
+        for start in range(0, count, chunk):
+            size = min(chunk, count - start)
+            x = rng.standard_normal((k, size))
+            radius2 = np.einsum("ij,ij->j", x, x)
             if n > k:
                 radius2 += rng.chisquare(n - k, size)
-            vals = p.eval_array(x * np.sqrt(n / radius2)[:, None])
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            left -= size
-        return total, total_sq
+            x *= np.sqrt(n / radius2)
+            vals = p.eval_array(x.T)
+            mean = float(vals.mean())
+            vals -= mean
+            parts.append((size, mean, float(np.square(vals, out=vals).sum())))
+        return reduce(_merge_moments, parts)
 
-    parts = ordered_map(run_substream, list(enumerate(per)))
-    total = sum(t for t, _ in parts)
-    total_sq = sum(s for _, s in parts)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return OracleEstimate(mean, math.sqrt(var / samples), samples, seed)
+    _, mean, m2 = reduce(_merge_moments, ordered_map(run_substream, list(enumerate(per))))
+    return OracleEstimate(mean, math.sqrt(m2 / samples / samples), samples, seed)
+
+
+def _merge_moments(a, b):
+    """(count, mean, sum of squared deviations) of two samples pooled."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    total = na + nb
+    delta = mean_b - mean_a
+    return (total, mean_a + delta * nb / total,
+            m2_a + m2_b + delta * delta * na * nb / total)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +109,8 @@ def _grid(sigmas, order):
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     weights = weights / math.sqrt(2.0 * math.pi)
     axes = np.meshgrid(*[sigma * nodes for sigma in sigmas], indexing="ij")
-    pts = np.stack([axis.ravel() for axis in axes], axis=-1)
+    # one row per coordinate: eval_array reads pts.T, whose columns are contiguous
+    pts = np.stack([axis.ravel() for axis in axes])
     wts = weights
     for _ in sigmas[1:]:
         wts = np.multiply.outer(wts, weights)
@@ -122,7 +136,7 @@ def quad_gauss_moment(q, family: MeasureSpec, order: int) -> OracleEstimate:
             raise ValueError(f"quadrature grid of {order}^{k} points is too large")
         sigma = math.sqrt(float(family.t))
         pts, wts = _grid([sigma] * k, order)
-        value = float(np.dot(wts, q.eval_array(pts)))
+        value = float(np.dot(wts, q.eval_array(pts.T)))
         return OracleEstimate(value, 0.0, order)
     if family.family == "xi":
         var_u = (2.0 * float(family.s) - float(family.t)) / 2.0
@@ -139,8 +153,8 @@ def quad_gauss_moment(q, family: MeasureSpec, order: int) -> OracleEstimate:
         raise ValueError(f"quadrature grid of {order}^{2 * k} points is too large")
     sigmas = [math.sqrt(var_u)] * k + [math.sqrt(var_v)] * k
     pts, wts = _grid(sigmas, order)
-    z = pts[:, :k] + 1j * pts[:, k:]
-    value = complex(np.dot(wts, q.eval_array(z)))
+    z = pts[:k] + 1j * pts[k:]
+    value = complex(np.dot(wts, q.eval_array(z.T)))
     return OracleEstimate(value, 0.0, order)
 
 

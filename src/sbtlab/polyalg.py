@@ -32,6 +32,10 @@ FLOAT = "float"
 
 _MODES = (EXACT, FLOAT)
 
+# bytes of monomial tables per block of eval_array's points: the block holds
+# as many points as fit, so memory does not grow with the number of points
+EVAL_BLOCK_BYTES = 640 << 10
+
 
 class ModeMismatchError(ValueError):
     """Raised when exact-mode and float-mode values meet in a ring operation."""
@@ -86,8 +90,16 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """A value from parts that are already Fractions: no conversion."""
+        g = object.__new__(cls)
+        g.re = re
+        g.im = im
+        return g
+
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return self._of(self.re, -self.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -105,18 +117,18 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return self._of(_add_parts(self.re, other.re), _add_parts(self.im, other.im))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return self._of(-self.re, -self.im)
 
     def __sub__(self, other):
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self._of(_add_parts(self.re, -other.re), _add_parts(self.im, -other.im))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -125,17 +137,20 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # a zero imaginary part saves its products: real inputs are common
+        if not d:
+            return self._of(a * c, b * c if b else _ZERO)
+        if not b:
+            return self._of(a * c, a * d)
+        return self._of(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("GaussianRational powers need a nonnegative integer")
-        out = GaussianRational(1)
+        out = self._of(_ONE, _ZERO)
         base = self
         while n:
             if n & 1:
@@ -145,7 +160,8 @@ class GaussianRational:
         return out
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        re, im = self.re, self.im
+        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
 
     def __abs__(self):
         return abs(complex(self))
@@ -154,11 +170,21 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _add_parts(x: Fraction, y: Fraction) -> Fraction:
+    # a zero part is common (real coefficients, sums into empty terms) and
+    # makes the Fraction addition unnecessary
+    return x + y if x and y else x or y
+
+
 def _as_gaussian(value):
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+        return GaussianRational._of(Fraction(value), _ZERO)
     return NotImplemented
 
 
@@ -390,18 +416,38 @@ class _Poly:
         return total
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (n, k) array of sample points."""
-        dtype, parts = self._float, self._parts
+        """Vectorized evaluation on an (n, k) array of sample points.
+
+        Each distinct monomial of each part is one row of a (monomials x
+        points) table, and the coefficients form one array with an axis per
+        part.  The value contracts the coefficients with the tables: c @ X
+        for one part, sum_a A_a * (C @ B)_a for two, so |p|^2 of a 10-term p
+        costs 20 rows and a 10 x 10 product, not 100 terms.  Points go in
+        blocks whose tables take about EVAL_BLOCK_BYTES, so memory does not
+        grow with n.
+        """
+        dtype = self._float
         x = np.asarray(x, dtype=dtype)
-        out = np.zeros(x.shape[0], dtype=dtype)
-        power = _Powers(x)
-        for key, c in self.terms.items():
-            v = np.full(x.shape[0], dtype(c))
-            for side, mono in enumerate(parts(key)):
-                for j, e in enumerate(mono):
-                    if e:
-                        v *= power[side, j, e]
-            out += v
+        monos = [{} for _ in self._names]
+        places = [
+            tuple(seen.setdefault(mono, len(seen)) for seen, mono in zip(monos, self._parts(key)))
+            for key in self.terms
+        ]
+        coeffs = np.zeros([len(seen) for seen in monos], dtype=dtype)
+        for place, c in zip(places, self.terms.values()):
+            coeffs[place] = dtype(c)
+        out = np.empty(x.shape[0], dtype=dtype)
+        rows = max(sum(map(len, monos)), 1)
+        step = max(1, EVAL_BLOCK_BYTES // (rows * x.itemsize))
+        for start in range(0, x.shape[0], step):
+            block = x[start:start + step]
+            # a second part reads the conjugate point
+            tables = [_Powers(block.conjugate() if side else block).table(seen)
+                      for side, seen in enumerate(monos)]
+            value = coeffs @ tables[-1]
+            for table in tables[-2::-1]:
+                value = np.multiply(value, table, out=value).sum(axis=-2)
+            out[start:start + step] = value
         return out
 
     # -- conversions, comparisons and printing
@@ -454,12 +500,11 @@ class _Poly:
 
 
 class _Powers(dict):
-    """Column powers by (side, j, e), each computed once per evaluation.
+    """Column powers by (j, e) of one block of points, each computed once.
 
-    Side 0 reads points[:, j], side 1 its conjugate.  Power e is power e - 1
-    times the column, one multiply each, so power e carries e - 1 roundings:
-    numpy sends ``column ** e`` for e >= 3 to libm ``pow``, some fifty times
-    slower.
+    Power e is power e - 1 times column j, one multiply each, so power e
+    carries e - 1 roundings: numpy sends ``column ** e`` for e >= 3 to libm
+    ``pow``, some fifty times slower.
     """
 
     def __init__(self, points: np.ndarray):
@@ -467,13 +512,24 @@ class _Powers(dict):
         self.points = points
 
     def __missing__(self, key):
-        side, j, e = key
-        if e == 1:
-            column = self.points[:, j]
-            out = column.conjugate() if side else column
-        else:
-            out = self[side, j, e - 1] * self[side, j, 1]
+        j, e = key
+        out = self.points[:, j] if e == 1 else self[j, e - 1] * self[j, 1]
         self[key] = out
+        return out
+
+    def table(self, monos) -> np.ndarray:
+        """One row per exponent tuple of ``monos``: the monomial at every point."""
+        out = np.empty((len(monos), len(self.points)), dtype=self.points.dtype)
+        for row, mono in zip(out, monos):
+            factors = [self[j, e] for j, e in enumerate(mono) if e]
+            if not factors:
+                row.fill(1)
+            elif len(factors) == 1:
+                row[:] = factors[0]
+            else:
+                np.multiply(factors[0], factors[1], out=row)
+                for factor in factors[2:]:
+                    row *= factor
         return out
 
 
@@ -573,8 +629,11 @@ class CxPoly(_Poly):
 
 def holomorphic_extend(p: RealPoly) -> CxPoly:
     """Substitute x_j -> a_j; the result is holomorphic and restricts back to p."""
-    lift = GaussianRational if p.mode == EXACT else complex
-    return CxPoly._trusted({(a, ()): lift(c) for a, c in p.terms.items()}, p.mode)
+    if p.mode == EXACT:
+        terms = {(a, ()): GaussianRational._of(c, _ZERO) for a, c in p.terms.items()}
+    else:
+        terms = {(a, ()): complex(c) for a, c in p.terms.items()}
+    return CxPoly._trusted(terms, p.mode)
 
 
 def coeff_distance(p, q):

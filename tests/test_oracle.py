@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from sbtlab.oracle import (
     mc_sphere_moment,
     quad_gauss_moment,
 )
-from sbtlab.polyalg import CxPoly, RealPoly
+from sbtlab.polyalg import CxPoly, RealPoly, holomorphic_extend
 from sbtlab.suite import random_real_poly
 
 from conftest import seeded_rng
@@ -84,6 +85,24 @@ def test_quadrature_matches_analytic_routes():
     )
 
 
+def test_quadrature_peak_memory_is_bounded():
+    # the gamma check of the flat-oracle benchmark: |p2|^2 for a 10-term p2
+    # in 2 variables at order 9, a 6 561-point grid.  Evaluating every term
+    # on the whole grid at once peaked at 3.2 MiB on this input.
+    p2 = RealPoly({(8,): 1, (3, 5): -2, (2, 5): Fraction(1, 2), (6,): 3, (1, 4): 1,
+                   (0, 4): -1, (2, 1): 2, (1, 1): Fraction(-3, 2), (0, 2): 1, (1,): 2})
+    square = holomorphic_extend(p2).mod_square()
+    family = MeasureSpec.gamma(0.7)
+    quad_gauss_moment(square, family, 9)
+    tracemalloc.start()
+    try:
+        quad_gauss_moment(square, family, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.56 * 2 ** 20
+
+
 def test_quadrature_insufficient_order_flagged():
     with pytest.raises(InsufficientOrderError):
         quad_gauss_moment(X1 ** 6, MeasureSpec.gauss(1), 3)
@@ -116,6 +135,13 @@ def test_mc_independent_of_thread_count(monkeypatch):
     monkeypatch.setenv("SBTLAB_THREADS", "1")
     b = mc_sphere_moment(X1 ** 2 * X2 ** 2, 15, samples=40_000, seed=5)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+def test_mc_standard_error_does_not_cancel_for_large_values():
+    # a one-pass E[v^2] - E[v]^2 loses the variance of 1e8 + x1 to cancellation
+    plain = mc_sphere_moment(X1, 5, samples=100_000, seed=1)
+    shifted = mc_sphere_moment(10 ** 8 + X1, 5, samples=100_000, seed=1)
+    assert shifted.std_error == pytest.approx(plain.std_error, rel=1e-6)
 
 
 def test_mc_rejects_tiny_sample_counts():

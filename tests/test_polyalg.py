@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbtlab import polyalg
 from sbtlab.polyalg import (
     EXACT,
     FLOAT,
@@ -170,6 +171,96 @@ def test_eval_array_monomials_against_exact_values(degree):
             else:
                 gap = _gauss(value) - want
                 assert gap.re ** 2 + gap.im ** 2 <= bound2 * (want.re ** 2 + want.im ** 2)
+
+
+def _table_rows(p) -> int:
+    """Rows of eval_array's monomial tables: distinct monomials of each part."""
+    parts = [p._parts(key) for key in p.terms]
+    return sum(len({key[side] for key in parts}) for side in range(len(p._names)))
+
+
+_EVAL_BLOCK = 8     # points per block in the test below
+
+
+@pytest.mark.parametrize("count", [_EVAL_BLOCK, _EVAL_BLOCK + 1, 3 * _EVAL_BLOCK + 5],
+                         ids=["one-block", "block+1", "several-blocks"])
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("family", [RealPoly, CxPoly])
+def test_eval_array_equals_evaluate_across_blocks(monkeypatch, family, mode, count):
+    # gap bounded by 1e-13 of sum |c| |monomial|, the size of the rounded terms
+    p = random_real_poly(seeded_rng(61), k=3, degree=6, terms=6)
+    pts = np.random.default_rng(count).uniform(-1.5, 1.5, size=(count, 3))
+    if family is CxPoly:
+        p = holomorphic_extend(p).mod_square() + (A2 * ABAR1 ** 2).scale(GaussianRational(1, -2))
+        pts = pts + 1j * np.random.default_rng(count + 1).uniform(-1.5, 1.5, size=(count, 3))
+    if mode == FLOAT:
+        p = p.to_float()
+    size = family({key: abs(complex(c)) for key, c in p.terms.items()}, FLOAT)
+    itemsize = np.dtype(p._float).itemsize
+    monkeypatch.setattr(polyalg, "EVAL_BLOCK_BYTES", _table_rows(p) * itemsize * _EVAL_BLOCK)
+    values = p.eval_array(pts)
+    assert values.dtype == np.dtype(p._float) and values.shape == (count,)
+    for point, value in zip(pts, values):
+        assert abs(value - p.evaluate(point)) <= 1e-13 * size.evaluate(np.abs(point)).real
+
+
+@pytest.mark.parametrize("family, pts", [
+    (RealPoly, np.linspace(-1, 1, 10).reshape(5, 2)),
+    (CxPoly, np.linspace(-1, 1, 10).reshape(5, 2) * (1 - 2j)),
+], ids=["real", "complex"])
+def test_eval_array_of_zero_and_constant(family, pts):
+    dtype = np.dtype(family._float)
+    for mode in (EXACT, FLOAT):
+        zero = family.zero(mode).eval_array(pts)
+        assert zero.dtype == dtype and zero.shape == (5,) and not zero.any()
+        for c in (Fraction(3, 2) if mode == EXACT else 1.5, -2):
+            const = family.constant(c, mode).eval_array(pts)
+            assert const.dtype == dtype and (const == float(c)).all()
+    if family is CxPoly:
+        const = CxPoly.constant(GaussianRational(1, -2)).eval_array(pts)
+        assert (const == 1 - 2j).all()
+
+
+_RATIONAL_PARTS = st.one_of(
+    st.just(0), st.integers(-5, 5), st.fractions(-3, 3, max_denominator=7)
+)
+_OPERANDS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(-3, 3, max_denominator=7),
+    st.builds(GaussianRational, _RATIONAL_PARTS, _RATIONAL_PARTS),
+)
+
+
+def _textbook_parts(value) -> tuple:
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(GaussianRational, _RATIONAL_PARTS, _RATIONAL_PARTS), _OPERANDS,
+       st.integers(0, 5))
+def test_gaussian_rational_arithmetic_is_the_textbook_formula(g, other, n):
+    a, b = g.re, g.im
+    c, d = _textbook_parts(other)
+    power = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        power = (power[0] * a - power[1] * b, power[0] * b + power[1] * a)
+    cases = [
+        (g + other, (a + c, b + d)),
+        (other + g, (a + c, b + d)),
+        (g - other, (a - c, b - d)),
+        (other - g, (c - a, d - b)),
+        (g * other, (a * c - b * d, a * d + b * c)),
+        (other * g, (a * c - b * d, a * d + b * c)),
+        (-g, (-a, -b)),
+        (g.conjugate(), (a, -b)),
+        (g ** n, power),
+    ]
+    for got, want in cases:
+        assert type(got) is GaussianRational
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert (got.re, got.im) == want
 
 
 def test_dilate_examples():
