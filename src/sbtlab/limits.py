@@ -22,16 +22,19 @@ DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
 # float differences below this are indistinguishable from round-off and are
 # treated as exact agreement
 NOISE_FLOOR = 1e-14
+# relative gap between the sphere and quadric norms above which a diagram
+# sweep reports the finite-dimension isometry as broken
+FINITE_TOL = 1e-9
 
 
-def fit_rate(ns, errors, floor: float = NOISE_FLOOR) -> float:
+def fit_rate(ns, errors) -> float:
     """Least-squares decay exponent of errors vs ns; inf for exact agreement.
 
     A NaN error gives a NaN rate: it is not agreement.
     """
     if any(e != e for e in errors):
         return math.nan
-    pairs = [(n, e) for n, e in zip(ns, errors) if e > floor]
+    pairs = [(n, e) for n, e in zip(ns, errors) if e > NOISE_FLOOR]
     if not pairs:
         return math.inf
     if len(pairs) < 3:
@@ -53,7 +56,6 @@ class ConvergenceTable:
     values: list
     references: list
     errors: list
-    fitted_rate: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -61,6 +63,14 @@ class ConvergenceTable:
             raise ValueError("dimension grid must be strictly increasing")
         if any(e < 0 for e in self.errors):
             raise ValueError("errors must be nonnegative")
+
+    @property
+    def fitted_rate(self) -> float:
+        """Fitted decay rate, or NaN when the grid has too few informative points."""
+        try:
+            return fit_rate(self.ns, self.errors)
+        except ValueError:
+            return math.nan
 
     def csv_rows(self) -> list:
         rows = []
@@ -80,14 +90,6 @@ class ConvergenceTable:
         return rows
 
 
-def _rate_or_nan(ns, errors):
-    """Fitted rate, or NaN when the grid has too few informative points."""
-    try:
-        return fit_rate(ns, errors)
-    except ValueError:
-        return math.nan
-
-
 def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Coefficient distance between the sphere Laplacian of p and its limit."""
     reference = diffops.HERMITE.apply(p)
@@ -100,7 +102,6 @@ def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
         values=list(errors),
         references=[0.0] * len(ns),
         errors=list(errors),
-        fitted_rate=_rate_or_nan(ns, errors),
     )
 
 
@@ -121,7 +122,6 @@ def measure_limit(q, family: str, T=None, ns=DEFAULT_N_GRID) -> ConvergenceTable
         values=values,
         references=[limit] * len(ns),
         errors=errors,
-        fitted_rate=_rate_or_nan(ns, errors),
         meta={} if T is None else {"T": T},
     )
 
@@ -136,7 +136,6 @@ def transform_limit(p: RealPoly, T, ns=DEFAULT_N_GRID) -> ConvergenceTable:
         values=list(errors),
         references=[0.0] * len(ns),
         errors=list(errors),
-        fitted_rate=_rate_or_nan(ns, errors),
         meta={"T": T},
     )
 
@@ -178,14 +177,13 @@ def diagram_check(p: RealPoly, T, n: int, limit_norm2: float | None = None) -> D
     return DiagramReport(n, float(T), sphere.domain_norm2, sphere.range_norm2, limit_norm2)
 
 
-def diagram_convergence(p: RealPoly, T, ns=DEFAULT_N_GRID,
-                        finite_tol: float = 1e-9) -> ConvergenceTable:
+def diagram_convergence(p: RealPoly, T, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Sweep diagram_check over a grid; errors are distances to the limit norm."""
     reports = []
     for n in ns:
         reports.append(diagram_check(p, T, n, reports[0].gamma_norm2 if reports else None))
     for r in reports:
-        if r.finite_gap_rel > finite_tol:
+        if r.finite_gap_rel > FINITE_TOL:
             raise AssertionError(
                 f"finite-dimension isometry broke at n={r.n}: gap {r.finite_gap_rel:.3e}"
             )
@@ -196,6 +194,5 @@ def diagram_convergence(p: RealPoly, T, ns=DEFAULT_N_GRID,
         values=[r.sphere_norm2 for r in reports],
         references=[r.gamma_norm2 for r in reports],
         errors=errors,
-        fitted_rate=_rate_or_nan(ns, errors),
         meta={"T": T},
     )

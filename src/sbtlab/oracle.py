@@ -17,10 +17,11 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .measures import MeasureSpec
-from .parallel import ordered_map
 from .polyalg import CxPoly, RealPoly, mono_degree
 
 N_SUBSTREAMS = 16
+# samples drawn per numpy call within a substream
+MC_CHUNK = 1 << 16
 
 
 class InsufficientOrderError(ValueError):
@@ -42,7 +43,7 @@ class OracleEstimate:
 
 
 def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
-                     seed: int = 0, chunk: int = 1 << 16) -> OracleEstimate:
+                     seed: int = 0) -> OracleEstimate:
     """Average p over points sampled uniformly from the radius-sqrt(n) sphere.
 
     Only the k coordinates p reads are drawn.  A uniform point is a Gaussian
@@ -53,11 +54,11 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     length adds k rows and every column the polynomial reads is contiguous.
 
     Sampling is split into N_SUBSTREAMS independent PCG64 streams spawned
-    from SeedSequence(seed), so the estimate depends only on (samples, seed),
-    not on how the work is scheduled.  Each substream keeps (count, mean,
-    sum of squared deviations), merged in substream order by the pairwise
-    update of Chan, Golub & LeVeque (1979), so the standard error does not
-    cancel when the mean is large against the spread.
+    from SeedSequence(seed) and run in order on the calling thread, so the
+    estimate depends only on (samples, seed).  Each substream keeps (count,
+    mean, sum of squared deviations), merged in substream order by the
+    pairwise update of Chan, Golub & LeVeque (1979), so the standard error
+    does not cancel when the mean is large against the spread.
     """
     MeasureSpec.sphere(n).check(p)
     if samples < 1000:
@@ -66,14 +67,14 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     per = [samples // N_SUBSTREAMS] * N_SUBSTREAMS
     per[-1] += samples - sum(per)
 
-    def run_substream(args):
-        idx, count = args
+    substreams = []
+    for idx, count in enumerate(per):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(idx,)))
         )
         parts = []
-        for start in range(0, count, chunk):
-            size = min(chunk, count - start)
+        for start in range(0, count, MC_CHUNK):
+            size = min(MC_CHUNK, count - start)
             x = rng.standard_normal((k, size))
             radius2 = np.einsum("ij,ij->j", x, x)
             if n > k:
@@ -83,9 +84,8 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
             mean = float(vals.mean())
             vals -= mean
             parts.append((size, mean, float(np.square(vals, out=vals).sum())))
-        return reduce(_merge_moments, parts)
-
-    _, mean, m2 = reduce(_merge_moments, ordered_map(run_substream, list(enumerate(per))))
+        substreams.append(reduce(_merge_moments, parts))
+    _, mean, m2 = reduce(_merge_moments, substreams)
     return OracleEstimate(mean, math.sqrt(m2 / samples / samples), samples, seed)
 
 
@@ -183,6 +183,7 @@ def isserlis_moment(p: RealPoly, t):
 
     Exact for exact p and rational t; independent of the heat-operator route.
     """
+    MeasureSpec.gauss(t).check(p)
     exact = p.mode == "exact" and isinstance(t, (int, Fraction))
     total = Fraction(0) if exact else 0.0
     for alpha, c in p.terms.items():

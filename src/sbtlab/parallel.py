@@ -1,29 +1,5 @@
-"""Deterministic parallel mapping with an environment-controlled thread cap."""
+"""Empty: sbtlab starts no threads.
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "SBTLAB_THREADS"
-
-
-def thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def ordered_map(fn, items) -> list:
-    """Map fn over items, collecting results in input order.
-
-    Results are independent of the thread count; with one thread (or one
-    item) this is a plain loop.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+Kept only because the benchmark harness imports this module to resolve the
+target of one of its trace layers; delete it when that layer goes.
+"""

@@ -178,6 +178,9 @@ def dilation_exp(lam, q):
 # ---------------------------------------------------------------------------
 # commutation-relation exponential identities
 
+# bch_check's gate on [X, Y] = alpha*Y, relative to the largest coefficient of Y m
+HYPOTHESIS_TOL = 1e-12
+
 
 def _phi_product(alpha: float) -> float:
     # alpha / (1 - e^{-alpha}), continuous value 1 at alpha = 0
@@ -242,8 +245,7 @@ def _product_gap(lhs, rhs, keys) -> float:
     return _worst(_gap(_exp_product(lhs, key), _exp_product(rhs, key)) for key in keys)
 
 
-def bch_check(x: GroupGenerator, y: GroupGenerator, alpha: float, k: int, l: int,
-              hypothesis_tol: float = 1e-12) -> BCHReport:
+def bch_check(x: GroupGenerator, y: GroupGenerator, alpha: float, k: int, l: int) -> BCHReport:
     """Verify the exponential identities that follow from [X, Y] = alpha*Y.
 
         e^X e^Y   = e^{X + (alpha/(1-e^{-alpha})) Y}
@@ -256,7 +258,7 @@ def bch_check(x: GroupGenerator, y: GroupGenerator, alpha: float, k: int, l: int
     third is the splitting that turns a combined flow into a dilation
     followed by a plain heat flow.  Raises :class:`CommutationError` if
     X(Y m) - Y(X m) differs from alpha*Y m on some basis monomial m by more
-    than ``hypothesis_tol`` times the largest coefficient of any Y m (at
+    than ``HYPOTHESIS_TOL`` times the largest coefficient of any Y m (at
     least 1).
     """
     family = (x + y).family
@@ -268,7 +270,7 @@ def bch_check(x: GroupGenerator, y: GroupGenerator, alpha: float, k: int, l: int
         residuals.append(_gap((x.apply(ym) - y.apply(xm)).terms, ym.scale(alpha).terms))
         sizes.append(_worst(ym.terms.values()))
     residual = _worst(residuals)
-    if not residual <= hypothesis_tol * max(sizes):
+    if not residual <= HYPOTHESIS_TOL * max(sizes):
         raise CommutationError(
             f"[X, Y] differs from alpha*Y by {residual:.3e} (alpha={alpha})"
         )

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .polyalg import RealPoly
 
 SUITE_SEED = 20240901
+RANDOM_COUNT = 20
 
 
 def _mono(*exps) -> RealPoly:
@@ -54,18 +55,12 @@ def random_real_poly(rng: random.Random, k: int = 3, degree: int = 6,
     return poly
 
 
-def random_suite(count: int = 20, seed: int = SUITE_SEED, k: int = 3,
-                 degree: int = 6) -> list:
-    rng = random.Random(seed)
-    return [
-        (f"rand{i}", random_real_poly(rng, k=k, degree=degree))
-        for i in range(count)
-    ]
-
-
-def acceptance_suite(k: int = 3, degree: int = 6, count: int = 20,
-                     seed: int = SUITE_SEED) -> list:
-    """Labelled (name, polynomial) pairs: the fixed monomials plus random ones."""
+def acceptance_suite(k: int = 3, degree: int = 6, seed: int = SUITE_SEED) -> list:
+    """Labelled (name, polynomial) pairs: the fixed monomials plus RANDOM_COUNT random ones."""
     monos = [(name, p) for name, p in MONOMIALS
              if p.width() <= k and p.degree() <= degree]
-    return monos + random_suite(count=count, seed=seed, k=k, degree=degree)
+    rng = random.Random(seed)
+    return monos + [
+        (f"rand{i}", random_real_poly(rng, k=k, degree=degree))
+        for i in range(RANDOM_COUNT)
+    ]

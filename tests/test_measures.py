@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbtlab import diffops, oracle, semigroup
@@ -513,16 +513,32 @@ def _domain_specs():
 def _range_cases(p, n, T):
     from sbtlab.transforms import euclidean_sbt, limit_sbt, sphere_sbt
 
+    # each case: the measure, f, and an exact measure of the same moments
+    # (None for the quadric); gamma(T) has the covariances (1, e^T) of xi(e^T, e^T - 1)
     t = -math.expm1(-T)
-    return ((MeasureSpec.xi(1.0, t), euclidean_sbt(p, 1.0, t)),
-            (MeasureSpec.xi(2.5, T), euclidean_sbt(p, 2.5, T)),
-            (MeasureSpec.gamma(T), limit_sbt(p, T)),
-            (MeasureSpec.quadric(n, T), sphere_sbt(p, n, T)))
+    e = Fraction(math.exp(T))
+    return ((MeasureSpec.xi(1.0, t), euclidean_sbt(p, 1.0, t),
+             MeasureSpec.xi(Fraction(1), Fraction(t))),
+            (MeasureSpec.xi(2.5, T), euclidean_sbt(p, 2.5, T),
+             MeasureSpec.xi(Fraction(2.5), Fraction(T))),
+            (MeasureSpec.gamma(T), limit_sbt(p, T), MeasureSpec.xi(e, e - 1)),
+            (MeasureSpec.quadric(n, T), sphere_sbt(p, n, T), None))
+
+
+def _exact(f: CxPoly) -> CxPoly:
+    """f with each float coefficient lifted to the Gaussian rational of equal value."""
+    return CxPoly({key: GaussianRational(Fraction(c.real), Fraction(c.imag))
+                   for key, c in f.terms.items()})
 
 
 def _assert_range_norms_match(p, n, T):
-    for spec, f in _range_cases(p, n, T):
-        reference = complex(moment(spec, f.mod_square())).real
+    # against the exact moment of |f|^2 where one exists: the float moment of
+    # the float |f|^2 can be further from the exact value than norm2 is
+    for spec, f, exact_spec in _range_cases(p, n, T):
+        if exact_spec is None:
+            reference = complex(moment(spec, f.mod_square())).real
+        else:
+            reference = float(moment(exact_spec, _exact(f).mod_square()).re)
         assert abs(norm2(spec, f) - reference) <= 1e-14 * abs(reference), spec
 
 
@@ -537,6 +553,8 @@ def test_norm2_matches_the_moment_of_the_square_on_the_acceptance_suite():
 
 @settings(max_examples=80, deadline=None)
 @given(_real_polys(), st.integers(4, 30), st.floats(0.1, 2.0))
+# the float moment of |f|^2 under xi(2.5, T) is 1.19e-14 off the exact value here
+@example(RealPoly({(4, 4, 4): 1}), 4, 0.484375)
 def test_norm2_matches_the_moment_of_the_square(p, n, T):
     for spec in _domain_specs():
         assert norm2(spec, p) == float(moment(spec, p * p)), spec

@@ -42,6 +42,17 @@ def test_isserlis_examples():
     assert isserlis_moment(X1 ** 3, t) == 0
 
 
+@pytest.mark.parametrize("t", [0, -1, math.nan, math.inf])
+def test_isserlis_rejects_a_variance_outside_the_gaussian_family(t):
+    with pytest.raises(ValueError):
+        isserlis_moment(X1 ** 2, t)
+
+
+def test_isserlis_rejects_complexified_polynomials():
+    with pytest.raises(TypeError, match="real polynomials"):
+        isserlis_moment(A1 * ABAR1, 1)
+
+
 def test_isserlis_equals_heat_route_exactly():
     rng = seeded_rng(51)
     for _ in range(10):
@@ -130,11 +141,24 @@ def test_mc_deterministic_given_seed():
     assert c.value != a.value
 
 
-def test_mc_independent_of_thread_count(monkeypatch):
-    a = mc_sphere_moment(X1 ** 2 * X2 ** 2, 15, samples=40_000, seed=5)
-    monkeypatch.setenv("SBTLAB_THREADS", "1")
-    b = mc_sphere_moment(X1 ** 2 * X2 ** 2, 15, samples=40_000, seed=5)
-    assert a.value == b.value and a.std_error == b.std_error
+@pytest.mark.parametrize("p, n, samples, seed, value, std_error", [
+    (X1 ** 2 * X2 ** 2, 15, 40_000, 5, "0x1.bdaf378eb4a1fp-1", "0x1.33c5c2a385e2ap-7"),
+    # the input of verify's mc-vs-sphere check at its default seed
+    (X1 ** 4, 50, 200_000, 7, "0x1.720547d1d2ce9p+1", "0x1.3e78cda2d374fp-6"),
+], ids=["x1^2*x2^2", "verify"])
+def test_mc_estimates_are_pinned(p, n, samples, seed, value, std_error):
+    est = mc_sphere_moment(p, n, samples=samples, seed=seed)
+    assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
+
+
+def test_mc_starts_no_threads(monkeypatch):
+    import threading
+
+    def refuse(self):
+        raise AssertionError("mc_sphere_moment started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    mc_sphere_moment(X1 ** 2 * X2 ** 2, 15, samples=40_000, seed=5)
 
 
 def test_mc_standard_error_does_not_cancel_for_large_values():
