@@ -292,23 +292,25 @@ def cmd_converge(args) -> int:
     if len(t_list) > 1:
         raise ValueError(f"converge takes one --T value, got {args.T!r}")
     t = t_list[0]
-    if args.quantity == "laplacian":
-        label, p = resolve_polys(args.poly)[0]
-        table = limits.laplacian_limit(p, ns)
-    elif args.quantity == "sphere-moment":
-        label, p = resolve_polys(args.poly)[0]
-        table = limits.measure_limit(p, "sphere", ns=ns)
-    elif args.quantity == "quadric-moment":
-        label, q = resolve_cx_poly(args.poly if args.poly != "suite" else "a1abar1")
+    complex_integrand = args.quantity == "quadric-moment"
+    poly = args.poly
+    if poly is None:
+        poly = "a1abar1" if complex_integrand else "x1"
+    if poly == "suite":
+        raise ValueError("converge sweeps one polynomial; --poly suite is for isometry")
+    if complex_integrand:
+        label, q = resolve_cx_poly(poly)
         table = limits.measure_limit(q, "quadric", T=t, ns=ns)
-    elif args.quantity == "transform":
-        label, p = resolve_polys(args.poly)[0]
-        table = limits.transform_limit(p, t, ns)
-    elif args.quantity == "diagram":
-        label, p = resolve_polys(args.poly)[0]
-        table = limits.diagram_convergence(p, t, ns)
     else:
-        raise ValueError(f"unknown quantity {args.quantity!r}")
+        [(label, p)] = resolve_polys(poly)
+        if args.quantity == "laplacian":
+            table = limits.laplacian_limit(p, ns)
+        elif args.quantity == "sphere-moment":
+            table = limits.measure_limit(p, "sphere", ns=ns)
+        elif args.quantity == "transform":
+            table = limits.transform_limit(p, t, ns)
+        else:
+            table = limits.diagram_convergence(p, t, ns)
     rows = table.csv_rows()
     for row in rows:
         row["quantity"] = f"{row['quantity']} [{label}]"
@@ -501,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("converge", help="large-dimension convergence sweep")
     conv.add_argument("--quantity", required=True, choices=(
         "laplacian", "sphere-moment", "quadric-moment", "transform", "diagram"))
-    conv.add_argument("--poly", default="x1",
-                      help="inline polynomial or preset; quadric-moment takes "
-                           "a1abar1, a1sq, or modsq:<poly>")
+    conv.add_argument("--poly",
+                      help="inline polynomial or preset (default x1); quadric-moment "
+                           "takes a1abar1 (the default), a1sq, or modsq:<poly>")
     conv.add_argument("--N", default="10..10000", help="comma list or lo..hi")
     conv.add_argument("--T", default="1.0")
     conv.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -529,7 +531,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
-    except (PolyParseError, DimensionError, ValueError) as exc:
+    except (PolyParseError, DimensionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

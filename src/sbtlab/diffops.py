@@ -183,10 +183,8 @@ class GroupGenerator:
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-def _one_side(variables, indices, a2, a1, c) -> GroupGenerator:
-    if variables not in ("x", "a", "abar"):
-        raise ValueError(f"variables must be 'x', 'a' or 'abar', got {variables!r}")
-    return GroupGenerator((Group(variables, indices, a2, a1, c),))
+def _one_side(indices, a2, a1, c) -> GroupGenerator:
+    return GroupGenerator((Group("x", None if indices is None else tuple(indices), a2, a1, c),))
 
 
 def _both_sides(a2, a1, c, n=None) -> GroupGenerator:
@@ -204,27 +202,14 @@ def ambient_dimension(name: str, n, least: int) -> int:
     return value
 
 
-def _ambient(name: str, n, b2) -> tuple:
-    """(n, b2) of an operator restricted from the radius-sqrt(b2) sphere in R^n; b2 defaults to n."""
-    n = ambient_dimension(name, n, 1)
-    b2 = Fraction(n if b2 is None else b2)
-    if b2 <= 0:
-        raise ValueError(f"{name} needs b2 > 0")
-    return n, b2
+def laplacian_op(indices=None) -> GroupGenerator:
+    """Sum of the second derivatives in the coordinates ``indices`` (0-based, None for all)."""
+    return _one_side(indices, 0, 0, 1)
 
 
-def laplacian_op(indices=None, variables="x") -> GroupGenerator:
-    """Sum of the second derivatives in the coordinates ``indices`` (0-based, None for all).
-
-    ``variables`` picks the real variables ("x") or one side, "a" or
-    "abar", of the complexified ones.
-    """
-    return _one_side(variables, None if indices is None else tuple(indices), 0, 0, 1)
-
-
-def euler_op(indices=None, variables="x") -> GroupGenerator:
+def euler_op(indices=None) -> GroupGenerator:
     """Cauchy-Euler operator sum_j x_j d/dx_j: scales every monomial by its (partial) degree."""
-    return _one_side(variables, None if indices is None else tuple(indices), 0, 1, 0)
+    return _one_side(indices, 0, 1, 0)
 
 
 LAPLACIAN = laplacian_op()
@@ -237,41 +222,41 @@ G_K = _both_sides(0, _HALF, -_HALF)
 
 
 @lru_cache(maxsize=None, typed=True)
-def spherical_laplacian_op(n: int, b2=None) -> GroupGenerator:
-    """Unique k-variable representative of the Laplacian on the radius-b sphere in R^n.
+def spherical_laplacian_op(n: int) -> GroupGenerator:
+    """Unique k-variable representative of the Laplacian on the sphere of radius sqrt(n) in R^n.
 
     On that sphere the Laplacian of a polynomial in k < n variables agrees
     with exactly one k-variable polynomial, namely
 
-        laplacian(p) - (1/b^2) * (euler^2 + (n-2) euler) p.
+        laplacian(p) - (1/n) * (euler^2 + (n-2) euler) p.
 
     Memoized, apart for each argument type so that a float n is still
     rejected: every sphere transform builds one, about 2 000 per round of
     the benchmark's suite workload.
     """
-    n, b2 = _ambient("spherical_laplacian", n, b2)
-    return GroupGenerator((Group("x", None, -1 / b2, (2 - n) / b2, 1),), n)
+    n = ambient_dimension("spherical_laplacian", n, 1)
+    return GroupGenerator((Group("x", None, Fraction(-1, n), Fraction(2 - n, n), 1),), n)
 
 
-def jsq_a_op(n: int, b2=None) -> GroupGenerator:
-    """Squared holomorphic angular momentum, restricted to the quadric a.a = b^2:
+def jsq_a_op(n: int) -> GroupGenerator:
+    """Squared holomorphic angular momentum, restricted to the quadric a.a = n:
 
-        -b^2 * sum_j d^2/da_j^2 + (a da)^2 + (n-2)(a da).
+        -n * sum_j d^2/da_j^2 + (a da)^2 + (n-2)(a da).
     """
-    n, b2 = _ambient("jsq_a", n, b2)
-    return GroupGenerator((Group("a", None, 1, n - 2, -b2),), n)
+    n = ambient_dimension("jsq_a", n, 1)
+    return GroupGenerator((Group("a", None, 1, n - 2, -n),), n)
 
 
-def jsq_abar_op(n: int, b2=None) -> GroupGenerator:
+def jsq_abar_op(n: int) -> GroupGenerator:
     """Antiholomorphic counterpart of :func:`jsq_a_op`, in the abar variables."""
-    n, b2 = _ambient("jsq_abar", n, b2)
-    return GroupGenerator((Group("abar", None, 1, n - 2, -b2),), n)
+    n = ambient_dimension("jsq_abar", n, 1)
+    return GroupGenerator((Group("abar", None, 1, n - 2, -n),), n)
 
 
-def gamma_n_op(n: int, b2=None) -> GroupGenerator:
+def gamma_n_op(n: int) -> GroupGenerator:
     """Gamma_n = (jsq_a + jsq_abar) / 2; a self-map of the 2k-variable polynomials."""
-    n, b2 = _ambient("gamma_n", n, b2)
-    return _both_sides(_HALF, Fraction(n - 2, 2), -b2 / 2, n)
+    n = ambient_dimension("gamma_n", n, 1)
+    return _both_sides(_HALF, Fraction(n - 2, 2), Fraction(-n, 2), n)
 
 
 def g_uv_op(k: int) -> GroupGenerator:

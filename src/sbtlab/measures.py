@@ -5,8 +5,8 @@
                  parts of variances (2s-t)/2 and t/2 per coordinate.
 * ``gamma``   -- the xi family at (s, t) = (e^T, e^T - 1); real/imaginary
                  variances (e^T+1)/2 and (e^T-1)/2.
-* ``sphere``  -- normalized volume measure of the radius-b sphere in n
-                 ambient dimensions.
+* ``sphere``  -- normalized volume measure of the sphere of radius sqrt(n)
+                 in n ambient dimensions.
 * ``quadric`` -- heat-kernel measure on the complexified sphere; integrated
                  by pushing the integrand through the exponential of the
                  quadric operator and reading the result on the real points.
@@ -47,13 +47,13 @@ from .polyalg import (
 )
 
 # the positive, finite parameters of each family; sphere and quadric also
-# take an integer ambient dimension n >= 2, and their b2 defaults to n
+# take an integer ambient dimension n >= 2, the squared radius of their sphere
 _PARAMS = {
     "gauss": ("t",),
     "xi": ("s", "t"),
     "gamma": ("T",),
-    "sphere": ("b2",),
-    "quadric": ("T", "b2"),
+    "sphere": (),
+    "quadric": ("T",),
 }
 _REAL = ("gauss", "sphere")
 
@@ -67,17 +67,13 @@ class MeasureSpec:
     s: object = None
     T: object = None
     n: int | None = None
-    b2: object = None
 
     def __post_init__(self):
         names = _PARAMS.get(self.family)
         if names is None:
             raise ValueError(f"unknown measure family {self.family!r}")
         if self.family in ("sphere", "quadric"):
-            n = ambient_dimension(self.family, self.n, 2)
-            object.__setattr__(self, "n", n)
-            if self.b2 is None:
-                object.__setattr__(self, "b2", n)
+            object.__setattr__(self, "n", ambient_dimension(self.family, self.n, 2))
         for name in names:
             value = getattr(self, name)
             if value is None or not 0 < value < math.inf:
@@ -103,12 +99,12 @@ class MeasureSpec:
         return cls("gamma", T=T)
 
     @classmethod
-    def sphere(cls, n, b2=None):
-        return cls("sphere", n=n, b2=b2)
+    def sphere(cls, n):
+        return cls("sphere", n=n)
 
     @classmethod
-    def quadric(cls, n, T, b2=None):
-        return cls("quadric", n=n, T=T, b2=b2)
+    def quadric(cls, n, T):
+        return cls("quadric", n=n, T=T)
 
     @property
     def rational(self) -> bool:
@@ -136,7 +132,7 @@ class MeasureSpec:
         """Moment of a degree-2m monomial of the real kinds over its pairing count."""
         if self.family == "gauss":
             return _gauss_radial(m, self.t)
-        return _sphere_radial(m, self.n, self.b2)
+        return _sphere_radial(m, self.n)
 
     def covariances(self) -> tuple:
         """(E[a^2], E[a abar]) per coordinate of the complex Gaussians xi and gamma."""
@@ -186,17 +182,17 @@ def _gauss_radial(m: int, t) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _sphere_radial(m: int, n: int, b2) -> Fraction:
-    """b2^m / (n (n + 2) ... (n + 2m - 2)): a degree-2m sphere moment over its pairings."""
+def _sphere_radial(m: int, n: int) -> Fraction:
+    """n^m / (n (n + 2) ... (n + 2m - 2)): a degree-2m sphere moment over its pairings."""
     den = 1
     for i in range(m):
         den *= n + 2 * i
-    return Fraction(b2) ** m / den
+    return Fraction(n ** m, den)
 
 
-def sphere_mono_moment(alpha: tuple, n: int, b2) -> Fraction:
-    """Exact moment of a monomial over the radius-sqrt(b2) sphere in R^n (len(alpha) <= n)."""
-    return _pairings(alpha) * _sphere_radial(mono_degree(alpha) // 2, n, b2)
+def sphere_mono_moment(alpha: tuple, n: int) -> Fraction:
+    """Exact moment of a monomial over the sphere of radius sqrt(n) in R^n (len(alpha) <= n)."""
+    return _pairings(alpha) * _sphere_radial(mono_degree(alpha) // 2, n)
 
 
 def _parity(alpha) -> tuple:
@@ -347,7 +343,7 @@ def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
 # therefore factors monomial-wise, and the moment of a^alpha abar^beta is
 # K[alpha, beta] = (F S F^T)[alpha, beta]: row alpha of F is the flow of
 # x^alpha through the holomorphic half and S holds sphere moments of monomial
-# products.  At tau = T/(2 b2) the holomorphic half -b2*Lap + Euler^2 +
+# products.  At tau = T/(2n) the holomorphic half -n*Lap + Euler^2 +
 # (n-2)*Euler is -(T/2) times the sphere Laplacian, so F is the sphere heat
 # flow run backward for T/2.  Each call builds F on its own monomials and S
 # on their flows' support, from the memoized monomial flows, so a value does
@@ -357,7 +353,7 @@ def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
 
 def _quadric_flows(monos: list, spec: MeasureSpec) -> tuple:
     """F, rows the backward sphere flows of ``monos``, and S on their support."""
-    gen = diffops.spherical_laplacian_op(spec.n, spec.b2)
+    gen = diffops.spherical_laplacian_op(spec.n)
     flows = [semigroup.flow_monomial(gen, -float(spec.T) / 2.0, a) for a in monos]
     support = {}
     for flow in flows:
@@ -368,7 +364,7 @@ def _quadric_flows(monos: list, spec: MeasureSpec) -> tuple:
         for gamma, v in flow.items():
             f[i, support[gamma]] = v
     width = max(map(len, support), default=0)
-    return f, _sphere_gram(_exponent_matrix(support, width), spec.n, spec.b2)
+    return f, _sphere_gram(_exponent_matrix(support, width), spec.n)
 
 
 def _quadric_moment(spec: MeasureSpec, q: CxPoly):
@@ -384,8 +380,8 @@ def _quadric_moment(spec: MeasureSpec, q: CxPoly):
     return _finite(complex(coeffs.dot((rows.dot(s) * cols).sum(axis=1))))
 
 
-def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):
-    """Reference route: flow q through exp((T/b2) Gamma), then integrate.
+def quadric_moment_direct(q: CxPoly, n: int, T):
+    """Reference route: flow q through exp((T/n) Gamma), then integrate.
 
     Each term of q flows through the holomorphic and antiholomorphic groups
     of gamma_n in its own parametrization (not the sphere-Laplacian identity
@@ -393,14 +389,12 @@ def quadric_moment_direct(q: CxPoly, n: int, T, b2=None):
     integrated over the sphere.  Slower than :func:`quadric_moment`; used to
     cross-check it.
     """
-    spec = MeasureSpec.quadric(n, T, b2)
+    spec = MeasureSpec.quadric(n, T)
     spec.check(q)
-    flowed = semigroup.exp_graded(
-        diffops.gamma_n_op(n, spec.b2), float(T) / float(spec.b2), q
-    )
+    flowed = semigroup.exp_graded(diffops.gamma_n_op(n), float(T) / float(n), q)
     total = 0j
     for alpha, coeff in flowed.as_real_monomials().items():
-        mono = sphere_mono_moment(alpha, n, spec.b2)
+        mono = sphere_mono_moment(alpha, n)
         if mono:
             total += complex(coeff) * float(mono)
     return total
@@ -423,8 +417,8 @@ def _table_product(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _sphere_gram(exps: np.ndarray, n: int, b2) -> np.ndarray:
-    """S[g, d]: moment of x^(exps[g] + exps[d]) over the radius-sqrt(b2) sphere in R^n.
+def _sphere_gram(exps: np.ndarray, n: int) -> np.ndarray:
+    """S[g, d]: moment of x^(exps[g] + exps[d]) over the sphere of radius sqrt(n) in R^n.
 
     The pairing counts (e - 1)!! factor over the coordinates, read from a
     table indexed by the exponents of g and d; the radial factor goes by the
@@ -437,7 +431,7 @@ def _sphere_gram(exps: np.ndarray, n: int, b2) -> np.ndarray:
     pairings = _table_product(double_factorials[sums], exps)
     degrees = exps.sum(axis=1)
     radial = np.zeros(2 * int(degrees.max(initial=0)) + 1)
-    radial[::2] = [float(_sphere_radial(m, n, b2)) for m in range(len(radial[::2]))]
+    radial[::2] = [float(_sphere_radial(m, n)) for m in range(len(radial[::2]))]
     return pairings * radial[np.add.outer(degrees, degrees)]
 
 
@@ -514,18 +508,18 @@ def gamma_moment(q: CxPoly, T):
     return moment(MeasureSpec.gamma(T), q)
 
 
-def sphere_moment(p: RealPoly, n: int, b2=None):
-    """Integral of p against the normalized sphere measure (b2 defaults to n)."""
-    return moment(MeasureSpec.sphere(n, b2), p)
+def sphere_moment(p: RealPoly, n: int):
+    """Integral of p against the normalized measure on the sphere of radius sqrt(n) in R^n."""
+    return moment(MeasureSpec.sphere(n), p)
 
 
-def quadric_moment(q: CxPoly, n: int, T, b2=None):
+def quadric_moment(q: CxPoly, n: int, T):
     """Integral of q against the heat-kernel measure on the complexified sphere.
 
-    Equivalent to flowing q through exp((T/b2) * Gamma) and integrating the
+    Equivalent to flowing q through exp((T/n) * Gamma) and integrating the
     restriction to real points over the sphere.
     """
-    return moment(MeasureSpec.quadric(n, T, b2), q)
+    return moment(MeasureSpec.quadric(n, T), q)
 
 
 def inner_product(q1, q2, spec: MeasureSpec):

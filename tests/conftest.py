@@ -63,13 +63,13 @@ def sympy_hermite(p: RealPoly) -> RealPoly:
     return from_sympy(out, syms)
 
 
-def sympy_sphere_laplacian(p: RealPoly, n: int, b2) -> RealPoly:
-    """Angular-momentum route to the sphere Laplacian.
+def sympy_sphere_laplacian(p: RealPoly, n: int) -> RealPoly:
+    """Angular-momentum route to the Laplacian on the sphere of radius sqrt(n) in R^n.
 
     Sums the squared rotation generators over all coordinate planes of the
     ambient space; generators involving an unused coordinate x_l (l > k)
     collapse to -x_j d_j + x_l^2 d_j^2, and the sphere constraint replaces
-    sum_{l>k} x_l^2 by b^2 - sum_{j<=k} x_j^2.  Completely independent of the
+    sum_{l>k} x_l^2 by n - sum_{j<=k} x_j^2.  Completely independent of the
     polar-coordinate closed form used by the package.
     """
     k = max(p.width(), 1)
@@ -81,11 +81,11 @@ def sympy_sphere_laplacian(p: RealPoly, n: int, b2) -> RealPoly:
         for j in range(i + 1, k):
             gen = lambda f: syms[i] * sympy.diff(f, syms[j]) - syms[j] * sympy.diff(f, syms[i])
             total += gen(gen(expr))
-    tail = sympy.Rational(b2 if isinstance(b2, int) else Fraction(b2)) - sum(x ** 2 for x in syms)
+    tail = n - sum(x ** 2 for x in syms)
     for j in range(k):
         total += (n - k) * (-syms[j] * sympy.diff(expr, syms[j]))
         total += tail * sympy.diff(expr, syms[j], 2)
-    return from_sympy(sympy.expand(total / sympy.Rational(Fraction(b2))), syms)
+    return from_sympy(sympy.expand(total / n), syms)
 
 
 def graded_matrices(gen, t, k: int, l: int):

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +250,60 @@ def test_float_sphere_moment_reference_is_rounded_once(capsys):
     assert main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:3]
     assert [row.split(",")[4] for row in rows] == ["1.5", "1.5"]
+
+
+def test_converge_quadric_moment_defaults_to_a1abar1(capsys):
+    # each quantity has its own default integrand: x1, or a1abar1 for quadric-moment
+    base = ["converge", "--quantity", "quadric-moment", "--N", "10,100"]
+    assert main(base) == 0
+    default = capsys.readouterr()
+    assert main(base + ["--poly", "a1abar1"]) == 0
+    assert default == capsys.readouterr()
+    assert "[a1abar1]" in default.out
+
+
+@pytest.mark.parametrize("quantity", [
+    "laplacian", "sphere-moment", "quadric-moment", "transform", "diagram"])
+def test_converge_rejects_the_suite(quantity, capsys):
+    # a sweep follows one polynomial; the suite is for isometry
+    assert main(["converge", "--quantity", quantity, "--poly", "suite", "--N", "10,100"]) == 2
+    captured = capsys.readouterr()
+    assert "error: converge sweeps one polynomial" in captured.err and captured.out == ""
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "f.csv"
+    assert main(["isometry", "--poly", "x1", "--N", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
+def _readme_cli_examples():
+    """(argv, expected stdout) of each `$ sbtlab ...` line of the README's console
+    blocks that is followed by output, up to the next blank or `$` line."""
+    examples, current, console = [], None, False
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            console, current = line == "```console", None
+        elif not console:
+            continue
+        elif line.startswith("$ sbtlab "):
+            current = (shlex.split(line[2:], comments=True)[1:], [])
+            examples.append(current)
+        elif line.startswith("$ ") or not line:
+            current = None
+        elif current is not None:
+            current[1].append(line)
+    return [(argv, "".join(f"{out}\n" for out in lines)) for argv, lines in examples if lines]
+
+
+def test_readme_cli_output_is_what_the_cli_prints(capsys):
+    examples = _readme_cli_examples()
+    assert examples
+    for argv, expected in examples:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, argv
 
 
 def test_parse_rejects_non_finite_coefficients():
