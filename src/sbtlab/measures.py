@@ -7,9 +7,10 @@
                  variances (e^T+1)/2 and (e^T-1)/2.
 * ``sphere``  -- normalized volume measure of the sphere of radius sqrt(n)
                  in n ambient dimensions.
-* ``quadric`` -- heat-kernel measure on the complexified sphere; integrated
-                 by pushing the integrand through the exponential of the
-                 quadric operator and reading the result on the real points.
+* ``quadric`` -- heat-kernel measure on the complexified sphere, the sphere
+                 measure pushed through the heat flow: the moment of
+                 a^alpha abar^beta is the sphere integral of the backward
+                 sphere heat flows of x^alpha and x^beta.
 
 Each measure is defined once, by its ``MeasureSpec``: the spec checks every
 parameter on construction and each integrand in ``check``, and supplies the
@@ -19,10 +20,12 @@ measure kind; the per-family functions build a spec and call ``moment``.
 Real moments are pairing counts prod_i (alpha_i - 1)!! times a radial weight
 of |alpha|/2, summed over integers by half-degree and ended by one division,
 which keeps the convergence experiments accurate at n = 10^4 and beyond.
+The quadric reads the same sums, as a bilinear form of two flows.
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
-float flows).  Otherwise a real moment is the exact sum, rounded once.
+float flows).  Otherwise a real moment or norm, and each sphere sum behind a
+quadric value, is the exact sum, rounded once.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from . import diffops, semigroup
 from .diffops import DimensionError, ambient_dimension
 from .polyalg import (
     EXACT,
+    FLOAT,
     CxPoly,
     GaussianRational,
     HolomorphicityError,
@@ -129,7 +133,10 @@ class MeasureSpec:
             )
 
     def radial(self, m: int) -> Fraction:
-        """Moment of a degree-2m monomial of the real kinds over its pairing count."""
+        """Moment of a degree-2m monomial of the real kinds over its pairing count.
+
+        The quadric reads the sphere's: its moments are sphere integrals of flows.
+        """
         if self.family == "gauss":
             return _gauss_radial(m, self.t)
         return _sphere_radial(m, self.n)
@@ -190,11 +197,6 @@ def _sphere_radial(m: int, n: int) -> Fraction:
     return Fraction(n ** m, den)
 
 
-def sphere_mono_moment(alpha: tuple, n: int) -> Fraction:
-    """Exact moment of a monomial over the sphere of radius sqrt(n) in R^n (len(alpha) <= n)."""
-    return _pairings(alpha) * _sphere_radial(mono_degree(alpha) // 2, n)
-
-
 def _parity(alpha) -> tuple:
     out = [e & 1 for e in alpha]
     while out and not out[-1]:
@@ -202,44 +204,64 @@ def _parity(alpha) -> tuple:
     return tuple(out)
 
 
-def _real_integral(spec: MeasureSpec, p: RealPoly, square: bool = False):
-    """sum c_alpha pairings(alpha) radial(|alpha| / 2) over p's terms.
-
-    With ``square`` the sum runs over pairs, p_alpha p_beta at alpha + beta:
-    the squared norm, without forming p * p.  Only pairs in one parity class
-    contribute.  The coefficients are brought to one denominator, so the
-    sums run over integers by half-degree and end in one int / int division,
-    which rounds once, correctly.  A moment of exact p under a rational
-    spec is returned as that exact Fraction instead.
-    """
+def _integer_terms(p: RealPoly) -> tuple:
+    """p's terms as (alpha, integer) pairs over one common denominator, and that denominator."""
     ratios = [c.as_integer_ratio() for c in p.terms.values()]
     den = math.lcm(*(d for _, d in ratios))
-    coeffs = [num * (den // d) for num, d in ratios]
+    return [(alpha, num * (den // d)) for alpha, (num, d) in zip(p.terms, ratios)], den
+
+
+def _parity_classes(terms: list) -> dict:
+    classes: dict = {}
+    for alpha, c in terms:
+        classes.setdefault(_parity(alpha), []).append((alpha, c))
+    return classes
+
+
+def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None):
+    """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) radial(|alpha| / 2).
+
+    With ``other`` = q it is the bilinear form sum p_alpha q_beta
+    M(alpha + beta) over pairs of p's and q's terms, without forming p * q;
+    only pairs in one parity class contribute, and ``other is p`` sums each
+    unordered pair once.  The coefficients are brought to one denominator,
+    so the sums run over integers by half-degree and end in one int / int
+    division, which rounds once, correctly.  A moment of exact p under a
+    rational spec is returned as that exact Fraction instead.
+    """
+    terms, den = _integer_terms(p)
     sums: dict = {}
-    if square:
+    if other is None:
+        for alpha, c in terms:
+            ways = _pairings(alpha)
+            if ways:
+                m = mono_degree(alpha) // 2
+                sums[m] = sums.get(m, 0) + c * ways
+    elif other is p:
         den *= den
-        classes: dict = {}
-        for alpha, c in zip(p.terms, coeffs):
-            classes.setdefault(_parity(alpha), []).append((alpha, c))
-        for terms in classes.values():
-            for i, (alpha, ca) in enumerate(terms):
-                for j in range(i, len(terms)):
-                    beta, cb = terms[j]
+        for cls in _parity_classes(terms).values():
+            for i, (alpha, ca) in enumerate(cls):
+                for j in range(i, len(cls)):
+                    beta, cb = cls[j]
                     gamma = mono_mul(alpha, beta)
                     m = mono_degree(gamma) // 2
                     w = ca * cb * _pairings(gamma)
                     sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
     else:
-        for alpha, c in zip(p.terms, coeffs):
-            ways = _pairings(alpha)
-            if ways:
-                m = mono_degree(alpha) // 2
-                sums[m] = sums.get(m, 0) + c * ways
+        other_terms, other_den = _integer_terms(other)
+        den *= other_den
+        classes = _parity_classes(terms)
+        for key, cls in _parity_classes(other_terms).items():
+            for alpha, ca in classes.get(key, ()):
+                for beta, cb in cls:
+                    gamma = mono_mul(alpha, beta)
+                    m = mono_degree(gamma) // 2
+                    sums[m] = sums.get(m, 0) + ca * cb * _pairings(gamma)
     weights = [spec.radial(m) for m in sums]
     common = math.lcm(*(w.denominator for w in weights))
     num = sum(s * w.numerator * (common // w.denominator)
               for s, w in zip(sums.values(), weights))
-    if not square and p.mode == EXACT and spec.rational:
+    if other is None and p.mode == EXACT and spec.rational:
         return Fraction(num, common * den)
     return num / (common * den)
 
@@ -339,65 +361,47 @@ def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
 # quadric moments
 #
 # The quadric operator splits into commuting holomorphic and antiholomorphic
-# halves, each acting on a-degree-graded polynomials only.  Its exponential
-# therefore factors monomial-wise, and the moment of a^alpha abar^beta is
-# K[alpha, beta] = (F S F^T)[alpha, beta]: row alpha of F is the flow of
-# x^alpha through the holomorphic half and S holds sphere moments of monomial
-# products.  At tau = T/(2n) the holomorphic half -n*Lap + Euler^2 +
-# (n-2)*Euler is -(T/2) times the sphere Laplacian, so F is the sphere heat
-# flow run backward for T/2.  Each call builds F on its own monomials and S
-# on their flows' support, from the memoized monomial flows, so a value does
-# not depend on what was computed before it.  The direct route, which flows
-# each term through both halves of gamma_n, is kept below as a cross-check.
+# halves, each acting on a-degree-graded polynomials only, and at
+# tau = T/(2n) the holomorphic half -n*Lap + Euler^2 + (n-2)*Euler is
+# -(T/2) times the sphere Laplacian.  So the moment of a^alpha abar^beta is
+# the sphere integral <F x^alpha, F x^beta> of two backward flows: F is the
+# sphere heat flow run backward for T/2, read from the memoized monomial
+# flows.  That integral is the real bilinear form ``_real_integral``, summed
+# exactly and rounded once; only the flows themselves are floats.
 
 
-def _quadric_flows(monos: list, spec: MeasureSpec) -> tuple:
-    """F, rows the backward sphere flows of ``monos``, and S on their support."""
+def _backward_flow(spec: MeasureSpec, terms) -> tuple:
+    """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms."""
     gen = diffops.spherical_laplacian_op(spec.n)
-    flows = [semigroup.flow_monomial(gen, -float(spec.T) / 2.0, a) for a in monos]
-    support = {}
-    for flow in flows:
-        for gamma in flow:
-            support.setdefault(gamma, len(support))
-    f = np.zeros((len(monos), len(support)))
-    for i, flow in enumerate(flows):
-        for gamma, v in flow.items():
-            f[i, support[gamma]] = v
-    width = max(map(len, support), default=0)
-    return f, _sphere_gram(_exponent_matrix(support, width), spec.n)
+    t = -float(spec.T) / 2.0
+    re: dict = {}
+    im: dict = {}
+    for alpha, c in terms:
+        c = complex(c)
+        for gamma, w in semigroup.flow_monomial(gen, t, alpha).items():
+            if c.real:
+                re[gamma] = re.get(gamma, 0.0) + c.real * w
+            if c.imag:
+                im[gamma] = im.get(gamma, 0.0) + c.imag * w
+    return tuple(RealPoly._trusted({g: v for g, v in part.items() if v}, FLOAT)
+                 for part in (re, im))
 
 
-def _quadric_moment(spec: MeasureSpec, q: CxPoly):
-    """sum c_{alpha beta} (F S F^T)[alpha, beta] over q's own monomials."""
-    if q.is_zero():
-        return 0j
-    monos = list(dict.fromkeys(a for ab in q.terms for a in ab))
-    index = {a: i for i, a in enumerate(monos)}
-    f, s = _quadric_flows(monos, spec)
-    rows = f[[index[a] for a, _ in q.terms]]
-    cols = f[[index[b] for _, b in q.terms]]
-    coeffs = np.array([complex(c) for c in q.terms.values()])
-    return _finite(complex(coeffs.dot((rows.dot(s) * cols).sum(axis=1))))
+def _quadric_moment(spec: MeasureSpec, q: CxPoly) -> complex:
+    """sum of the sphere products <y_beta, F x^beta> over q's abar-monomials beta.
 
-
-def quadric_moment_direct(q: CxPoly, n: int, T):
-    """Reference route: flow q through exp((T/n) Gamma), then integrate.
-
-    Each term of q flows through the holomorphic and antiholomorphic groups
-    of gamma_n in its own parametrization (not the sphere-Laplacian identity
-    behind :func:`quadric_moment`), and the restriction to real points is
-    integrated over the sphere.  Slower than :func:`quadric_moment`; used to
-    cross-check it.
+    y_beta = sum_alpha c_{alpha beta} F x^alpha gathers the terms that share
+    beta, so each product is one exact form over two flows.
     """
-    spec = MeasureSpec.quadric(n, T)
-    spec.check(q)
-    flowed = semigroup.exp_graded(diffops.gamma_n_op(n), float(T) / float(n), q)
+    by_abar: dict = {}
+    for (alpha, beta), c in q.terms.items():
+        by_abar.setdefault(beta, []).append((alpha, c))
     total = 0j
-    for alpha, coeff in flowed.as_real_monomials().items():
-        mono = sphere_mono_moment(alpha, n)
-        if mono:
-            total += complex(coeff) * float(mono)
-    return total
+    for beta, terms in by_abar.items():
+        re, im = _backward_flow(spec, terms)
+        flow, _ = _backward_flow(spec, [(beta, 1)])
+        total += complex(_real_integral(spec, re, flow), _real_integral(spec, im, flow))
+    return _finite(total)
 
 
 # ---------------------------------------------------------------------------
@@ -415,24 +419,6 @@ def _table_product(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
     for column in exps.T:
         gram *= table[column[:, None], column[None, :]]
     return gram
-
-
-def _sphere_gram(exps: np.ndarray, n: int) -> np.ndarray:
-    """S[g, d]: moment of x^(exps[g] + exps[d]) over the sphere of radius sqrt(n) in R^n.
-
-    The pairing counts (e - 1)!! factor over the coordinates, read from a
-    table indexed by the exponents of g and d; the radial factor goes by the
-    total degree.
-    """
-    top = int(exps.max(initial=0))
-    double_factorials = np.array([0.0 if e & 1 else float(_double_factorial(e - 1))
-                                  for e in range(2 * top + 1)])
-    sums = np.add.outer(range(top + 1), range(top + 1))
-    pairings = _table_product(double_factorials[sums], exps)
-    degrees = exps.sum(axis=1)
-    radial = np.zeros(2 * int(degrees.max(initial=0)) + 1)
-    radial[::2] = [float(_sphere_radial(m, n)) for m in range(len(radial[::2]))]
-    return pairings * radial[np.add.outer(degrees, degrees)]
 
 
 def _finite(value):
@@ -471,20 +457,20 @@ def norm2(spec: MeasureSpec, f) -> float:
       it is ``float(moment(spec, f * f))`` bit for bit.
     * xi, gamma (holomorphic f): conj(f)^T M f with
       M[alpha, beta] = prod_j E[a^{alpha_j} abar^{beta_j}].
-    * quadric (holomorphic f): conj(y)^T S y with y = F^T f, the sphere heat
-      flow of f run backward for T/2, and S the sphere moments of products
-      of y's monomials.
+    * quadric (holomorphic f): the sphere norm of y = sum f_alpha F x^alpha,
+      the sphere heat flow of f run backward for T/2, as the real forms of
+      Re y and Im y, each summed exactly and rounded once.
     """
     spec.check(f)
     if spec.family in _REAL:
-        return _real_integral(spec, f, square=True)
+        return _real_integral(spec, f, f)
     if not f.is_holomorphic():
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
+    if spec.family == "quadric":
+        re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()])
+        return _finite(_real_integral(spec, re, re) + _real_integral(spec, im, im))
     monos = [a for a, _ in f.terms]
     coeffs = np.array([complex(c) for c in f.terms.values()])
-    if spec.family == "quadric":
-        flows, s = _quadric_flows(monos, spec)
-        return _hermitian_form(s, coeffs.dot(flows))
     gram = _complex_gaussian_gram(spec, _exponent_matrix(monos, f.width()))
     return _hermitian_form(gram, coeffs)
 

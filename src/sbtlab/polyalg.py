@@ -610,18 +610,6 @@ class CxPoly(_Poly):
             raise HolomorphicityError("mod_square needs a holomorphic polynomial")
         return self * self.conjugate()
 
-    def as_real_monomials(self) -> dict:
-        """Collapse to real points a = abar = x: map x-exponents to coefficients."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            key = mono_mul(a, b)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # extension and distance

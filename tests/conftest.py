@@ -2,19 +2,22 @@
 
 The sympy bridge supplies an independent symbolic-differentiation route: the
 package never imports sympy, so any agreement between the two is a real
-cross-check, not a tautology.
+cross-check, not a tautology.  The mpmath quadric reference likewise flows
+in its own parametrization and precision, apart from the package's route.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import sympy
 
 from sbtlab import diffops, semigroup
-from sbtlab.polyalg import FLOAT, CxPoly, RealPoly
+from sbtlab.polyalg import FLOAT, CxPoly, GaussianRational, RealPoly
 
 
 def sympy_symbols(k: int):
@@ -106,6 +109,83 @@ def graded_matrices(gen, t, k: int, l: int):
             assert complex(c).imag == 0
             dense[index[beta], j] = complex(c).real
     return keys, flow, dense
+
+
+def _lowered_chain(alpha: tuple) -> list:
+    """Lap^j x^alpha for j = 0, 1, ... while nonzero, as {exponents: int} maps."""
+    chain = [{alpha: 1}]
+    while True:
+        lowered = {}
+        for beta, c in chain[-1].items():
+            for i, e in enumerate(beta):
+                if e >= 2:
+                    gamma = beta[:i] + (e - 2,) + beta[i + 1:]
+                    lowered[gamma] = lowered.get(gamma, 0) + c * e * (e - 1)
+        if not lowered:
+            return chain
+        chain.append(lowered)
+
+
+def _mp_group_flow(group, t, alpha: tuple) -> dict:
+    """exp(t (lambda + c Lap)) x^alpha in mpmath, the divided differences summed directly.
+
+    exp[z_0, ..., z_j] = sum_i e^{z_i} / prod_{k != i} (z_i - z_k) needs
+    distinct nodes z = t lambda(m), t lambda(m - 2), ...; the working
+    precision absorbs the cancellation of that sum.
+    """
+    m = sum(alpha)
+    nodes = [t * (group.a2 * d * d + group.a1 * d) for d in range(m, -1, -2)]
+    ct = t * group.c
+    out = {}
+    for j, level in enumerate(_lowered_chain(alpha)):
+        z = nodes[:j + 1]
+        weight = sum(mpmath.exp(zi) / mpmath.fprod(zi - zk for k, zk in enumerate(z) if k != i)
+                     for i, zi in enumerate(z)) * ct ** j
+        for beta, v in level.items():
+            out[beta] = out.get(beta, 0) + weight * v
+    return out
+
+
+def _sphere_monomial_moment(gamma: tuple, n: int) -> Fraction:
+    """Moment of x^gamma over the sphere of radius sqrt(n) in R^n, from its pairings."""
+    if any(e % 2 for e in gamma):
+        return Fraction(0)
+    m = sum(gamma) // 2
+    value = Fraction(n ** m, math.prod(n + 2 * i for i in range(m)))
+    return value * math.prod(math.prod(range(e - 1, 0, -2)) for e in gamma)
+
+
+def _mp(x):
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def quadric_moment_reference(q: CxPoly, n: int, T) -> complex:
+    """The moment of q under the quadric measure at (n, T), from a 60-digit evaluation.
+
+    Each side of every term flows through its group of ``gamma_n_op(n)`` at
+    time T/n, in that operator's own parametrization (not the backward
+    sphere flow the package reads), and the restriction a = abar = x of the
+    flowed term is integrated over the sphere exactly, monomial by monomial.
+    """
+    with mpmath.workdps(60):
+        t = _mp(Fraction(T)) / n
+        groups = {g.side: g._replace(a2=_mp(g.a2), a1=_mp(g.a1), c=_mp(g.c))
+                  for g in diffops.gamma_n_op(n).groups}
+        total = mpmath.mpc(0)
+        for (alpha, beta), c in q.terms.items():
+            c = mpmath.mpc(_mp(c.re), _mp(c.im)) if isinstance(c, GaussianRational) \
+                else mpmath.mpc(complex(c))
+            width = max(len(alpha), len(beta))
+            left = _mp_group_flow(groups["a"], t, alpha + (0,) * (width - len(alpha)))
+            right = _mp_group_flow(groups["abar"], t, beta + (0,) * (width - len(beta)))
+            for a, u in left.items():
+                for b, v in right.items():
+                    mono = _sphere_monomial_moment(tuple(map(sum, zip(a, b))), n)
+                    if mono:
+                        total += c * u * v * _mp(mono)
+        return complex(total)
 
 
 def seeded_rng(seed: int = 1234) -> random.Random:

@@ -170,6 +170,21 @@ def test_verify_overtight_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+def test_isometry_rejects_a_nan_or_negative_tolerance(tol, capsys):
+    # a NaN or negative gate would fail even a zero gap
+    assert main(["isometry", "--poly", "x1", "--N", "5", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --tol must be a number >= 0" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+def test_verify_rejects_a_nan_or_negative_tolerance(tol, capsys):
+    assert main(["verify", "--k", "2", "--deg", "3", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --tol must be a number >= 0" in captured.err and captured.out == ""
+
+
 def test_converge_diagram_quantity(tmp_path):
     out = tmp_path / "diag.csv"
     code = main([

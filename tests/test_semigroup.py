@@ -19,7 +19,13 @@ from sbtlab.semigroup import (
 )
 from sbtlab.suite import random_real_poly
 
-from conftest import graded_matrices, seeded_rng, to_sympy, to_sympy_cx
+from conftest import (
+    graded_matrices,
+    quadric_moment_reference,
+    seeded_rng,
+    to_sympy,
+    to_sympy_cx,
+)
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
@@ -37,7 +43,7 @@ def _flow_vs_scipy(op, t, k, l, relative=False):
     return deviation / float(np.max(np.abs(ref))) if relative else deviation
 
 
-def test_exp_nilpotent_examples():
+def test_exp_graded_heat_flow_examples():
     # heat flow at time t applies exp((t/2) * laplacian), exactly at rational t
     assert exp_graded(diffops.LAPLACIAN, Fraction(1, 2), X1 ** 2) == X1 ** 2 + 1
     assert exp_graded(diffops.LAPLACIAN, Fraction(3, 2), X1) == X1
@@ -46,7 +52,7 @@ def test_exp_nilpotent_examples():
     assert coeff_distance(out, (X1 ** 2).to_float() + RealPoly.constant(t, "float")) < 1e-15
 
 
-def test_exp_nilpotent_exact_for_rational_time():
+def test_exp_graded_heat_flow_exact_for_rational_time():
     p = X1 ** 4 + 2 * X1 ** 2 * X2 ** 2
     out = exp_graded(diffops.LAPLACIAN, Fraction(1, 3), p)
     assert out.mode == "exact"
@@ -84,7 +90,7 @@ def test_exp_graded_gamma_on_a1_squared():
     assert coeff_distance(out, expected) < 1e-12
 
 
-def test_exp_graded_agrees_with_exp_nilpotent():
+def test_exp_graded_exact_weights_agree_with_float_weights():
     # the exact weights (t^j / j!) against the float divided differences of
     # the same all-zero nodes
     rng = seeded_rng(21)
@@ -146,7 +152,7 @@ def test_spherical_diagonal_eigenvalues():
         assert op.apply(RealPoly({key: 1})).terms.get(key, 0) == -(m + Fraction(m * m - 2 * m, n))
 
 
-def test_expm_graded_matches_scipy():
+def test_flow_monomial_matches_scipy():
     cases = [
         (diffops.spherical_laplacian_op(6), 0.45, 2, 6),
         (diffops.HERMITE, 0.8, 3, 4),
@@ -168,7 +174,7 @@ def test_expm_graded_matches_scipy():
         assert _flow_vs_scipy(op, t, k, l, relative=True) < 1e-11, (op, k, l)
 
 
-def test_expm_graded_falls_back_on_collisions():
+def test_flow_monomial_matches_scipy_through_merged_nodes():
     # lambda(m) = m^2 - 4m gives lambda(4) = lambda(0) and lambda(3) = lambda(1):
     # x^alpha of degree 4 and 3 flow through merged divided-difference nodes
     gen = GroupGenerator((Group("x", None, 1, -4, 1),))
@@ -242,8 +248,8 @@ def test_factor_quadric_limit_examples():
 
 def test_quadric_moment_direct_needs_no_basis_matrix():
     # |p|^2 for a degree-6 p in 3 variables lives on the 18 564-monomial
-    # bidegree basis, whose float64 matrix alone takes 2.6 GiB; the direct
-    # route flows the integrand's own terms and allocates a few MiB at most
+    # bidegree basis, whose float64 matrix alone takes 2.6 GiB; the moment
+    # flows the integrand's own monomials and allocates a few MiB at most
     import tracemalloc
 
     p = holomorphic_extend(X1 ** 6 + X2 ** 3 * RealPoly.variable(2) + X1)
@@ -251,22 +257,22 @@ def test_quadric_moment_direct_needs_no_basis_matrix():
     assert len(basis_keys(3, 12, complexified=True)) == 18564
     tracemalloc.start()
     try:
-        direct = measures.quadric_moment_direct(q, 9, 1.0)
+        value = measures.quadric_moment(q, 9, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 23
-    kernel = measures.quadric_moment(q, 9, 1.0)
-    assert abs(direct - kernel) <= 1e-12 * abs(kernel)
+    reference = quadric_moment_reference(q, 9, 1.0)
+    assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
-def test_exp_nilpotent_rational_time_on_float_polynomial():
+def test_exp_graded_heat_flow_rational_time_on_float_polynomial():
     out = exp_graded(diffops.LAPLACIAN, Fraction(1, 2), (X1 ** 2).to_float())
     assert out.mode == "float"
     assert coeff_distance(out, (X1 ** 2 + 1).to_float()) == 0
 
 
-def test_expm_graded_collision_fallback_on_real_operator_family():
+def test_flow_monomial_matches_scipy_across_colliding_gamma_n_blocks():
     # at ambient dimension 4 the bidegree operator's degree-6 and degree-8
     # blocks share the eigenvalue 24, a collision across degree blocks that
     # the per-group flows never see; scipy itself is good to about 1e-12 here
@@ -278,7 +284,7 @@ def test_expm_graded_collision_fallback_on_real_operator_family():
     assert _flow_vs_scipy(diffops.gamma_n_op(4), 0.4 / 4, 2, 8, relative=True) < 1e-11
 
 
-def test_expm_operator_wrapper():
+def test_flow_matrix_column_is_the_exp_graded_flow():
     # the flow-built matrix's column of a basis monomial is its exp_graded flow
     op = diffops.HERMITE
     keys, flow, _ = graded_matrices(op, 0.5, 2, 3)
