@@ -17,10 +17,10 @@ lowers the degree by two.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from typing import NamedTuple
 
 from .polyalg import CxPoly, RealPoly, mono_degree, trim
@@ -98,6 +98,12 @@ def _laplacian_chain(alpha: tuple) -> tuple:
         chain.append(lowered)
 
 
+# (a2, a1, c) -> the small int that names it, so that the semigroup's flow
+# memos hash ints, not the Fractions of the coefficients
+_TOKENS: dict = {}
+_next_token = count()
+
+
 @dataclass(frozen=True)
 class GroupGenerator:
     """Sum over groups on disjoint variables of lambda_g(m_g) + c_g * Lap_g.
@@ -111,6 +117,12 @@ class GroupGenerator:
 
     groups: tuple
     n: int | None = None
+    # each group's token, for the semigroup's flow tables
+    tokens: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(
+            _TOKENS.setdefault((g.a2, g.a1, g.c), next(_next_token)) for g in self.groups))
 
     @property
     def is_complexified(self) -> bool:

@@ -18,9 +18,11 @@ numbers the routines read.  ``moment(spec, q)`` and ``norm2(spec, f)``, the
 squared L2 norm as a bilinear form over f's own terms, share one routine per
 measure kind; the per-family functions build a spec and call ``moment``.
 Real moments are pairing counts prod_i (alpha_i - 1)!! times a radial weight
-of |alpha|/2, summed over integers by half-degree and ended by one division,
-which keeps the convergence experiments accurate at n = 10^4 and beyond.
-The quadric reads the same sums, as a bilinear form of two flows.
+of |alpha|/2, summed over integers by half-degree, weighted by one cached
+integer table N_m / D per (t or n, top half-degree) and ended by one
+division, which keeps the convergence experiments accurate at n = 10^4 and
+beyond.  The quadric reads the same sums, as a bilinear form of two flows
+read from the sphere Laplacian's flow table.
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
@@ -132,15 +134,6 @@ class MeasureSpec:
                 f"quadric moments need ambient dimension > {f.width()}, got {self.n}"
             )
 
-    def radial(self, m: int) -> Fraction:
-        """Moment of a degree-2m monomial of the real kinds over its pairing count.
-
-        The quadric reads the sphere's: its moments are sphere integrals of flows.
-        """
-        if self.family == "gauss":
-            return _gauss_radial(m, self.t)
-        return _sphere_radial(m, self.n)
-
     def covariances(self) -> tuple:
         """(E[a^2], E[a abar]) per coordinate of the complex Gaussians xi and gamma."""
         if self.family == "xi":
@@ -151,19 +144,10 @@ class MeasureSpec:
 # ---------------------------------------------------------------------------
 # real kinds: pairing counts times a radial weight
 
-_DFACT = {}
-
-
+@lru_cache(maxsize=None)
 def _double_factorial(n: int) -> int:
     # (-1)!! = 1 by convention
-    if n <= 0:
-        return 1
-    if n not in _DFACT:
-        out = 1
-        for v in range(n, 0, -2):
-            out *= v
-        _DFACT[n] = out
-    return _DFACT[n]
+    return math.prod(range(n, 0, -2))
 
 
 @lru_cache(maxsize=None)
@@ -183,25 +167,35 @@ def _pairings(alpha: tuple) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _gauss_radial(m: int, t) -> Fraction:
-    """t^m: a degree-2m Gaussian moment over its pairings."""
-    return Fraction(t) ** m
+def _radial_table(sphere: bool, x, top: int) -> tuple:
+    """Integers N_0 .. N_top and D with N_m / D a degree-2m moment over its pairings.
+
+    That is t^m for the Gaussian of variance x = t, and
+    n^m / (n (n + 2) ... (n + 2m - 2)) for the sphere of ambient dimension x = n.
+    """
+    if sphere:
+        # N_m = n^m (n + 2m) ... (n + 2 top - 2), D = n (n + 2) ... (n + 2 top - 2)
+        tail = [1]
+        for i in range(top - 1, -1, -1):
+            tail.append(tail[-1] * (x + 2 * i))
+        return [x ** m * tail[top - m] for m in range(top + 1)], tail[top]
+    num, den = Fraction(x).as_integer_ratio()
+    return [num ** m * den ** (top - m) for m in range(top + 1)], den ** top
 
 
 @lru_cache(maxsize=None)
-def _sphere_radial(m: int, n: int) -> Fraction:
-    """n^m / (n (n + 2) ... (n + 2m - 2)): a degree-2m sphere moment over its pairings."""
-    den = 1
-    for i in range(m):
-        den *= n + 2 * i
-    return Fraction(n ** m, den)
-
-
 def _parity(alpha) -> tuple:
     out = [e & 1 for e in alpha]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pair_weight(alpha: tuple, beta: tuple) -> tuple:
+    """(|alpha + beta| / 2, pairings(alpha + beta)) of one pair of monomials."""
+    gamma = mono_mul(alpha, beta)
+    return mono_degree(gamma) // 2, _pairings(gamma)
 
 
 def _integer_terms(p: RealPoly) -> tuple:
@@ -219,15 +213,17 @@ def _parity_classes(terms: list) -> dict:
 
 
 def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None):
-    """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) radial(|alpha| / 2).
+    """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) N_m / D, m = |alpha| / 2.
 
     With ``other`` = q it is the bilinear form sum p_alpha q_beta
     M(alpha + beta) over pairs of p's and q's terms, without forming p * q;
     only pairs in one parity class contribute, and ``other is p`` sums each
     unordered pair once.  The coefficients are brought to one denominator,
-    so the sums run over integers by half-degree and end in one int / int
-    division, which rounds once, correctly.  A moment of exact p under a
-    rational spec is returned as that exact Fraction instead.
+    so the sums run over integers by half-degree m, are weighted by the
+    integer radial table (``_radial_table``) and end in one int / int
+    division, which rounds once, correctly.  A pair's (m, pairings) and a
+    term's parity class are memoized on the monomials.  A moment of exact
+    p under a rational spec is returned as that exact Fraction instead.
     """
     terms, den = _integer_terms(p)
     sums: dict = {}
@@ -243,9 +239,8 @@ def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None
             for i, (alpha, ca) in enumerate(cls):
                 for j in range(i, len(cls)):
                     beta, cb = cls[j]
-                    gamma = mono_mul(alpha, beta)
-                    m = mono_degree(gamma) // 2
-                    w = ca * cb * _pairings(gamma)
+                    m, ways = _pair_weight(alpha, beta)
+                    w = ca * cb * ways
                     sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
     else:
         other_terms, other_den = _integer_terms(other)
@@ -254,13 +249,11 @@ def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None
         for key, cls in _parity_classes(other_terms).items():
             for alpha, ca in classes.get(key, ()):
                 for beta, cb in cls:
-                    gamma = mono_mul(alpha, beta)
-                    m = mono_degree(gamma) // 2
-                    sums[m] = sums.get(m, 0) + ca * cb * _pairings(gamma)
-    weights = [spec.radial(m) for m in sums]
-    common = math.lcm(*(w.denominator for w in weights))
-    num = sum(s * w.numerator * (common // w.denominator)
-              for s, w in zip(sums.values(), weights))
+                    m, ways = _pair_weight(alpha, beta)
+                    sums[m] = sums.get(m, 0) + ca * cb * ways
+    gauss = spec.family == "gauss"
+    weights, common = _radial_table(not gauss, spec.t if gauss else spec.n, max(sums, default=0))
+    num = sum(s * weights[m] for m, s in sums.items())
     if other is None and p.mode == EXACT and spec.rational:
         return Fraction(num, common * den)
     return num / (common * den)
@@ -365,20 +358,19 @@ def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
 # tau = T/(2n) the holomorphic half -n*Lap + Euler^2 + (n-2)*Euler is
 # -(T/2) times the sphere Laplacian.  So the moment of a^alpha abar^beta is
 # the sphere integral <F x^alpha, F x^beta> of two backward flows: F is the
-# sphere heat flow run backward for T/2, read from the memoized monomial
-# flows.  That integral is the real bilinear form ``_real_integral``, summed
+# sphere heat flow run backward for T/2, read from the sphere Laplacian's
+# flow table at time -T/2.  That integral is the real bilinear form ``_real_integral``, summed
 # exactly and rounded once; only the flows themselves are floats.
 
 
 def _backward_flow(spec: MeasureSpec, terms) -> tuple:
     """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms."""
-    gen = diffops.spherical_laplacian_op(spec.n)
-    t = -float(spec.T) / 2.0
+    flow = semigroup.monomial_flows(diffops.spherical_laplacian_op(spec.n), -float(spec.T) / 2.0)
     re: dict = {}
     im: dict = {}
     for alpha, c in terms:
         c = complex(c)
-        for gamma, w in semigroup.flow_monomial(gen, t, alpha).items():
+        for gamma, w in flow(alpha).items():
             if c.real:
                 re[gamma] = re.get(gamma, 0.0) + c.real * w
             if c.imag:
@@ -468,7 +460,8 @@ def norm2(spec: MeasureSpec, f) -> float:
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
     if spec.family == "quadric":
         re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()])
-        return _finite(_real_integral(spec, re, re) + _real_integral(spec, im, im))
+        value = _real_integral(spec, re, re)
+        return _finite(value + _real_integral(spec, im, im) if im.terms else value)
     monos = [a for a, _ in f.terms]
     coeffs = np.array([complex(c) for c in f.terms.values()])
     gram = _complex_gaussian_gram(spec, _exponent_matrix(monos, f.width()))

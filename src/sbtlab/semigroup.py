@@ -100,42 +100,60 @@ def _flow_weights(a2, a1, c, t, m: int, exact: bool) -> tuple:
     return tuple(_exp_divided_differences(z, c * t).tolist())
 
 
-# (a2, a1, c, t, exact, sub-monomial) -> its flow; the maps are shared, never changed
+class _FlowTable(dict):
+    """Sub-monomial -> its flow {beta: weight} under one group at one time, filled on reading."""
+
+    def __init__(self, g: Group, t, exact: bool):
+        super().__init__()
+        self.g, self.t, self.exact = g, t, exact
+
+    def __missing__(self, sub):
+        g = self.g
+        chain = _laplacian_chain(sub) if g.c else ({sub: 1},)
+        weights = _flow_weights(g.a2, g.a1, g.c, self.t, mono_degree(sub), self.exact)
+        return self.setdefault(
+            sub, {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
+        )
+
+
+# (group token, t, exact) -> that group's flow table; the tables and their
+# flows are shared, and a stored flow is never changed
 _group_flows: dict = {}
 
 
-def _group_flow(g: Group, t, exact: bool, sub: tuple) -> dict:
-    key = (g.a2, g.a1, g.c, t, exact, sub)
-    flowed = _group_flows.get(key)
-    if flowed is None:
-        chain = _laplacian_chain(sub) if g.c else ({sub: 1},)
-        weights = _flow_weights(g.a2, g.a1, g.c, t, mono_degree(sub), exact)
-        flowed = _group_flows.setdefault(
-            key, {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
-        )
-    return flowed
+def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
+    """The map from a monomial to its flow exp(t*gen) as {key: weight}.
+
+    Fetches each group's flow table at time t once.  A flow is the product
+    of the monomial's group flows; for one group over all real variables it
+    is the table's entry itself, which callers read and never change.
+    """
+    groups, tables = gen.groups, []
+    for g, token in zip(groups, gen.tokens):
+        table = _group_flows.get((token, t, exact))
+        if table is None:
+            table = _group_flows.setdefault((token, t, exact), _FlowTable(g, t, exact))
+        tables.append(table)
+    if len(groups) == 1 and groups[0].side == "x" and groups[0].indices is None:
+        return tables[0].__getitem__
+
+    def product(key) -> dict:
+        flowed = {key: 1}
+        for g, table in zip(groups, tables):
+            out = {}
+            for k0, v0 in flowed.items():
+                for beta, w in table[g.exponents(k0)].items():
+                    k1 = g.substitute(k0, beta)
+                    out[k1] = out.get(k1, 0) + v0 * w
+            flowed = out
+        return flowed
+
+    return product
 
 
 def flow_monomial(gen: GroupGenerator, t, key, exact: bool = False) -> dict:
-    """exp(t*gen) of the monomial ``key`` as {key: weight}.
-
-    The product of the monomial's group flows, each memoized on (group
-    generator, t, sub-monomial).  A group over all of a real monomial's
-    variables returns the memoized map itself: callers read it and never
-    change it.
-    """
-    groups = gen.groups
-    if len(groups) == 1 and groups[0].side == "x" and groups[0].indices is None:
-        return _group_flow(groups[0], t, exact, key)
-    flowed = {key: 1}
-    for g in groups:
-        product = {}
-        for k0, v0 in flowed.items():
-            for beta, w in _group_flow(g, t, exact, g.exponents(k0)).items():
-                k1 = g.substitute(k0, beta)
-                product[k1] = product.get(k1, 0) + v0 * w
-        flowed = product
-    return flowed
+    """exp(t*gen) of the monomial ``key`` as {key: weight}; see ``monomial_flows``."""
+    return monomial_flows(gen, t, exact)(key)
 
 
 def exp_graded(gen: GroupGenerator, t, q):
@@ -154,11 +172,12 @@ def exp_graded(gen: GroupGenerator, t, q):
     )
     if not exact:
         t = float(t)
+    flow = monomial_flows(gen, t, exact)
     out = {}
     for key, c in q.terms.items():
         if not exact:
             c = kind._float(c)
-        for beta, v in flow_monomial(gen, t, key, exact).items():
+        for beta, v in flow(key).items():
             out[beta] = out.get(beta, 0) + c * v
     return kind._trusted({beta: v for beta, v in out.items() if v}, EXACT if exact else FLOAT)
 

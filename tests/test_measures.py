@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbtlab import diffops, oracle, semigroup
+from sbtlab import diffops, measures, oracle, semigroup
 from sbtlab.diffops import DimensionError
 from sbtlab.measures import (
     MeasureSpec,
@@ -556,6 +556,21 @@ def test_real_bilinear_form_is_the_moment_of_the_product_rounded_once():
         p, q = (random_real_poly(rng, k=3, degree=5) for _ in range(2))
         for spec in _domain_specs():
             assert _real_integral(spec, p, q) == float(moment(spec, p * q)), spec
+
+
+@pytest.mark.parametrize("sphere, x", [
+    (True, 2), (True, 5), (True, 7), (True, 10 ** 4),
+    (False, 1), (False, Fraction(7, 3)), (False, 0.37),
+], ids=["n=2", "n=5", "n=7", "n=10000", "t=1", "t=7/3", "t=0.37"])
+def test_radial_table_is_the_radial_weight_exactly(sphere, x):
+    # N_m / D is n^m / (n (n + 2) ... (n + 2m - 2)) on the sphere, t^m for the Gaussian
+    for top in (0, 5, 12):
+        nums, den = measures._radial_table(sphere, x, top)
+        assert len(nums) == top + 1
+        for m, num in enumerate(nums):
+            expected = (Fraction(x ** m, math.prod(x + 2 * i for i in range(m))) if sphere
+                        else Fraction(x) ** m)
+            assert Fraction(num, den) == expected, (m, top)
 
 
 def test_norm2_of_float_input_is_the_exact_sum_rounded_once():

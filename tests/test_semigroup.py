@@ -246,7 +246,7 @@ def test_factor_quadric_limit_examples():
     assert tiny.max_deviation < 1e-8
 
 
-def test_quadric_moment_direct_needs_no_basis_matrix():
+def test_quadric_moment_needs_no_basis_matrix():
     # |p|^2 for a degree-6 p in 3 variables lives on the 18 564-monomial
     # bidegree basis, whose float64 matrix alone takes 2.6 GiB; the moment
     # flows the integrand's own monomials and allocates a few MiB at most

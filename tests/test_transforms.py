@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbtlab import measures
+from sbtlab import measures, semigroup
 from sbtlab.diffops import DimensionError
 from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance
 from sbtlab.suite import acceptance_suite, random_real_poly
@@ -107,6 +107,44 @@ def test_unitarity_output_is_holomorphic():
     rep = unitarity_report(X1 ** 3 - X1, Sphere(7, 1.0))
     assert rep.output.is_holomorphic()
     assert rep.rel_error < 1e-10
+
+
+
+_MIXED = RealPoly({(2, 1): Fraction(1, 3), (1,): Fraction(-2), (0, 3): Fraction(1)})
+# the backward flow of its sphere output leaves ~1e-16 on (1, 2), (3,) and ()
+_RESIDUAL = RealPoly({(3, 2): Fraction(3, 2), (0, 0, 2): Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize("p, tag, domain, range_", [
+    (_RESIDUAL, Sphere(5, 0.1), "0x1.e3d60ed54a6bfp+2", "0x1.e3d60ed54a6c0p+2"),
+    (_MIXED, Sphere(5, 2.0), "0x1.5c1b1706c5c1bp+3", "0x1.5c1b1706c5c19p+3"),
+    (_MIXED, Sphere(50, 0.1), "0x1.36e9e06522c3fp+4", "0x1.36e9e06522c43p+4"),
+    (X1 ** 4, Sphere(50, 2.0), "0x1.4dde15e15e15ep+6", "0x1.4dde15e15e15dp+6"),
+    (_MIXED, Limit(1.0), "0x1.5555555555555p+4", "0x1.5555555555554p+4"),
+    (_RESIDUAL, Euclidean(1.0, 0.5), "0x1.9800000000000p+6", "0x1.9800000000000p+6"),
+], ids=["sphere-5-0.1", "sphere-5-2", "sphere-50-0.1", "sphere-50-2", "limit-1", "euclidean-0.5"])
+def test_unitarity_report_norms_are_pinned_bit_for_bit(p, tag, domain, range_):
+    # the squared norms of exact sums rounded once, as the memoized flow and
+    # radial tables give them; a change to either must not move a bit
+    semigroup._group_flows.clear()
+    for _ in range(2):
+        rep = unitarity_report(p, tag)
+        assert (rep.domain_norm2.hex(), rep.range_norm2.hex()) == (domain, range_)
+
+
+def test_warm_sphere_unitarity_report_hashes_no_fraction(monkeypatch):
+    # the flow memos are keyed on the group's int token, not on the
+    # sphere Laplacian's Fraction coefficients
+    tag = Sphere(7, 0.8)
+    first = unitarity_report(_MIXED, tag)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda self: hashed.append(self) or fraction_hash(self))
+    second = unitarity_report(_MIXED, tag)
+    monkeypatch.undo()
+    assert hashed == []
+    assert (second.domain_norm2, second.range_norm2) == (first.domain_norm2, first.range_norm2)
 
 
 @pytest.mark.parametrize("n", [5, 10, 25, 50])
