@@ -1,0 +1,8 @@
+"""``python -m sbtlab``: the command line of ``sbtlab.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -469,6 +469,9 @@ def _verify_checks(k: int, deg: int, seed: int, tol_override):
 def cmd_verify(args) -> int:
     _check_tol(args.tol)
     _check_suite_shape(args.k, args.deg)
+    if args.seed < 0:
+        # checked first: the Monte Carlo check near the end would reject it
+        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     failures = 0
     for name, ok, detail in _verify_checks(args.k, args.deg, args.seed, args.tol):
         status = "PASS" if ok else "FAIL"

@@ -212,45 +212,59 @@ def _parity_classes(terms: list) -> dict:
     return classes
 
 
+def _pair_sums(p: RealPoly) -> tuple:
+    """({m: S_m}, den^2): the integer sums behind p's squared Gaussian and sphere norms.
+
+    S_m sums c_alpha c_beta pairings(alpha + beta) over the pairs of p's
+    integer terms in one parity class with |alpha + beta| = 2m.
+    """
+    terms, den = _integer_terms(p)
+    sums: dict = {}
+    for cls in _parity_classes(terms).values():
+        for i, (alpha, ca) in enumerate(cls):
+            for j in range(i, len(cls)):
+                beta, cb = cls[j]
+                m, ways = _pair_weight(alpha, beta)
+                w = ca * cb * ways
+                sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
+    return sums, den * den
+
+
 def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None):
     """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) N_m / D, m = |alpha| / 2.
 
     With ``other`` = q it is the bilinear form sum p_alpha q_beta
     M(alpha + beta) over pairs of p's and q's terms, without forming p * q;
-    only pairs in one parity class contribute, and ``other is p`` sums each
-    unordered pair once.  The coefficients are brought to one denominator,
-    so the sums run over integers by half-degree m, are weighted by the
-    integer radial table (``_radial_table``) and end in one int / int
-    division, which rounds once, correctly.  A pair's (m, pairings) and a
-    term's parity class are memoized on the monomials.  A moment of exact
-    p under a rational spec is returned as that exact Fraction instead.
+    only pairs in one parity class contribute, and ``other is p`` reads the
+    pair sums ``_pair_sums`` from p's memo, so a polynomial's squared norms
+    under every gauss and sphere spec pay for them once.  The coefficients
+    are brought to one denominator, so the sums run over integers by
+    half-degree m, are weighted by the integer radial table
+    (``_radial_table``) and end in one int / int division, which rounds
+    once, correctly.  A pair's (m, pairings) and a term's parity class are
+    memoized on the monomials.  A moment of exact p under a rational spec
+    is returned as that exact Fraction instead.
     """
-    terms, den = _integer_terms(p)
-    sums: dict = {}
-    if other is None:
-        for alpha, c in terms:
-            ways = _pairings(alpha)
-            if ways:
-                m = mono_degree(alpha) // 2
-                sums[m] = sums.get(m, 0) + c * ways
-    elif other is p:
-        den *= den
-        for cls in _parity_classes(terms).values():
-            for i, (alpha, ca) in enumerate(cls):
-                for j in range(i, len(cls)):
-                    beta, cb = cls[j]
-                    m, ways = _pair_weight(alpha, beta)
-                    w = ca * cb * ways
-                    sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
+    if other is p:
+        sums, den = p._memoized("pair_sums", _pair_sums)
     else:
-        other_terms, other_den = _integer_terms(other)
-        den *= other_den
-        classes = _parity_classes(terms)
-        for key, cls in _parity_classes(other_terms).items():
-            for alpha, ca in classes.get(key, ()):
-                for beta, cb in cls:
-                    m, ways = _pair_weight(alpha, beta)
-                    sums[m] = sums.get(m, 0) + ca * cb * ways
+        terms, den = _integer_terms(p)
+        sums: dict = {}
+        if other is None:
+            for alpha, c in terms:
+                ways = _pairings(alpha)
+                if ways:
+                    m = mono_degree(alpha) // 2
+                    sums[m] = sums.get(m, 0) + c * ways
+        else:
+            other_terms, other_den = _integer_terms(other)
+            den *= other_den
+            classes = _parity_classes(terms)
+            for key, cls in _parity_classes(other_terms).items():
+                for alpha, ca in classes.get(key, ()):
+                    for beta, cb in cls:
+                        m, ways = _pair_weight(alpha, beta)
+                        sums[m] = sums.get(m, 0) + ca * cb * ways
     gauss = spec.family == "gauss"
     weights, common = _radial_table(not gauss, spec.t if gauss else spec.n, max(sums, default=0))
     num = sum(s * weights[m] for m, s in sums.items())

@@ -3,8 +3,9 @@
 Nothing here shares code with the analytic moment routes: sphere moments are
 re-estimated by Monte Carlo, from k Gaussian coordinates and one chi-square
 draw for the other n - k, in independent PCG64 substreams; Gaussian-family
-moments by tensorized Gauss-Hermite quadrature; and real Gaussian moments by
-direct enumeration of pair partitions.
+moments by tensorized Gauss-Hermite quadrature, as products of
+per-coordinate node moments; and real Gaussian moments by direct
+enumeration of pair partitions.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     MeasureSpec.sphere(n).check(p)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"the Monte Carlo seed must be an integer >= 0, got {seed!r}")
     k = max(p.width(), 1)
     per = [samples // N_SUBSTREAMS] * N_SUBSTREAMS
     per[-1] += samples - sum(per)
@@ -102,42 +105,48 @@ def _merge_moments(a, b):
 # ---------------------------------------------------------------------------
 # tensor Gauss-Hermite quadrature
 
-MAX_QUAD_POINTS = 4_000_000
 
-
-def _grid(sigmas, order):
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    axes = np.meshgrid(*[sigma * nodes for sigma in sigmas], indexing="ij")
-    # one row per coordinate: eval_array reads pts.T, whose columns are contiguous
-    pts = np.stack([axis.ravel() for axis in axes])
-    wts = weights
-    for _ in sigmas[1:]:
-        wts = np.multiply.outer(wts, weights)
-    return pts, wts.ravel()
+def _power_rows(z: np.ndarray, top: int) -> np.ndarray:
+    """z^0 .. z^top, one row each; row e is row e - 1 times z."""
+    rows = np.empty((top + 1, len(z)), dtype=z.dtype)
+    rows[0] = 1
+    for e in range(1, top + 1):
+        rows[e] = rows[e - 1] * z
+    return rows
 
 
 def quad_gauss_moment(q, family: MeasureSpec, order: int) -> OracleEstimate:
     """Moment of q under a Gaussian family by variance-matched quadrature.
 
     Exact (up to round-off) once order > degree/2, so the reported
-    uncertainty is zero; lower orders are rejected.
+    uncertainty is zero; lower orders are rejected.  The rule is the tensor
+    product of one Gauss-Hermite rule per real coordinate, and the
+    coordinates are independent, so it integrates a monomial as the product
+    of per-coordinate node moments, read from one table per family:
+
+    * gauss: table[e] = sum_i w_i (sigma x_i)^e;
+    * xi, gamma: table[a, b] = sum_ij w_i w_j z^a conj(z)^b over the order^2
+      nodes z = sigma_u x_i + i sigma_v x_j of one complex coordinate.
+
+    That is the same sum as over the order^k (order^2k) points of the grid,
+    at a cost of order^2 degree^2 + terms * k.
     """
     degree = q.degree()
     if order < degree // 2 + 1:
         raise InsufficientOrderError(
             f"order {order} cannot integrate degree {degree} exactly"
         )
+    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    weights = weights / math.sqrt(2.0 * math.pi)
     if family.family == "gauss":
         if not isinstance(q, RealPoly):
             raise TypeError("gauss quadrature takes real polynomials")
-        k = max(q.width(), 1)
-        if order ** k > MAX_QUAD_POINTS:
-            raise ValueError(f"quadrature grid of {order}^{k} points is too large")
         sigma = math.sqrt(float(family.t))
-        pts, wts = _grid([sigma] * k, order)
-        value = float(np.dot(wts, q.eval_array(pts.T)))
-        return OracleEstimate(value, 0.0, order)
+        table = (_power_rows(sigma * nodes, degree) @ weights).tolist()
+        k = max(q.width(), 1)
+        value = sum(c * math.prod(table[e] for e in alpha + (0,) * (k - len(alpha)))
+                    for alpha, c in q.to_float().terms.items())
+        return OracleEstimate(float(value), 0.0, order)
     if family.family == "xi":
         var_u = (2.0 * float(family.s) - float(family.t)) / 2.0
         var_v = float(family.t) / 2.0
@@ -148,14 +157,16 @@ def quad_gauss_moment(q, family: MeasureSpec, order: int) -> OracleEstimate:
         raise ValueError(f"no quadrature for family {family.family!r}")
     if not isinstance(q, CxPoly):
         raise TypeError("complex-family quadrature takes complexified polynomials")
+    z = (math.sqrt(var_u) * nodes[:, None] + 1j * math.sqrt(var_v) * nodes[None, :]).ravel()
+    w = np.multiply.outer(weights, weights).ravel()
+    table = ((_power_rows(z, degree) * w) @ _power_rows(z.conjugate(), degree).T).tolist()
     k = max(q.width(), 1)
-    if order ** (2 * k) > MAX_QUAD_POINTS:
-        raise ValueError(f"quadrature grid of {order}^{2 * k} points is too large")
-    sigmas = [math.sqrt(var_u)] * k + [math.sqrt(var_v)] * k
-    pts, wts = _grid(sigmas, order)
-    z = pts[:k] + 1j * pts[k:]
-    value = complex(np.dot(wts, q.eval_array(z.T)))
-    return OracleEstimate(value, 0.0, order)
+    value = 0j
+    for (alpha, beta), c in q.to_float().terms.items():
+        alpha += (0,) * (k - len(alpha))
+        beta += (0,) * (k - len(beta))
+        value += c * math.prod(table[a][b] for a, b in zip(alpha, beta))
+    return OracleEstimate(complex(value), 0.0, order)
 
 
 # ---------------------------------------------------------------------------

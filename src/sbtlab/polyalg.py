@@ -18,6 +18,12 @@ operations: mixed modes raise ``ModeMismatchError``, mixed families
 
 Exponent tuples are canonicalized by trimming trailing zeros, so the same
 polynomial compares equal no matter how many ambient variables it is read in.
+
+A polynomial never changes, so what its terms determine is computed once,
+on first use, and kept in a private memo on the instance: its width, its
+float image (``to_float()``) and, for ``measures``, the half-degree pair
+sums behind its Gaussian and sphere squared norms.  The memo takes no part
+in equality, printing or JSON; threads that race on it store equal values.
 """
 
 from __future__ import annotations
@@ -237,7 +243,7 @@ class _Poly:
     canonical: trimmed keys and nonzero coefficients of the mode's type.
     """
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ("terms", "mode", "_memo")
 
     def __init__(self, terms=None, mode=EXACT):
         if mode not in _MODES:
@@ -253,6 +259,19 @@ class _Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _memoized(self, name: str, compute):
+        """compute(self), kept under name in ``_memo``; only for what the terms determine."""
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        try:
+            return memo[name]
+        except KeyError:
+            value = memo[name] = compute(self)
+            return value
 
     @classmethod
     def _trusted(cls, terms: dict, mode: str):
@@ -290,7 +309,7 @@ class _Poly:
 
     def width(self) -> int:
         """Smallest k such that every part lies in its first k variables."""
-        return max((len(m) for key in self.terms for m in self._parts(key)), default=0)
+        return self._memoized("width", _width)
 
     # -- ring operations
 
@@ -455,9 +474,7 @@ class _Poly:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return self._trusted(
-            _nonzero({key: self._float(c) for key, c in self.terms.items()}), FLOAT
-        )
+        return self._memoized("float", _float_image)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -531,6 +548,14 @@ class _Powers(dict):
                 for factor in factors[2:]:
                     row *= factor
         return out
+
+
+def _width(p: _Poly) -> int:
+    return max((len(m) for key in p.terms for m in p._parts(key)), default=0)
+
+
+def _float_image(p: _Poly) -> _Poly:
+    return p._trusted(_nonzero({key: p._float(c) for key, c in p.terms.items()}), FLOAT)
 
 
 def _nonzero(terms: dict) -> dict:

@@ -91,12 +91,19 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _flow_weights(a2, a1, c, t, m: int, exact: bool) -> tuple:
-    """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp."""
+    """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp.
+
+    One node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0), which is what
+    ``_exp_divided_differences`` returns there bit for bit; a non-finite
+    node or time still goes to it and raises there.
+    """
     depth = m // 2 + 1 if c else 1
     if exact:
         ct = Fraction(c) * t
         return tuple(ct ** j / math.factorial(j) for j in range(depth))
     z = [t * float(a2 * d * d + a1 * d) for d in range(m, m - 2 * depth, -2)]
+    if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):
+        return (math.exp(z[0]),)
     return tuple(_exp_divided_differences(z, c * t).tolist())
 
 
@@ -172,11 +179,10 @@ def exp_graded(gen: GroupGenerator, t, q):
     )
     if not exact:
         t = float(t)
+        q = q.to_float()
     flow = monomial_flows(gen, t, exact)
     out = {}
     for key, c in q.terms.items():
-        if not exact:
-            c = kind._float(c)
         for beta, v in flow(key).items():
             out[beta] = out.get(beta, 0) + c * v
     return kind._trusted({beta: v for beta, v in out.items() if v}, EXACT if exact else FLOAT)

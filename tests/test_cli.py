@@ -185,6 +185,14 @@ def test_verify_rejects_a_nan_or_negative_tolerance(tol, capsys):
     assert "error: --tol must be a number >= 0" in captured.err and captured.out == ""
 
 
+def test_verify_rejects_a_negative_seed_before_any_check(capsys):
+    # the Monte Carlo check near the end cannot take it, so no check runs
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
+
+
 def test_converge_diagram_quantity(tmp_path):
     out = tmp_path / "diag.csv"
     code = main([
@@ -358,3 +366,19 @@ def test_cold_import_needs_only_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_sbtlab_prints_the_readme_block():
+    import os
+    import subprocess
+    import sys
+
+    import sbtlab
+
+    src = str(Path(sbtlab.__file__).resolve().parent.parent)
+    argv = ["isometry", "--poly", "x1", "--N", "10,100", "--T", "1.0"]
+    [expected] = [out for args, out in _readme_cli_examples() if args == argv]
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "sbtlab", *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == expected

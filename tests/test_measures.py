@@ -466,6 +466,59 @@ def test_quadric_moments_and_norms_under_concurrent_threads():
     assert values == [both(f) for f in polys]
 
 
+_NORM_SPECS = (MeasureSpec.gauss(1), MeasureSpec.gauss(Fraction(2, 3)), MeasureSpec.gauss(0.7),
+               MeasureSpec.sphere(4), MeasureSpec.sphere(9))
+
+
+def _memo_snapshot(p, specs):
+    """p's width, float image and squared norms under specs, in bits and term order."""
+    image = p.to_float()
+    return (p.width(), [(key, c.hex()) for key, c in image.terms.items()],
+            {spec: norm2(spec, p).hex() for spec in specs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("exact", "float")).flatmap(lambda mode: st.builds(
+    RealPoly,
+    st.dictionaries(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+                    st.fractions(-4, 4, max_denominator=6) | st.just(Fraction(1, 10 ** 400))
+                    if mode == "exact"
+                    else st.floats(-1e3, 1e3) | st.sampled_from([1e-200, -3e-170]),
+                    max_size=6),
+    st.just(mode))))
+def test_memoized_width_float_image_and_norms_match_a_fresh_copy(p):
+    cold = _memo_snapshot(p, _NORM_SPECS)
+    warm = _memo_snapshot(p, _NORM_SPECS)
+    fresh = _memo_snapshot(RealPoly(p.terms, p.mode), _NORM_SPECS[::-1])
+    assert cold == warm == fresh
+    assert cold[0] == max(map(len, p.terms), default=0)
+    assert cold[1] == [(key, float(c).hex()) for key, c in p.terms.items() if float(c)]
+    if p.mode == "exact":
+        # the memo-free route: the moment of p * p, rounded once
+        assert cold[2] == {spec: float(moment(spec, p * p)).hex() for spec in _NORM_SPECS}
+
+
+def test_shared_polynomials_fill_their_memos_under_concurrent_threads():
+    # eight threads at a 1 us switch interval read and fill the memos of the
+    # same cold polynomials at once; every value is bitwise the serial one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = seeded_rng(44)
+    terms = [random_real_poly(rng, k=3, degree=6, terms=5).terms for _ in range(16)]
+    serial = [_memo_snapshot(RealPoly(t), _NORM_SPECS) for t in terms]
+    polys = [RealPoly(t) for t in terms]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            values = list(pool.map(lambda i: _memo_snapshot(polys[i % 16], _NORM_SPECS),
+                                   range(128)))
+    finally:
+        sys.setswitchinterval(switch)
+    assert values == [serial[i % 16] for i in range(128)]
+
+
 def test_sphere_gap_of_x1_40_does_not_depend_on_earlier_degrees():
     # x1^40 at (n, T) = (5, 1) gives one gap in a fresh process and the same
     # gap after x1^10, x1^20 and x1^30 have been checked in this one

@@ -98,8 +98,9 @@ def test_quadrature_matches_analytic_routes():
 
 def test_quadrature_peak_memory_is_bounded():
     # the gamma check of the flat-oracle benchmark: |p2|^2 for a 10-term p2
-    # in 2 variables at order 9, a 6 561-point grid.  Evaluating every term
-    # on the whole grid at once peaked at 3.2 MiB on this input.
+    # in 2 variables at order 9, where a point grid would hold 6 561 points.
+    # Evaluating every term on the whole grid at once peaked at 3.2 MiB on
+    # this input.
     p2 = RealPoly({(8,): 1, (3, 5): -2, (2, 5): Fraction(1, 2), (6,): 3, (1, 4): 1,
                    (0, 4): -1, (2, 1): 2, (1, 1): Fraction(-3, 2), (0, 2): 1, (1,): 2})
     square = holomorphic_extend(p2).mod_square()
@@ -112,6 +113,18 @@ def test_quadrature_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.56 * 2 ** 20
+
+
+def test_quadrature_beyond_the_size_of_a_point_grid():
+    # k = 4 at degree 16 under gamma: a grid would hold 9^8, about 4.3e7
+    # points; the per-coordinate tables hold 17 x 17 entries
+    rng = seeded_rng(18)
+    p = random_real_poly(rng, k=4, degree=8, terms=6) + RealPoly({(2, 2, 2, 2): 1})
+    q = holomorphic_extend(p).mod_square()
+    assert (q.width(), q.degree()) == (4, 16)
+    for T in (0.3, 1.0, 1.7):
+        est = quad_gauss_moment(q, MeasureSpec.gamma(T), 9)
+        assert complex(est.value) == pytest.approx(complex(gamma_moment(q, T)), rel=1e-12)
 
 
 def test_quadrature_insufficient_order_flagged():
@@ -171,6 +184,12 @@ def test_mc_standard_error_does_not_cancel_for_large_values():
 def test_mc_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         mc_sphere_moment(X1, 5, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+def test_mc_rejects_a_negative_or_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        mc_sphere_moment(X1, 5, samples=1000, seed=seed)
 
 
 @pytest.mark.parametrize("p, n, error", [

@@ -414,6 +414,31 @@ def test_exp_divided_differences_rejects_non_finite_time():
         exp_graded(diffops.HERMITE, math.inf, X1 ** 2)
 
 
+@pytest.mark.parametrize("gen", [diffops.spherical_laplacian_op(7), diffops.HERMITE,
+                                 diffops.LAPLACIAN, diffops.EULER],
+                         ids=["sphere", "hermite", "laplacian", "euler"])
+def test_single_node_flow_weights_are_the_exponential_bit_for_bit(gen):
+    # degree 0 or 1, or c = 0 at any degree: one node z_0 = t lambda_m
+    [g] = gen.groups
+    for t in (0.37, -0.37, 2.5, -2.5, 1e-9, -41.0):
+        for m in (0, 1) if g.c else range(6):
+            z0 = t * float(g.a2 * m * m + g.a1 * m)
+            weights = semigroup._flow_weights(g.a2, g.a1, g.c, t, m, False)
+            general = semigroup._exp_divided_differences([z0], g.c * t).tolist()
+            assert [w.hex() for w in weights] == [math.exp(z0).hex()] == [w.hex() for w in general]
+
+
+def test_single_node_flow_weights_raise_as_the_general_route():
+    with pytest.raises(OverflowError):
+        semigroup._flow_weights(0, -1, 1, -800.0, 1, False)
+    with pytest.raises(OverflowError):
+        semigroup._exp_divided_differences([800.0], -800.0)
+    for t in (math.inf, -math.inf, math.nan):
+        for args in ((0, -1, 1, t, 1, False), (0, -1, 1, t, 0, False), (0, 1, 0, t, 3, False)):
+            with pytest.raises(ValueError, match="finite time"):
+                semigroup._flow_weights(*args)
+
+
 @pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])
 def test_graded_flow_matches_dense_exponential(k, l):
     rng = seeded_rng(24 + k)
