@@ -16,6 +16,7 @@ lowers the degree by two.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, count
 from typing import NamedTuple
 
-from .polyalg import CxPoly, RealPoly, mono_degree, trim
+from .polyalg import FLOAT, CxPoly, RealPoly, _integer_form, _nonzero, mono_degree, trim
 
 
 class DimensionError(ValueError):
@@ -170,23 +171,47 @@ class GroupGenerator:
     def apply(self, p):
         """The generator's action on a polynomial.
 
-        Exact for exact p and rational group coefficients; a float
+        Exact for exact p and rational group coefficients: p's integer form
+        and the group coefficients, over one common denominator, are summed
+        as integers and each output coefficient is built once.  A float
         coefficient gives a float-mode result, as ``exp_graded`` does.
         """
         self.check_domain(p)
-        if not all(isinstance(v, (int, Fraction)) for g in self.groups for v in (g.a2, g.a1, g.c)):
+        scalars = [(g.a2, g.a1, g.c) for g in self.groups]
+        if not all(isinstance(v, (int, Fraction)) for row in scalars for v in row):
             p = p.to_float()
+        if p.mode == FLOAT:
+            return p._trusted(_nonzero(self._act(p.terms, scalars)), FLOAT)
+        nums, den = _integer_form(p)
+        ratios = [[v.as_integer_ratio() for v in row] for row in scalars]
+        common = math.lcm(*(d for row in ratios for _, d in row))
+        scalars = [tuple(a * (common // b) for a, b in row) for row in ratios]
+        if isinstance(p, RealPoly):
+            terms = {key: s for key, s in self._act(nums, scalars).items() if s}
+        else:
+            # the scalars are real: the real and imaginary numerators act apart,
+            # and both sums insert their keys in the same order
+            re = self._act({key: v[0] for key, v in nums.items()}, scalars)
+            im = self._act({key: v[1] for key, v in nums.items()}, scalars)
+            terms = {key: (s, im[key]) for key, s in re.items() if s or im[key]}
+        return p._from_integer_form(terms, den * common)
+
+    def _act(self, coeffs: dict, scalars: list) -> dict:
+        """sum over groups of (a2 m^2 + a1 m) c x^key + c Lap x^key, with (a2, a1, c) from scalars.
+
+        Every key it reaches is stored, zero sums included, in the order reached.
+        """
         terms = {}
-        for key, coeff in p.terms.items():
-            for g in self.groups:
+        for key, coeff in coeffs.items():
+            for g, (a2, a1, c) in zip(self.groups, scalars):
                 sub = g.exponents(key)
                 m = mono_degree(sub)
-                terms[key] = terms.get(key, 0) + coeff * (g.a2 * m * m + g.a1 * m)
-                chain = _laplacian_chain(sub) if g.c else ()
+                terms[key] = terms.get(key, 0) + coeff * (a2 * m * m + a1 * m)
+                chain = _laplacian_chain(sub) if c else ()
                 for beta, v in chain[1].items() if len(chain) > 1 else ():
                     lowered = g.substitute(key, beta)
-                    terms[lowered] = terms.get(lowered, 0) + coeff * g.c * v
-        return type(p)(terms, p.mode)
+                    terms[lowered] = terms.get(lowered, 0) + coeff * c * v
+        return terms
 
 
 # ---------------------------------------------------------------------------

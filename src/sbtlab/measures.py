@@ -18,7 +18,9 @@ numbers the routines read.  ``moment(spec, q)`` and ``norm2(spec, f)``, the
 squared L2 norm as a bilinear form over f's own terms, share one routine per
 measure kind; the per-family functions build a spec and call ``moment``.
 Real moments are pairing counts prod_i (alpha_i - 1)!! times a radial weight
-of |alpha|/2, summed over integers by half-degree, weighted by one cached
+of |alpha|/2.  They read the integer numerators of the polynomial's memoized
+integer form (``polyalg._integer_form``; a float coefficient is its exact
+binary rational), summed by half-degree, weighted by one cached
 integer table N_m / D per (t or n, top half-degree) and ended by one
 division, which keeps the convergence experiments accurate at n = 10^4 and
 beyond.  The quadric reads the same sums, as a bilinear form of two flows
@@ -48,6 +50,7 @@ from .polyalg import (
     GaussianRational,
     HolomorphicityError,
     RealPoly,
+    _integer_form,
     mono_degree,
     mono_mul,
 )
@@ -198,16 +201,9 @@ def _pair_weight(alpha: tuple, beta: tuple) -> tuple:
     return mono_degree(gamma) // 2, _pairings(gamma)
 
 
-def _integer_terms(p: RealPoly) -> tuple:
-    """p's terms as (alpha, integer) pairs over one common denominator, and that denominator."""
-    ratios = [c.as_integer_ratio() for c in p.terms.values()]
-    den = math.lcm(*(d for _, d in ratios))
-    return [(alpha, num * (den // d)) for alpha, (num, d) in zip(p.terms, ratios)], den
-
-
-def _parity_classes(terms: list) -> dict:
+def _parity_classes(nums: dict) -> dict:
     classes: dict = {}
-    for alpha, c in terms:
+    for alpha, c in nums.items():
         classes.setdefault(_parity(alpha), []).append((alpha, c))
     return classes
 
@@ -216,11 +212,11 @@ def _pair_sums(p: RealPoly) -> tuple:
     """({m: S_m}, den^2): the integer sums behind p's squared Gaussian and sphere norms.
 
     S_m sums c_alpha c_beta pairings(alpha + beta) over the pairs of p's
-    integer terms in one parity class with |alpha + beta| = 2m.
+    integer numerators in one parity class with |alpha + beta| = 2m.
     """
-    terms, den = _integer_terms(p)
+    nums, den = _integer_form(p)
     sums: dict = {}
-    for cls in _parity_classes(terms).values():
+    for cls in _parity_classes(nums).values():
         for i, (alpha, ca) in enumerate(cls):
             for j in range(i, len(cls)):
                 beta, cb = cls[j]
@@ -238,7 +234,8 @@ def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None
     only pairs in one parity class contribute, and ``other is p`` reads the
     pair sums ``_pair_sums`` from p's memo, so a polynomial's squared norms
     under every gauss and sphere spec pay for them once.  The coefficients
-    are brought to one denominator, so the sums run over integers by
+    are read from p's memoized integer form (``polyalg._integer_form``):
+    numerators over one denominator, so the sums run over integers by
     half-degree m, are weighted by the integer radial table
     (``_radial_table``) and end in one int / int division, which rounds
     once, correctly.  A pair's (m, pairings) and a term's parity class are
@@ -248,19 +245,19 @@ def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None
     if other is p:
         sums, den = p._memoized("pair_sums", _pair_sums)
     else:
-        terms, den = _integer_terms(p)
+        nums, den = _integer_form(p)
         sums: dict = {}
         if other is None:
-            for alpha, c in terms:
+            for alpha, c in nums.items():
                 ways = _pairings(alpha)
                 if ways:
                     m = mono_degree(alpha) // 2
                     sums[m] = sums.get(m, 0) + c * ways
         else:
-            other_terms, other_den = _integer_terms(other)
+            other_nums, other_den = _integer_form(other)
             den *= other_den
-            classes = _parity_classes(terms)
-            for key, cls in _parity_classes(other_terms).items():
+            classes = _parity_classes(nums)
+            for key, cls in _parity_classes(other_nums).items():
                 for alpha, ca in classes.get(key, ()):
                     for beta, cb in cls:
                         m, ways = _pair_weight(alpha, beta)

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .measures import MeasureSpec
-from .polyalg import CxPoly, RealPoly, mono_degree
+from .polyalg import CxPoly, RealPoly, _integer_form, mono_degree
 
 N_SUBSTREAMS = 16
 # samples drawn per numpy call within a substream
@@ -71,10 +71,10 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     per[-1] += samples - sum(per)
 
     substreams = []
-    for idx, count in enumerate(per):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        )
+    # child idx carries spawn_key (idx,): the stream of SeedSequence(seed, spawn_key=(idx,))
+    children = np.random.SeedSequence(seed).spawn(N_SUBSTREAMS)
+    for child, count in zip(children, per):
+        rng = np.random.Generator(np.random.PCG64(child))
         parts = []
         for start in range(0, count, MC_CHUNK):
             size = min(MC_CHUNK, count - start)
@@ -193,20 +193,34 @@ def isserlis_moment(p: RealPoly, t):
     """Gaussian moment of p by summing over pair partitions of each monomial.
 
     Exact for exact p and rational t; independent of the heat-operator route.
+    In the exact case the integer numerators of p's integer form times their
+    matching counts are summed by half-degree m, each sum is weighted by t^m
+    once, and the total is one Fraction.
     """
     MeasureSpec.gauss(t).check(p)
     exact = p.mode == "exact" and isinstance(t, (int, Fraction))
-    total = Fraction(0) if exact else 0.0
+    if exact:
+        nums, den = _integer_form(p)
+        sums: dict = {}
+        for alpha, c in nums.items():
+            count = _monomial_matchings(alpha)
+            if count:
+                m = mono_degree(alpha) // 2
+                sums[m] = sums.get(m, 0) + c * count
+        top = max(sums, default=0)
+        num, t_den = Fraction(t).as_integer_ratio()
+        return Fraction(sum(s * num ** m * t_den ** (top - m) for m, s in sums.items()),
+                        den * t_den ** top)
+    total = 0.0
     for alpha, c in p.terms.items():
-        degree = mono_degree(alpha)
-        if degree % 2:
-            continue
-        labels = tuple(
-            j for j, e in enumerate(alpha) for _ in range(e)
-        )
-        count = _matching_count(labels)
-        if not count:
-            continue
-        weight = (Fraction(t) if exact else float(t)) ** (degree // 2)
-        total = total + (c if exact else float(c)) * count * weight
+        count = _monomial_matchings(alpha)
+        if count:
+            total = total + float(c) * count * float(t) ** (mono_degree(alpha) // 2)
     return total
+
+
+def _monomial_matchings(alpha: tuple) -> int:
+    """Perfect matchings of x^alpha's factors that pair equal variables; 0 for odd degree."""
+    if mono_degree(alpha) % 2:
+        return 0
+    return _matching_count(tuple(j for j, e in enumerate(alpha) for _ in range(e)))

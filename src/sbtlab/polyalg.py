@@ -21,13 +21,25 @@ polynomial compares equal no matter how many ambient variables it is read in.
 
 A polynomial never changes, so what its terms determine is computed once,
 on first use, and kept in a private memo on the instance: its width, its
-float image (``to_float()``) and, for ``measures``, the half-degree pair
-sums behind its Gaussian and sphere squared norms.  The memo takes no part
-in equality, printing or JSON; threads that race on it store equal values.
+float image (``to_float()``), its integer form and, for ``measures``, the
+half-degree pair sums behind its Gaussian and sphere squared norms.  The
+memo takes no part in equality, printing or JSON; threads that race on it
+store equal values.
+
+The integer form (``_integer_form``) is the polynomial over one common
+denominator: ({key: numerator}, den) for a ``RealPoly`` (a float one reads
+as the exact binary rational of each coefficient), ({key: (re, im)}, den)
+for an exact ``CxPoly``.  Exact products, operator actions
+(``diffops.GroupGenerator.apply``), distances, moments and pair counts run
+on these integers and build each output ``Fraction`` once, instead of once
+per product and once per sum; an exact product or operator action keeps
+its own integer form in its memo, so what reads it next does not convert
+again.  ``den`` is a common denominator, not always the least one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add as _add
 
@@ -280,6 +292,18 @@ class _Poly:
         object.__setattr__(p, "mode", mode)
         return p
 
+    @classmethod
+    def _from_integer_form(cls, nums: dict, den: int):
+        """The exact polynomial nums / den, with (nums, den) kept as its integer form.
+
+        nums holds no zero numerator and den > 0; each coefficient is one
+        ``Fraction`` per part, built here.
+        """
+        ratio = cls._ratio
+        p = cls._trusted({key: ratio(v, den) for key, v in nums.items()}, EXACT)
+        object.__setattr__(p, "_memo", {"integer": (nums, den)})
+        return p
+
     # -- constructors
 
     @classmethod
@@ -354,6 +378,11 @@ class _Poly:
         if type(other) is not type(self):
             return NotImplemented
         _check_modes(self, other)
+        if self.mode == EXACT:
+            (nums, den), (other_nums, other_den) = _integer_form(self), _integer_form(other)
+            return self._from_integer_form(
+                self._numerator_product(nums, other_nums, self._key_mul), den * other_den
+            )
         key_mul = self._key_mul
         terms = {}
         for k1, c1 in self.terms.items():
@@ -554,6 +583,53 @@ def _width(p: _Poly) -> int:
     return max((len(m) for key in p.terms for m in p._parts(key)), default=0)
 
 
+def _integer_form(p: _Poly) -> tuple:
+    """(numerators, den): p's coefficients over one common denominator, memoized on p."""
+    return p._memoized("integer", _integer_image)
+
+
+def _integer_image(p: _Poly) -> tuple:
+    if isinstance(p, CxPoly):
+        ratios = [(c.re.as_integer_ratio(), c.im.as_integer_ratio()) for c in p.terms.values()]
+        den = math.lcm(*(d for parts in ratios for _, d in parts))
+        nums = [(a * (den // b), c * (den // d)) for (a, b), (c, d) in ratios]
+    else:
+        ratios = [c.as_integer_ratio() for c in p.terms.values()]
+        den = math.lcm(*(d for _, d in ratios))
+        nums = [a * (den // b) for a, b in ratios]
+    return dict(zip(p.terms, nums)), den
+
+
+def _real_numerator_product(nums: dict, other: dict, key_mul) -> dict:
+    """The integer terms of the product of two integer forms, summed as _Poly.__mul__ sums."""
+    terms = {}
+    for k1, n1 in nums.items():
+        for k2, n2 in other.items():
+            key = key_mul(k1, k2)
+            s = terms.get(key, 0) + n1 * n2
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+    return terms
+
+
+def _gaussian_numerator_product(nums: dict, other: dict, key_mul) -> dict:
+    """_real_numerator_product for (re, im) numerators: Gaussian-integer products."""
+    terms = {}
+    for k1, (a, b) in nums.items():
+        for k2, (c, d) in other.items():
+            key = key_mul(k1, k2)
+            re, im = terms.get(key, (0, 0))
+            re += a * c - b * d
+            im += a * d + b * c
+            if re or im:
+                terms[key] = re, im
+            else:
+                terms.pop(key, None)
+    return terms
+
+
 def _float_image(p: _Poly) -> _Poly:
     return p._trusted(_nonzero({key: p._float(c) for key, c in p.terms.items()}), FLOAT)
 
@@ -578,6 +654,8 @@ class RealPoly(_Poly):
     _scalars = (int, float, Fraction)
     _float = float
     _coeff = staticmethod(_real_coeff)
+    _ratio = staticmethod(Fraction)
+    _numerator_product = staticmethod(_real_numerator_product)
     _value = staticmethod(lambda z: z)
     _parts = staticmethod(lambda alpha: (alpha,))
     _join = staticmethod(lambda alpha: alpha)
@@ -604,6 +682,10 @@ class CxPoly(_Poly):
     _scalars = (int, float, complex, Fraction, GaussianRational)
     _float = complex
     _coeff = staticmethod(_cx_coeff)
+    _ratio = staticmethod(
+        lambda num, den: GaussianRational._of(Fraction(num[0], den), Fraction(num[1], den))
+    )
+    _numerator_product = staticmethod(_gaussian_numerator_product)
     _value = complex
     _parts = staticmethod(lambda key: key)
     _join = staticmethod(lambda alpha, beta: (alpha, beta))
@@ -650,21 +732,31 @@ def holomorphic_extend(p: RealPoly) -> CxPoly:
 
 
 def coeff_distance(p, q):
-    """Max absolute coefficient difference; exact when both operands are exact."""
+    """Largest modulus of a coefficient difference.
+
+    Exact operands give an exact ``Fraction``, found among the integer
+    numerators of their integer forms over the product of the two
+    denominators; for complexified ones that holds when every gap is real,
+    and otherwise the largest exact squared modulus is rounded once before
+    its square root.
+    """
     if type(p) is not type(q):
         raise TypeError("cannot compare polynomials of different families")
     keys = set(p.terms) | set(q.terms)
     if p.mode == EXACT and q.mode == EXACT:
-        best = Fraction(0)
+        (p_nums, p_den), (q_nums, q_den) = _integer_form(p), _integer_form(q)
+        den = p_den * q_den
+        if isinstance(p, RealPoly):
+            gap = max((abs(p_nums.get(key, 0) * q_den - q_nums.get(key, 0) * p_den)
+                       for key in keys), default=0)
+            return Fraction(gap, den)
+        gaps = []
         for key in keys:
-            d = p.terms.get(key, 0) - q.terms.get(key, 0)
-            if isinstance(d, GaussianRational):
-                mag = max(abs(d.re), abs(d.im))
-            else:
-                mag = abs(d)
-            if mag > best:
-                best = mag
-        return best
+            (a, b), (c, d) = p_nums.get(key, (0, 0)), q_nums.get(key, (0, 0))
+            gaps.append((a * q_den - c * p_den, b * q_den - d * p_den))
+        if not any(im for _, im in gaps):
+            return Fraction(max((abs(re) for re, _ in gaps), default=0), den)
+        return math.sqrt(Fraction(max(re * re + im * im for re, im in gaps), den * den))
     pf = p.to_float()
     qf = q.to_float()
     return max(

@@ -76,7 +76,7 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
             for k in range(1, len(z) + 40):
                 term = term.dot(a) / k
                 x = x + term
-                if np.all(np.abs(term) <= 2.0 ** -53 * x):
+                if (np.abs(term) <= 2.0 ** -53 * x).all():
                     break
             for q in range(p):
                 x = x.dot(x)

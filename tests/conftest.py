@@ -17,7 +17,7 @@ import numpy as np
 import sympy
 
 from sbtlab import diffops, semigroup
-from sbtlab.polyalg import FLOAT, CxPoly, GaussianRational, RealPoly
+from sbtlab.polyalg import FLOAT, CxPoly, GaussianRational, RealPoly, mono_degree, trim
 
 
 def sympy_symbols(k: int):
@@ -186,6 +186,71 @@ def quadric_moment_reference(q: CxPoly, n: int, T) -> complex:
                     if mono:
                         total += c * u * v * _mp(mono)
         return complex(total)
+
+
+# ---------------------------------------------------------------------------
+# term-by-term Fraction references for the integer-form routes
+
+
+def fraction_product(p, q) -> dict:
+    """The terms of p * q, one coefficient product and one sum at a time.
+
+    A key whose running sum cancels is popped and, if reached again,
+    re-inserted at the end, so the term order is part of the reference.
+    """
+    terms = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            key = p._key_mul(k1, k2)
+            s = terms.get(key, 0) + c1 * c2
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+    return terms
+
+
+def fraction_apply(gen, p):
+    """gen's action on p, one Fraction term at a time, through the validating constructor."""
+    terms = {}
+    for key, coeff in p.terms.items():
+        for g in gen.groups:
+            sub = g.exponents(key)
+            m = mono_degree(sub)
+            terms[key] = terms.get(key, 0) + coeff * (g.a2 * m * m + g.a1 * m)
+            chain = _lowered_chain(sub) if g.c else ()
+            for beta, v in chain[1].items() if len(chain) > 1 else ():
+                lowered = g.substitute(key, trim(beta))
+                terms[lowered] = terms.get(lowered, 0) + coeff * g.c * v
+    return type(p)(terms, p.mode)
+
+
+def fraction_squared_distance(p, q) -> Fraction:
+    """The largest squared modulus of a coefficient difference of two exact polynomials."""
+    best = Fraction(0)
+    for key in set(p.terms) | set(q.terms):
+        d = p.terms.get(key, 0) - q.terms.get(key, 0)
+        d = d if isinstance(d, GaussianRational) else GaussianRational(d)
+        best = max(best, d.re * d.re + d.im * d.im)
+    return best
+
+
+def fraction_isserlis(p: RealPoly, t: Fraction) -> Fraction:
+    """Gaussian moment of exact p at rational t, summed over pair partitions term by term."""
+    total = Fraction(0)
+    for alpha, c in p.terms.items():
+        labels = tuple(j for j, e in enumerate(alpha) for _ in range(e))
+        total += c * _matchings(labels) * Fraction(t) ** (len(labels) // 2)
+    return total
+
+
+def _matchings(labels: tuple) -> int:
+    if len(labels) % 2:
+        return 0
+    if not labels:
+        return 1
+    first, rest = labels[0], labels[1:]
+    return sum(_matchings(rest[:i] + rest[i + 1:]) for i, x in enumerate(rest) if x == first)
 
 
 def seeded_rng(seed: int = 1234) -> random.Random:

@@ -1,0 +1,188 @@
+"""The exact hot paths on integer numerators against term-by-term Fraction references.
+
+Products, operator actions, coefficient distances and pair-partition moments
+of exact polynomials run on each polynomial's memoized integer form; the
+references in conftest do the same sums one Fraction at a time.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sbtlab import diffops, limits, measures, oracle, polyalg
+from sbtlab.polyalg import (
+    EXACT,
+    FLOAT,
+    CxPoly,
+    GaussianRational,
+    RealPoly,
+    coeff_distance,
+    holomorphic_extend,
+)
+
+from conftest import (
+    _sphere_monomial_moment,
+    fraction_apply,
+    fraction_isserlis,
+    fraction_product,
+    fraction_squared_distance,
+)
+
+_EXPONENTS = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+# mixed denominators, small numerators so that sums cancel, and one huge denominator
+_RATIONALS = (st.fractions(-3, 3, max_denominator=6).filter(bool)
+              | st.sampled_from([Fraction(1, 10 ** 40), Fraction(-7, 2 ** 70)]))
+_GAUSSIANS = st.builds(GaussianRational, _RATIONALS, st.just(0) | _RATIONALS)
+_REAL_POLYS = st.dictionaries(_EXPONENTS, _RATIONALS, max_size=6).map(RealPoly)
+_CX_POLYS = st.dictionaries(st.tuples(_EXPONENTS, st.just(()) | _EXPONENTS), _GAUSSIANS,
+                            max_size=6).map(CxPoly)
+_HOLOMORPHIC = st.dictionaries(_EXPONENTS.map(lambda a: (a, ())), _GAUSSIANS,
+                               max_size=6).map(CxPoly)
+
+_REAL_OPERATORS = [
+    diffops.LAPLACIAN, diffops.EULER, diffops.HERMITE,
+    diffops.laplacian_op((0, 2)), diffops.euler_op((1,)),
+    diffops.spherical_laplacian_op(5), diffops.spherical_laplacian_op(7) + diffops.HERMITE,
+    diffops.HERMITE * Fraction(2, 3), diffops.g_uv_op(1), diffops.g_uv_op(2),
+]
+_CX_OPERATORS = [
+    diffops.G_K, diffops.jsq_a_op(6), diffops.jsq_abar_op(6), diffops.gamma_n_op(7),
+    diffops.G_K * Fraction(3, 5),
+]
+
+
+def _items(p) -> list:
+    return list(p.terms.items())
+
+
+def _assert_form_matches(p):
+    # the memoized integer form is the polynomial's own coefficients
+    nums, den = p._memo["integer"]
+    assert list(nums) == list(p.terms)
+    for key, c in p.terms.items():
+        if isinstance(p, CxPoly):
+            assert (Fraction(nums[key][0], den), Fraction(nums[key][1], den)) == (c.re, c.im)
+        else:
+            assert Fraction(nums[key], den) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(_REAL_POLYS, _REAL_POLYS), st.tuples(_CX_POLYS, _CX_POLYS)))
+def test_exact_product_is_the_fraction_product_in_its_term_order(pair):
+    p, q = pair
+    for left, right in ((p, q), (q, p), (p, p), (p, -p), (p, p - p)):
+        product = left * right
+        assert _items(product) == list(fraction_product(left, right).items())
+        _assert_form_matches(product)
+
+
+def test_product_keeps_a_cancelled_key_out_and_reinserts_it_at_the_end():
+    x1, x2 = RealPoly.variable(0), RealPoly.variable(1)
+    assert _items((x1 + x2) * (x2 - x1)) == [((2,), -1), ((0, 2), 1)]
+    assert _items((x1 + x2) * (x2 - x1 + x1 * x2)) == list(
+        fraction_product(x1 + x2, x2 - x1 + x1 * x2).items())
+    assert ((x1 - x1) * x2).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_HOLOMORPHIC, _REAL_POLYS)
+def test_mod_square_and_extension_square_are_the_fraction_products(q, p):
+    for r in (q, holomorphic_extend(p)):
+        square = r.mod_square()
+        assert _items(square) == list(fraction_product(r, r.conjugate()).items())
+        _assert_form_matches(square)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REAL_POLYS, _CX_POLYS)
+def test_every_named_operator_acts_as_the_fraction_reference(p, q):
+    for gen, r in [(g, p) for g in _REAL_OPERATORS] + [(g, q) for g in _CX_OPERATORS]:
+        out = gen.apply(r)
+        assert _items(out) == _items(fraction_apply(gen, r))
+        _assert_form_matches(out)
+        # float mode keeps its own arithmetic, bit for bit
+        assert _items(gen.apply(r.to_float())) == _items(fraction_apply(gen, r.to_float()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(_REAL_POLYS, _REAL_POLYS), st.tuples(_CX_POLYS, _CX_POLYS)))
+def test_exact_coeff_distance_is_the_largest_gap_modulus(pair):
+    p, q = pair
+    d = coeff_distance(p, q)
+    want = fraction_squared_distance(p, q)
+    gaps = [p.terms.get(key, 0) - q.terms.get(key, 0) for key in set(p.terms) | set(q.terms)]
+    if isinstance(p, RealPoly) or not any(gap.im for gap in gaps):
+        assert isinstance(d, Fraction) and d * d == want
+    else:
+        assert d == pytest.approx(math.sqrt(want), rel=2 ** -51)
+    # float mode measures the same modulus, up to the rounding of the coefficients
+    scale = max((abs(complex(c)) for r in (p, q) for c in r.terms.values()), default=0)
+    assert abs(float(d) - coeff_distance(p.to_float(), q.to_float())) <= 2 ** -50 * scale
+
+
+def test_exact_and_float_complex_distances_agree():
+    gap = CxPoly({((1,), ()): GaussianRational(1, 1)})
+    zero = CxPoly.zero()
+    assert coeff_distance(gap, zero) == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert coeff_distance(gap.to_float(), zero.to_float()) == pytest.approx(math.sqrt(2), rel=1e-15)
+    # a real gap stays an exact Fraction
+    assert coeff_distance(gap, gap.conjugate().conjugate() + CxPoly.a(0)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REAL_POLYS, _REAL_POLYS, st.fractions(Fraction(1, 9), 5, max_denominator=9).filter(bool))
+def test_isserlis_moment_is_the_fraction_sum(p, q, t):
+    for r in (p, p * q):
+        value = oracle.isserlis_moment(r, t)
+        assert type(value) is Fraction and value == fraction_isserlis(r, t)
+
+
+def test_integer_routes_multiply_no_two_fractions(monkeypatch):
+    p = RealPoly({(4, 1): Fraction(2, 3), (0, 2, 2): Fraction(-5, 7), (3,): Fraction(1, 2),
+                  (1, 1): 4, (): Fraction(3, 11)})
+    q = RealPoly({(1, 2): Fraction(7, 5), (2,): Fraction(-1, 6), (0, 0, 1): 2})
+    products = []
+    fraction_mul = Fraction.__mul__
+
+    def counted(self, other):
+        products.append(isinstance(other, Fraction))
+        return fraction_mul(self, other)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    table = limits.laplacian_limit(p)
+    square = p * p
+    extended = holomorphic_extend(q).mod_square()
+    product = p * q
+    monkeypatch.undo()
+    assert not any(products)
+    assert table.values == limits.laplacian_limit(RealPoly(dict(p.terms))).values
+    assert _items(square) == list(fraction_product(p, p).items())
+    assert _items(product) == list(fraction_product(p, q).items())
+    ext = holomorphic_extend(q)
+    assert _items(extended) == list(fraction_product(ext, ext.conjugate()).items())
+
+
+def test_moments_of_a_product_read_its_integer_form(monkeypatch):
+    p = RealPoly({(2, 1): Fraction(1, 2), (0, 3): -2, (1,): Fraction(3, 5), (): 1})
+    square = p * p
+    converted = []
+    image = polyalg._integer_image
+    monkeypatch.setattr(polyalg, "_integer_image",
+                        lambda r: converted.append(r is square) or image(r))
+    t = Fraction(3, 2)
+    assert measures.gaussian_moment(square, t) == oracle.isserlis_moment(square, t)
+    assert measures.sphere_moment(square, 9) == sum(
+        c * _sphere_monomial_moment(alpha, 9) for alpha, c in square.terms.items())
+    assert not any(converted)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_float_integer_form_is_the_binary_rational(mode):
+    p = RealPoly({(1,): 0.1, (2,): -3.25, (): 1e-300}, FLOAT) if mode == FLOAT else \
+        RealPoly({(1,): Fraction(1, 10), (2,): Fraction(-13, 4)})
+    nums, den = polyalg._integer_form(p)
+    assert {key: Fraction(v, den) for key, v in nums.items()} == {
+        key: Fraction(c) for key, c in p.terms.items()}

@@ -150,7 +150,7 @@ def test_warm_sphere_unitarity_report_hashes_no_fraction(monkeypatch):
 def test_one_input_pays_for_its_width_float_image_and_pair_sums_once(monkeypatch):
     # the 24 reports of one suite-unitarity input: 4 T x (4 sphere n + limit + flat)
     p = RealPoly({(2, 1): Fraction(1, 2), (0, 3): -2, (1,): Fraction(3, 5), (): 1})
-    calls = {"width": 0, "float": 0, "pair terms": 0}
+    calls = {"width": 0, "float": 0, "integer form": 0}
 
     def counted(name, fn):
         def wrapper(q, *args):
@@ -160,13 +160,13 @@ def test_one_input_pays_for_its_width_float_image_and_pair_sums_once(monkeypatch
 
     monkeypatch.setattr(polyalg, "_width", counted("width", polyalg._width))
     monkeypatch.setattr(polyalg, "_float_image", counted("float", polyalg._float_image))
-    monkeypatch.setattr(measures, "_integer_terms", counted("pair terms", measures._integer_terms))
+    monkeypatch.setattr(polyalg, "_integer_image", counted("integer form", polyalg._integer_image))
     for T in (0.1, 0.5, 1.0, 2.0):
         tags = [Sphere(n, T) for n in (5, 10, 25, 50)]
         tags += [Limit(T), Euclidean(1.0, 1.0 - math.exp(-T))]
         for tag in tags:
             unitarity_report(p, tag)
-    assert calls == {"width": 1, "float": 1, "pair terms": 1}
+    assert calls == {"width": 1, "float": 1, "integer form": 1}
 
 
 @pytest.mark.parametrize("n", [5, 10, 25, 50])
