@@ -176,12 +176,26 @@ class GroupGenerator:
         as integers and each output coefficient is built once.  A float
         coefficient gives a float-mode result, as ``exp_graded`` does.
         """
+        form = self._integer_action(p)
+        if form is not None:
+            return p._from_integer_form(*form)
+        p = p.to_float()
+        return p._trusted(_nonzero(self._act(p.terms, self._scalars())), FLOAT)
+
+    def _scalars(self) -> list:
+        return [(g.a2, g.a1, g.c) for g in self.groups]
+
+    def _integer_action(self, p):
+        """The integer form (nums, den) of ``apply(p)`` when it is exact, else None.
+
+        Checks p's domain; builds no polynomial, so a caller that only reads
+        the integers (``polyalg._integer_distance``) makes no Fraction.
+        """
         self.check_domain(p)
-        scalars = [(g.a2, g.a1, g.c) for g in self.groups]
-        if not all(isinstance(v, (int, Fraction)) for row in scalars for v in row):
-            p = p.to_float()
-        if p.mode == FLOAT:
-            return p._trusted(_nonzero(self._act(p.terms, scalars)), FLOAT)
+        scalars = self._scalars()
+        if p.mode == FLOAT or not all(
+                isinstance(v, (int, Fraction)) for row in scalars for v in row):
+            return None
         nums, den = _integer_form(p)
         ratios = [[v.as_integer_ratio() for v in row] for row in scalars]
         common = math.lcm(*(d for row in ratios for _, d in row))
@@ -194,7 +208,7 @@ class GroupGenerator:
             re = self._act({key: v[0] for key, v in nums.items()}, scalars)
             im = self._act({key: v[1] for key, v in nums.items()}, scalars)
             terms = {key: (s, im[key]) for key, s in re.items() if s or im[key]}
-        return p._from_integer_form(terms, den * common)
+        return terms, den * common
 
     def _act(self, coeffs: dict, scalars: list) -> dict:
         """sum over groups of (a2 m^2 + a1 m) c x^key + c Lap x^key, with (a2, a1, c) from scalars.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffops, measures, transforms
-from .polyalg import RealPoly, coeff_distance
+from .polyalg import RealPoly, _integer_distance, coeff_distance
 
 DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
 
@@ -91,11 +91,19 @@ class ConvergenceTable:
 
 
 def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
-    """Coefficient distance between the sphere Laplacian of p and its limit."""
-    reference = diffops.HERMITE.apply(p)
-    errors = [
-        float(coeff_distance(diffops.spherical_laplacian_op(n).apply(p), reference)) for n in ns
-    ]
+    """Coefficient distance between the sphere Laplacian of p and its limit.
+
+    For exact p the distances are read from the integer forms of the two
+    actions, and no output polynomial is built.
+    """
+    reference = diffops.HERMITE._integer_action(p)
+    if reference is None:
+        reference = diffops.HERMITE.apply(p)
+        errors = [float(coeff_distance(diffops.spherical_laplacian_op(n).apply(p), reference))
+                  for n in ns]
+    else:
+        errors = [float(_integer_distance(diffops.spherical_laplacian_op(n)._integer_action(p),
+                                          reference, True)) for n in ns]
     return ConvergenceTable(
         quantity="laplacian-to-hermite",
         ns=tuple(ns),

@@ -24,7 +24,11 @@ binary rational), summed by half-degree, weighted by one cached
 integer table N_m / D per (t or n, top half-degree) and ended by one
 division, which keeps the convergence experiments accurate at n = 10^4 and
 beyond.  The quadric reads the same sums, as a bilinear form of two flows
-read from the sphere Laplacian's flow table.
+read from the sphere Laplacian's flow table: each flow is accumulated into a
+plain {monomial: float} dict, whose binary rationals go over one power-of-two
+denominator into the integer pair sums, so no intermediate polynomial is
+built.  The complex Gaussians' squared norms read a float table of pair
+moments kept per (E[a^2], E[a abar], top degree).
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
@@ -35,9 +39,10 @@ quadric value, is the exact sum, rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
@@ -45,12 +50,12 @@ from . import diffops, semigroup
 from .diffops import DimensionError, ambient_dimension
 from .polyalg import (
     EXACT,
-    FLOAT,
     CxPoly,
     GaussianRational,
     HolomorphicityError,
     RealPoly,
     _integer_form,
+    _ratio_form,
     mono_degree,
     mono_mul,
 )
@@ -76,6 +81,8 @@ class MeasureSpec:
     s: object = None
     T: object = None
     n: int | None = None
+    # (E[a^2], E[a abar]) of xi and gamma, computed once, by the checks
+    _covariances: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = _PARAMS.get(self.family)
@@ -87,11 +94,13 @@ class MeasureSpec:
             value = getattr(self, name)
             if value is None or not 0 < value < math.inf:
                 raise ValueError(f"{self.family} needs {name} > 0 and finite, got {name}={value}")
-        if self.family == "xi" and not self.t < 2 * self.s:
-            raise ValueError(f"xi needs 0 < t < 2s, got s={self.s}, t={self.t}")
+        if self.family == "xi":
+            if not self.t < 2 * self.s:
+                raise ValueError(f"xi needs 0 < t < 2s, got s={self.s}, t={self.t}")
+            object.__setattr__(self, "_covariances", (self.s - self.t, self.s))
         if self.family == "gamma":
             try:
-                math.exp(self.T)
+                object.__setattr__(self, "_covariances", (1.0, math.exp(self.T)))
             except OverflowError:
                 raise ValueError(f"gamma needs e^T to fit in a float, got T={self.T}") from None
 
@@ -139,9 +148,7 @@ class MeasureSpec:
 
     def covariances(self) -> tuple:
         """(E[a^2], E[a abar]) per coordinate of the complex Gaussians xi and gamma."""
-        if self.family == "xi":
-            return self.s - self.t, self.s
-        return 1.0, math.exp(self.T)
+        return self._covariances
 
 
 # ---------------------------------------------------------------------------
@@ -208,66 +215,84 @@ def _parity_classes(nums: dict) -> dict:
     return classes
 
 
-def _pair_sums(p: RealPoly) -> tuple:
-    """({m: S_m}, den^2): the integer sums behind p's squared Gaussian and sphere norms.
+def _pair_sums(nums: dict, other: dict) -> dict:
+    """{m: S_m}: the integer sums behind a bilinear form of two integer forms.
 
-    S_m sums c_alpha c_beta pairings(alpha + beta) over the pairs of p's
-    integer numerators in one parity class with |alpha + beta| = 2m.
+    S_m sums c_alpha c'_beta pairings(alpha + beta) over the pairs of
+    numerators c of nums and c' of other in one parity class with
+    |alpha + beta| = 2m.  ``other is nums`` visits each unordered pair once:
+    the sum over distinct pairs is doubled and the diagonal added.
     """
-    nums, den = _integer_form(p)
     sums: dict = {}
-    for cls in _parity_classes(nums).values():
-        for i, (alpha, ca) in enumerate(cls):
-            for j in range(i, len(cls)):
-                beta, cb = cls[j]
-                m, ways = _pair_weight(alpha, beta)
-                w = ca * cb * ways
-                sums[m] = sums.get(m, 0) + (w if i == j else 2 * w)
-    return sums, den * den
+    same = other is nums
+    other_classes = _parity_classes(other)
+    for key, cls in (other_classes if same else _parity_classes(nums)).items():
+        for (alpha, ca), (beta, cb) in (combinations(cls, 2) if same
+                                        else product(cls, other_classes.get(key, ()))):
+            m, ways = _pair_weight(alpha, beta)
+            sums[m] = sums.get(m, 0) + ca * cb * ways
+    if same:
+        sums = {m: 2 * s for m, s in sums.items()}
+        for alpha, c in nums.items():
+            m, ways = _pair_weight(alpha, alpha)
+            sums[m] = sums.get(m, 0) + c * c * ways
+    return sums
+
+
+def _own_pair_sums(p: RealPoly) -> tuple:
+    nums, den = _integer_form(p)
+    return _pair_sums(nums, nums), den * den
+
+
+def _radial_sum(spec: MeasureSpec, sums: dict, den: int, exact: bool = False):
+    """sum_m S_m N_m / (D den) with the radial table of spec, in one int / int division.
+
+    The gauss table reads t, the sphere and quadric tables n.  The division
+    rounds once, correctly; ``exact`` returns the Fraction instead.
+    """
+    gauss = spec.family == "gauss"
+    weights, common = _radial_table(not gauss, spec.t if gauss else spec.n, max(sums, default=0))
+    num = sum(s * weights[m] for m, s in sums.items())
+    return Fraction(num, common * den) if exact else num / (common * den)
+
+
+def _form_integral(spec: MeasureSpec, form: tuple, other: tuple | None = None) -> float:
+    """The bilinear form of two integer forms (nums, den), of form with itself by default."""
+    nums, den = form
+    if other is None:
+        return _radial_sum(spec, _pair_sums(nums, nums), den * den)
+    other_nums, other_den = other
+    return _radial_sum(spec, _pair_sums(nums, other_nums), den * other_den)
 
 
 def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None):
     """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) N_m / D, m = |alpha| / 2.
 
     With ``other`` = q it is the bilinear form sum p_alpha q_beta
-    M(alpha + beta) over pairs of p's and q's terms, without forming p * q;
-    only pairs in one parity class contribute, and ``other is p`` reads the
-    pair sums ``_pair_sums`` from p's memo, so a polynomial's squared norms
-    under every gauss and sphere spec pay for them once.  The coefficients
-    are read from p's memoized integer form (``polyalg._integer_form``):
-    numerators over one denominator, so the sums run over integers by
-    half-degree m, are weighted by the integer radial table
-    (``_radial_table``) and end in one int / int division, which rounds
-    once, correctly.  A pair's (m, pairings) and a term's parity class are
-    memoized on the monomials.  A moment of exact p under a rational spec
-    is returned as that exact Fraction instead.
+    M(alpha + beta) over pairs of p's and q's terms (``_pair_sums``),
+    without forming p * q; only pairs in one parity class contribute, and
+    ``other is p`` keeps its pair sums in p's memo, so a polynomial's
+    squared norms under every gauss and sphere spec pay for them once.  The
+    coefficients are read from p's memoized integer form
+    (``polyalg._integer_form``): numerators over one denominator, so the
+    sums run over integers by half-degree m and end in ``_radial_sum``.  A
+    pair's (m, pairings) and a term's parity class are memoized on the
+    monomials.  A moment of exact p under a rational spec is returned as
+    that exact Fraction instead.
     """
     if other is p:
-        sums, den = p._memoized("pair_sums", _pair_sums)
-    else:
-        nums, den = _integer_form(p)
-        sums: dict = {}
-        if other is None:
-            for alpha, c in nums.items():
-                ways = _pairings(alpha)
-                if ways:
-                    m = mono_degree(alpha) // 2
-                    sums[m] = sums.get(m, 0) + c * ways
-        else:
-            other_nums, other_den = _integer_form(other)
-            den *= other_den
-            classes = _parity_classes(nums)
-            for key, cls in _parity_classes(other_nums).items():
-                for alpha, ca in classes.get(key, ()):
-                    for beta, cb in cls:
-                        m, ways = _pair_weight(alpha, beta)
-                        sums[m] = sums.get(m, 0) + ca * cb * ways
-    gauss = spec.family == "gauss"
-    weights, common = _radial_table(not gauss, spec.t if gauss else spec.n, max(sums, default=0))
-    num = sum(s * weights[m] for m, s in sums.items())
-    if other is None and p.mode == EXACT and spec.rational:
-        return Fraction(num, common * den)
-    return num / (common * den)
+        sums, den = p._memoized("pair_sums", _own_pair_sums)
+        return _radial_sum(spec, sums, den)
+    if other is not None:
+        return _form_integral(spec, _integer_form(p), _integer_form(other))
+    nums, den = _integer_form(p)
+    sums: dict = {}
+    for alpha, c in nums.items():
+        ways = _pairings(alpha)
+        if ways:
+            m = mono_degree(alpha) // 2
+            sums[m] = sums.get(m, 0) + c * ways
+    return _radial_sum(spec, sums, den, p.mode == EXACT and spec.rational)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +376,24 @@ def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
     return total if exact else _finite(total)
 
 
+@lru_cache(maxsize=256)
+def _moment_table(c2: float, g2: float, top: int) -> np.ndarray:
+    """E[a^j abar^l] for j, l <= top, read-only, from the pair-moment table of (c2, g2).
+
+    Entry (top, top), which the Gram rows read, has the largest pairing count
+    and the largest powers of c2 and g2 (|c2| < g2 in both families), so the
+    whole table overflows exactly when the entries the rows read do.
+    """
+    moments = _pair_table(c2, g2)
+    table = np.array([[moments[j, l] for l in range(top + 1)] for j in range(top + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
     """M[a, b] = prod_j E[a^{alpha_j} abar^{beta_j}] over the exponent rows alpha, beta."""
-    moments = _pair_moments(spec, exact=False)
-    used = set(exps.ravel().tolist())
-    top = range(max(used, default=0) + 1)
-    table = np.array([[moments[j, l] if j in used and l in used else 0.0 for l in top]
-                      for j in top])
-    return _table_product(table, exps)
+    c2, g2 = map(float, spec.covariances())
+    return _table_product(_moment_table(c2, g2, int(exps.max(initial=0))), exps)
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +405,27 @@ def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
 # -(T/2) times the sphere Laplacian.  So the moment of a^alpha abar^beta is
 # the sphere integral <F x^alpha, F x^beta> of two backward flows: F is the
 # sphere heat flow run backward for T/2, read from the sphere Laplacian's
-# flow table at time -T/2.  That integral is the real bilinear form ``_real_integral``, summed
-# exactly and rounded once; only the flows themselves are floats.
+# flow table at time -T/2.  That integral is the sphere's bilinear form
+# (``_form_integral``) over the flows' coefficients, summed exactly and
+# rounded once; only the flows themselves are floats, and they stay plain
+# {monomial: float} dicts.
 
 
 def _backward_flow(spec: MeasureSpec, terms) -> tuple:
-    """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms."""
+    """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms, as dicts.
+
+    An entry may be 0.0 where flows cancel; it adds nothing to a form.
+    """
     flow = semigroup.monomial_flows(diffops.spherical_laplacian_op(spec.n), -float(spec.T) / 2.0)
     re: dict = {}
     im: dict = {}
     for alpha, c in terms:
         c = complex(c)
-        for gamma, w in flow(alpha).items():
-            if c.real:
-                re[gamma] = re.get(gamma, 0.0) + c.real * w
-            if c.imag:
-                im[gamma] = im.get(gamma, 0.0) + c.imag * w
-    return tuple(RealPoly._trusted({g: v for g, v in part.items() if v}, FLOAT)
-                 for part in (re, im))
+        for part, x in ((re, c.real), (im, c.imag)):
+            if x:
+                for gamma, w in flow(alpha).items():
+                    part[gamma] = part.get(gamma, 0.0) + x * w
+    return re, im
 
 
 def _quadric_moment(spec: MeasureSpec, q: CxPoly) -> complex:
@@ -402,8 +440,9 @@ def _quadric_moment(spec: MeasureSpec, q: CxPoly) -> complex:
     total = 0j
     for beta, terms in by_abar.items():
         re, im = _backward_flow(spec, terms)
-        flow, _ = _backward_flow(spec, [(beta, 1)])
-        total += complex(_real_integral(spec, re, flow), _real_integral(spec, im, flow))
+        flow = _ratio_form(_backward_flow(spec, [(beta, 1)])[0])
+        total += complex(_form_integral(spec, _ratio_form(re), flow),
+                         _form_integral(spec, _ratio_form(im), flow))
     return _finite(total)
 
 
@@ -462,7 +501,10 @@ def norm2(spec: MeasureSpec, f) -> float:
       M[alpha, beta] = prod_j E[a^{alpha_j} abar^{beta_j}].
     * quadric (holomorphic f): the sphere norm of y = sum f_alpha F x^alpha,
       the sphere heat flow of f run backward for T/2, as the real forms of
-      Re y and Im y, each summed exactly and rounded once.
+      Re y and Im y, each summed exactly and rounded once.  y is read from
+      the flow table's entries into plain dicts, whose binary-rational
+      coefficients go straight into the integer pair sums: no polynomial is
+      built on the way.
     """
     spec.check(f)
     if spec.family in _REAL:
@@ -471,8 +513,8 @@ def norm2(spec: MeasureSpec, f) -> float:
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
     if spec.family == "quadric":
         re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()])
-        value = _real_integral(spec, re, re)
-        return _finite(value + _real_integral(spec, im, im) if im.terms else value)
+        value = _form_integral(spec, _ratio_form(re))
+        return _finite(value + _form_integral(spec, _ratio_form(im)) if im else value)
     monos = [a for a, _ in f.terms]
     coeffs = np.array([complex(c) for c in f.terms.values()])
     gram = _complex_gaussian_gram(spec, _exponent_matrix(monos, f.width()))

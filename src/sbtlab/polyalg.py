@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add as _add
 
 import numpy as np
@@ -580,7 +581,9 @@ class _Powers(dict):
 
 
 def _width(p: _Poly) -> int:
-    return max((len(m) for key in p.terms for m in p._parts(key)), default=0)
+    # a RealPoly key is its one exponent tuple; a CxPoly key is a pair of them
+    keys = p.terms if len(p._names) == 1 else chain.from_iterable(p.terms)
+    return max(map(len, keys), default=0)
 
 
 def _integer_form(p: _Poly) -> tuple:
@@ -588,15 +591,20 @@ def _integer_form(p: _Poly) -> tuple:
     return p._memoized("integer", _integer_image)
 
 
+def _ratio_form(coeffs: dict) -> tuple:
+    """({key: numerator}, den): real coefficients (Fractions or floats) over their least
+    common denominator, a power of two for floats."""
+    ratios = [c.as_integer_ratio() for c in coeffs.values()]
+    den = math.lcm(*(d for _, d in ratios))
+    return dict(zip(coeffs, [a * (den // b) for a, b in ratios])), den
+
+
 def _integer_image(p: _Poly) -> tuple:
-    if isinstance(p, CxPoly):
-        ratios = [(c.re.as_integer_ratio(), c.im.as_integer_ratio()) for c in p.terms.values()]
-        den = math.lcm(*(d for parts in ratios for _, d in parts))
-        nums = [(a * (den // b), c * (den // d)) for (a, b), (c, d) in ratios]
-    else:
-        ratios = [c.as_integer_ratio() for c in p.terms.values()]
-        den = math.lcm(*(d for _, d in ratios))
-        nums = [a * (den // b) for a, b in ratios]
+    if not isinstance(p, CxPoly):
+        return _ratio_form(p.terms)
+    ratios = [(c.re.as_integer_ratio(), c.im.as_integer_ratio()) for c in p.terms.values()]
+    den = math.lcm(*(d for parts in ratios for _, d in parts))
+    nums = [(a * (den // b), c * (den // d)) for (a, b), (c, d) in ratios]
     return dict(zip(p.terms, nums)), den
 
 
@@ -742,26 +750,32 @@ def coeff_distance(p, q):
     """
     if type(p) is not type(q):
         raise TypeError("cannot compare polynomials of different families")
-    keys = set(p.terms) | set(q.terms)
     if p.mode == EXACT and q.mode == EXACT:
-        (p_nums, p_den), (q_nums, q_den) = _integer_form(p), _integer_form(q)
-        den = p_den * q_den
-        if isinstance(p, RealPoly):
-            gap = max((abs(p_nums.get(key, 0) * q_den - q_nums.get(key, 0) * p_den)
-                       for key in keys), default=0)
-            return Fraction(gap, den)
-        gaps = []
-        for key in keys:
-            (a, b), (c, d) = p_nums.get(key, (0, 0)), q_nums.get(key, (0, 0))
-            gaps.append((a * q_den - c * p_den, b * q_den - d * p_den))
-        if not any(im for _, im in gaps):
-            return Fraction(max((abs(re) for re, _ in gaps), default=0), den)
-        return math.sqrt(Fraction(max(re * re + im * im for re, im in gaps), den * den))
+        return _integer_distance(_integer_form(p), _integer_form(q), isinstance(p, RealPoly))
     pf = p.to_float()
     qf = q.to_float()
     return max(
-        (abs(pf.terms.get(k, 0) - qf.terms.get(k, 0)) for k in keys), default=0.0
+        (abs(pf.terms.get(k, 0) - qf.terms.get(k, 0)) for k in set(p.terms) | set(q.terms)),
+        default=0.0,
     )
+
+
+def _integer_distance(p_form: tuple, q_form: tuple, real: bool):
+    """``coeff_distance`` of two exact polynomials from their integer forms."""
+    (p_nums, p_den), (q_nums, q_den) = p_form, q_form
+    keys = p_nums.keys() | q_nums.keys()
+    den = p_den * q_den
+    if real:
+        gap = max((abs(p_nums.get(key, 0) * q_den - q_nums.get(key, 0) * p_den)
+                   for key in keys), default=0)
+        return Fraction(gap, den)
+    gaps = []
+    for key in keys:
+        (a, b), (c, d) = p_nums.get(key, (0, 0)), q_nums.get(key, (0, 0))
+        gaps.append((a * q_den - c * p_den, b * q_den - d * p_den))
+    if not any(im for _, im in gaps):
+        return Fraction(max((abs(re) for re, _ in gaps), default=0), den)
+    return math.sqrt(Fraction(max(re * re + im * im for re, im in gaps), den * den))
 
 
 # ---------------------------------------------------------------------------

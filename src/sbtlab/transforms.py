@@ -11,7 +11,8 @@ the result as a holomorphic polynomial in the complexified variables:
   operator; the large-n limit of the sphere transform.
 
 A transform carries its generator, its flow time and its domain and range
-measures, all built at construction.  ``unitarity_report`` pairs the
+measures, built and checked on the first construction with its parameters
+and read from a bounded memo after that.  ``unitarity_report`` pairs the
 squared domain norm of the input with the squared range norm of the output
 (``measures.norm2``); the two agree for every transform here, at finite n
 included.
@@ -21,18 +22,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import diffops, measures, semigroup
 from .measures import MeasureSpec
 from .polyalg import CxPoly, RealPoly, holomorphic_extend
 
 
+def _memoized_parts(build):
+    """build(*params), kept in a bounded memo keyed on the params and their types.
+
+    A failing build raises on every call and caches nothing; params that
+    cannot be hashed are built each time.  Types stay apart, so an exact
+    Euclidean time stays exact.
+    """
+    memo = lru_cache(maxsize=256, typed=True)(build)
+
+    def parts(*params):
+        try:
+            hash(params)
+        except TypeError:
+            return build(*params)
+        return memo(*params)
+
+    return parts
+
+
+@_memoized_parts
+def _euclidean_parts(s, t) -> tuple:
+    xi = MeasureSpec.xi(s, t)  # first, so that a bad s reads as the xi check
+    return (diffops.LAPLACIAN, Fraction(t, 2) if isinstance(t, (int, Fraction)) else t / 2.0,
+            MeasureSpec.gauss(s), xi)
+
+
+@_memoized_parts
+def _sphere_parts(n, T) -> tuple:
+    domain = MeasureSpec.sphere(n)  # first, so that a bad n reads as the sphere check
+    return diffops.spherical_laplacian_op(n), T / 2.0, domain, MeasureSpec.quadric(n, T)
+
+
+@_memoized_parts
+def _limit_parts(T) -> tuple:
+    return diffops.HERMITE, T / 2.0, MeasureSpec.gauss(1), MeasureSpec.gamma(T)
+
+
 @dataclass(frozen=True)
 class _Transform:
     """A heat flow by ``generator`` for ``time``, from the ``domain`` measure to ``range``.
 
-    Each transform builds its flow and its two measures once, at
-    construction, so its parameters are checked by the measures.
+    Each transform takes its flow and its two measures from a memo of its
+    parameter set, built and checked by the measures on the first use.
     """
 
     generator: diffops.GroupGenerator = field(init=False, repr=False, compare=False)
@@ -40,9 +79,8 @@ class _Transform:
     domain: MeasureSpec = field(init=False, repr=False, compare=False)
     range: MeasureSpec = field(init=False, repr=False, compare=False)
 
-    def _set(self, generator, time, domain, range_) -> None:
-        for name, value in zip(("generator", "time", "domain", "range"),
-                               (generator, time, domain, range_)):
+    def _set(self, parts: tuple) -> None:
+        for name, value in zip(("generator", "time", "domain", "range"), parts):
             object.__setattr__(self, name, value)
 
     def apply(self, p: RealPoly) -> CxPoly:
@@ -58,10 +96,7 @@ class Euclidean(_Transform):
     t: float
 
     def __post_init__(self):
-        s, t = self.s, self.t
-        xi = MeasureSpec.xi(s, t)  # first, so that a bad s reads as the xi check
-        self._set(diffops.LAPLACIAN, Fraction(t, 2) if isinstance(t, (int, Fraction)) else t / 2.0,
-                  MeasureSpec.gauss(s), xi)
+        self._set(_euclidean_parts(self.s, self.t))
 
 
 @dataclass(frozen=True)
@@ -72,9 +107,7 @@ class Sphere(_Transform):
     T: float
 
     def __post_init__(self):
-        domain = MeasureSpec.sphere(self.n)  # first, so that a bad n reads as the sphere check
-        self._set(diffops.spherical_laplacian_op(self.n), self.T / 2.0, domain,
-                  MeasureSpec.quadric(self.n, self.T))
+        self._set(_sphere_parts(self.n, self.T))
 
 
 @dataclass(frozen=True)
@@ -84,7 +117,7 @@ class Limit(_Transform):
     T: float
 
     def __post_init__(self):
-        self._set(diffops.HERMITE, self.T / 2.0, MeasureSpec.gauss(1), MeasureSpec.gamma(self.T))
+        self._set(_limit_parts(self.T))
 
 
 def euclidean_sbt(p: RealPoly, s, t) -> CxPoly:

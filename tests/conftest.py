@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 import numpy as np
@@ -233,6 +234,30 @@ def fraction_squared_distance(p, q) -> Fraction:
         d = d if isinstance(d, GaussianRational) else GaussianRational(d)
         best = max(best, d.re * d.re + d.im * d.im)
     return best
+
+
+def quadric_norm2_reference(f: CxPoly, n: int, T) -> float:
+    """The quadric squared norm of holomorphic f, its sphere sums taken pair by pair as Fractions.
+
+    Re y and Im y of the backward flow y = sum f_alpha F x^alpha are read
+    from ``flow_monomial`` with the float operations of the package, in f's
+    term order; each part's sphere norm sums u v <x^a x^b> over every
+    ordered pair of its terms as exact Fractions, with the sphere moments
+    of ``_sphere_monomial_moment``, and is rounded once.  The two rounded
+    norms are added.
+    """
+    gen = diffops.spherical_laplacian_op(n)
+    parts = ({}, {})
+    for (alpha, _), c in f.terms.items():
+        c = complex(c)
+        for part, x in zip(parts, (c.real, c.imag)):
+            if x:
+                for gamma, w in semigroup.flow_monomial(gen, -float(T) / 2.0, alpha).items():
+                    part[gamma] = part.get(gamma, 0.0) + x * w
+    re, im = (float(sum((Fraction(u) * Fraction(v) * _sphere_monomial_moment(
+        tuple(i + j for i, j in zip_longest(a, b, fillvalue=0)), n)
+        for a, u in part.items() for b, v in part.items()), Fraction(0))) for part in parts)
+    return re + im
 
 
 def fraction_isserlis(p: RealPoly, t: Fraction) -> Fraction:

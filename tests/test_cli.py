@@ -256,6 +256,15 @@ def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
     assert "error:" in captured.err and captured.out == ""
 
 
+def test_limit_range_norm_overflows_only_on_the_moments_it_reads(capsys):
+    # e^700 fits a float, so x1 passes; E[a1^2 abar1^2] = 2 e^800 + 1 does not
+    assert main(["isometry", "--poly", "x1", "--transform", "limit", "--T", "700"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == ",700.0,limit-isometry [x1],1.0,1.0,0.0,0.0"
+    assert main(["isometry", "--poly", "x1^2", "--transform", "limit", "--T", "400"]) == 2
+    message = "error: overflow: complex Gaussian moments overflow a float\n"
+    assert capsys.readouterr().err == message
+
+
 def test_degree_60_sphere_row_is_finite_and_fails_the_tolerance(capsys):
     # x1^60 at (n, T) = (5, 1) loses digits in the backward sphere flow: the
     # row is printed with a finite gap above --tol, and the run fails

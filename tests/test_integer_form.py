@@ -1,18 +1,19 @@
 """The exact hot paths on integer numerators against term-by-term Fraction references.
 
 Products, operator actions, coefficient distances and pair-partition moments
-of exact polynomials run on each polynomial's memoized integer form; the
-references in conftest do the same sums one Fraction at a time.
+of exact polynomials run on each polynomial's memoized integer form, and the
+quadric squared norm sums its backward flow's binary rationals as integers;
+the references in conftest do the same sums one Fraction at a time.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbtlab import diffops, limits, measures, oracle, polyalg
+from sbtlab import diffops, limits, measures, oracle, polyalg, semigroup, transforms
 from sbtlab.polyalg import (
     EXACT,
     FLOAT,
@@ -29,6 +30,7 @@ from conftest import (
     fraction_isserlis,
     fraction_product,
     fraction_squared_distance,
+    quadric_norm2_reference,
 )
 
 _EXPONENTS = st.lists(st.integers(0, 3), max_size=3).map(tuple)
@@ -186,3 +188,70 @@ def test_float_integer_form_is_the_binary_rational(mode):
     nums, den = polyalg._integer_form(p)
     assert {key: Fraction(v, den) for key, v in nums.items()} == {
         key: Fraction(c) for key, c in p.terms.items()}
+
+
+def test_laplacian_limit_builds_no_output_polynomial(monkeypatch):
+    # the distances are read from the integer forms of the two actions
+    p = RealPoly({(4, 1): Fraction(2, 3), (0, 2, 2): Fraction(-5, 7), (1,): 3, (): 1})
+    ns = (10, 100, 10 ** 4)
+    reference = diffops.HERMITE.apply(p)
+    expected = [float(coeff_distance(diffops.spherical_laplacian_op(n).apply(p), reference))
+                for n in ns]
+    built = []
+    from_form = polyalg._Poly._from_integer_form.__func__
+    monkeypatch.setattr(polyalg._Poly, "_from_integer_form",
+                        classmethod(lambda cls, *form: built.append(cls) or from_form(cls, *form)))
+    table = limits.laplacian_limit(RealPoly(dict(p.terms)), ns)
+    assert built == []
+    assert table.errors == expected
+    assert [e.hex() for e in table.values] == [e.hex() for e in expected]
+    # a float input keeps the float route
+    q = p.to_float()
+    assert limits.laplacian_limit(q, ns).errors == [
+        float(coeff_distance(diffops.spherical_laplacian_op(n).apply(q), diffops.HERMITE.apply(q)))
+        for n in ns]
+
+
+_FLOAT_COMPLEX = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
+_HOLOMORPHIC_FLOAT = st.dictionaries(_EXPONENTS.map(lambda a: (a, ())), _FLOAT_COMPLEX,
+                                     max_size=6).map(lambda terms: CxPoly(terms, FLOAT))
+
+
+def _quadric_norm2_hex(f, n, T) -> str:
+    return measures.norm2(measures.MeasureSpec.quadric(n, T), f).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_HOLOMORPHIC_FLOAT | _HOLOMORPHIC, st.integers(4, 30), st.floats(0.05, 2.5))
+@example(CxPoly.zero(), 5, 1.0)
+@example(CxPoly.zero(FLOAT), 9, 0.3)
+@example(CxPoly({((2, 1), ()): 1.5 - 2j, ((1,), ()): 0.25j}, FLOAT), 6, 1.7)
+def test_quadric_norm2_is_the_fraction_sum_of_its_flow_rounded_once(f, n, T):
+    assert _quadric_norm2_hex(f, n, T) == quadric_norm2_reference(f, n, T).hex()
+
+
+@pytest.mark.parametrize("c", [1.0, 1 + 1j, -0.5j])
+def test_quadric_norm2_of_a_flow_that_cancels_to_zero(c):
+    # a1^2 - w: the backward flow of x1^2 puts w on the constant, which the
+    # second term cancels to an exact 0.0 in every nonzero part
+    n, T = 7, 1.3
+    w = semigroup.flow_monomial(diffops.spherical_laplacian_op(n), -T / 2.0, (2,))[()]
+    f = CxPoly({((2,), ()): c, ((), ()): -c * w}, FLOAT)
+    re, im = measures._backward_flow(measures.MeasureSpec.quadric(n, T),
+                                     [(a, v) for (a, _), v in f.terms.items()])
+    assert (re or im) and all(part[()] == 0.0 for part in (re, im) if part)
+    assert _quadric_norm2_hex(f, n, T) == quadric_norm2_reference(f, n, T).hex()
+
+
+def test_warm_sphere_report_converts_no_polynomial_to_integers(monkeypatch):
+    # the input's norms are memoized and the output's range norm reads the
+    # flow table's floats directly
+    p = RealPoly({(2, 1): Fraction(1, 3), (1,): Fraction(-2), (0, 3): Fraction(1)})
+    tag = transforms.Sphere(7, 0.8)
+    first = transforms.unitarity_report(p, tag)
+    converted = []
+    image = polyalg._integer_image
+    monkeypatch.setattr(polyalg, "_integer_image", lambda q: converted.append(q) or image(q))
+    second = transforms.unitarity_report(p, tag)
+    assert converted == []
+    assert (second.domain_norm2, second.range_norm2) == (first.domain_norm2, first.range_norm2)

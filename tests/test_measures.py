@@ -646,3 +646,23 @@ def test_norm2_checks_its_input():
         norm2(MeasureSpec.quadric(2, 1.0), A1 * A2)
     assert norm2(MeasureSpec.quadric(5, 1.0), CxPoly.zero()) == 0.0
     assert norm2(MeasureSpec.sphere(5), RealPoly.zero()) == 0.0
+
+
+@pytest.mark.parametrize("c2, g2", [
+    (1.0, math.exp(1.0)), (1.0, math.exp(100.0)), (1.0, math.exp(300.0)), (1.0, math.exp(700.0)),
+    (-5e99, 1e100), (0.25, 0.5),
+], ids=["gamma-1", "gamma-100", "gamma-300", "gamma-700", "xi-large", "xi-small"])
+def test_whole_moment_table_overflows_only_where_its_top_entry_does(c2, g2):
+    # the Gram rows always read (top, top), so a table that holds every entry
+    # up to top raises only where the entries the rows read raise
+    moments = measures._pair_table(c2, g2)
+    for top in range(13):
+        try:
+            moments[top, top]
+        except OverflowError:
+            with pytest.raises(OverflowError, match="complex Gaussian moments overflow a float"):
+                measures._moment_table(c2, g2, top)
+            continue
+        table = measures._moment_table(c2, g2, top)
+        assert not table.flags.writeable
+        assert table.tolist() == [[moments[j, l] for l in range(top + 1)] for j in range(top + 1)]

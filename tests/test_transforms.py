@@ -247,3 +247,39 @@ def test_unitarity_beyond_the_dense_basis(k, l, n):
         assert p.degree() == l and p.width() == k
         for tag in (Sphere(n, T), Limit(T)):
             assert unitarity_report(p, tag).rel_error <= 1e-9
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Sphere(1, 1.0), lambda: Sphere(2.5, 1.0), lambda: Sphere(5, -1.0),
+    lambda: Sphere(5, math.nan), lambda: Limit(0), lambda: Limit(math.inf), lambda: Limit(800.0),
+    lambda: Euclidean(0, 0.5), lambda: Euclidean(1.0, 2.0), lambda: Euclidean(1, Fraction(-1)),
+], ids=["sphere-n1", "sphere-n-float", "sphere-T-neg", "sphere-T-nan", "limit-T0",
+        "limit-T-inf", "limit-e^T-overflow", "euclidean-s0", "euclidean-t-2s",
+        "euclidean-t-neg"])
+def test_bad_transform_parameters_raise_alike_on_every_construction(build):
+    # a failing construction caches nothing, so the memo of parameter sets
+    # leaves every repeat to the same checks
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            build()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_transform_memo_keeps_parameter_types_apart():
+    import numpy as np
+
+    p = RealPoly({(2,): Fraction(1, 2), (): 1})
+    # an exact time stays exact whichever equal float time came first
+    assert Euclidean(1, 0.5).time == 0.25
+    exact = Euclidean(1, Fraction(1, 2))
+    assert type(exact.time) is Fraction and exact.apply(p).mode == "exact"
+    assert type(Euclidean(1, 1).time) is Fraction
+    assert Euclidean(1, 1.0).apply(p).mode == "float"
+    # an integer of any type is an ambient dimension, and a parameter that
+    # cannot be hashed is built without the memo
+    ref = unitarity_report(p, Sphere(5, 1.0))
+    for tag in (Sphere(np.int64(5), 1.0), Sphere(5, np.array(1.0))):
+        rep = unitarity_report(p, tag)
+        assert (rep.domain_norm2, rep.range_norm2) == (ref.domain_norm2, ref.range_norm2)
