@@ -549,6 +549,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,13 +27,15 @@ beyond.  The quadric reads the same sums, as a bilinear form of two flows
 read from the sphere Laplacian's flow table: each flow is accumulated into a
 plain {monomial: float} dict, whose binary rationals go over one power-of-two
 denominator into the integer pair sums, so no intermediate polynomial is
-built.  The complex Gaussians' squared norms read a float table of pair
-moments kept per (E[a^2], E[a abar], top degree).
+built.  The complex Gaussians' squared norms flow f the same way, into its
+holomorphic Hermite coefficients, weighted by the Gaussian radial table at
+E[a abar].
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
 float flows).  Otherwise a real moment or norm, and each sphere sum behind a
-quadric value, is the exact sum, rounded once.
+quadric value, is the exact sum, rounded once; a xi norm of exact f at
+rational (s, t) is the exact moment of |f|^2, rounded once.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
 
 from . import diffops, semigroup
 from .diffops import DimensionError, ambient_dimension
@@ -247,11 +247,13 @@ def _own_pair_sums(p: RealPoly) -> tuple:
 def _radial_sum(spec: MeasureSpec, sums: dict, den: int, exact: bool = False):
     """sum_m S_m N_m / (D den) with the radial table of spec, in one int / int division.
 
-    The gauss table reads t, the sphere and quadric tables n.  The division
-    rounds once, correctly; ``exact`` returns the Fraction instead.
+    The sphere and quadric tables read n, the Gaussian tables t (gauss) or
+    E[a abar] (xi and gamma).  The division rounds once, correctly;
+    ``exact`` returns the Fraction instead.
     """
-    gauss = spec.family == "gauss"
-    weights, common = _radial_table(not gauss, spec.t if gauss else spec.n, max(sums, default=0))
+    sphere = spec.family in ("sphere", "quadric")
+    x = spec.n if sphere else spec.t if spec.family == "gauss" else spec.covariances()[1]
+    weights, common = _radial_table(sphere, x, max(sums, default=0))
     num = sum(s * weights[m] for m, s in sums.items())
     return Fraction(num, common * den) if exact else num / (common * den)
 
@@ -263,6 +265,27 @@ def _form_integral(spec: MeasureSpec, form: tuple, other: tuple | None = None) -
         return _radial_sum(spec, _pair_sums(nums, nums), den * den)
     other_nums, other_den = other
     return _radial_sum(spec, _pair_sums(nums, other_nums), den * other_den)
+
+
+@lru_cache(maxsize=None)
+def _hermite_weight(beta: tuple) -> tuple:
+    """(|beta|, beta!): a Hermite polynomial's degree, and its squared norm over g2^|beta|."""
+    return mono_degree(beta), math.prod(map(math.factorial, beta))
+
+
+def _diagonal_form(spec: MeasureSpec, parts) -> float:
+    """sum_beta beta! g2^|beta| sum_h h_beta^2 over the coefficient dicts h in parts.
+
+    The squares are summed in integers by degree |beta| over one common
+    denominator; ``_radial_sum`` supplies g2^m = E[a abar]^m and rounds once.
+    """
+    nums, den = _ratio_form({(beta, i): c for i, part in enumerate(parts)
+                             for beta, c in part.items()})
+    sums: dict = {}
+    for (beta, _), c in nums.items():
+        m, weight = _hermite_weight(beta)
+        sums[m] = sums.get(m, 0) + weight * c * c
+    return _radial_sum(spec, sums, den * den)
 
 
 def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None):
@@ -345,20 +368,14 @@ class _PairMoments(dict):
         return total
 
 
-# one table per covariance pair and number type, shared by every moment and
-# Gram product at those covariances: an entry depends on (j, l, c2, g2) alone
+# one table per covariance pair and number type, shared by every moment at
+# those covariances: an entry depends on (j, l, c2, g2) alone
 _pair_table = lru_cache(maxsize=256, typed=True)(_PairMoments)
-
-
-def _pair_moments(spec: MeasureSpec, exact: bool) -> _PairMoments:
-    """The pair-moment table of a complex Gaussian spec: Fractions when exact, else floats."""
-    number = Fraction if exact else float
-    return _pair_table(*map(number, spec.covariances()))
 
 
 def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
     exact = q.mode == EXACT and spec.rational
-    moments = _pair_moments(spec, exact)
+    moments = _pair_table(*map(Fraction if exact else float, spec.covariances()))
     total = GaussianRational(0) if exact else 0j
     one = Fraction(1) if exact else 1.0
     for (a, b), coeff in q.terms.items():
@@ -376,28 +393,8 @@ def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
     return total if exact else _finite(total)
 
 
-@lru_cache(maxsize=256)
-def _moment_table(c2: float, g2: float, top: int) -> np.ndarray:
-    """E[a^j abar^l] for j, l <= top, read-only, from the pair-moment table of (c2, g2).
-
-    Entry (top, top), which the Gram rows read, has the largest pairing count
-    and the largest powers of c2 and g2 (|c2| < g2 in both families), so the
-    whole table overflows exactly when the entries the rows read do.
-    """
-    moments = _pair_table(c2, g2)
-    table = np.array([[moments[j, l] for l in range(top + 1)] for j in range(top + 1)])
-    table.flags.writeable = False
-    return table
-
-
-def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
-    """M[a, b] = prod_j E[a^{alpha_j} abar^{beta_j}] over the exponent rows alpha, beta."""
-    c2, g2 = map(float, spec.covariances())
-    return _table_product(_moment_table(c2, g2, int(exps.max(initial=0))), exps)
-
-
 # ---------------------------------------------------------------------------
-# quadric moments
+# flows read by the holomorphic norms, and quadric moments
 #
 # The quadric operator splits into commuting holomorphic and antiholomorphic
 # halves, each acting on a-degree-graded polynomials only, and at
@@ -409,22 +406,37 @@ def _complex_gaussian_gram(spec: MeasureSpec, exps: np.ndarray) -> np.ndarray:
 # (``_form_integral``) over the flows' coefficients, summed exactly and
 # rounded once; only the flows themselves are floats, and they stay plain
 # {monomial: float} dicts.
+#
+# The complex Gaussians read a flow too.  Per coordinate let c2 = E[a^2] and
+# g2 = E[a abar].  The holomorphic Hermite polynomials e^{-(c2/2) Lap} a^beta
+# are orthogonal with squared norms beta! g2^|beta| (van Eijndhoven and
+# Meyers, J. Math. Anal. Appl. 146 (1990) 89), so f's coefficients in them
+# are the monomial coefficients h of e^{(c2/2) Lap} f, and
+# ||f||^2 = sum_beta beta! g2^|beta| |h_beta|^2 (``_diagonal_form``).
 
 
-def _backward_flow(spec: MeasureSpec, terms) -> tuple:
+def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
     """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms, as dicts.
 
+    F is e^{-(T/2) sphere Lap} (quadric) or e^{(c2/2) Lap} (xi and gamma).
+    ``exact`` flows exact coefficients at the exact time c2/2; otherwise the
+    flow runs in floats.
     An entry may be 0.0 where flows cancel; it adds nothing to a form.
     """
-    flow = semigroup.monomial_flows(diffops.spherical_laplacian_op(spec.n), -float(spec.T) / 2.0)
+    if spec.family == "quadric":
+        gen, t = diffops.spherical_laplacian_op(spec.n), -float(spec.T) / 2.0
+    else:
+        c2 = spec.covariances()[0]
+        gen, t = diffops.LAPLACIAN, Fraction(c2, 2) if exact else float(c2) / 2.0
+    flow = semigroup.monomial_flows(gen, t, exact)
     re: dict = {}
     im: dict = {}
     for alpha, c in terms:
-        c = complex(c)
-        for part, x in ((re, c.real), (im, c.imag)):
+        c = c if exact else complex(c)
+        for part, x in zip((re, im), (c.re, c.im) if exact else (c.real, c.imag)):
             if x:
                 for gamma, w in flow(alpha).items():
-                    part[gamma] = part.get(gamma, 0.0) + x * w
+                    part[gamma] = part.get(gamma, 0) + x * w
     return re, im
 
 
@@ -446,35 +458,10 @@ def _quadric_moment(spec: MeasureSpec, q: CxPoly) -> complex:
     return _finite(total)
 
 
-# ---------------------------------------------------------------------------
-# Gram tables over exponent rows
-
-
-def _exponent_matrix(monos, width: int) -> np.ndarray:
-    rows = [a + (0,) * (width - len(a)) for a in monos]
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
-
-
-def _table_product(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """G[a, b] = prod_j table[exps[a, j], exps[b, j]] for every pair of exponent rows."""
-    gram = np.ones((len(exps), len(exps)))
-    for column in exps.T:
-        gram *= table[column[:, None], column[None, :]]
-    return gram
-
-
 def _finite(value):
     if not math.isfinite(abs(value)):
         raise OverflowError("a moment or norm overflows a float")
     return value
-
-
-def _hermitian_form(gram: np.ndarray, coeffs: np.ndarray) -> float:
-    """conj(c)^T G c for a real symmetric G."""
-    value = coeffs.real.dot(gram.dot(coeffs.real))
-    if coeffs.imag.any():
-        value += coeffs.imag.dot(gram.dot(coeffs.imag))
-    return _finite(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +484,28 @@ def norm2(spec: MeasureSpec, f) -> float:
     * gauss, sphere (real f): sum p_alpha p_beta M(alpha + beta) over pairs
       in one parity class, summed exactly and rounded once, so for exact f
       it is ``float(moment(spec, f * f))`` bit for bit.
-    * xi, gamma (holomorphic f): conj(f)^T M f with
-      M[alpha, beta] = prod_j E[a^{alpha_j} abar^{beta_j}].
+    * xi, gamma (holomorphic f): sum_beta beta! g2^|beta| |h_beta|^2 over
+      f's holomorphic Hermite coefficients h = e^{(c2/2) Lap} f, summed
+      exactly and rounded once; for exact f at rational (s, t) the flow is
+      exact, so the xi norm is ``float(moment(spec, f.mod_square()).re)``.
     * quadric (holomorphic f): the sphere norm of y = sum f_alpha F x^alpha,
       the sphere heat flow of f run backward for T/2, as the real forms of
-      Re y and Im y, each summed exactly and rounded once.  y is read from
-      the flow table's entries into plain dicts, whose binary-rational
-      coefficients go straight into the integer pair sums: no polynomial is
-      built on the way.
+      Re y and Im y, each summed exactly and rounded once.
+
+    Both read their flow from the flow table into plain dicts, whose
+    binary-rational coefficients go straight into integer sums.
     """
     spec.check(f)
     if spec.family in _REAL:
         return _real_integral(spec, f, f)
     if not f.is_holomorphic():
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
-    if spec.family == "quadric":
-        re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()])
-        value = _form_integral(spec, _ratio_form(re))
-        return _finite(value + _form_integral(spec, _ratio_form(im)) if im else value)
-    monos = [a for a, _ in f.terms]
-    coeffs = np.array([complex(c) for c in f.terms.values()])
-    gram = _complex_gaussian_gram(spec, _exponent_matrix(monos, f.width()))
-    return _hermitian_form(gram, coeffs)
+    exact = f.mode == EXACT and spec.rational
+    re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
+    if spec.family != "quadric":
+        return _diagonal_form(spec, (re, im))
+    value = _form_integral(spec, _ratio_form(re))
+    return _finite(value + _form_integral(spec, _ratio_form(im)) if im else value)
 
 
 def gaussian_moment(p: RealPoly, t):

@@ -29,9 +29,9 @@ the last factor first, so no basis-sized matrix is formed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,7 +89,6 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=None)
 def _flow_weights(a2, a1, c, t, m: int, exact: bool) -> tuple:
     """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp.
 
@@ -113,19 +112,25 @@ class _FlowTable(dict):
     def __init__(self, g: Group, t, exact: bool):
         super().__init__()
         self.g, self.t, self.exact = g, t, exact
+        self.weights: dict = {}  # degree -> its flow weights
 
     def __missing__(self, sub):
-        g = self.g
+        g, m = self.g, mono_degree(sub)
         chain = _laplacian_chain(sub) if g.c else ({sub: 1},)
-        weights = _flow_weights(g.a2, g.a1, g.c, self.t, mono_degree(sub), self.exact)
+        weights = self.weights.get(m)
+        if weights is None:
+            weights = self.weights[m] = _flow_weights(g.a2, g.a1, g.c, self.t, m, self.exact)
         return self.setdefault(
             sub, {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
         )
 
 
-# (group token, t, exact) -> that group's flow table; the tables and their
-# flows are shared, and a stored flow is never changed
+# (group token, t, exact) -> that group's flow table, the oldest dropped past
+# _MAX_TABLES; the tables and their flows are shared, and a stored flow is
+# never changed
+_MAX_TABLES = 256
 _group_flows: dict = {}
+_tables_lock = threading.Lock()
 
 
 def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
@@ -139,7 +144,10 @@ def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
     for g, token in zip(groups, gen.tokens):
         table = _group_flows.get((token, t, exact))
         if table is None:
-            table = _group_flows.setdefault((token, t, exact), _FlowTable(g, t, exact))
+            with _tables_lock:
+                table = _group_flows.setdefault((token, t, exact), _FlowTable(g, t, exact))
+                if len(_group_flows) > _MAX_TABLES:
+                    del _group_flows[next(iter(_group_flows))]
         tables.append(table)
     if len(groups) == 1 and groups[0].side == "x" and groups[0].indices is None:
         return tables[0].__getitem__

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sbtlab import transforms
+from sbtlab import cli, transforms
 from sbtlab.cli import PolyParseError, main, parse_n_grid, parse_poly
 from sbtlab.polyalg import RealPoly
 
@@ -245,11 +245,9 @@ def test_converge_rejects_several_times(capsys):
     ["isometry", "--poly", "x1", "--T", "nan"],
     ["converge", "--quantity", "diagram", "--poly", "1e200*x1^2", "--N", "10,100"],
     ["isometry", "--poly", "x1^6", "--N", "5", "--T", "400"],
-    ["isometry", "--poly", "x1^2", "--transform", "limit", "--T", "400"],
     ["converge", "--quantity", "sphere-moment", "--poly", "x1^4", "--N", "1,5,10"],
 ], ids=["limit-1e400", "sphere-1e400", "converge-1e400", "limit-T800", "T-nan",
-        "diagram-overflow", "flow-weight-overflow", "limit-moment-overflow",
-        "sphere-moment-N1"])
+        "diagram-overflow", "flow-weight-overflow", "sphere-moment-N1"])
 def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -257,12 +255,35 @@ def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
 
 
 def test_limit_range_norm_overflows_only_on_the_moments_it_reads(capsys):
-    # e^700 fits a float, so x1 passes; E[a1^2 abar1^2] = 2 e^800 + 1 does not
+    # the range norm sums powers of e^T times the output's squared Hermite
+    # coefficients in integers and reads no pair moment such as
+    # E[a1^2 abar1^2] = 2 e^800 + 1, so it overflows only where the norm does
     assert main(["isometry", "--poly", "x1", "--transform", "limit", "--T", "700"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == ",700.0,limit-isometry [x1],1.0,1.0,0.0,0.0"
-    assert main(["isometry", "--poly", "x1^2", "--transform", "limit", "--T", "400"]) == 2
-    message = "error: overflow: complex Gaussian moments overflow a float\n"
-    assert capsys.readouterr().err == message
+    for poly, T in (("x1^2", "400"), ("x1^6", "200")):
+        assert main(["isometry", "--poly", poly, "--transform", "limit", "--T", T]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[6]) <= 1e-9
+
+
+def test_limit_row_whose_forward_flow_underflows_is_finite_and_fails_the_tolerance(capsys):
+    # x1^6 at T = 400: the output's top coefficient e^-1200 underflows to 0
+    # in the forward flow, so the row is printed with a finite gap above
+    # --tol, and the run fails
+    assert main(["isometry", "--poly", "x1^6", "--transform", "limit", "--T", "400"]) == 1
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+    row = out.splitlines()[1].split(",")
+    assert 1e-9 < float(row[6]) < math.inf
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n" and captured.out == ""
 
 
 def test_degree_60_sphere_row_is_finite_and_fails_the_tolerance(capsys):

@@ -555,11 +555,14 @@ def _range_cases(p, n, T):
     from sbtlab.transforms import euclidean_sbt, limit_sbt, sphere_sbt
 
     # each case: the measure, f, and an exact measure of the same moments
-    # (None for the quadric); gamma(T) has the covariances (1, e^T) of xi(e^T, e^T - 1)
+    # (None for the quadric); gamma(T) has the covariances (1, e^T) of xi(e^T, e^T - 1);
+    # xi(1.0, 1.5) has E[a^2] = s - t < 0, so its Hermite flow runs at a negative time
     t = -math.expm1(-T)
     e = Fraction(math.exp(T))
     return ((MeasureSpec.xi(1.0, t), euclidean_sbt(p, 1.0, t),
              MeasureSpec.xi(Fraction(1), Fraction(t))),
+            (MeasureSpec.xi(1.0, 1.5), euclidean_sbt(p, 1.0, 1.5),
+             MeasureSpec.xi(Fraction(1), Fraction(3, 2))),
             (MeasureSpec.xi(2.5, T), euclidean_sbt(p, 2.5, T),
              MeasureSpec.xi(Fraction(2.5), Fraction(T))),
             (MeasureSpec.gamma(T), limit_sbt(p, T), MeasureSpec.xi(e, e - 1)),
@@ -600,6 +603,61 @@ def test_norm2_matches_the_moment_of_the_square(p, n, T):
     for spec in _domain_specs():
         assert norm2(spec, p) == float(moment(spec, p * p)), spec
     _assert_range_norms_match(p, n, T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_real_polys(), st.fractions(Fraction(1, 8), 3, max_denominator=8),
+       st.fractions(Fraction(1, 20), Fraction(39, 20), max_denominator=20))
+@example(RealPoly({(2, 1): Fraction(1, 3), (1,): Fraction(-2)}), Fraction(1), Fraction(3, 2))
+def test_exact_xi_norm_is_the_exact_moment_of_the_square_rounded_once(p, s, ratio):
+    # t = ratio * s in (0, 2s), so E[a^2] = s - t takes both signs; exact F at
+    # rational (s, t) flows exactly into its Hermite coefficients
+    from sbtlab.transforms import euclidean_sbt
+
+    spec = MeasureSpec.xi(s, ratio * s)
+    f = euclidean_sbt(p, s, ratio * s)
+    assert f.mode == "exact"
+    assert norm2(spec, f) == float(moment(spec, f.mod_square()).re)
+
+
+@pytest.mark.parametrize("c2, g2", [
+    (Fraction(1, 2), 1), (Fraction(-1, 2), 1), (0, 1), (1.0, math.exp(1.0)),
+], ids=["xi-1-1/2", "xi-1-3/2", "xi-1-1", "gamma-1"])
+def test_hermite_norms_of_powers_have_their_closed_forms(c2, g2):
+    # e^{(c2/2) Lap} takes a^2 to a^2 + c2 and a^3 to a^3 + 3 c2 a, so
+    # E|a^2|^2 = 2 g2^2 + c2^2 and E|a^3|^2 = 6 g2^3 + 9 c2^2 g2
+    spec = MeasureSpec.gamma(1.0) if isinstance(c2, float) else MeasureSpec.xi(g2, g2 - c2)
+    assert spec.covariances() == (c2, g2)
+    for f, value in ((A1 ** 2, 2 * g2 ** 2 + c2 ** 2), (A1 ** 3, 6 * g2 ** 3 + 9 * c2 ** 2 * g2)):
+        if spec.rational:
+            assert norm2(spec, f) == float(value)
+        else:
+            assert norm2(spec, f) == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("tag", ["limit", "euclidean"])
+def test_dense_range_norm_is_linear_in_the_support(tag):
+    # every monomial of degree <= 10 in 5 variables, 3 003 terms: the range
+    # norm reads its flow into dicts and sums them in integers, with no
+    # terms x terms matrix
+    import tracemalloc
+
+    from sbtlab.transforms import Euclidean, Limit
+
+    rng = seeded_rng(61)
+    p = RealPoly({key: Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                  for key in diffops.basis_keys(5, 10)})
+    tag = Limit(0.7) if tag == "limit" else Euclidean(1.0, 0.5)
+    f = tag.apply(p)
+    domain = norm2(tag.domain, p)
+    tracemalloc.start()
+    try:
+        value = norm2(tag.range, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert abs(value - domain) <= 1e-12 * domain
 
 
 def test_real_bilinear_form_is_the_moment_of_the_product_rounded_once():
@@ -646,23 +704,3 @@ def test_norm2_checks_its_input():
         norm2(MeasureSpec.quadric(2, 1.0), A1 * A2)
     assert norm2(MeasureSpec.quadric(5, 1.0), CxPoly.zero()) == 0.0
     assert norm2(MeasureSpec.sphere(5), RealPoly.zero()) == 0.0
-
-
-@pytest.mark.parametrize("c2, g2", [
-    (1.0, math.exp(1.0)), (1.0, math.exp(100.0)), (1.0, math.exp(300.0)), (1.0, math.exp(700.0)),
-    (-5e99, 1e100), (0.25, 0.5),
-], ids=["gamma-1", "gamma-100", "gamma-300", "gamma-700", "xi-large", "xi-small"])
-def test_whole_moment_table_overflows_only_where_its_top_entry_does(c2, g2):
-    # the Gram rows always read (top, top), so a table that holds every entry
-    # up to top raises only where the entries the rows read raise
-    moments = measures._pair_table(c2, g2)
-    for top in range(13):
-        try:
-            moments[top, top]
-        except OverflowError:
-            with pytest.raises(OverflowError, match="complex Gaussian moments overflow a float"):
-                measures._moment_table(c2, g2, top)
-            continue
-        table = measures._moment_table(c2, g2, top)
-        assert not table.flags.writeable
-        assert table.tolist() == [[moments[j, l] for l in range(top + 1)] for j in range(top + 1)]

@@ -464,3 +464,40 @@ def test_graded_flow_is_exact_before_the_weights():
 def test_graded_flow_checks_the_ambient_dimension():
     with pytest.raises(diffops.DimensionError):
         exp_graded(diffops.spherical_laplacian_op(2), 0.5, X1 * X2)
+
+
+def test_flow_tables_are_bounded():
+    # one table per (group, time, exactness), the oldest dropped past 256
+    # tables; a dropped table is rebuilt with the same weights
+    semigroup._group_flows.clear()
+    gen = diffops.spherical_laplacian_op(25)
+    first = dict(semigroup.flow_monomial(gen, 0.001, (4, 2)))
+    for i in range(2, 302):
+        semigroup.flow_monomial(gen, 0.001 * i, (4, 2))
+    assert len(semigroup._group_flows) == 256
+    assert semigroup.flow_monomial(gen, 0.001, (4, 2)) == first
+    semigroup._group_flows.clear()
+
+
+def test_flow_tables_stay_bounded_under_concurrent_threads():
+    # eight threads at a 1 us switch interval add and drop tables at once;
+    # every flow is bitwise the serial one and the bound holds
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    gen = diffops.spherical_laplacian_op(9)
+    times = [0.01 * i for i in range(1, 1501)]
+    semigroup._group_flows.clear()
+    serial = [semigroup.flow_monomial(gen, t, (3, 1)) for t in times]
+    semigroup._group_flows.clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(semigroup.flow_monomial, gen, t, (3, 1)) for t in times]
+            values = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(semigroup._group_flows) == 256
+    semigroup._group_flows.clear()
+    assert values == serial
