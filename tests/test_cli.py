@@ -245,9 +245,11 @@ def test_converge_rejects_several_times(capsys):
     ["isometry", "--poly", "x1", "--T", "nan"],
     ["converge", "--quantity", "diagram", "--poly", "1e200*x1^2", "--N", "10,100"],
     ["isometry", "--poly", "x1^6", "--N", "5", "--T", "400"],
+    ["isometry", "--poly", "1e155*x1^2", "--transform", "limit", "--T", "400"],
     ["converge", "--quantity", "sphere-moment", "--poly", "x1^4", "--N", "1,5,10"],
 ], ids=["limit-1e400", "sphere-1e400", "converge-1e400", "limit-T800", "T-nan",
-        "diagram-overflow", "flow-weight-overflow", "sphere-moment-N1"])
+        "diagram-overflow", "flow-weight-overflow", "limit-moment-overflow",
+        "sphere-moment-N1"])
 def test_non_finite_or_overflowing_input_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
