@@ -550,8 +550,11 @@ def main(argv=None) -> int:
         print(f"error: overflow: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        pass
+    # written once the handler has let go of the traceback: its frames hold
+    # the memory that ran out, and printing inside it can fail again
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, count
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .polyalg import FLOAT, CxPoly, RealPoly, _integer_form, _nonzero, mono_degree, trim
@@ -99,10 +99,21 @@ def _laplacian_chain(alpha: tuple) -> tuple:
         chain.append(lowered)
 
 
-# (a2, a1, c) -> the small int that names it, so that the semigroup's flow
-# memos hash ints, not the Fractions of the coefficients
-_TOKENS: dict = {}
-_next_token = count()
+class _FlowKey:
+    """One group's (a2, a1, c) for the semigroup's flow tables.
+
+    Hashed and compared by identity, so a table lookup hashes no Fraction of
+    the coefficients.  ``_flow_key`` hands out one per distinct (a2, a1, c)
+    while it holds it; a key built after one was dropped names equal flows.
+    """
+
+    __slots__ = ("a2", "a1", "c")
+
+    def __init__(self, a2, a1, c):
+        self.a2, self.a1, self.c = a2, a1, c
+
+
+_flow_key = lru_cache(maxsize=256)(_FlowKey)
 
 
 @dataclass(frozen=True)
@@ -118,12 +129,12 @@ class GroupGenerator:
 
     groups: tuple
     n: int | None = None
-    # each group's token, for the semigroup's flow tables
-    tokens: tuple = field(init=False, repr=False, compare=False)
+    # each group's flow key, for the semigroup's flow tables
+    flow_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(
-            _TOKENS.setdefault((g.a2, g.a1, g.c), next(_next_token)) for g in self.groups))
+        object.__setattr__(self, "flow_keys",
+                           tuple(_flow_key(g.a2, g.a1, g.c) for g in self.groups))
 
     @property
     def is_complexified(self) -> bool:
@@ -272,7 +283,7 @@ HERMITE = GroupGenerator((Group("x", None, 0, -1, 1),))
 G_K = _both_sides(0, _HALF, -_HALF)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def spherical_laplacian_op(n: int) -> GroupGenerator:
     """Unique k-variable representative of the Laplacian on the sphere of radius sqrt(n) in R^n.
 
@@ -282,8 +293,9 @@ def spherical_laplacian_op(n: int) -> GroupGenerator:
         laplacian(p) - (1/n) * (euler^2 + (n-2) euler) p.
 
     Memoized, apart for each argument type so that a float n is still
-    rejected: every sphere transform builds one, about 2 000 per round of
-    the benchmark's suite workload.
+    rejected: each backward flow of a quadric norm or moment
+    (``measures._backward_flow``) reads one, 2 048 per round of the
+    benchmark's suite workload.
     """
     n = ambient_dimension("spherical_laplacian", n, 1)
     return GroupGenerator((Group("x", None, Fraction(-1, n), Fraction(2 - n, n), 1),), n)

@@ -154,7 +154,6 @@ class MeasureSpec:
 # ---------------------------------------------------------------------------
 # real kinds: pairing counts times a radial weight
 
-@lru_cache(maxsize=None)
 def _double_factorial(n: int) -> int:
     # (-1)!! = 1 by convention
     return math.prod(range(n, 0, -2))
@@ -288,26 +287,15 @@ def _diagonal_form(spec: MeasureSpec, parts) -> float:
     return _radial_sum(spec, sums, den * den)
 
 
-def _real_integral(spec: MeasureSpec, p: RealPoly, other: RealPoly | None = None):
+def _real_integral(spec: MeasureSpec, p: RealPoly):
     """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) N_m / D, m = |alpha| / 2.
 
-    With ``other`` = q it is the bilinear form sum p_alpha q_beta
-    M(alpha + beta) over pairs of p's and q's terms (``_pair_sums``),
-    without forming p * q; only pairs in one parity class contribute, and
-    ``other is p`` keeps its pair sums in p's memo, so a polynomial's
-    squared norms under every gauss and sphere spec pay for them once.  The
-    coefficients are read from p's memoized integer form
+    The coefficients are read from p's memoized integer form
     (``polyalg._integer_form``): numerators over one denominator, so the
     sums run over integers by half-degree m and end in ``_radial_sum``.  A
-    pair's (m, pairings) and a term's parity class are memoized on the
-    monomials.  A moment of exact p under a rational spec is returned as
-    that exact Fraction instead.
+    moment of exact p under a rational spec is returned as that exact
+    Fraction instead.
     """
-    if other is p:
-        sums, den = p._memoized("pair_sums", _own_pair_sums)
-        return _radial_sum(spec, sums, den)
-    if other is not None:
-        return _form_integral(spec, _integer_form(p), _integer_form(other))
     nums, den = _integer_form(p)
     sums: dict = {}
     for alpha, c in nums.items():
@@ -368,14 +356,9 @@ class _PairMoments(dict):
         return total
 
 
-# one table per covariance pair and number type, shared by every moment at
-# those covariances: an entry depends on (j, l, c2, g2) alone
-_pair_table = lru_cache(maxsize=256, typed=True)(_PairMoments)
-
-
 def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
     exact = q.mode == EXACT and spec.rational
-    moments = _pair_table(*map(Fraction if exact else float, spec.covariances()))
+    moments = _PairMoments(*map(Fraction if exact else float, spec.covariances()))
     total = GaussianRational(0) if exact else 0j
     one = Fraction(1) if exact else 1.0
     for (a, b), coeff in q.terms.items():
@@ -497,7 +480,10 @@ def norm2(spec: MeasureSpec, f) -> float:
     """
     spec.check(f)
     if spec.family in _REAL:
-        return _real_integral(spec, f, f)
+        # kept in f's memo, so f's squared norms under every gauss and sphere
+        # spec pay for its pair sums once
+        sums, den = f._memoized("pair_sums", _own_pair_sums)
+        return _radial_sum(spec, sums, den)
     if not f.is_holomorphic():
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
     exact = f.mode == EXACT and spec.rational

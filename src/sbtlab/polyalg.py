@@ -136,7 +136,7 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._of(_add_parts(self.re, other.re), _add_parts(self.im, other.im))
+        return self._of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -147,7 +147,7 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._of(_add_parts(self.re, -other.re), _add_parts(self.im, -other.im))
+        return self._of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -157,11 +157,6 @@ class GaussianRational:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        # a zero imaginary part saves its products: real inputs are common
-        if not d:
-            return self._of(a * c, b * c if b else _ZERO)
-        if not b:
-            return self._of(a * c, a * d)
         return self._of(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -191,12 +186,6 @@ class GaussianRational:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _add_parts(x: Fraction, y: Fraction) -> Fraction:
-    # a zero part is common (real coefficients, sums into empty terms) and
-    # makes the Fraction addition unnecessary
-    return x + y if x and y else x or y
 
 
 def _as_gaussian(value):
@@ -384,17 +373,10 @@ class _Poly:
             return self._from_integer_form(
                 self._numerator_product(nums, other_nums, self._key_mul), den * other_den
             )
-        key_mul = self._key_mul
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = key_mul(k1, k2)
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return self._trusted(terms, self.mode)
+        # float coefficients of either family multiply as numbers, as real numerators do
+        return self._trusted(
+            _real_numerator_product(self.terms, other.terms, self._key_mul), self.mode
+        )
 
     def __rmul__(self, other):
         if isinstance(other, self._scalars):
@@ -609,7 +591,11 @@ def _integer_image(p: _Poly) -> tuple:
 
 
 def _real_numerator_product(nums: dict, other: dict, key_mul) -> dict:
-    """The integer terms of the product of two integer forms, summed as _Poly.__mul__ sums."""
+    """The terms of the product of two {key: number} maps, a zero sum dropped.
+
+    The integer numerators of a real exact product, or the coefficients of a
+    float product of either family.
+    """
     terms = {}
     for k1, n1 in nums.items():
         for k2, n2 in other.items():

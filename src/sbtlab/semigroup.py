@@ -29,14 +29,14 @@ the last factor first, so no basis-sized matrix is formed.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import diffops
-from .diffops import Group, GroupGenerator, _laplacian_chain
+from .diffops import GroupGenerator, _laplacian_chain
 from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, mono_degree
 
 
@@ -107,15 +107,18 @@ def _flow_weights(a2, a1, c, t, m: int, exact: bool) -> tuple:
 
 
 class _FlowTable(dict):
-    """Sub-monomial -> its flow {beta: weight} under one group at one time, filled on reading."""
+    """Sub-monomial -> its flow {beta: weight} under one group at one time, filled on reading.
 
-    def __init__(self, g: Group, t, exact: bool):
+    The group is given by its ``diffops`` flow key, which carries its (a2, a1, c).
+    """
+
+    def __init__(self, flow_key, t, exact: bool):
         super().__init__()
-        self.g, self.t, self.exact = g, t, exact
+        self.flow_key, self.t, self.exact = flow_key, t, exact
         self.weights: dict = {}  # degree -> its flow weights
 
     def __missing__(self, sub):
-        g, m = self.g, mono_degree(sub)
+        g, m = self.flow_key, mono_degree(sub)
         chain = _laplacian_chain(sub) if g.c else ({sub: 1},)
         weights = self.weights.get(m)
         if weights is None:
@@ -125,12 +128,10 @@ class _FlowTable(dict):
         )
 
 
-# (group token, t, exact) -> that group's flow table, the oldest dropped past
-# _MAX_TABLES; the tables and their flows are shared, and a stored flow is
-# never changed
-_MAX_TABLES = 256
-_group_flows: dict = {}
-_tables_lock = threading.Lock()
+# (flow key, t, exact) -> that group's flow table, the least recently used
+# dropped past 256; the tables and their flows are shared, and a stored flow
+# is never changed
+_flow_table = lru_cache(maxsize=256)(_FlowTable)
 
 
 def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
@@ -140,15 +141,8 @@ def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
     of the monomial's group flows; for one group over all real variables it
     is the table's entry itself, which callers read and never change.
     """
-    groups, tables = gen.groups, []
-    for g, token in zip(groups, gen.tokens):
-        table = _group_flows.get((token, t, exact))
-        if table is None:
-            with _tables_lock:
-                table = _group_flows.setdefault((token, t, exact), _FlowTable(g, t, exact))
-                if len(_group_flows) > _MAX_TABLES:
-                    del _group_flows[next(iter(_group_flows))]
-        tables.append(table)
+    groups = gen.groups
+    tables = [_flow_table(key, t, exact) for key in gen.flow_keys]
     if len(groups) == 1 and groups[0].side == "x" and groups[0].indices is None:
         return tables[0].__getitem__
 

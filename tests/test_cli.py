@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -286,6 +287,60 @@ def test_memory_error_exits_two(monkeypatch, capsys):
     assert main(["verify"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: out of memory\n" and captured.out == ""
+
+
+def test_out_of_memory_line_is_written_after_the_failed_frames_are_freed(monkeypatch):
+    # the traceback holds the frames of the failed command, and with them the
+    # memory that ran out; the error line is written only once they are freed
+    freed = []
+
+    class Held:
+        def __del__(self):
+            freed.append(True)
+
+    def exhausted(args):
+        held = Held()  # noqa: F841 -- a local of the failing frame
+        raise MemoryError
+
+    written = []
+
+    class Stderr:
+        def write(self, text):
+            written.append((text, bool(freed)))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["verify"]) == 2
+    monkeypatch.undo()
+    assert "".join(text for text, _ in written) == "error: out of memory\n"
+    assert all(after for _, after in written)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_isometry_that_exhausts_its_address_space_exits_two_with_one_line():
+    # a child caps its own address space 32 MiB above its size after import,
+    # which keeps the cap clear of the BLAS threads' reservations; the degree
+    # 168 input's Laplacian chain outgrows it within a few seconds
+    import os
+    import subprocess
+
+    import sbtlab
+
+    src = str(Path(sbtlab.__file__).resolve().parent.parent)
+    code = ("import os, resource, sys\n"
+            "from sbtlab.cli import main\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20),) * 2)\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["isometry", "--poly", "*".join(f"x{i}^24" for i in range(1, 8)), "--N", "10",
+            "--T", "1"]
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (2, "error: out of memory\n")
 
 
 def test_degree_60_sphere_row_is_finite_and_fails_the_tolerance(capsys):

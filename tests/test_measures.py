@@ -9,7 +9,7 @@ from sbtlab import diffops, measures, oracle, semigroup
 from sbtlab.diffops import DimensionError
 from sbtlab.measures import (
     MeasureSpec,
-    _real_integral,
+    _form_integral,
     gamma_moment,
     gaussian_moment,
     inner_product,
@@ -24,6 +24,7 @@ from sbtlab.polyalg import (
     GaussianRational,
     HolomorphicityError,
     RealPoly,
+    _integer_form,
     holomorphic_extend,
 )
 from sbtlab.suite import acceptance_suite, random_real_poly
@@ -428,7 +429,7 @@ def test_quadric_moment_and_norm_do_not_depend_on_earlier_calls(q, earlier, nT):
     n, T = nT
     f = holomorphic_extend(random_real_poly(seeded_rng(len(earlier)), k=3, degree=4))
     spec = MeasureSpec.quadric(n, T)
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
     fresh = (quadric_moment(q, n, T), norm2(spec, f))
     for other in earlier:
         quadric_moment(other, n, T)
@@ -454,7 +455,7 @@ def test_quadric_moments_and_norms_under_concurrent_threads():
     def both(f):
         return quadric_moment(f.mod_square(), n, T), norm2(spec, f)
 
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -462,7 +463,7 @@ def test_quadric_moments_and_norms_under_concurrent_threads():
             values = [fut.result(timeout=60) for fut in [pool.submit(both, f) for f in polys]]
     finally:
         sys.setswitchinterval(switch)
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
     assert values == [both(f) for f in polys]
 
 
@@ -666,7 +667,8 @@ def test_real_bilinear_form_is_the_moment_of_the_product_rounded_once():
     for _ in range(20):
         p, q = (random_real_poly(rng, k=3, degree=5) for _ in range(2))
         for spec in _domain_specs():
-            assert _real_integral(spec, p, q) == float(moment(spec, p * q)), spec
+            form = _form_integral(spec, _integer_form(p), _integer_form(q))
+            assert form == float(moment(spec, p * q)), spec
 
 
 @pytest.mark.parametrize("sphere, x", [

@@ -467,16 +467,44 @@ def test_graded_flow_checks_the_ambient_dimension():
 
 
 def test_flow_tables_are_bounded():
-    # one table per (group, time, exactness), the oldest dropped past 256
-    # tables; a dropped table is rebuilt with the same weights
-    semigroup._group_flows.clear()
+    # one table per (group, time, exactness), the least recently used dropped
+    # past 256 tables; a dropped table is rebuilt with the same weights
+    semigroup._flow_table.cache_clear()
     gen = diffops.spherical_laplacian_op(25)
     first = dict(semigroup.flow_monomial(gen, 0.001, (4, 2)))
     for i in range(2, 302):
         semigroup.flow_monomial(gen, 0.001 * i, (4, 2))
-    assert len(semigroup._group_flows) == 256
+    assert semigroup._flow_table.cache_info().currsize == 256
     assert semigroup.flow_monomial(gen, 0.001, (4, 2)) == first
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
+
+
+def test_memos_stay_bounded_over_distinct_dimensions():
+    # each n brings its own sphere Laplacian, flow key and flow table; all
+    # three memos keep at most 256
+    f = holomorphic_extend(X1 ** 2 + X2)
+    for n in range(3, 2003):
+        measures.norm2(measures.MeasureSpec.quadric(n, 0.5), f)
+    for memo in (diffops.spherical_laplacian_op, diffops._flow_key, semigroup._flow_table):
+        assert memo.cache_info().currsize == 256, memo
+
+
+def test_generator_whose_flow_key_was_dropped_flows_as_a_fresh_one():
+    # 256 newer coefficient triples push gen's flow keys out of their memo; a
+    # generator built afterwards gets new keys, and both flow bit for bit alike
+    gens = [diffops.spherical_laplacian_op(9), diffops.g_uv_op(2), diffops.LAPLACIAN]
+    for n in range(3000, 3256):
+        diffops.jsq_a_op(n)
+    keys = [(3, 1, 2), (2, 0, 4, 1), (5,)]
+    for gen, t in zip(gens, (0.3, -0.45, Fraction(2, 3))):
+        fresh = GroupGenerator(gen.groups, gen.n)
+        assert not set(map(id, fresh.flow_keys)) & set(map(id, gen.flow_keys))
+        exact = isinstance(t, Fraction)
+        for key in keys:
+            old = semigroup.flow_monomial(gen, t, key, exact)
+            new = semigroup.flow_monomial(fresh, t, key, exact)
+            assert {k: float(v).hex() for k, v in old.items()} == (
+                {k: float(v).hex() for k, v in new.items()}) and old == new
 
 
 def test_flow_tables_stay_bounded_under_concurrent_threads():
@@ -487,9 +515,9 @@ def test_flow_tables_stay_bounded_under_concurrent_threads():
 
     gen = diffops.spherical_laplacian_op(9)
     times = [0.01 * i for i in range(1, 1501)]
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
     serial = [semigroup.flow_monomial(gen, t, (3, 1)) for t in times]
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -498,6 +526,6 @@ def test_flow_tables_stay_bounded_under_concurrent_threads():
             values = [fut.result(timeout=60) for fut in futures]
     finally:
         sys.setswitchinterval(switch)
-    assert len(semigroup._group_flows) == 256
-    semigroup._group_flows.clear()
+    assert semigroup._flow_table.cache_info().currsize == 256
+    semigroup._flow_table.cache_clear()
     assert values == serial

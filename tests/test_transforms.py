@@ -127,15 +127,15 @@ _RESIDUAL = RealPoly({(3, 2): Fraction(3, 2), (0, 0, 2): Fraction(-1, 2)})
 def test_unitarity_report_norms_are_pinned_bit_for_bit(p, tag, domain, range_):
     # the squared norms of exact sums rounded once, as the memoized flow and
     # radial tables give them; a change to either must not move a bit
-    semigroup._group_flows.clear()
+    semigroup._flow_table.cache_clear()
     for _ in range(2):
         rep = unitarity_report(p, tag)
         assert (rep.domain_norm2.hex(), rep.range_norm2.hex()) == (domain, range_)
 
 
 def test_warm_sphere_unitarity_report_hashes_no_fraction(monkeypatch):
-    # the flow memos are keyed on the group's int token, not on the
-    # sphere Laplacian's Fraction coefficients
+    # the flow tables are keyed on the group's identity-hashed flow key, not
+    # on the sphere Laplacian's Fraction coefficients
     tag = Sphere(7, 0.8)
     first = unitarity_report(_MIXED, tag)
     hashed = []
