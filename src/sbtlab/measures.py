@@ -23,19 +23,18 @@ integer form (``polyalg._integer_form``; a float coefficient is its exact
 binary rational), summed by half-degree, weighted by one cached
 integer table N_m / D per (t or n, top half-degree) and ended by one
 division, which keeps the convergence experiments accurate at n = 10^4 and
-beyond.  The quadric reads the same sums, as a bilinear form of two flows
-read from the sphere Laplacian's flow table: each flow is accumulated into a
-plain {monomial: float} dict, whose binary rationals go over one power-of-two
-denominator into the integer pair sums, so no intermediate polynomial is
-built.  The complex Gaussians' squared norms flow f the same way, into its
-holomorphic Hermite coefficients, weighted by the Gaussian radial table at
-E[a abar].
+beyond.  Every complex moment and norm is one bilinear form of two flows
+(``_flow_form``): backward sphere heat flows under the sphere's pair sums
+for the quadric, holomorphic Hermite coefficients e^{(c2/2) Lap} under the
+diagonal Hermite form for xi and gamma.  The flows are plain
+{monomial: number} dicts read from flow tables, whose binary rationals go
+into integer sums; a moment takes one form per abar-monomial of q.
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
-float flows).  Otherwise a real moment or norm, and each sphere sum behind a
-quadric value, is the exact sum, rounded once; a xi norm of exact f at
-rational (s, t) is the exact moment of |f|^2, rounded once.
+float flows).  Otherwise each real moment or norm, each complex norm (Re and
+Im apart for the quadric) and each abar-group of a complex moment is the
+exact sum, rounded once.
 """
 
 from __future__ import annotations
@@ -154,10 +153,6 @@ class MeasureSpec:
 # ---------------------------------------------------------------------------
 # real kinds: pairing counts times a radial weight
 
-def _double_factorial(n: int) -> int:
-    # (-1)!! = 1 by convention
-    return math.prod(range(n, 0, -2))
-
 
 @lru_cache(maxsize=None)
 def _pairings(alpha: tuple) -> int:
@@ -171,7 +166,7 @@ def _pairings(alpha: tuple) -> int:
     for e in alpha:
         if e & 1:
             return 0
-        out *= _double_factorial(e - 1)
+        out *= math.prod(range(e - 1, 0, -2))  # (e - 1)!!, 1 at e = 0
     return out
 
 
@@ -257,36 +252,6 @@ def _radial_sum(spec: MeasureSpec, sums: dict, den: int, exact: bool = False):
     return Fraction(num, common * den) if exact else num / (common * den)
 
 
-def _form_integral(spec: MeasureSpec, form: tuple, other: tuple | None = None) -> float:
-    """The bilinear form of two integer forms (nums, den), of form with itself by default."""
-    nums, den = form
-    if other is None:
-        return _radial_sum(spec, _pair_sums(nums, nums), den * den)
-    other_nums, other_den = other
-    return _radial_sum(spec, _pair_sums(nums, other_nums), den * other_den)
-
-
-@lru_cache(maxsize=None)
-def _hermite_weight(beta: tuple) -> tuple:
-    """(|beta|, beta!): a Hermite polynomial's degree, and its squared norm over g2^|beta|."""
-    return mono_degree(beta), math.prod(map(math.factorial, beta))
-
-
-def _diagonal_form(spec: MeasureSpec, parts) -> float:
-    """sum_beta beta! g2^|beta| sum_h h_beta^2 over the coefficient dicts h in parts.
-
-    The squares are summed in integers by degree |beta| over one common
-    denominator; ``_radial_sum`` supplies g2^m = E[a abar]^m and rounds once.
-    """
-    nums, den = _ratio_form({(beta, i): c for i, part in enumerate(parts)
-                             for beta, c in part.items()})
-    sums: dict = {}
-    for (beta, _), c in nums.items():
-        m, weight = _hermite_weight(beta)
-        sums[m] = sums.get(m, 0) + weight * c * c
-    return _radial_sum(spec, sums, den * den)
-
-
 def _real_integral(spec: MeasureSpec, p: RealPoly):
     """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) N_m / D, m = |alpha| / 2.
 
@@ -307,77 +272,7 @@ def _real_integral(spec: MeasureSpec, p: RealPoly):
 
 
 # ---------------------------------------------------------------------------
-# complex Gaussians: per-coordinate pair moments
-
-
-@lru_cache(maxsize=None)
-def _pairing_ways(j: int, l: int) -> tuple:
-    """Pairing counts of j a's and l abar's: tuples (cross pairs m, count)."""
-    if (j - l) % 2 != 0:
-        return ()
-    out = []
-    m = min(j, l)
-    if (j - m) % 2 != 0:
-        m -= 1
-    while m >= 0:
-        ways = (
-            math.comb(j, m)
-            * math.comb(l, m)
-            * math.factorial(m)
-            * _double_factorial(j - m - 1)
-            * _double_factorial(l - m - 1)
-        )
-        out.append((m, ways))
-        m -= 2
-    return tuple(out)
-
-
-class _PairMoments(dict):
-    """E[a^j abar^l] at key (j, l) for E[a^2] = c2 and E[a abar] = g2, filled as keys are read.
-
-    Sum over pairings: m cross pairings weight g2 each, the leftovers pair
-    within their own group and weight c2.  All terms are nonnegative when
-    c2 >= 0 (the limiting-range family), so no cancellation occurs.
-    """
-
-    def __init__(self, c2, g2):
-        super().__init__()
-        self.c2, self.g2 = c2, g2
-
-    def __missing__(self, key):
-        j, l = key
-        total = 0
-        try:
-            for m, ways in _pairing_ways(j, l):
-                total += ways * self.g2 ** m * self.c2 ** ((j + l - 2 * m) // 2)
-        except OverflowError:
-            raise OverflowError("complex Gaussian moments overflow a float") from None
-        self[key] = total
-        return total
-
-
-def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
-    exact = q.mode == EXACT and spec.rational
-    moments = _PairMoments(*map(Fraction if exact else float, spec.covariances()))
-    total = GaussianRational(0) if exact else 0j
-    one = Fraction(1) if exact else 1.0
-    for (a, b), coeff in q.terms.items():
-        factor = one
-        for j in range(max(len(a), len(b))):
-            aj = a[j] if j < len(a) else 0
-            bj = b[j] if j < len(b) else 0
-            if aj or bj:
-                pm = moments[aj, bj]
-                if not pm:
-                    break
-                factor = factor * pm
-        else:
-            total = total + (coeff if exact else complex(coeff)) * factor
-    return total if exact else _finite(total)
-
-
-# ---------------------------------------------------------------------------
-# flows read by the holomorphic norms, and quadric moments
+# complex kinds: bilinear forms of two flows
 #
 # The quadric operator splits into commuting holomorphic and antiholomorphic
 # halves, each acting on a-degree-graded polynomials only, and at
@@ -385,25 +280,76 @@ def _complex_gaussian_moment(spec: MeasureSpec, q: CxPoly):
 # -(T/2) times the sphere Laplacian.  So the moment of a^alpha abar^beta is
 # the sphere integral <F x^alpha, F x^beta> of two backward flows: F is the
 # sphere heat flow run backward for T/2, read from the sphere Laplacian's
-# flow table at time -T/2.  That integral is the sphere's bilinear form
-# (``_form_integral``) over the flows' coefficients, summed exactly and
-# rounded once; only the flows themselves are floats, and they stay plain
-# {monomial: float} dicts.
+# flow table at time -T/2.
 #
 # The complex Gaussians read a flow too.  Per coordinate let c2 = E[a^2] and
 # g2 = E[a abar].  The holomorphic Hermite polynomials e^{-(c2/2) Lap} a^beta
 # are orthogonal with squared norms beta! g2^|beta| (van Eijndhoven and
-# Meyers, J. Math. Anal. Appl. 146 (1990) 89), so f's coefficients in them
-# are the monomial coefficients h of e^{(c2/2) Lap} f, and
-# ||f||^2 = sum_beta beta! g2^|beta| |h_beta|^2 (``_diagonal_form``).
+# Meyers, J. Math. Anal. Appl. 146 (1990) 89), so x^alpha's coefficients in
+# them are the monomial coefficients of F x^alpha, F = e^{(c2/2) Lap}, and
+# E[a^alpha abar^beta] = sum_gamma gamma! g2^|gamma| (F x^alpha)_gamma (F x^beta)_gamma.
+#
+# Either way a moment is a bilinear form of two flows (``_flow_form``), summed
+# exactly in integers and rounded once; only the flows may be floats.
+
+
+@lru_cache(maxsize=None)
+def _hermite_weight(beta: tuple) -> tuple:
+    """(|beta|, beta!): a Hermite polynomial's degree, and its squared norm over g2^|beta|."""
+    return mono_degree(beta), math.prod(map(math.factorial, beta))
+
+
+def _form_sums(spec: MeasureSpec, nums: dict, other: dict) -> dict:
+    """{m: S_m}: the integer sums behind the family's bilinear form of two numerator dicts.
+
+    The pair sums of the moment of a product for gauss, sphere and quadric;
+    for xi and gamma the Hermite form's sum of beta! c_beta c'_beta over
+    |beta| = m, whose radial weight is g2^m.
+    """
+    if spec.family not in ("xi", "gamma"):
+        return _pair_sums(nums, other)
+    sums: dict = {}
+    for beta, c in nums.items():
+        d = other.get(beta)
+        if d:
+            m, weight = _hermite_weight(beta)
+            sums[m] = sums.get(m, 0) + weight * c * d
+    return sums
+
+
+def _flow_form(spec: MeasureSpec, pairs, exact: bool = False):
+    """sum B(u, v) over the pairs (u, v) of coefficient dicts, summed in integers, rounded once.
+
+    B is the family's real bilinear form (``_form_sums``).  Each dict is read
+    at its exact binary rationals, the pairs' sums go over one denominator,
+    and ``_radial_sum`` divides once; ``exact`` returns the Fraction.  A
+    pair (u, u) visits each unordered pair of u's terms once.
+    """
+    sums: dict = {}
+    den = 1
+    for u, v in pairs:
+        if v is not u and spec.family in ("xi", "gamma"):
+            # the Hermite form is diagonal: only the keys u shares with v count
+            u = {k: u[k] for k in v if k in u}
+        nums, d = _ratio_form(u)
+        other, e = (nums, d) if v is u else _ratio_form(v)
+        part = _form_sums(spec, nums, other)
+        if sums:  # both over the denominator den * d * e
+            sums = {m: sums.get(m, 0) * d * e + part.get(m, 0) * den
+                    for m in sums.keys() | part.keys()}
+            den *= d * e
+        else:
+            sums, den = part, d * e
+    return _radial_sum(spec, sums, den, exact)
 
 
 def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
     """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms, as dicts.
 
-    F is e^{-(T/2) sphere Lap} (quadric) or e^{(c2/2) Lap} (xi and gamma).
-    ``exact`` flows exact coefficients at the exact time c2/2; otherwise the
-    flow runs in floats.
+    F is e^{-(T/2) sphere Lap} (quadric) or e^{(c2/2) Lap} (xi and gamma),
+    applied to a holomorphic f for its norm, or to the a-part of one
+    abar-group, or to x^beta, for a moment.  ``exact`` flows exact
+    coefficients at the exact time c2/2; otherwise the flow runs in floats.
     An entry may be 0.0 where flows cancel; it adds nothing to a form.
     """
     if spec.family == "quadric":
@@ -423,22 +369,30 @@ def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
     return re, im
 
 
-def _quadric_moment(spec: MeasureSpec, q: CxPoly) -> complex:
-    """sum of the sphere products <y_beta, F x^beta> over q's abar-monomials beta.
+def _complex_moment(spec: MeasureSpec, q: CxPoly):
+    """sum of the forms <y_beta, F x^beta> over q's abar-monomials beta.
 
     y_beta = sum_alpha c_{alpha beta} F x^alpha gathers the terms that share
-    beta, so each product is one exact form over two flows.
+    beta, so each group is one form of two flows, Re and Im each summed
+    exactly and rounded once.  Exact q under a rational spec flows exactly
+    and returns the exact GaussianRational.
     """
+    exact = q.mode == EXACT and spec.rational
     by_abar: dict = {}
     for (alpha, beta), c in q.terms.items():
-        by_abar.setdefault(beta, []).append((alpha, c))
-    total = 0j
+        group = by_abar.setdefault(beta, [])  # the groups' order is the order of their sum
+        # every flow keeps each exponent's parity, and every family is even in
+        # each coordinate, so a term of mixed parity integrates to 0
+        if _parity(alpha) == _parity(beta):
+            group.append((alpha, c))
+    one = GaussianRational(1) if exact else 1
+    total = [0, 0]
     for beta, terms in by_abar.items():
-        re, im = _backward_flow(spec, terms)
-        flow = _ratio_form(_backward_flow(spec, [(beta, 1)])[0])
-        total += complex(_form_integral(spec, _ratio_form(re), flow),
-                         _form_integral(spec, _ratio_form(im), flow))
-    return _finite(total)
+        x_beta = _backward_flow(spec, [(beta, one)], exact)[0]
+        for i, part in enumerate(_backward_flow(spec, terms, exact)):
+            if part:
+                total[i] += _flow_form(spec, [(part, x_beta)], exact)
+    return GaussianRational(*total) if exact else _finite(complex(*total))
 
 
 def _finite(value):
@@ -456,9 +410,7 @@ def moment(spec: MeasureSpec, q):
     spec.check(q)
     if spec.family in _REAL:
         return _real_integral(spec, q)
-    if spec.family == "quadric":
-        return _quadric_moment(spec, q)
-    return _complex_gaussian_moment(spec, q)
+    return _complex_moment(spec, q)
 
 
 def norm2(spec: MeasureSpec, f) -> float:
@@ -475,8 +427,8 @@ def norm2(spec: MeasureSpec, f) -> float:
       the sphere heat flow of f run backward for T/2, as the real forms of
       Re y and Im y, each summed exactly and rounded once.
 
-    Both read their flow from the flow table into plain dicts, whose
-    binary-rational coefficients go straight into integer sums.
+    The complex norms are ``_flow_form`` of f's flow with itself, the form
+    ``moment`` takes of every complex integrand.
     """
     spec.check(f)
     if spec.family in _REAL:
@@ -489,9 +441,10 @@ def norm2(spec: MeasureSpec, f) -> float:
     exact = f.mode == EXACT and spec.rational
     re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
     if spec.family != "quadric":
-        return _diagonal_form(spec, (re, im))
-    value = _form_integral(spec, _ratio_form(re))
-    return _finite(value + _form_integral(spec, _ratio_form(im)) if im else value)
+        return _flow_form(spec, [(part, part) for part in (re, im) if part])
+    # Re y and Im y are two real sphere norms, each rounded once
+    value = _flow_form(spec, [(re, re)])
+    return _finite(value + _flow_form(spec, [(im, im)]) if im else value)
 
 
 def gaussian_moment(p: RealPoly, t):

@@ -189,6 +189,46 @@ def quadric_moment_reference(q: CxPoly, n: int, T) -> complex:
         return complex(total)
 
 
+def _pair_moment(j: int, l: int, c2: Fraction, g2: Fraction) -> Fraction:
+    """E[a^j abar^l] of one coordinate, summed over the pairings of j a's and l abar's.
+
+    A pairing with m cross pairs weighs g2^m c2^((j + l - 2m) / 2): the
+    leftovers pair within their own side.
+    """
+    total = Fraction(0)
+    for m in range(min(j, l), -1, -1):
+        if (j - m) % 2 == 0 and (l - m) % 2 == 0:
+            ways = (math.comb(j, m) * math.comb(l, m) * math.factorial(m)
+                    * math.prod(range(j - m - 1, 0, -2)) * math.prod(range(l - m - 1, 0, -2)))
+            total += ways * g2 ** m * c2 ** ((j + l - 2 * m) // 2)
+    return total
+
+
+def complex_gaussian_moment_reference(q: CxPoly, c2, g2) -> GaussianRational:
+    """The moment of q under the complex Gaussian with E[a^2] = c2 and E[a abar] = g2, exactly.
+
+    Each monomial's moment is a product of per-coordinate pairing counts
+    (``_pair_moment``), not a flow, and the real and imaginary parts are two
+    Fraction sums.  A float coefficient or parameter is read at its binary
+    value.
+    """
+    c2, g2 = Fraction(c2), Fraction(g2)
+    moments: dict = {}
+    re = im = Fraction(0)
+    for (alpha, beta), c in q.terms.items():
+        factor = Fraction(1)
+        for j, l in zip_longest(alpha, beta, fillvalue=0):
+            if (j, l) not in moments:
+                moments[j, l] = _pair_moment(j, l, c2, g2)
+            factor *= moments[j, l]
+        if factor:
+            if not isinstance(c, GaussianRational):
+                c = GaussianRational(complex(c).real, complex(c).imag)
+            re += c.re * factor
+            im += c.im * factor
+    return GaussianRational(re, im)
+
+
 # ---------------------------------------------------------------------------
 # term-by-term Fraction references for the integer-form routes
 

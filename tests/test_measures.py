@@ -9,7 +9,7 @@ from sbtlab import diffops, measures, oracle, semigroup
 from sbtlab.diffops import DimensionError
 from sbtlab.measures import (
     MeasureSpec,
-    _form_integral,
+    _flow_form,
     gamma_moment,
     gaussian_moment,
     inner_product,
@@ -24,13 +24,12 @@ from sbtlab.polyalg import (
     GaussianRational,
     HolomorphicityError,
     RealPoly,
-    _integer_form,
     holomorphic_extend,
 )
 from sbtlab.suite import acceptance_suite, random_real_poly
 from sbtlab.transforms import Limit, Sphere
 
-from conftest import quadric_moment_reference, seeded_rng
+from conftest import complex_gaussian_moment_reference, quadric_moment_reference, seeded_rng
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
@@ -249,6 +248,72 @@ def test_quadric_moment_converges_to_gamma():
         prev = err
 
 
+@pytest.mark.parametrize("q, n, T, re, im", [
+    (A1 ** 2 * ABAR1 + A2 * ABAR1 ** 2 + A1 * ABAR1 - 3, 5, 0.7,
+     "-0x1.3fd3ed5138c11p+0", "0x0.0p+0"),
+    (((A1 + 1) ** 2 * (A2 + 2) ** 2).mod_square(), 5, 0.6, "0x1.518915ff3af56p+9", "0x0.0p+0"),
+    (CxPoly({((1, 0, 1), (3, 2, 3)): GaussianRational(0, 1),
+             ((2, 1), (0, 1)): GaussianRational(Fraction(1, 3), -2),
+             ((1,), (1,)): GaussianRational(Fraction(-3, 4), Fraction(5, 2))}), 12, 1.7,
+     "-0x1.1a56c81c42240p+1", "0x1.2450374a68c65p+6"),
+    # E[a1^2] is 1; the float backward flow loses the constant under e^T (x1^2 - 1)
+    (A1 ** 2, 5, 20.0, "0x1.0000020000000p+0", "0x0.0p+0"),
+], ids=["mixed-5-0.7", "mod-square-5-0.6", "gaussian-12-1.7", "a1sq-5-20"])
+def test_quadric_moments_are_pinned_bit_for_bit(q, n, T, re, im):
+    # the quadric shares its moment routine with xi and gamma; these bits
+    # were taken before the share and must not move
+    value = quadric_moment(q, n, T)
+    assert (value.real.hex(), value.imag.hex()) == (re, im)
+
+
+# ---------------------------------------------------------------------------
+# general complex Gaussian moments against the pairing-count reference
+
+
+_SIDE = st.lists(st.integers(0, 4), max_size=3).map(tuple).filter(lambda a: sum(a) <= 6)
+
+
+@st.composite
+def _complex_integrands(draw):
+    """A general integrand: non-holomorphic, non-Hermitian, width <= 3, degree <= 6 per side."""
+    part = st.fractions(-3, 3, max_denominator=5)
+    coeffs = st.builds(GaussianRational, part, part).filter(bool)
+    return CxPoly(draw(st.dictionaries(st.tuples(_SIDE, _SIDE), coeffs, min_size=1, max_size=8)))
+
+
+def _moment_scale(q: CxPoly, c2, g2) -> float:
+    """sum |c_ab| |E[a^alpha abar^beta]|: the size a rounded moment is measured against."""
+    return sum(abs(complex(c)) * abs(complex(complex_gaussian_moment_reference(
+        CxPoly({key: GaussianRational(1)}), c2, g2))) for key, c in q.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complex_integrands(), st.fractions(Fraction(1, 8), 3, max_denominator=8),
+       st.fractions(Fraction(1, 20), Fraction(39, 20), max_denominator=20))
+@example(CxPoly({((3, 1), (1, 3)): GaussianRational(2, -1), ((2,), ()): GaussianRational(0, 1)}),
+         Fraction(1), Fraction(3, 2))
+def test_exact_xi_moment_is_the_pairing_count_exactly(q, s, ratio):
+    # t = ratio * s in (0, 2s), so E[a^2] = s - t takes both signs
+    value = xi_moment(q, s, ratio * s)
+    assert isinstance(value, GaussianRational)
+    assert value == complex_gaussian_moment_reference(q, s - ratio * s, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complex_integrands(), st.floats(0.05, 3.0), st.floats(0.5, 3.0), st.floats(0.05, 1.95))
+def test_float_complex_gaussian_moments_are_within_rounding_of_the_exact_sum(q, T, s, ratio):
+    # the reference is taken at the floats' binary values: the float
+    # coefficients and the covariances the spec supplies
+    q = q.to_float()
+    for spec in (MeasureSpec.gamma(T), MeasureSpec.xi(s, ratio * s)):
+        value = moment(spec, q)
+        assert type(value) is complex
+        reference = complex_gaussian_moment_reference(q, *spec.covariances())
+        gap = abs(complex(float(Fraction(value.real) - reference.re),
+                          float(Fraction(value.imag) - reference.im)))
+        assert gap <= 1e-14 * _moment_scale(q, *spec.covariances()), spec
+
+
 # ---------------------------------------------------------------------------
 # shared properties
 
@@ -327,8 +392,9 @@ def test_every_parameter_must_be_positive_and_finite(call):
 
 
 def test_complex_gaussian_moment_overflow_raises():
-    # E[a^3 abar] = 3 e^T overflows at T = 709, though e^T itself fits; the
-    # moment read (inf+nanj), and the difference of two such terms (nan+nanj)
+    # E[a^3 abar] = 3 e^T overflows at T = 709, though e^T itself fits: the
+    # integer sum of the E[a^3 abar] group is 3 e^709, too large for the one
+    # division that rounds it, with or without the - a abar^3 term
     for q in (A1 ** 3 * ABAR1, A1 ** 3 * ABAR1 - A1 * ABAR1 ** 3):
         with pytest.raises(OverflowError):
             gamma_moment(q, 709.0)
@@ -583,7 +649,8 @@ def _assert_range_norms_match(p, n, T):
         if exact_spec is None:
             reference = complex(moment(spec, f.mod_square())).real
         else:
-            reference = float(moment(exact_spec, _exact(f).mod_square()).re)
+            reference = float(complex_gaussian_moment_reference(
+                _exact(f).mod_square(), *exact_spec.covariances()).re)
         assert abs(norm2(spec, f) - reference) <= 1e-14 * abs(reference), spec
 
 
@@ -618,7 +685,8 @@ def test_exact_xi_norm_is_the_exact_moment_of_the_square_rounded_once(p, s, rati
     spec = MeasureSpec.xi(s, ratio * s)
     f = euclidean_sbt(p, s, ratio * s)
     assert f.mode == "exact"
-    assert norm2(spec, f) == float(moment(spec, f.mod_square()).re)
+    reference = complex_gaussian_moment_reference(f.mod_square(), *spec.covariances())
+    assert norm2(spec, f) == float(reference.re)
 
 
 @pytest.mark.parametrize("c2, g2", [
@@ -667,7 +735,7 @@ def test_real_bilinear_form_is_the_moment_of_the_product_rounded_once():
     for _ in range(20):
         p, q = (random_real_poly(rng, k=3, degree=5) for _ in range(2))
         for spec in _domain_specs():
-            form = _form_integral(spec, _integer_form(p), _integer_form(q))
+            form = _flow_form(spec, [(p.terms, q.terms)])
             assert form == float(moment(spec, p * q)), spec
 
 
