@@ -195,24 +195,32 @@ def resolve_cx_poly(spec: str) -> tuple:
 # grids and output
 
 
+def _numbers(fields, kind, error: str) -> tuple:
+    """kind(x) for each field; ValueError(error) if one does not parse."""
+    try:
+        return tuple(map(kind, fields))
+    except ValueError:
+        raise ValueError(error) from None
+
+
 def parse_n_grid(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
-        lo_str, hi_str = text.split("..", 1)
-        lo, hi = int(lo_str), int(hi_str)
+        lo, hi = _numbers(text.split("..", 1), int, f"bad N range {text!r}")
         if lo < 2 or hi < lo:
             raise ValueError(f"bad N range {text!r}")
         grid = {n for n in limits.DEFAULT_N_GRID if lo <= n <= hi}
         grid.update((lo, hi))
         return tuple(sorted(grid))
-    values = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
+    fields = [x for x in text.split(",") if x.strip()]
+    values = tuple(sorted(set(_numbers(fields, int, f"bad N grid {text!r}"))))
     if not values:
         raise ValueError("empty N grid")
     return values
 
 
 def parse_t_list(text: str) -> tuple:
-    values = tuple(float(x) for x in text.split(",") if x.strip())
+    values = _numbers([x for x in text.split(",") if x.strip()], float, f"bad T list {text!r}")
     if not values or not all(0 < t < math.inf for t in values):
         raise ValueError(f"bad T list {text!r}")
     return values

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .polyalg import FLOAT, CxPoly, RealPoly, _integer_form, _nonzero, mono_degree, trim
+from .polyalg import FLOAT, CxPoly, RealPoly, _integer_form, _nonzero, _rational, mono_degree, trim
 
 
 class DimensionError(ValueError):
@@ -204,8 +204,7 @@ class GroupGenerator:
         """
         self.check_domain(p)
         scalars = self._scalars()
-        if p.mode == FLOAT or not all(
-                isinstance(v, (int, Fraction)) for row in scalars for v in row):
+        if p.mode == FLOAT or not _rational(*(v for row in scalars for v in row)):
             return None
         nums, den = _integer_form(p)
         ratios = [[v.as_integer_ratio() for v in row] for row in scalars]

@@ -17,18 +17,17 @@ parameter on construction and each integrand in ``check``, and supplies the
 numbers the routines read.  ``moment(spec, q)`` and ``norm2(spec, f)``, the
 squared L2 norm as a bilinear form over f's own terms, share one routine per
 measure kind; the per-family functions build a spec and call ``moment``.
-Real moments are pairing counts prod_i (alpha_i - 1)!! times a radial weight
-of |alpha|/2.  They read the integer numerators of the polynomial's memoized
-integer form (``polyalg._integer_form``; a float coefficient is its exact
-binary rational), summed by half-degree, weighted by one cached
-integer table N_m / D per (t or n, top half-degree) and ended by one
-division, which keeps the convergence experiments accurate at n = 10^4 and
-beyond.  Every complex moment and norm is one bilinear form of two flows
-(``_flow_form``): backward sphere heat flows under the sphere's pair sums
-for the quadric, holomorphic Hermite coefficients e^{(c2/2) Lap} under the
-diagonal Hermite form for xi and gamma.  The flows are plain
-{monomial: number} dicts read from flow tables, whose binary rationals go
-into integer sums; a moment takes one form per abar-monomial of q.
+Every moment and norm is one bilinear form of coefficient dicts, read at
+their exact binary rationals, summed in integers by degree and divided once
+(``_flow_form``; a real norm keeps f's pair sums in its memo).  A real
+moment is the form of q with the constant 1: pairing counts
+prod_i (alpha_i - 1)!! weighted by one cached integer table N_m / D per
+(t or n, top half-degree), which keeps the convergence experiments accurate
+at n = 10^4 and beyond.  A complex moment or norm is the form of two flows
+read from flow tables: backward sphere heat flows under the sphere's pair
+sums for the quadric, holomorphic Hermite coefficients e^{(c2/2) Lap} under
+the diagonal Hermite form for xi and gamma; a moment takes one form per
+abar-monomial of q.
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
@@ -43,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import diffops, semigroup
 from .diffops import DimensionError, ambient_dimension
@@ -55,6 +54,7 @@ from .polyalg import (
     RealPoly,
     _integer_form,
     _ratio_form,
+    _rational,
     mono_degree,
     mono_mul,
 )
@@ -126,9 +126,8 @@ class MeasureSpec:
     @property
     def rational(self) -> bool:
         """Whether every number the measure supplies is rational, so exact input stays exact."""
-        return self.family in ("gauss", "xi", "sphere") and all(
-            isinstance(getattr(self, name), (int, Fraction)) for name in _PARAMS[self.family]
-        )
+        return self.family in ("gauss", "xi", "sphere") and _rational(
+            *(getattr(self, name) for name in _PARAMS[self.family]))
 
     def check(self, f) -> None:
         """Raise unless f is a polynomial this measure integrates."""
@@ -152,22 +151,6 @@ class MeasureSpec:
 
 # ---------------------------------------------------------------------------
 # real kinds: pairing counts times a radial weight
-
-
-@lru_cache(maxsize=None)
-def _pairings(alpha: tuple) -> int:
-    """prod_i (alpha_i - 1)!! if every alpha_i is even, else 0.
-
-    The number of ways to pair up the factors of x^alpha within each
-    variable: the Gaussian moment at t = 1, and the numerator of the sphere
-    moment.
-    """
-    out = 1
-    for e in alpha:
-        if e & 1:
-            return 0
-        out *= math.prod(range(e - 1, 0, -2))  # (e - 1)!!, 1 at e = 0
-    return out
 
 
 @lru_cache(maxsize=1024)
@@ -197,39 +180,44 @@ def _parity(alpha) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pair_weight(alpha: tuple, beta: tuple) -> tuple:
-    """(|alpha + beta| / 2, pairings(alpha + beta)) of one pair of monomials."""
+    """(|gamma| / 2, prod_i (gamma_i - 1)!!) of gamma = alpha + beta, two monomials of one parity.
+
+    The product counts the ways to pair up the factors of x^gamma within each
+    variable: the Gaussian moment at t = 1, and the numerator of the sphere
+    moment.
+    """
     gamma = mono_mul(alpha, beta)
-    return mono_degree(gamma) // 2, _pairings(gamma)
-
-
-def _parity_classes(nums: dict) -> dict:
-    classes: dict = {}
-    for alpha, c in nums.items():
-        classes.setdefault(_parity(alpha), []).append((alpha, c))
-    return classes
+    return mono_degree(gamma) // 2, math.prod(math.prod(range(e - 1, 0, -2)) for e in gamma)
 
 
 def _pair_sums(nums: dict, other: dict) -> dict:
     """{m: S_m}: the integer sums behind a bilinear form of two integer forms.
 
-    S_m sums c_alpha c'_beta pairings(alpha + beta) over the pairs of
-    numerators c of nums and c' of other in one parity class with
-    |alpha + beta| = 2m.  ``other is nums`` visits each unordered pair once:
-    the sum over distinct pairs is doubled and the diagonal added.
+    S_m sums c_alpha c'_beta times the pairing count of alpha + beta
+    (``_pair_weight``) over the pairs of numerators c of nums and c' of other
+    in one parity class with |alpha + beta| = 2m: other's terms are sorted
+    into parity classes, and each term of nums reads its own.  ``other is
+    nums`` visits each unordered pair once: the sum over distinct pairs is
+    doubled and the diagonal added.
     """
     sums: dict = {}
-    same = other is nums
-    other_classes = _parity_classes(other)
-    for key, cls in (other_classes if same else _parity_classes(nums)).items():
-        for (alpha, ca), (beta, cb) in (combinations(cls, 2) if same
-                                        else product(cls, other_classes.get(key, ()))):
+    classes: dict = {}
+    for beta, c in other.items():
+        classes.setdefault(_parity(beta), []).append((beta, c))
+    if other is not nums:
+        for alpha, ca in nums.items():
+            for beta, cb in classes.get(_parity(alpha), ()):
+                m, ways = _pair_weight(alpha, beta)
+                sums[m] = sums.get(m, 0) + ca * cb * ways
+        return sums
+    for cls in classes.values():
+        for (alpha, ca), (beta, cb) in combinations(cls, 2):
             m, ways = _pair_weight(alpha, beta)
             sums[m] = sums.get(m, 0) + ca * cb * ways
-    if same:
-        sums = {m: 2 * s for m, s in sums.items()}
-        for alpha, c in nums.items():
-            m, ways = _pair_weight(alpha, alpha)
-            sums[m] = sums.get(m, 0) + c * c * ways
+    sums = {m: 2 * s for m, s in sums.items()}
+    for alpha, c in nums.items():
+        m, ways = _pair_weight(alpha, alpha)
+        sums[m] = sums.get(m, 0) + c * c * ways
     return sums
 
 
@@ -250,25 +238,6 @@ def _radial_sum(spec: MeasureSpec, sums: dict, den: int, exact: bool = False):
     weights, common = _radial_table(sphere, x, max(sums, default=0))
     num = sum(s * weights[m] for m, s in sums.items())
     return Fraction(num, common * den) if exact else num / (common * den)
-
-
-def _real_integral(spec: MeasureSpec, p: RealPoly):
-    """sum p_alpha M(alpha) over p's terms, M(alpha) = pairings(alpha) N_m / D, m = |alpha| / 2.
-
-    The coefficients are read from p's memoized integer form
-    (``polyalg._integer_form``): numerators over one denominator, so the
-    sums run over integers by half-degree m and end in ``_radial_sum``.  A
-    moment of exact p under a rational spec is returned as that exact
-    Fraction instead.
-    """
-    nums, den = _integer_form(p)
-    sums: dict = {}
-    for alpha, c in nums.items():
-        ways = _pairings(alpha)
-        if ways:
-            m = mono_degree(alpha) // 2
-            sums[m] = sums.get(m, 0) + c * ways
-    return _radial_sum(spec, sums, den, p.mode == EXACT and spec.rational)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +326,7 @@ def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
     else:
         c2 = spec.covariances()[0]
         gen, t = diffops.LAPLACIAN, Fraction(c2, 2) if exact else float(c2) / 2.0
-    flow = semigroup.monomial_flows(gen, t, exact)
+    flow = semigroup.monomial_flows(gen, t)
     re: dict = {}
     im: dict = {}
     for alpha, c in terms:
@@ -406,10 +375,10 @@ def _finite(value):
 
 
 def moment(spec: MeasureSpec, q):
-    """Integral of q against the measure described by spec."""
+    """Integral of q against spec's measure: for gauss and sphere the form of q with 1."""
     spec.check(q)
     if spec.family in _REAL:
-        return _real_integral(spec, q)
+        return _flow_form(spec, [(q.terms, {(): 1})], q.mode == EXACT and spec.rational)
     return _complex_moment(spec, q)
 
 

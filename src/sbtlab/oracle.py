@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .measures import MeasureSpec
-from .polyalg import CxPoly, RealPoly, _integer_form, mono_degree
+from .polyalg import CxPoly, RealPoly, _integer_form, _rational, mono_degree
 
 N_SUBSTREAMS = 16
 # samples drawn per numpy call within a substream
@@ -198,7 +198,7 @@ def isserlis_moment(p: RealPoly, t):
     once, and the total is one Fraction.
     """
     MeasureSpec.gauss(t).check(p)
-    exact = p.mode == "exact" and isinstance(t, (int, Fraction))
+    exact = p.mode == "exact" and _rational(t)
     if exact:
         nums, den = _integer_form(p)
         sums: dict = {}

@@ -188,6 +188,14 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _rational(*values) -> bool:
+    """Whether every value is an int or a Fraction."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return False
+    return True
+
+
 def _as_gaussian(value):
     if isinstance(value, GaussianRational):
         return value

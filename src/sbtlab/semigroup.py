@@ -11,8 +11,8 @@ per-group flows, and each group flows as
 
 with f = exp.  The chain Lap^j x^alpha is exact integer arithmetic; the
 divided-difference weights come from the exponential of one small bidiagonal
-matrix per degree.  When every lambda is 0 the weights are (ct)^j / j!,
-exact for an exact polynomial and a rational time.
+matrix per degree.  When every lambda is 0 and c and t are rational the
+weights are the exact (ct)^j / j!; the numbers alone decide it.
 
 * ``exp_graded``   -- exp(t*A) applied to one polynomial, term by term, so
   the cost follows the polynomial's terms, not the size of the graded basis.
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import diffops
 from .diffops import GroupGenerator, _laplacian_chain
-from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, mono_degree
+from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, _rational, mono_degree
 
 
 class CommutationError(ValueError):
@@ -89,17 +89,24 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
     return row
 
 
-def _flow_weights(a2, a1, c, t, m: int, exact: bool) -> tuple:
+def _exact_flow(a2, a1, c, t) -> bool:
+    """Whether a group's flow at time t is exact: a rational heat flow, with every lambda 0."""
+    return not a2 and not a1 and _rational(c, t)
+
+
+def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp.
 
-    One node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0), which is what
-    ``_exp_divided_differences`` returns there bit for bit; a non-finite
-    node or time still goes to it and raises there.
+    Fractions (c t)^j / j! when ``_exact_flow`` holds, else floats at
+    float(t).  One node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0),
+    which is what ``_exp_divided_differences`` returns there bit for bit; a
+    non-finite node or time still goes to it and raises there.
     """
     depth = m // 2 + 1 if c else 1
-    if exact:
+    if _exact_flow(a2, a1, c, t):
         ct = Fraction(c) * t
         return tuple(ct ** j / math.factorial(j) for j in range(depth))
+    t = float(t)
     z = [t * float(a2 * d * d + a1 * d) for d in range(m, m - 2 * depth, -2)]
     if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):
         return (math.exp(z[0]),)
@@ -112,9 +119,9 @@ class _FlowTable(dict):
     The group is given by its ``diffops`` flow key, which carries its (a2, a1, c).
     """
 
-    def __init__(self, flow_key, t, exact: bool):
+    def __init__(self, flow_key, t):
         super().__init__()
-        self.flow_key, self.t, self.exact = flow_key, t, exact
+        self.flow_key, self.t = flow_key, t
         self.weights: dict = {}  # degree -> its flow weights
 
     def __missing__(self, sub):
@@ -122,27 +129,28 @@ class _FlowTable(dict):
         chain = _laplacian_chain(sub) if g.c else ({sub: 1},)
         weights = self.weights.get(m)
         if weights is None:
-            weights = self.weights[m] = _flow_weights(g.a2, g.a1, g.c, self.t, m, self.exact)
+            weights = self.weights[m] = _flow_weights(g.a2, g.a1, g.c, self.t, m)
         return self.setdefault(
             sub, {beta: w * v for w, level in zip(weights, chain) for beta, v in level.items()}
         )
 
 
-# (flow key, t, exact) -> that group's flow table, the least recently used
-# dropped past 256; the tables and their flows are shared, and a stored flow
-# is never changed
-_flow_table = lru_cache(maxsize=256)(_FlowTable)
+# (flow key, t) -> that group's flow table, the least recently used dropped
+# past 256; typed, as Fraction(1, 2) and 0.5 hash alike but flow differently.
+# The tables and their flows are shared, and a stored flow is never changed
+_flow_table = lru_cache(maxsize=256, typed=True)(_FlowTable)
 
 
-def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
+def monomial_flows(gen: GroupGenerator, t):
     """The map from a monomial to its flow exp(t*gen) as {key: weight}.
 
-    Fetches each group's flow table at time t once.  A flow is the product
-    of the monomial's group flows; for one group over all real variables it
-    is the table's entry itself, which callers read and never change.
+    Fetches each group's flow table at time t once, exact where
+    ``_exact_flow`` holds.  A flow is the product of the monomial's group
+    flows; for one group over all real variables it is the table's entry
+    itself, which callers read and never change.
     """
     groups = gen.groups
-    tables = [_flow_table(key, t, exact) for key in gen.flow_keys]
+    tables = [_flow_table(key, t) for key in gen.flow_keys]
     if len(groups) == 1 and groups[0].side == "x" and groups[0].indices is None:
         return tables[0].__getitem__
 
@@ -160,29 +168,25 @@ def monomial_flows(gen: GroupGenerator, t, exact: bool = False):
     return product
 
 
-def flow_monomial(gen: GroupGenerator, t, key, exact: bool = False) -> dict:
+def flow_monomial(gen: GroupGenerator, t, key) -> dict:
     """exp(t*gen) of the monomial ``key`` as {key: weight}; see ``monomial_flows``."""
-    return monomial_flows(gen, t, exact)(key)
+    return monomial_flows(gen, t)(key)
 
 
 def exp_graded(gen: GroupGenerator, t, q):
     """Apply exp(t*gen) to q, term by term.
 
-    The result is exact when q is exact, t is rational and every lambda of
-    the generator is 0 (a strictly degree-lowering flow); otherwise it is a
-    float-mode poly.
+    The result is exact when q is exact and so is every group's flow
+    (``_exact_flow``: a strictly degree-lowering flow at rational c and t);
+    otherwise it is a float-mode poly.
     """
     gen.check_domain(q)
     kind = gen.family
-    exact = (
-        q.mode == EXACT
-        and isinstance(t, (int, Fraction))
-        and all(not g.a2 and not g.a1 and isinstance(g.c, (int, Fraction)) for g in gen.groups)
-    )
+    exact = q.mode == EXACT and all(_exact_flow(g.a2, g.a1, g.c, t) for g in gen.groups)
     if not exact:
         t = float(t)
         q = q.to_float()
-    flow = monomial_flows(gen, t, exact)
+    flow = monomial_flows(gen, t)
     out = {}
     for key, c in q.terms.items():
         for beta, v in flow(key).items():

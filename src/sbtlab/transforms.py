@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import diffops, measures, semigroup
 from .measures import MeasureSpec
-from .polyalg import CxPoly, RealPoly, holomorphic_extend
+from .polyalg import CxPoly, RealPoly, _rational, holomorphic_extend
 
 
 def _memoized_parts(build):
@@ -51,7 +51,7 @@ def _memoized_parts(build):
 @_memoized_parts
 def _euclidean_parts(s, t) -> tuple:
     xi = MeasureSpec.xi(s, t)  # first, so that a bad s reads as the xi check
-    return (diffops.LAPLACIAN, Fraction(t, 2) if isinstance(t, (int, Fraction)) else t / 2.0,
+    return (diffops.LAPLACIAN, Fraction(t, 2) if _rational(t) else t / 2.0,
             MeasureSpec.gauss(s), xi)
 
 

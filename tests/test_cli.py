@@ -238,6 +238,18 @@ def test_converge_rejects_several_times(capsys):
     assert "error:" in err and "--T" in err
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--N", "5,abc", "bad N grid '5,abc'"),
+    ("--N", "10.5", "bad N grid '10.5'"),
+    ("--N", "10..x", "bad N range '10..x'"),
+    ("--T", "1,abc", "bad T list '1,abc'"),
+], ids=["N-word", "N-fraction", "N-range-word", "T-word"])
+def test_unreadable_list_is_named_by_its_option(option, value, message, capsys):
+    assert main(["isometry", "--poly", "x1", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["isometry", "--poly", "1e400*x1", "--transform", "limit"],
     ["isometry", "--poly", "1e400*x1"],

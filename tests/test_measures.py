@@ -411,6 +411,16 @@ def test_moments_are_exact_only_for_exact_input_and_rational_parameters():
     assert gaussian_moment(p, 1) == 1.5  # the exact sum is 1.49999999999999991673...
 
 
+def test_exact_zero_moments_keep_the_type_of_their_input():
+    # an odd integrand integrates to 0: a Fraction for exact input under a
+    # rational measure, a float for its float image
+    p = X1 ** 3 + X1 * X2
+    for q, kind in ((p, Fraction), (p.to_float(), float)):
+        for value in (gaussian_moment(q, Fraction(1, 3)), gaussian_moment(q, 2),
+                      sphere_moment(q, 5)):
+            assert value == 0 and type(value) is kind
+
+
 def test_moment_dispatcher_matches_direct_calls():
     p = X1 ** 2
     q = A1 * ABAR1

@@ -423,18 +423,18 @@ def test_single_node_flow_weights_are_the_exponential_bit_for_bit(gen):
     for t in (0.37, -0.37, 2.5, -2.5, 1e-9, -41.0):
         for m in (0, 1) if g.c else range(6):
             z0 = t * float(g.a2 * m * m + g.a1 * m)
-            weights = semigroup._flow_weights(g.a2, g.a1, g.c, t, m, False)
+            weights = semigroup._flow_weights(g.a2, g.a1, g.c, t, m)
             general = semigroup._exp_divided_differences([z0], g.c * t).tolist()
             assert [w.hex() for w in weights] == [math.exp(z0).hex()] == [w.hex() for w in general]
 
 
 def test_single_node_flow_weights_raise_as_the_general_route():
     with pytest.raises(OverflowError):
-        semigroup._flow_weights(0, -1, 1, -800.0, 1, False)
+        semigroup._flow_weights(0, -1, 1, -800.0, 1)
     with pytest.raises(OverflowError):
         semigroup._exp_divided_differences([800.0], -800.0)
     for t in (math.inf, -math.inf, math.nan):
-        for args in ((0, -1, 1, t, 1, False), (0, -1, 1, t, 0, False), (0, 1, 0, t, 3, False)):
+        for args in ((0, -1, 1, t, 1), (0, -1, 1, t, 0), (0, 1, 0, t, 3)):
             with pytest.raises(ValueError, match="finite time"):
                 semigroup._flow_weights(*args)
 
@@ -499,12 +499,37 @@ def test_generator_whose_flow_key_was_dropped_flows_as_a_fresh_one():
     for gen, t in zip(gens, (0.3, -0.45, Fraction(2, 3))):
         fresh = GroupGenerator(gen.groups, gen.n)
         assert not set(map(id, fresh.flow_keys)) & set(map(id, gen.flow_keys))
-        exact = isinstance(t, Fraction)
         for key in keys:
-            old = semigroup.flow_monomial(gen, t, key, exact)
-            new = semigroup.flow_monomial(fresh, t, key, exact)
+            old = semigroup.flow_monomial(gen, t, key)
+            new = semigroup.flow_monomial(fresh, t, key)
             assert {k: float(v).hex() for k, v in old.items()} == (
                 {k: float(v).hex() for k, v in new.items()}) and old == new
+
+
+@pytest.mark.parametrize("times", [(Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))],
+                         ids=["exact-first", "float-first"])
+def test_flow_exactness_follows_the_time_and_the_generator(times):
+    # Fraction(1, 2) and 0.5 hash alike but keep their own tables: the heat
+    # flow is exact at the rational time and float at the float one, in
+    # either order
+    semigroup._flow_table.cache_clear()
+    flows = {type(t): flow_monomial(diffops.LAPLACIAN, t, (4,)) for t in times}
+    assert flows[Fraction] == {(4,): 1, (2,): 6, (): 3}
+    assert {type(v) for v in flows[Fraction].values()} == {Fraction}
+    assert flows[float] == {(4,): 1.0, (2,): 6.0, (): 3.0}
+    assert {type(v) for v in flows[float].values()} == {float}
+
+
+def test_a_rational_time_flows_in_floats_where_a_lambda_is_not_zero():
+    # the Hermite flow of x1^2 at t = 1/2 is e^-1 x1^2 + (1 - e^-1), the float
+    # flow at 0.5 bit for bit; the Euler flow of x1^3 at t = 1 is e^3 x1^3
+    flow = flow_monomial(diffops.HERMITE, Fraction(1, 2), (2,))
+    assert {k: v.hex() for k, v in flow.items()} == {
+        k: v.hex() for k, v in flow_monomial(diffops.HERMITE, 0.5, (2,)).items()}
+    assert flow == pytest.approx({(2,): math.exp(-1), (): -math.expm1(-1)}, rel=1e-15)
+    assert flow_monomial(diffops.EULER, 1, (3,)) == pytest.approx({(3,): math.exp(3)}, rel=1e-15)
+    out = exp_graded(diffops.HERMITE, Fraction(1, 2), X1 ** 2)
+    assert out.mode == "float" and out == exp_graded(diffops.HERMITE, 0.5, X1 ** 2)
 
 
 def test_flow_tables_stay_bounded_under_concurrent_threads():
