@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .measures import MeasureSpec
-from .polyalg import CxPoly, RealPoly, _integer_form, _rational, mono_degree
+from .polyalg import CxPoly, RealPoly, _EvalPlan, _integer_form, _rational, mono_degree
 
 N_SUBSTREAMS = 16
 # samples drawn per numpy call within a substream
@@ -60,15 +60,28 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     mean, sum of squared deviations), merged in substream order by the
     pairwise update of Chan, Golub & LeVeque (1979), so the standard error
     does not cancel when the mean is large against the spread.
+
+    Memory is one workspace per call, reused by every substream and chunk:
+    k + 2 float rows (coordinates, squared length, values) of c points,
+    c = min(MC_CHUNK, largest substream count), plus the rows of p's
+    evaluation plan (its monomial table and the powers that are not table
+    rows) for one block of at most c points.  The draws go straight into
+    the workspace, in the order and with the bits numpy's own allocating
+    calls give, and nothing is allocated per chunk, so the peak does not
+    grow with samples once c reaches MC_CHUNK.
     """
     MeasureSpec.sphere(n).check(p)
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1000:
+        raise ValueError(f"samples must be an integer >= 1000, got {samples!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"the Monte Carlo seed must be an integer >= 0, got {seed!r}")
     k = max(p.width(), 1)
     per = [samples // N_SUBSTREAMS] * N_SUBSTREAMS
     per[-1] += samples - sum(per)
+    plan = _EvalPlan(p)
+    cap = min(MC_CHUNK, per[-1])
+    draws = np.empty((k + 2) * cap)
+    work = plan.workspace(cap)
 
     substreams = []
     # child idx carries spawn_key (idx,): the stream of SeedSequence(seed, spawn_key=(idx,))
@@ -78,12 +91,18 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
         parts = []
         for start in range(0, count, MC_CHUNK):
             size = min(MC_CHUNK, count - start)
-            x = rng.standard_normal((k, size))
-            radius2 = np.einsum("ij,ij->j", x, x)
+            block = draws[:(k + 2) * size].reshape(k + 2, size)
+            x, radius2, vals = block[:k], block[k], block[k + 1]
+            rng.standard_normal(out=x)
+            np.einsum("ij,ij->j", x, x, out=radius2)
             if n > k:
-                radius2 += rng.chisquare(n - k, size)
-            x *= np.sqrt(n / radius2)
-            vals = p.eval_array(x.T)
+                # numpy's chisquare(df) is 2 * standard_gamma(df / 2), draw for draw
+                rng.standard_gamma((n - k) / 2, out=vals)
+                vals *= 2.0
+                radius2 += vals
+            np.divide(n, radius2, out=radius2)
+            x *= np.sqrt(radius2, out=radius2)
+            plan.run(x, vals, work)
             mean = float(vals.mean())
             vals -= mean
             parts.append((size, mean, float(np.square(vals, out=vals).sum())))

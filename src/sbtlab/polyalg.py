@@ -51,8 +51,8 @@ FLOAT = "float"
 
 _MODES = (EXACT, FLOAT)
 
-# bytes of monomial tables per block of eval_array's points: the block holds
-# as many points as fit, so memory does not grow with the number of points
+# bytes of monomial tables per block of points an _EvalPlan evaluates: the block
+# holds as many points as fit, so memory does not grow with the number of points
 EVAL_BLOCK_BYTES = 640 << 10
 
 
@@ -455,38 +455,20 @@ class _Poly:
         return total
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (n, k) array of sample points.
+        """Vectorized evaluation on an (n, k) array of sample points, k >= width.
 
-        Each distinct monomial of each part is one row of a (monomials x
-        points) table, and the coefficients form one array with an axis per
-        part.  The value contracts the coefficients with the tables: c @ X
-        for one part, sum_a A_a * (C @ B)_a for two, so |p|^2 of a 10-term p
-        costs 20 rows and a 10 x 10 product, not 100 terms.  Points go in
-        blocks whose tables take about EVAL_BLOCK_BYTES, so memory does not
-        grow with n.
+        Runs the polynomial's ``_EvalPlan`` with a workspace of its own, so
+        memory does not grow with n.
         """
-        dtype = self._float
-        x = np.asarray(x, dtype=dtype)
-        monos = [{} for _ in self._names]
-        places = [
-            tuple(seen.setdefault(mono, len(seen)) for seen, mono in zip(monos, self._parts(key)))
-            for key in self.terms
-        ]
-        coeffs = np.zeros([len(seen) for seen in monos], dtype=dtype)
-        for place, c in zip(places, self.terms.values()):
-            coeffs[place] = dtype(c)
-        out = np.empty(x.shape[0], dtype=dtype)
-        rows = max(sum(map(len, monos)), 1)
-        step = max(1, EVAL_BLOCK_BYTES // (rows * x.itemsize))
-        for start in range(0, x.shape[0], step):
-            block = x[start:start + step]
-            # a second part reads the conjugate point
-            tables = [_Powers(block.conjugate() if side else block).table(seen)
-                      for side, seen in enumerate(monos)]
-            value = coeffs @ tables[-1]
-            for table in tables[-2::-1]:
-                value = np.multiply(value, table, out=value).sum(axis=-2)
-            out[start:start + step] = value
+        x = np.asarray(x, dtype=self._float)
+        width = self.width()
+        if x.ndim != 2:
+            raise ValueError(f"need an (n, {width}) array of points, got shape {x.shape}")
+        if x.shape[1] < width:
+            raise ValueError(f"need {width} coordinates, got {x.shape[1]}")
+        plan = _EvalPlan(self)
+        out = np.empty(x.shape[0], dtype=self._float)
+        plan.run(x.T, out, plan.workspace(len(out)))
         return out
 
     # -- conversions, comparisons and printing
@@ -536,38 +518,107 @@ class _Poly:
         return cls(terms, EXACT if exact else FLOAT)
 
 
-class _Powers(dict):
-    """Column powers by (j, e) of one block of points, each computed once.
+class _EvalPlan:
+    """How ``eval_array`` evaluates one polynomial: built once, run on any points.
 
-    Power e is power e - 1 times column j, one multiply each, so power e
-    carries e - 1 roundings: numpy sends ``column ** e`` for e >= 3 to libm
-    ``pow``, some fifty times slower.
+    Each distinct monomial of each part is one row of a (monomials x points)
+    table, and the coefficients form one array with an axis per part.  The
+    value contracts the coefficients with the tables: c @ X for one part,
+    sum_a A_a * (C @ B)_a for two, so |p|^2 of a 10-term p costs 20 rows and
+    a 10 x 10 product, not 100 terms.  A second part reads the conjugate
+    point.
+
+    Power e of a coordinate is power e - 1 times the coordinate, one multiply
+    each, so it carries e - 1 roundings: numpy sends ``column ** e`` for
+    e >= 3 to libm ``pow``, some fifty times slower.  A power that is itself
+    a monomial of the table is computed in its table row; the others take
+    rows of their own.
+
+    Points go in blocks of ``step``, whose tables take about
+    EVAL_BLOCK_BYTES.  A block writes conjugates, powers, tables and the
+    two-part product into ``rows`` rows of a workspace the caller owns
+    (``workspace``), so a caller can reuse one for every call; the plan
+    holds no buffer.
     """
 
-    def __init__(self, points: np.ndarray):
-        super().__init__()
-        self.points = points
+    def __init__(self, p: _Poly):
+        monos = [{} for _ in p._names]
+        places = [
+            tuple(seen.setdefault(mono, len(seen)) for seen, mono in zip(monos, p._parts(key)))
+            for key in p.terms
+        ]
+        self.dtype = np.dtype(p._float)
+        self.coeffs = np.zeros([len(seen) for seen in monos], dtype=self.dtype)
+        for place, c in zip(places, p.terms.values()):
+            self.coeffs[place] = p._float(c)
+        table_rows = max(sum(map(len, monos)), 1)
+        self.step = max(1, EVAL_BLOCK_BYTES // (table_rows * self.dtype.itemsize))
+        self.sides = []
+        rows = 0
+        for side, seen in enumerate(monos):
+            table = (rows, rows + len(seen))
+            rows = table[1]
+            at, products, top = {}, [], {}
+            for row, mono in enumerate(seen, start=table[0]):
+                factors = tuple((j, e) for j, e in enumerate(mono) if e)
+                for j, e in factors:
+                    top[j] = max(top.get(j, 1), e)
+                if len(factors) == 1 and factors[0][1] > 1:
+                    at[factors[0]] = row
+                else:
+                    products.append((row, factors))
+            columns = [(j, None) for j in sorted(top)]
+            if side:
+                # a second part reads conjugated coordinates, kept in rows of their own
+                columns = [(j, rows + i) for i, (j, _) in enumerate(columns)]
+                rows += len(columns)
+            powers = []
+            for j in sorted(top):
+                for e in range(2, top[j] + 1):
+                    if (j, e) not in at:
+                        at[j, e] = rows
+                        rows += 1
+                    powers.append((j, e, at[j, e]))
+            self.sides.append((table, columns, powers, products))
+        self.product = rows
+        if len(monos) == 2:
+            rows += len(monos[0])
+        self.rows = rows
 
-    def __missing__(self, key):
-        j, e = key
-        out = self.points[:, j] if e == 1 else self[j, e - 1] * self[j, 1]
-        self[key] = out
-        return out
+    def workspace(self, points: int) -> np.ndarray:
+        """A buffer for blocks of up to ``points`` points, reusable by any run of this plan."""
+        return np.empty(self.rows * min(points, self.step), dtype=self.dtype)
 
-    def table(self, monos) -> np.ndarray:
-        """One row per exponent tuple of ``monos``: the monomial at every point."""
-        out = np.empty((len(monos), len(self.points)), dtype=self.points.dtype)
-        for row, mono in zip(out, monos):
-            factors = [self[j, e] for j, e in enumerate(mono) if e]
-            if not factors:
-                row.fill(1)
-            elif len(factors) == 1:
-                row[:] = factors[0]
-            else:
-                np.multiply(factors[0], factors[1], out=row)
-                for factor in factors[2:]:
-                    row *= factor
-        return out
+    def run(self, cols, out: np.ndarray, work: np.ndarray) -> None:
+        """Write the polynomial at the points whose coordinate j is cols[j] into out."""
+        for start in range(0, len(out), self.step):
+            size = min(self.step, len(out) - start)
+            self._block([c[start:start + size] for c in cols], out[start:start + size],
+                        work[:self.rows * size].reshape(self.rows, size))
+
+    def _block(self, cols, out, work) -> None:
+        tables = []
+        for (start, stop), columns, powers, products in self.sides:
+            at = {(j, 1): cols[j] if row is None else np.conjugate(cols[j], out=work[row])
+                  for j, row in columns}
+            for j, e, row in powers:
+                at[j, e] = np.multiply(at[j, e - 1], at[j, 1], out=work[row])
+            for row, factors in products:
+                dst = work[row]
+                if not factors:
+                    dst.fill(1)
+                elif len(factors) == 1:
+                    dst[:] = at[factors[0]]
+                else:
+                    np.multiply(at[factors[0]], at[factors[1]], out=dst)
+                    for factor in factors[2:]:
+                        dst *= at[factor]
+            tables.append(work[start:stop])
+        if len(tables) == 1:
+            np.matmul(self.coeffs, tables[0], out=out)
+        else:
+            value = np.matmul(self.coeffs, tables[1], out=work[self.product:])
+            np.multiply(value, tables[0], out=value).sum(axis=0, out=out)
 
 
 def _width(p: _Poly) -> int:

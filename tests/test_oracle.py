@@ -1,10 +1,13 @@
 import math
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from sbtlab import oracle
 from sbtlab.diffops import DimensionError
 from sbtlab.measures import (
     MeasureSpec,
@@ -14,18 +17,21 @@ from sbtlab.measures import (
     xi_moment,
 )
 from sbtlab.oracle import (
+    MC_CHUNK,
+    N_SUBSTREAMS,
     InsufficientOrderError,
     isserlis_moment,
     mc_sphere_moment,
     quad_gauss_moment,
 )
-from sbtlab.polyalg import CxPoly, RealPoly, holomorphic_extend
+from sbtlab.polyalg import CxPoly, RealPoly, _EvalPlan, holomorphic_extend
 from sbtlab.suite import random_real_poly
 
 from conftest import seeded_rng
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
+X3 = RealPoly.variable(2)
 A1 = CxPoly.a(0)
 ABAR1 = CxPoly.abar(0)
 
@@ -154,14 +160,70 @@ def test_mc_deterministic_given_seed():
     assert c.value != a.value
 
 
+# ten monomials of degrees 8, 8, 7, 6, 5, 4, 3, 2, 2, 1 in five variables,
+# shaped like the flat-oracle benchmark's inputs
+FLAT_K5 = RealPoly({
+    (3, 1, 2, 2): Fraction(-1, 3), (2, 1, 0, 1, 4): -1, (2, 0, 1, 1, 3): Fraction(2, 3),
+    (0, 2, 2, 1, 1): 1, (2, 0, 0, 1, 2): 3, (2, 1, 0, 0, 1): 2, (0, 0, 0, 2, 1): Fraction(1, 2),
+    (0, 0, 0, 0, 2): Fraction(3, 2), (1, 0, 0, 1): Fraction(1, 2), (0, 1): Fraction(-3, 2),
+})
+
+
 @pytest.mark.parametrize("p, n, samples, seed, value, std_error", [
     (X1 ** 2 * X2 ** 2, 15, 40_000, 5, "0x1.bdaf378eb4a1fp-1", "0x1.33c5c2a385e2ap-7"),
     # the input of verify's mc-vs-sphere check at its default seed
     (X1 ** 4, 50, 200_000, 7, "0x1.720547d1d2ce9p+1", "0x1.3e78cda2d374fp-6"),
-], ids=["x1^2*x2^2", "verify"])
+    (FLAT_K5, 17, 100_000, 11, "0x1.91705769551d5p+0", "0x1.bbad4da892cecp-6"),
+    # the last substream takes the remainder: 2500 samples each, 2503 in the last
+    (X1 ** 2 * X2 ** 2 - 3 * X2, 15, 40_003, 9, "0x1.c4d622677af2ep-1", "0x1.26c856c96ee72p-6"),
+    # n = k draws no chi-square
+    (X1 ** 2 * X2 + X3 ** 4, 3, 20_000, 4, "0x1.cd0988dde85dcp+0", "0x1.27d5a6ff6576bp-6"),
+    # every substream runs a full MC_CHUNK and a short second chunk
+    (X1 ** 3 - 2 * X1, 6, 16 * MC_CHUNK + 37, 2, "-0x1.684ccebbadb17p-13",
+     "0x1.523f9dded289ap-10"),
+], ids=["x1^2*x2^2", "verify", "flat-k5", "remainder", "n=k", "two-chunks"])
 def test_mc_estimates_are_pinned(p, n, samples, seed, value, std_error):
     est = mc_sphere_moment(p, n, samples=samples, seed=seed)
     assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
+
+
+def test_mc_concurrent_calls_keep_their_bits():
+    # each call owns its workspace, so calls on other threads cannot touch it
+    args = [(FLAT_K5, 17, 100_000, 11), (X1 ** 2 * X2 ** 2 - 3 * X2, 15, 40_003, 9)] * 2
+    alone = [mc_sphere_moment(p, n, samples=s, seed=seed) for p, n, s, seed in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            together = list(pool.map(
+                lambda a: mc_sphere_moment(a[0], a[1], samples=a[2], seed=a[3]), args))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
+
+
+def _mc_peak(p, n, samples) -> int:
+    tracemalloc.start()
+    try:
+        mc_sphere_moment(p, n, samples=samples, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_peak_memory_is_one_workspace(monkeypatch):
+    # k + 2 rows of draws for c points, c = min(MC_CHUNK, largest substream),
+    # and the evaluation plan's rows for one block of at most c points
+    p, n, k = FLAT_K5, 17, 5
+    plan = _EvalPlan(p)
+    mc_sphere_moment(p, n, samples=1000)
+    for samples in (10 ** 5, 10 ** 6):
+        cap = min(MC_CHUNK, samples // N_SUBSTREAMS + samples % N_SUBSTREAMS)
+        workspace = ((k + 2) * cap + plan.rows * min(cap, plan.step)) * 8
+        assert _mc_peak(p, n, samples) <= workspace + (64 << 10)
+    # once c is MC_CHUNK the peak does not grow with the sample count
+    monkeypatch.setattr(oracle, "MC_CHUNK", 2048)
+    assert _mc_peak(p, n, 10 ** 6) <= _mc_peak(p, n, 10 ** 5) + (16 << 10)
 
 
 def test_mc_starts_no_threads(monkeypatch):
@@ -184,6 +246,12 @@ def test_mc_standard_error_does_not_cancel_for_large_values():
 def test_mc_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         mc_sphere_moment(X1, 5, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("samples", [100_000.0, True, None, "1000"])
+def test_mc_rejects_a_non_integer_sample_count(samples):
+    with pytest.raises(ValueError, match="samples must be an integer >= 1000"):
+        mc_sphere_moment(X1, 5, samples=samples, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None, True])

@@ -142,6 +142,17 @@ def test_evaluate_needs_enough_coordinates():
         (X1 * X2).evaluate([1.0])
 
 
+@pytest.mark.parametrize("pts, message", [
+    (np.ones((4, 2)), "need 3 coordinates, got 2"),
+    (np.ones(3), r"need an \(n, 3\) array of points, got shape \(3,\)"),
+    (np.ones((2, 4, 3)), r"need an \(n, 3\) array of points, got shape \(2, 4, 3\)"),
+], ids=["two-columns", "1-d", "3-d"])
+def test_eval_array_needs_an_array_of_points_with_enough_coordinates(pts, message):
+    for p in (X1 * X2 + RealPoly.variable(2), A1 * ABAR2 + CxPoly.a(2)):
+        with pytest.raises(ValueError, match=message):
+            p.eval_array(pts)
+
+
 def _gauss(z) -> GaussianRational:
     z = complex(z)
     return GaussianRational(Fraction(z.real), Fraction(z.imag))
