@@ -5,13 +5,13 @@ variables of lambda_g(m_g) + c_g * Lap_g, where m_g is a monomial's degree
 in the group's variables, lambda_g(m) = a2*m^2 + a1*m and Lap_g is the
 group's Laplacian.  The named operators (``LAPLACIAN``, ``EULER``,
 ``HERMITE``, ``G_K`` and the ``*_op`` constructors) write their groups once;
-``apply`` is their exact action on ``RealPoly`` or ``CxPoly`` and the
-semigroup module flows the same groups.  ``basis_keys`` lists the monomials
-of the k-variable polynomials of degree at most l, ordered by total degree
-then lexicographically, for the checks that run over a whole graded basis.
-Each operator keeps or lowers the degree: its degree-preserving part scales
-a monomial by the sum of its groups' lambda_g(m_g), and each Laplacian
-lowers the degree by two.
+``apply`` is their action on ``RealPoly`` or ``CxPoly``, summed in integers
+and rounded once for float input, and the semigroup module flows the same
+groups.  ``basis_keys`` lists the monomials of the k-variable polynomials of
+degree at most l, ordered by total degree then lexicographically, for the
+checks that run over a whole graded basis.  Each operator keeps or lowers
+the degree: its degree-preserving part scales a monomial by the sum of its
+groups' lambda_g(m_g), and each Laplacian lowers the degree by two.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .polyalg import FLOAT, CxPoly, RealPoly, _integer_form, _nonzero, _rational, mono_degree, trim
+from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, _integer_form, _rational, mono_degree, trim
 
 
 class DimensionError(ValueError):
@@ -180,34 +180,26 @@ class GroupGenerator:
     __rmul__ = __mul__
 
     def apply(self, p):
-        """The generator's action on a polynomial.
+        """The generator's action on a polynomial, summed in integers (``_integer_action``).
 
-        Exact for exact p and rational group coefficients: p's integer form
-        and the group coefficients, over one common denominator, are summed
-        as integers and each output coefficient is built once.  A float
-        coefficient gives a float-mode result, as ``exp_graded`` does.
+        Exact p and rational group coefficients give an exact result.  A float
+        p or group coefficient gives a float-mode result, as ``exp_graded``
+        does: the exact action on the binary values, each part rounded once.
         """
         form = self._integer_action(p)
-        if form is not None:
-            return p._from_integer_form(*form)
-        p = p.to_float()
-        return p._trusted(_nonzero(self._act(p.terms, self._scalars())), FLOAT)
-
-    def _scalars(self) -> list:
-        return [(g.a2, g.a1, g.c) for g in self.groups]
+        exact = p.mode == EXACT and all(_rational(*g[2:]) for g in self.groups)  # a2, a1, c
+        return p._from_integer_form(*form, EXACT if exact else FLOAT)
 
     def _integer_action(self, p):
-        """The integer form (nums, den) of ``apply(p)`` when it is exact, else None.
+        """The integer form (nums, den) of the exact action on p, before any rounding.
 
-        Checks p's domain; builds no polynomial, so a caller that only reads
-        the integers (``polyalg._integer_distance``) makes no Fraction.
+        Float coefficients are read at their binary values.  Checks p's
+        domain; builds no polynomial, so a caller that only reads the
+        integers (``polyalg._integer_distance``) makes no Fraction.
         """
         self.check_domain(p)
-        scalars = self._scalars()
-        if p.mode == FLOAT or not _rational(*(v for row in scalars for v in row)):
-            return None
         nums, den = _integer_form(p)
-        ratios = [[v.as_integer_ratio() for v in row] for row in scalars]
+        ratios = [[v.as_integer_ratio() for v in g[2:]] for g in self.groups]  # a2, a1, c
         common = math.lcm(*(d for row in ratios for _, d in row))
         scalars = [tuple(a * (common // b) for a, b in row) for row in ratios]
         if isinstance(p, RealPoly):

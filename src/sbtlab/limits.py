@@ -93,17 +93,13 @@ class ConvergenceTable:
 def laplacian_limit(p: RealPoly, ns=DEFAULT_N_GRID) -> ConvergenceTable:
     """Coefficient distance between the sphere Laplacian of p and its limit.
 
-    For exact p the distances are read from the integer forms of the two
-    actions, and no output polynomial is built.
+    The distances are read from the integer forms of the two exact actions,
+    a float p at its binary values, and rounded once; no output polynomial
+    is built.
     """
     reference = diffops.HERMITE._integer_action(p)
-    if reference is None:
-        reference = diffops.HERMITE.apply(p)
-        errors = [float(coeff_distance(diffops.spherical_laplacian_op(n).apply(p), reference))
-                  for n in ns]
-    else:
-        errors = [float(_integer_distance(diffops.spherical_laplacian_op(n)._integer_action(p),
-                                          reference, True)) for n in ns]
+    errors = [float(_integer_distance(diffops.spherical_laplacian_op(n)._integer_action(p),
+                                      reference, True)) for n in ns]
     return ConvergenceTable(
         quantity="laplacian-to-hermite",
         ns=tuple(ns),

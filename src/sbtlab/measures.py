@@ -17,10 +17,11 @@ parameter on construction and each integrand in ``check``, and supplies the
 numbers the routines read.  ``moment(spec, q)`` and ``norm2(spec, f)``, the
 squared L2 norm as a bilinear form over f's own terms, share one routine per
 measure kind; the per-family functions build a spec and call ``moment``.
-Every moment and norm is one bilinear form of coefficient dicts, read at
-their exact binary rationals, summed in integers by degree and divided once
-(``_flow_form``; a real norm keeps f's pair sums in its memo).  A real
-moment is the form of q with the constant 1: pairing counts
+Every moment and norm is one bilinear form of integer forms, coefficients
+read at their exact binary rationals, summed in integers by degree and
+divided once (``_flow_form``; a real moment reads q's memoized integer form,
+a real norm keeps f's pair sums in its memo).  A real moment is the form of
+q with the constant 1: pairing counts
 prod_i (alpha_i - 1)!! weighted by one cached integer table N_m / D per
 (t or n, top half-degree), which keeps the convergence experiments accurate
 at n = 10^4 and beyond.  A complex moment or norm is the form of two flows
@@ -287,21 +288,16 @@ def _form_sums(spec: MeasureSpec, nums: dict, other: dict) -> dict:
 
 
 def _flow_form(spec: MeasureSpec, pairs, exact: bool = False):
-    """sum B(u, v) over the pairs (u, v) of coefficient dicts, summed in integers, rounded once.
+    """sum B(u, v) over the pairs (u, v) of integer forms (nums, den), rounded once.
 
-    B is the family's real bilinear form (``_form_sums``).  Each dict is read
-    at its exact binary rationals, the pairs' sums go over one denominator,
-    and ``_radial_sum`` divides once; ``exact`` returns the Fraction.  A
-    pair (u, u) visits each unordered pair of u's terms once.
+    B is the family's real bilinear form (``_form_sums``).  The pairs' sums
+    go over one denominator and ``_radial_sum`` divides once; ``exact``
+    returns the Fraction.  A pair (u, u) visits each unordered pair of u's
+    terms once.
     """
     sums: dict = {}
     den = 1
-    for u, v in pairs:
-        if v is not u and spec.family in ("xi", "gamma"):
-            # the Hermite form is diagonal: only the keys u shares with v count
-            u = {k: u[k] for k in v if k in u}
-        nums, d = _ratio_form(u)
-        other, e = (nums, d) if v is u else _ratio_form(v)
+    for (nums, d), (other, e) in pairs:
         part = _form_sums(spec, nums, other)
         if sums:  # both over the denominator den * d * e
             sums = {m: sums.get(m, 0) * d * e + part.get(m, 0) * den
@@ -338,15 +334,14 @@ def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
     return re, im
 
 
-def _complex_moment(spec: MeasureSpec, q: CxPoly):
+def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
     """sum of the forms <y_beta, F x^beta> over q's abar-monomials beta.
 
     y_beta = sum_alpha c_{alpha beta} F x^alpha gathers the terms that share
     beta, so each group is one form of two flows, Re and Im each summed
-    exactly and rounded once.  Exact q under a rational spec flows exactly
-    and returns the exact GaussianRational.
+    exactly and rounded once.  ``exact`` (exact q under a rational spec)
+    flows exactly and returns the exact GaussianRational.
     """
-    exact = q.mode == EXACT and spec.rational
     by_abar: dict = {}
     for (alpha, beta), c in q.terms.items():
         group = by_abar.setdefault(beta, [])  # the groups' order is the order of their sum
@@ -358,9 +353,13 @@ def _complex_moment(spec: MeasureSpec, q: CxPoly):
     total = [0, 0]
     for beta, terms in by_abar.items():
         x_beta = _backward_flow(spec, [(beta, one)], exact)[0]
+        other = _ratio_form(x_beta)
         for i, part in enumerate(_backward_flow(spec, terms, exact)):
             if part:
-                total[i] += _flow_form(spec, [(part, x_beta)], exact)
+                if spec.family != "quadric":
+                    # the Hermite form is diagonal: only the keys part shares with x_beta count
+                    part = {k: part[k] for k in x_beta if k in part}
+                total[i] += _flow_form(spec, [(_ratio_form(part), other)], exact)
     return GaussianRational(*total) if exact else _finite(complex(*total))
 
 
@@ -377,9 +376,10 @@ def _finite(value):
 def moment(spec: MeasureSpec, q):
     """Integral of q against spec's measure: for gauss and sphere the form of q with 1."""
     spec.check(q)
+    exact = q.mode == EXACT and spec.rational
     if spec.family in _REAL:
-        return _flow_form(spec, [(q.terms, {(): 1})], q.mode == EXACT and spec.rational)
-    return _complex_moment(spec, q)
+        return _flow_form(spec, [(_integer_form(q), ({(): 1}, 1))], exact)
+    return _complex_moment(spec, q, exact)
 
 
 def norm2(spec: MeasureSpec, f) -> float:
@@ -408,12 +408,12 @@ def norm2(spec: MeasureSpec, f) -> float:
     if not f.is_holomorphic():
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
     exact = f.mode == EXACT and spec.rational
-    re, im = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
+    flows = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
+    forms = [_ratio_form(part) for part in flows if part]
     if spec.family != "quadric":
-        return _flow_form(spec, [(part, part) for part in (re, im) if part])
+        return _flow_form(spec, [(form, form) for form in forms])
     # Re y and Im y are two real sphere norms, each rounded once
-    value = _flow_form(spec, [(re, re)])
-    return _finite(value + _flow_form(spec, [(im, im)]) if im else value)
+    return _finite(sum((_flow_form(spec, [(form, form)]) for form in forms), 0.0))
 
 
 def gaussian_moment(p: RealPoly, t):

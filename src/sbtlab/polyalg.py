@@ -27,22 +27,29 @@ memo takes no part in equality, printing or JSON; threads that race on it
 store equal values.
 
 The integer form (``_integer_form``) is the polynomial over one common
-denominator: ({key: numerator}, den) for a ``RealPoly`` (a float one reads
-as the exact binary rational of each coefficient), ({key: (re, im)}, den)
-for an exact ``CxPoly``.  Exact products, operator actions
-(``diffops.GroupGenerator.apply``), distances, moments and pair counts run
-on these integers and build each output ``Fraction`` once, instead of once
-per product and once per sum; an exact product or operator action keeps
-its own integer form in its memo, so what reads it next does not convert
-again.  ``den`` is a common denominator, not always the least one.
+denominator: ({key: numerator}, den) for a ``RealPoly``, ({key: (re, im)},
+den) for a ``CxPoly``; a float coefficient reads as its exact binary
+rational.  Products, operator actions (``diffops.GroupGenerator.apply``),
+distances, moments and pair counts run on these integers in either mode.
+An exact result builds each output ``Fraction`` once, instead of once per
+product and once per sum, and keeps its own integer form in its memo, so
+what reads it next does not convert again.  ``den`` is a common
+denominator, not always the least one.
+
+One float rule: a float result is the exact result on the binary values
+of its inputs, rounded once per coefficient part (``_from_integer_form``),
+so it does not depend on the order of a sum.  Graded flows
+(``semigroup.exp_graded``) still sum their float weights in floats: with
+flows on integer numerators a warm sphere unitarity report took 97 us, not 55.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add as _add
+from operator import add as _add, truediv
 
 import numpy as np
 
@@ -130,7 +137,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a value equal to an int or a Fraction hashes as one, as a complex does
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __add__(self, other):
         other = _as_gaussian(other)
@@ -211,7 +219,7 @@ def _real_coeff(value, mode):
             return Fraction(value)
         raise ModeMismatchError(f"exact mode rejects coefficient {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(float(value))
     raise ModeMismatchError(f"float mode rejects coefficient {value!r}")
 
 
@@ -223,8 +231,15 @@ def _cx_coeff(value, mode):
             raise ModeMismatchError(f"exact mode rejects coefficient {value!r}")
         return g
     if isinstance(value, (int, float, complex)):
-        return complex(value)
+        return _finite(complex(value))
     raise ModeMismatchError(f"float mode rejects coefficient {value!r}")
+
+
+def _finite(c):
+    # a float coefficient is read at its binary rational, which inf and nan do not have
+    if not cmath.isfinite(c):
+        raise ValueError(f"coefficients must be finite, got {c!r}")
+    return c
 
 
 def _check_modes(p, q):
@@ -291,12 +306,18 @@ class _Poly:
         return p
 
     @classmethod
-    def _from_integer_form(cls, nums: dict, den: int):
-        """The exact polynomial nums / den, with (nums, den) kept as its integer form.
+    def _from_integer_form(cls, nums: dict, den: int, mode=EXACT):
+        """The polynomial nums / den in the given mode; nums holds no zero and den > 0.
 
-        nums holds no zero numerator and den > 0; each coefficient is one
-        ``Fraction`` per part, built here.
+        An exact one builds one ``Fraction`` per part and keeps (nums, den) as
+        its integer form.  Every float coefficient computed from integers is
+        rounded here: one correctly rounded int / int division per part, and
+        a coefficient that underflows to zero is dropped.
         """
+        if mode == FLOAT:
+            rounded = cls._rounded
+            return cls._trusted(_nonzero({key: rounded(v, den) for key, v in nums.items()}),
+                                FLOAT)
         ratio = cls._ratio
         p = cls._trusted({key: ratio(v, den) for key, v in nums.items()}, EXACT)
         object.__setattr__(p, "_memo", {"integer": (nums, den)})
@@ -376,14 +397,9 @@ class _Poly:
         if type(other) is not type(self):
             return NotImplemented
         _check_modes(self, other)
-        if self.mode == EXACT:
-            (nums, den), (other_nums, other_den) = _integer_form(self), _integer_form(other)
-            return self._from_integer_form(
-                self._numerator_product(nums, other_nums, self._key_mul), den * other_den
-            )
-        # float coefficients of either family multiply as numbers, as real numerators do
-        return self._trusted(
-            _real_numerator_product(self.terms, other.terms, self._key_mul), self.mode
+        (nums, den), (other_nums, other_den) = _integer_form(self), _integer_form(other)
+        return self._from_integer_form(
+            self._numerator_product(nums, other_nums, self._key_mul), den * other_den, self.mode
         )
 
     def __rmul__(self, other):
@@ -643,17 +659,19 @@ def _ratio_form(coeffs: dict) -> tuple:
 def _integer_image(p: _Poly) -> tuple:
     if not isinstance(p, CxPoly):
         return _ratio_form(p.terms)
-    ratios = [(c.re.as_integer_ratio(), c.im.as_integer_ratio()) for c in p.terms.values()]
+    values = ((c.re, c.im) for c in p.terms.values()) if p.mode == EXACT else \
+        ((c.real, c.imag) for c in p.terms.values())
+    ratios = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in values]
     den = math.lcm(*(d for parts in ratios for _, d in parts))
     nums = [(a * (den // b), c * (den // d)) for (a, b), (c, d) in ratios]
     return dict(zip(p.terms, nums)), den
 
 
 def _real_numerator_product(nums: dict, other: dict, key_mul) -> dict:
-    """The terms of the product of two {key: number} maps, a zero sum dropped.
+    """The integer numerators of the product of two real integer forms, a zero sum dropped.
 
-    The integer numerators of a real exact product, or the coefficients of a
-    float product of either family.
+    Exact and float products alike; a float one is then rounded once
+    (``_from_integer_form``), so its bits do not depend on the order of the sum.
     """
     terms = {}
     for k1, n1 in nums.items():
@@ -684,11 +702,11 @@ def _gaussian_numerator_product(nums: dict, other: dict, key_mul) -> dict:
 
 
 def _float_image(p: _Poly) -> _Poly:
-    return p._trusted(_nonzero({key: p._float(c) for key, c in p.terms.items()}), FLOAT)
+    return p._from_integer_form(*_integer_form(p), FLOAT)
 
 
 def _nonzero(terms: dict) -> dict:
-    # float products and conversions can underflow to zero
+    # float results can underflow to zero
     return {key: c for key, c in terms.items() if c}
 
 
@@ -708,6 +726,7 @@ class RealPoly(_Poly):
     _float = float
     _coeff = staticmethod(_real_coeff)
     _ratio = staticmethod(Fraction)
+    _rounded = staticmethod(truediv)
     _numerator_product = staticmethod(_real_numerator_product)
     _value = staticmethod(lambda z: z)
     _parts = staticmethod(lambda alpha: (alpha,))
@@ -738,6 +757,7 @@ class CxPoly(_Poly):
     _ratio = staticmethod(
         lambda num, den: GaussianRational._of(Fraction(num[0], den), Fraction(num[1], den))
     )
+    _rounded = staticmethod(lambda num, den: complex(num[0] / den, num[1] / den))
     _numerator_product = staticmethod(_gaussian_numerator_product)
     _value = complex
     _parts = staticmethod(lambda key: key)
@@ -785,28 +805,21 @@ def holomorphic_extend(p: RealPoly) -> CxPoly:
 
 
 def coeff_distance(p, q):
-    """Largest modulus of a coefficient difference.
+    """Largest modulus of a coefficient difference, found in the two integer forms.
 
-    Exact operands give an exact ``Fraction``, found among the integer
-    numerators of their integer forms over the product of the two
-    denominators; for complexified ones that holds when every gap is real,
-    and otherwise the largest exact squared modulus is rounded once before
-    its square root.
+    An exact ``Fraction`` for exact operands: complexified ones when every gap
+    is real, or else the exact largest squared modulus rounded once before its
+    square root.  A float operand is read at its binary values and the exact
+    distance rounded once to a float.
     """
     if type(p) is not type(q):
         raise TypeError("cannot compare polynomials of different families")
-    if p.mode == EXACT and q.mode == EXACT:
-        return _integer_distance(_integer_form(p), _integer_form(q), isinstance(p, RealPoly))
-    pf = p.to_float()
-    qf = q.to_float()
-    return max(
-        (abs(pf.terms.get(k, 0) - qf.terms.get(k, 0)) for k in set(p.terms) | set(q.terms)),
-        default=0.0,
-    )
+    d = _integer_distance(_integer_form(p), _integer_form(q), isinstance(p, RealPoly))
+    return d if p.mode == q.mode == EXACT else float(d)
 
 
 def _integer_distance(p_form: tuple, q_form: tuple, real: bool):
-    """``coeff_distance`` of two exact polynomials from their integer forms."""
+    """``coeff_distance`` of two polynomials from their integer forms, before any rounding."""
     (p_nums, p_den), (q_nums, q_den) = p_form, q_form
     keys = p_nums.keys() | q_nums.keys()
     den = p_den * q_den

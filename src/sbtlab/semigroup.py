@@ -249,16 +249,12 @@ class BCHReport:
 def _exp_product(gens, key) -> dict:
     """exp(g_1) exp(g_2) ... exp(g_r) of the monomial ``key`` as {key: coefficient}.
 
-    The last factor flows first, each by ``flow_monomial`` at time 1.
+    The last factor flows first, each by ``exp_graded`` at time 1.
     """
-    out = {key: 1.0}
+    q = gens[0].family({key: 1.0}, FLOAT)
     for gen in reversed(gens):
-        flowed = {}
-        for k0, v0 in out.items():
-            for beta, w in flow_monomial(gen, 1.0, k0).items():
-                flowed[beta] = flowed.get(beta, 0.0) + v0 * w
-        out = flowed
-    return out
+        q = exp_graded(gen, 1.0, q)
+    return q.terms
 
 
 def _worst(values) -> float:

@@ -3,7 +3,9 @@
 Products, operator actions, coefficient distances and pair-partition moments
 of exact polynomials run on each polynomial's memoized integer form, and the
 quadric squared norm sums its backward flow's binary rationals as integers;
-the references in conftest do the same sums one Fraction at a time.
+the references in conftest do the same sums one Fraction at a time.  Float
+products, actions and distances are the exact ones on the binary values,
+rounded once.
 """
 
 import math
@@ -60,6 +62,29 @@ def _items(p) -> list:
     return list(p.terms.items())
 
 
+def _bits(p) -> list:
+    """p's terms in order, each coefficient as the hex of its parts; exact ones as they are."""
+    if p.mode == EXACT:
+        return _items(p)
+    return [(key, (complex(c).real.hex(), complex(c).imag.hex())) for key, c in p.terms.items()]
+
+
+def _binary_values(p):
+    """The exact polynomial whose coefficients are the binary values of p's."""
+    if p.mode == EXACT:
+        return p
+    if isinstance(p, RealPoly):
+        return RealPoly({key: Fraction(c) for key, c in p.terms.items()})
+    return CxPoly({key: GaussianRational(c.real, c.imag) for key, c in p.terms.items()})
+
+
+def _exact_generator(gen):
+    """gen with every group coefficient read at its binary value."""
+    return diffops.GroupGenerator(tuple(
+        g._replace(a2=Fraction(g.a2), a1=Fraction(g.a1), c=Fraction(g.c)) for g in gen.groups
+    ), gen.n)
+
+
 def _assert_form_matches(p):
     # the memoized integer form is the polynomial's own coefficients
     nums, den = p._memo["integer"]
@@ -105,8 +130,60 @@ def test_every_named_operator_acts_as_the_fraction_reference(p, q):
         out = gen.apply(r)
         assert _items(out) == _items(fraction_apply(gen, r))
         _assert_form_matches(out)
-        # float mode keeps its own arithmetic, bit for bit
-        assert _items(gen.apply(r.to_float())) == _items(fraction_apply(gen, r.to_float()))
+        # float mode is the exact action on the binary values, rounded once, bit for bit
+        rf = r.to_float()
+        assert _bits(gen.apply(rf)) == _bits(fraction_apply(gen, _binary_values(rf)).to_float())
+
+
+# small and large magnitudes, so that sums cancel and products underflow to zero
+_FLOATS = (st.floats(-8, 8, allow_nan=False, allow_infinity=False).filter(bool)
+           | st.sampled_from([0.1, -0.7, 1e-200, -3e-170, 2.0 ** -1074]))
+_REAL_FLOAT_POLYS = st.dictionaries(_EXPONENTS, _FLOATS, max_size=6).map(
+    lambda terms: RealPoly(terms, FLOAT))
+_CX_FLOAT_POLYS = st.dictionaries(
+    st.tuples(_EXPONENTS, st.just(()) | _EXPONENTS),
+    st.builds(complex, _FLOATS, st.just(0.0) | _FLOATS), max_size=6,
+).map(lambda terms: CxPoly(terms, FLOAT))
+# generators with float coefficients, which act on exact input too
+_FLOAT_OPERATORS = {
+    RealPoly: [diffops.HERMITE * 0.3, diffops.spherical_laplacian_op(5) * 0.7,
+               diffops.g_uv_op(2) * 1.1],
+    CxPoly: [diffops.G_K * 0.6, diffops.gamma_n_op(7) * 0.1],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(_REAL_FLOAT_POLYS, _REAL_FLOAT_POLYS | _REAL_POLYS),
+                 st.tuples(_CX_FLOAT_POLYS, _CX_FLOAT_POLYS | _CX_POLYS)))
+@example((RealPoly({(1,): -0.8, (): -0.9}, FLOAT), RealPoly({(1,): 0.7, (): -0.1}, FLOAT)))
+def test_float_results_are_the_exact_results_on_the_binary_values_rounded_once(pair):
+    p, q = pair
+    exact_p, exact_q = _binary_values(p), _binary_values(q)
+    for left, right in ((p, q), (q, p), (p, exact_q)):
+        assert coeff_distance(left, right).hex() == float(coeff_distance(exact_p, exact_q)).hex()
+    if q.mode == FLOAT:
+        for left, right in ((p, q), (p, p), (q, -p)):
+            assert _bits(left * right) == _bits(
+                (_binary_values(left) * _binary_values(right)).to_float())
+    family = type(p)
+    operators = _REAL_OPERATORS if family is RealPoly else _CX_OPERATORS
+    for gen in operators + _FLOAT_OPERATORS[family]:
+        for r in (p, q):
+            want = _exact_generator(gen).apply(_binary_values(r))
+            out = gen.apply(r)
+            assert _bits(out) == _bits(want if out.mode == EXACT else want.to_float())
+    if family is RealPoly:
+        ns = (10, 1000)
+        assert [e.hex() for e in limits.laplacian_limit(p, ns).errors] == [
+            e.hex() for e in limits.laplacian_limit(exact_p, ns).errors]
+
+
+def test_a_float_product_rounds_each_coefficient_once():
+    x1 = RealPoly.variable(0, FLOAT)
+    product = (-0.8 * x1 - 0.9) * (0.7 * x1 - 0.1)
+    # -0.8 * -0.1 + -0.9 * 0.7 rounded once; two float products and a float
+    # sum give -0x1.199999999999ap-1
+    assert product.coefficient((1,)).hex() == "-0x1.1999999999999p-1"
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,11 +251,16 @@ def test_moments_of_a_product_read_its_integer_form(monkeypatch):
     image = polyalg._integer_image
     monkeypatch.setattr(polyalg, "_integer_image",
                         lambda r: converted.append(r is square) or image(r))
+    # nor do the forms rebuild numerators from the coefficients
+    for module in (polyalg, measures):
+        monkeypatch.setattr(module, "_ratio_form", lambda terms: converted.append("ratio form"))
     t = Fraction(3, 2)
-    assert measures.gaussian_moment(square, t) == oracle.isserlis_moment(square, t)
-    assert measures.sphere_moment(square, 9) == sum(
-        c * _sphere_monomial_moment(alpha, 9) for alpha, c in square.terms.items())
+    gauss, sphere = measures.gaussian_moment(square, t), measures.sphere_moment(square, 9)
     assert not any(converted)
+    monkeypatch.undo()
+    assert gauss == oracle.isserlis_moment(square, t)
+    assert sphere == sum(
+        c * _sphere_monomial_moment(alpha, 9) for alpha, c in square.terms.items())
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -197,19 +279,19 @@ def test_laplacian_limit_builds_no_output_polynomial(monkeypatch):
     reference = diffops.HERMITE.apply(p)
     expected = [float(coeff_distance(diffops.spherical_laplacian_op(n).apply(p), reference))
                 for n in ns]
+    q = p.to_float()
     built = []
     from_form = polyalg._Poly._from_integer_form.__func__
     monkeypatch.setattr(polyalg._Poly, "_from_integer_form",
                         classmethod(lambda cls, *form: built.append(cls) or from_form(cls, *form)))
     table = limits.laplacian_limit(RealPoly(dict(p.terms)), ns)
+    float_table = limits.laplacian_limit(q, ns)
     assert built == []
     assert table.errors == expected
     assert [e.hex() for e in table.values] == [e.hex() for e in expected]
-    # a float input keeps the float route
-    q = p.to_float()
-    assert limits.laplacian_limit(q, ns).errors == [
-        float(coeff_distance(diffops.spherical_laplacian_op(n).apply(q), diffops.HERMITE.apply(q)))
-        for n in ns]
+    # a float input is read at its binary values
+    assert [e.hex() for e in float_table.errors] == [
+        e.hex() for e in limits.laplacian_limit(_binary_values(q), ns).errors]
 
 
 _FLOAT_COMPLEX = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)

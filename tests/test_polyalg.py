@@ -274,6 +274,14 @@ def test_gaussian_rational_arithmetic_is_the_textbook_formula(g, other, n):
         assert (got.re, got.im) == want
 
 
+def test_gaussian_rational_hashes_as_the_number_it_equals():
+    for value in (1, Fraction(1, 2), Fraction(-7, 3), 0):
+        assert GaussianRational(value) == value
+        assert hash(GaussianRational(value)) == hash(value)
+    assert len({GaussianRational(1), 1}) == 1
+    assert len({GaussianRational(1, 1), GaussianRational(1), 1}) == 2
+
+
 def test_dilate_examples():
     assert (A1 ** 2).to_float().dilate(0.5) == (A1 ** 2).to_float().scale(0.25)
     q = A1 * ABAR1 + 2
@@ -421,6 +429,24 @@ def test_json_rows_mixing_exact_and_float_numbers_are_rejected():
         with pytest.raises(ValueError, match="num/den") as caught:
             read([exact_row, float_row])
         assert not isinstance(caught.value, ModeMismatchError)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_float_coefficients_are_rejected(bad):
+    for build in (lambda: RealPoly({(1,): 1.0, (): bad}, FLOAT),
+                  lambda: CxPoly({((1,), ()): complex(0.5, bad)}, FLOAT),
+                  lambda: CxPoly.constant(bad, FLOAT),
+                  lambda: X1.to_float().scale(bad),
+                  lambda: A1.to_float() * bad,
+                  lambda: X1.to_float() + bad,
+                  lambda: bad - A1.to_float()):
+        with pytest.raises(ValueError, match="coefficients must be finite, got .*(inf|nan)"):
+            build()
+    row = {"a_exponents": [1], "abar_exponents": [], "re": bad, "im": 0.0}
+    for read in (real_poly_from_json, cx_poly_from_json):
+        # JSON writes these as Infinity, -Infinity and NaN
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            read(json.loads(json.dumps([row])))
 
 
 def test_real_json_rows_reject_abar_exponents_and_imaginary_parts():

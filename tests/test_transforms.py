@@ -250,6 +250,12 @@ def test_unitarity_beyond_the_dense_basis(k, l, n):
             assert unitarity_report(p, tag).rel_error <= 1e-9
 
 
+@pytest.mark.xfail(reason="the sphere flow weights lose digits at degree 60")
+def test_sphere_unitarity_of_a_degree_60_monomial():
+    # ROADMAP item 2: the relative norm gap is 5.18e-8
+    assert unitarity_report(X1 ** 60, Sphere(5, 1.0)).rel_error <= 1e-9
+
+
 @pytest.mark.parametrize("build", [
     lambda: Sphere(1, 1.0), lambda: Sphere(2.5, 1.0), lambda: Sphere(5, -1.0),
     lambda: Sphere(5, math.nan), lambda: Limit(0), lambda: Limit(math.inf), lambda: Limit(800.0),
