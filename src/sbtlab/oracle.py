@@ -2,7 +2,7 @@
 
 Nothing here shares code with the analytic moment routes: sphere moments are
 re-estimated by Monte Carlo, from k Gaussian coordinates and one chi-square
-draw for the other n - k, in independent PCG64 substreams; Gaussian-family
+draw for the other n - k, one SFC64 stream per coordinate; Gaussian-family
 moments by tensorized Gauss-Hermite quadrature, as products of
 per-coordinate node moments; and real Gaussian moments by direct
 enumeration of pair partitions.
@@ -20,9 +20,11 @@ import numpy as np
 from .measures import MeasureSpec
 from .polyalg import CxPoly, RealPoly, _EvalPlan, _integer_form, _rational, mono_degree
 
-N_SUBSTREAMS = 16
-# samples drawn per numpy call within a substream
-MC_CHUNK = 1 << 16
+# points per cell: the estimate pools (count, mean, sum of squared deviations)
+# cell by cell, so the cell size is part of its definition
+MC_CELL = 1 << 10
+# points drawn per chunk, a multiple of MC_CELL: it sets the workspace, not the bits
+MC_CHUNK = 6 * MC_CELL
 
 
 class InsufficientOrderError(ValueError):
@@ -51,24 +53,27 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     vector g in n dimensions scaled to length sqrt(n), and the squared length
     of its other n - k coordinates is one chi-square draw with n - k degrees
     of freedom, so each sample costs k normals and one gamma variate, not n
-    normals.  Each coordinate is drawn as one contiguous row, so the squared
-    length adds k rows and every column the polynomial reads is contiguous.
+    normals.
 
-    Sampling is split into N_SUBSTREAMS independent PCG64 streams spawned
-    from SeedSequence(seed) and run in order on the calling thread, so the
-    estimate depends only on (samples, seed).  Each substream keeps (count,
-    mean, sum of squared deviations), merged in substream order by the
-    pairwise update of Chan, Golub & LeVeque (1979), so the standard error
-    does not cancel when the mean is large against the spread.
+    SeedSequence(seed).spawn(k + 1) gives k + 1 SFC64 streams: stream j
+    draws coordinate j of every point, in order, and stream k the
+    chi-square.  Points are drawn in chunks of MC_CHUNK, each chunk taking
+    the next draws of every stream, and every step after the draws treats a
+    point on its own in a fixed order (the evaluation plan's contraction
+    too), so the estimate depends only on (p, n, samples, seed): not on
+    MC_CHUNK or EVAL_BLOCK_BYTES.  The statistics are (count, mean, sum of
+    squared deviations) of cells of MC_CELL points, the last one short,
+    merged in order by the pairwise update of Chan, Golub & LeVeque (1979),
+    so the standard error does not cancel when the mean is large against
+    the spread.
 
-    Memory is one workspace per call, reused by every substream and chunk:
-    k + 2 float rows (coordinates, squared length, values) of c points,
-    c = min(MC_CHUNK, largest substream count), plus the rows of p's
-    evaluation plan (its monomial table and the powers that are not table
-    rows) for one block of at most c points.  The draws go straight into
-    the workspace, in the order and with the bits numpy's own allocating
-    calls give, and nothing is allocated per chunk, so the peak does not
-    grow with samples once c reaches MC_CHUNK.
+    Memory is one workspace per call, reused by every chunk: k + 2 float
+    rows (coordinates, squared length, values) of c = min(MC_CHUNK,
+    samples) points, plus the rows of p's evaluation plan (its monomial
+    table and the powers that are not table rows) for one block of at most
+    c points.  The draws go straight into the workspace and nothing of that
+    size is allocated per chunk, so the peak does not grow with samples
+    once c reaches MC_CHUNK.
     """
     MeasureSpec.sphere(n).check(p)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1000:
@@ -76,39 +81,52 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"the Monte Carlo seed must be an integer >= 0, got {seed!r}")
     k = max(p.width(), 1)
-    per = [samples // N_SUBSTREAMS] * N_SUBSTREAMS
-    per[-1] += samples - sum(per)
+    streams = [np.random.Generator(np.random.SFC64(child))
+               for child in np.random.SeedSequence(seed).spawn(k + 1)]
     plan = _EvalPlan(p)
-    cap = min(MC_CHUNK, per[-1])
+    cap = min(MC_CHUNK, samples)
     draws = np.empty((k + 2) * cap)
     work = plan.workspace(cap)
-
-    substreams = []
-    # child idx carries spawn_key (idx,): the stream of SeedSequence(seed, spawn_key=(idx,))
-    children = np.random.SeedSequence(seed).spawn(N_SUBSTREAMS)
-    for child, count in zip(children, per):
-        rng = np.random.Generator(np.random.PCG64(child))
-        parts = []
-        for start in range(0, count, MC_CHUNK):
-            size = min(MC_CHUNK, count - start)
-            block = draws[:(k + 2) * size].reshape(k + 2, size)
-            x, radius2, vals = block[:k], block[k], block[k + 1]
-            rng.standard_normal(out=x)
-            np.einsum("ij,ij->j", x, x, out=radius2)
-            if n > k:
-                # numpy's chisquare(df) is 2 * standard_gamma(df / 2), draw for draw
-                rng.standard_gamma((n - k) / 2, out=vals)
-                vals *= 2.0
-                radius2 += vals
-            np.divide(n, radius2, out=radius2)
-            x *= np.sqrt(radius2, out=radius2)
-            plan.run(x, vals, work)
-            mean = float(vals.mean())
-            vals -= mean
-            parts.append((size, mean, float(np.square(vals, out=vals).sum())))
-        substreams.append(reduce(_merge_moments, parts))
-    _, mean, m2 = reduce(_merge_moments, substreams)
+    pooled = []  # the cells so far, merged in order
+    for start in range(0, samples, MC_CHUNK):
+        size = min(MC_CHUNK, samples - start)
+        block = draws[:(k + 2) * size].reshape(k + 2, size)
+        x, radius2, vals = block[:k], block[k], block[k + 1]
+        for stream, row in zip(streams, x):
+            stream.standard_normal(out=row)
+        np.square(x[0], out=radius2)
+        for row in x[1:]:
+            radius2 += np.square(row, out=vals)
+        if n > k:
+            # numpy's chisquare(df) is 2 * standard_gamma(df / 2), draw for draw
+            streams[k].standard_gamma((n - k) / 2, out=vals)
+            vals *= 2.0
+            radius2 += vals
+        np.sqrt(np.divide(n, radius2, out=radius2), out=radius2)
+        for row in x:
+            row *= radius2
+        plan.run(x, vals, work)
+        pooled = [reduce(_merge_moments, pooled + _cell_moments(vals))]
+    _, mean, m2 = pooled[0]
     return OracleEstimate(mean, math.sqrt(m2 / samples / samples), samples, seed)
+
+
+def _cell_moments(vals: np.ndarray) -> list:
+    """(count, mean, sum of squared deviations) of each MC_CELL-point cell of vals, in order.
+
+    vals starts at a cell boundary; its last cell may be short.  vals is overwritten.
+    """
+    full = len(vals) // MC_CELL * MC_CELL
+    out = []
+    for part, width in ((vals[:full], MC_CELL), (vals[full:], len(vals) - full)):
+        if width:
+            rows = part.reshape(-1, width)
+            means = [total / width for total in np.add.reduce(rows, axis=1).tolist()]
+            for row, mean in zip(rows, means):
+                row -= mean  # a broadcast subtract would allocate a copy of rows
+            m2 = np.add.reduce(np.square(rows, out=rows), axis=1).tolist()
+            out += zip([width] * len(means), means, m2)
+    return out
 
 
 def _merge_moments(a, b):

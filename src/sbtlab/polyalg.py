@@ -48,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle
 from operator import add as _add, truediv
 
 import numpy as np
@@ -59,7 +59,8 @@ FLOAT = "float"
 _MODES = (EXACT, FLOAT)
 
 # bytes of monomial tables per block of points an _EvalPlan evaluates: the block
-# holds as many points as fit, so memory does not grow with the number of points
+# holds as many points as fit, so memory does not grow with the number of points;
+# no value depends on it
 EVAL_BLOCK_BYTES = 640 << 10
 
 
@@ -259,7 +260,8 @@ class _Poly:
     A family sets ``_parts`` (key -> exponent tuples) and ``_join`` (back),
     ``_key_mul`` (product of two keys), ``_scalars`` (accepted by ring
     operations), ``_coeff`` (coefficient coercion), ``_float`` (float-mode
-    coefficient type), ``_value`` (the arithmetic of ``evaluate``) and
+    coefficient type), ``_exact`` (the exact value of a float-mode scalar),
+    ``_value`` (the arithmetic of ``evaluate``) and
     ``_names`` (one variable name per part).  Variables of a second part
     read the conjugate of the point's coordinates.
 
@@ -424,27 +426,34 @@ class _Poly:
         c = self._coeff(c, self.mode)
         if not c:
             return self.zero(self.mode)
-        return self._trusted(
-            _nonzero({key: c * v for key, v in self.terms.items()}), self.mode
-        )
+        terms = _nonzero({key: c * v for key, v in self.terms.items()})
+        if self.mode == FLOAT and not all(map(cmath.isfinite, terms.values())):
+            raise OverflowError("a scaled coefficient does not fit in a float")
+        return self._trusted(terms, self.mode)
 
     def dilate(self, lam):
         """Rescale the point x -> lam*x (a -> lam*a, abar -> conj(lam)*abar).
 
         A term picks up lam**|alpha| (times conj(lam)**|beta|).  A float or
-        complex ``lam`` promotes an exact polynomial to float mode.
+        complex ``lam`` promotes an exact polynomial to float mode.  A float
+        result is the exact product on the binary values of the coefficients
+        and lam, rounded once per coefficient part.
         """
         p = self
         if p.mode == EXACT and not isinstance(lam, (int, Fraction, GaussianRational)):
             p = p.to_float()
         lam = p._coeff(lam, p.mode)
+        exact = p
+        if p.mode == FLOAT:
+            exact, lam = p._from_integer_form(*_integer_form(p)), p._exact(lam)
         factors = (lam, lam.conjugate())
         terms = {}
-        for key, c in p.terms.items():
+        for key, c in exact.terms.items():
             for f, mono in zip(factors, p._parts(key)):
                 c = c * f ** mono_degree(mono)
             terms[key] = c
-        return p._trusted(_nonzero(terms), p.mode)
+        dilated = p._trusted(_nonzero(terms), EXACT)
+        return dilated if p.mode == EXACT else _float_image(dilated)
 
     # -- evaluation
 
@@ -537,12 +546,10 @@ class _Poly:
 class _EvalPlan:
     """How ``eval_array`` evaluates one polynomial: built once, run on any points.
 
-    Each distinct monomial of each part is one row of a (monomials x points)
-    table, and the coefficients form one array with an axis per part.  The
-    value contracts the coefficients with the tables: c @ X for one part,
-    sum_a A_a * (C @ B)_a for two, so |p|^2 of a 10-term p costs 20 rows and
-    a 10 x 10 product, not 100 terms.  A second part reads the conjugate
-    point.
+    Each distinct monomial of each part has a row of a (monomials x points)
+    table.  The value is sum_i c_i X_i for one part and
+    sum_a A_a * (sum_b C_ab B_b) for two, so |p|^2 of a 10-term p costs 20
+    rows, not 100 terms.  A second part reads the conjugate point.
 
     Power e of a coordinate is power e - 1 times the coordinate, one multiply
     each, so it carries e - 1 roundings: numpy sends ``column ** e`` for
@@ -550,11 +557,19 @@ class _EvalPlan:
     a monomial of the table is computed in its table row; the others take
     rows of their own.
 
-    Points go in blocks of ``step``, whose tables take about
-    EVAL_BLOCK_BYTES.  A block writes conjugates, powers, tables and the
-    two-part product into ``rows`` rows of a workspace the caller owns
-    (``workspace``), so a caller can reuse one for every call; the plan
-    holds no buffer.
+    A point's value does not depend on the block it is evaluated in: every
+    sum runs in index order, one rounded product added at a time, and the
+    plan keeps to whole-row operations (a broadcast one can buffer a copy of
+    its operands).  No complex product is written over one of its operands:
+    on a one-point block numpy takes that for a reduction, whose complex
+    loop rounds differently; a real product rounds alike on every path, so
+    a real table row takes its own c_i X_i.
+
+    The steps are fixed here, on slots: the output row (free until the sum,
+    so it holds partial products), the coordinates, then ``rows`` rows of a
+    workspace the caller owns (``workspace``), so a caller can reuse one for
+    every call; the plan holds no buffer.  Points go in blocks of ``step``,
+    whose tables take about EVAL_BLOCK_BYTES.
     """
 
     def __init__(self, p: _Poly):
@@ -564,41 +579,61 @@ class _EvalPlan:
             for key in p.terms
         ]
         self.dtype = np.dtype(p._float)
-        self.coeffs = np.zeros([len(seen) for seen in monos], dtype=self.dtype)
+        coeffs = np.zeros([len(seen) for seen in monos], dtype=self.dtype)
         for place, c in zip(places, p.terms.values()):
-            self.coeffs[place] = p._float(c)
+            coeffs[place] = p._float(c)
         table_rows = max(sum(map(len, monos)), 1)
         self.step = max(1, EVAL_BLOCK_BYTES // (table_rows * self.dtype.itemsize))
-        self.sides = []
+        self.width = p.width()
+        base = 1 + self.width  # slot of workspace row 0; slot 1 + j is coordinate j
         rows = 0
+        self.conjugates, self.ones, self.multiplies, tables, values = [], [], [], [], []
         for side, seen in enumerate(monos):
-            table = (rows, rows + len(seen))
-            rows = table[1]
-            at, products, top = {}, [], {}
-            for row, mono in enumerate(seen, start=table[0]):
-                factors = tuple((j, e) for j, e in enumerate(mono) if e)
+            table = range(base + rows, base + rows + len(seen))
+            rows += len(seen)
+            monomials = [tuple((j, e) for j, e in enumerate(mono) if e) for mono in seen]
+            top, at = {}, {}
+            for factors in monomials:
                 for j, e in factors:
                     top[j] = max(top.get(j, 1), e)
+            for j in sorted(top):
+                at[j, 1] = 1 + j
+                if side:
+                    # a second part reads conjugated coordinates, kept in rows of their own
+                    at[j, 1] = base + rows
+                    self.conjugates.append((1 + j, base + rows))
+                    rows += 1
+            for slot, factors in zip(table, monomials):
                 if len(factors) == 1 and factors[0][1] > 1:
-                    at[factors[0]] = row
-                else:
-                    products.append((row, factors))
-            columns = [(j, None) for j in sorted(top)]
-            if side:
-                # a second part reads conjugated coordinates, kept in rows of their own
-                columns = [(j, rows + i) for i, (j, _) in enumerate(columns)]
-                rows += len(columns)
-            powers = []
+                    at[factors[0]] = slot
             for j in sorted(top):
                 for e in range(2, top[j] + 1):
                     if (j, e) not in at:
-                        at[j, e] = rows
+                        at[j, e] = base + rows
                         rows += 1
-                    powers.append((j, e, at[j, e]))
-            self.sides.append((table, columns, powers, products))
-        self.product = rows
-        if len(monos) == 2:
-            rows += len(monos[0])
+                    self.multiplies.append((at[j, e - 1], at[j, 1], at[j, e]))
+            for slot, factors in zip(table, monomials):
+                if not factors:
+                    self.ones.append(slot)
+                elif len(factors) > 1:
+                    # partial products alternate between the output slot and the
+                    # table row, ending in the row
+                    value = at[factors[0]]
+                    for factor, target in zip(factors[1:], cycle(
+                            (slot, 0) if len(factors) % 2 == 0 else (0, slot))):
+                        self.multiplies.append((at[factor], value, target))
+                        value = target
+            tables.append(table)
+            values.append([at[f[0]] if len(f) == 1 else slot for slot, f in zip(table, monomials)])
+        self.terms = self.pairs = None
+        if len(monos) == 1:
+            # (c_i, slot of X_i, table row that takes c_i X_i)
+            self.terms = list(zip(coeffs.tolist(), values[0], tables[0]))
+        else:
+            self.pairs = list(zip(coeffs.tolist(), values[0]))
+            self.second = values[1]
+            self.term = base + rows  # and the scratch row after it
+            rows += 2
         self.rows = rows
 
     def workspace(self, points: int) -> np.ndarray:
@@ -609,32 +644,28 @@ class _EvalPlan:
         """Write the polynomial at the points whose coordinate j is cols[j] into out."""
         for start in range(0, len(out), self.step):
             size = min(self.step, len(out) - start)
-            self._block([c[start:start + size] for c in cols], out[start:start + size],
-                        work[:self.rows * size].reshape(self.rows, size))
+            self._block([c[start:start + size] for c in cols[:self.width]],
+                        out[start:start + size], work[:self.rows * size].reshape(self.rows, size))
 
     def _block(self, cols, out, work) -> None:
-        tables = []
-        for (start, stop), columns, powers, products in self.sides:
-            at = {(j, 1): cols[j] if row is None else np.conjugate(cols[j], out=work[row])
-                  for j, row in columns}
-            for j, e, row in powers:
-                at[j, e] = np.multiply(at[j, e - 1], at[j, 1], out=work[row])
-            for row, factors in products:
-                dst = work[row]
-                if not factors:
-                    dst.fill(1)
-                elif len(factors) == 1:
-                    dst[:] = at[factors[0]]
-                else:
-                    np.multiply(at[factors[0]], at[factors[1]], out=dst)
-                    for factor in factors[2:]:
-                        dst *= at[factor]
-            tables.append(work[start:stop])
-        if len(tables) == 1:
-            np.matmul(self.coeffs, tables[0], out=out)
-        else:
-            value = np.matmul(self.coeffs, tables[1], out=work[self.product:])
-            np.multiply(value, tables[0], out=value).sum(axis=0, out=out)
+        slots = [out, *cols, *work]
+        for src, dst in self.conjugates:
+            np.conjugate(slots[src], out=slots[dst])
+        for dst in self.ones:
+            slots[dst].fill(1)
+        for a, b, dst in self.multiplies:
+            np.multiply(slots[a], slots[b], out=slots[dst])
+        out.fill(0)
+        if self.pairs is None:
+            for c, src, dst in self.terms:
+                out += np.multiply(c, slots[src], out=slots[dst])
+            return
+        term, scratch = slots[self.term], slots[self.term + 1]
+        for coeffs, a in self.pairs:
+            term.fill(0)
+            for c, b in zip(coeffs, self.second):
+                term += np.multiply(c, slots[b], out=scratch)
+            out += np.multiply(slots[a], term, out=scratch)
 
 
 def _width(p: _Poly) -> int:
@@ -726,6 +757,7 @@ class RealPoly(_Poly):
     _float = float
     _coeff = staticmethod(_real_coeff)
     _ratio = staticmethod(Fraction)
+    _exact = staticmethod(Fraction)
     _rounded = staticmethod(truediv)
     _numerator_product = staticmethod(_real_numerator_product)
     _value = staticmethod(lambda z: z)
@@ -757,6 +789,7 @@ class CxPoly(_Poly):
     _ratio = staticmethod(
         lambda num, den: GaussianRational._of(Fraction(num[0], den), Fraction(num[1], den))
     )
+    _exact = staticmethod(lambda z: GaussianRational(z.real, z.imag))
     _rounded = staticmethod(lambda num, den: complex(num[0] / den, num[1] / den))
     _numerator_product = staticmethod(_gaussian_numerator_product)
     _value = complex

@@ -11,8 +11,8 @@ per-group flows, and each group flows as
 
 with f = exp.  The chain Lap^j x^alpha is exact integer arithmetic; the
 divided-difference weights come from the exponential of one small bidiagonal
-matrix per degree.  When every lambda is 0 and c and t are rational the
-weights are the exact (ct)^j / j!; the numbers alone decide it.
+matrix per degree, or, when every lambda is 0, from their closed form
+(ct)^j / j!, exact when c and t are rational; the numbers alone decide it.
 
 * ``exp_graded``   -- exp(t*A) applied to one polynomial, term by term, so
   the cost follows the polynomial's terms, not the size of the graded basis.
@@ -97,15 +97,29 @@ def _exact_flow(a2, a1, c, t) -> bool:
 def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp.
 
-    Fractions (c t)^j / j! when ``_exact_flow`` holds, else floats at
-    float(t).  One node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0),
-    which is what ``_exp_divided_differences`` returns there bit for bit; a
-    non-finite node or time still goes to it and raises there.
+    A heat flow (every lambda 0) has the closed form (c t)^j / j!, taken as
+    w_j = w_{j-1} (c t) / j: Fractions when ``_exact_flow`` holds, else
+    floats at float(t), with the bits ``_exp_divided_differences`` gives on
+    all-zero nodes, and its OverflowError when a weight does not fit a
+    float.  Any other flow at one node (degree 0 or 1, or c = 0) is f[z_0] =
+    exp(z_0), which is what ``_exp_divided_differences`` returns there bit
+    for bit; a non-finite node or time still goes to it and raises there.
     """
     depth = m // 2 + 1 if c else 1
-    if _exact_flow(a2, a1, c, t):
-        ct = Fraction(c) * t
-        return tuple(ct ** j / math.factorial(j) for j in range(depth))
+    if not a2 and not a1:
+        if _rational(c, t):
+            ct = Fraction(c) * t
+        else:
+            t = float(t)
+            ct = c * t
+            if not (math.isfinite(t) and math.isfinite(ct)):
+                raise ValueError("graded flows need a finite time")
+        weights = [ct ** 0]  # 1, a Fraction or a float like ct
+        for j in range(1, depth):
+            weights.append(weights[-1] * ct / j)
+        if isinstance(ct, float) and math.isinf(weights[-1]):
+            raise OverflowError("graded-flow weights overflow a float")
+        return tuple(weights)
     t = float(t)
     z = [t * float(a2 * d * d + a1 * d) for d in range(m, m - 2 * depth, -2)]
     if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbtlab import oracle
+from sbtlab import oracle, polyalg
 from sbtlab.diffops import DimensionError
 from sbtlab.measures import (
     MeasureSpec,
@@ -17,8 +17,8 @@ from sbtlab.measures import (
     xi_moment,
 )
 from sbtlab.oracle import (
+    MC_CELL,
     MC_CHUNK,
-    N_SUBSTREAMS,
     InsufficientOrderError,
     isserlis_moment,
     mc_sphere_moment,
@@ -170,17 +170,16 @@ FLAT_K5 = RealPoly({
 
 
 @pytest.mark.parametrize("p, n, samples, seed, value, std_error", [
-    (X1 ** 2 * X2 ** 2, 15, 40_000, 5, "0x1.bdaf378eb4a1fp-1", "0x1.33c5c2a385e2ap-7"),
+    (X1 ** 2 * X2 ** 2, 15, 40_000, 5, "0x1.bef33f910f0e3p-1", "0x1.36a8ceddf6060p-7"),
     # the input of verify's mc-vs-sphere check at its default seed
-    (X1 ** 4, 50, 200_000, 7, "0x1.720547d1d2ce9p+1", "0x1.3e78cda2d374fp-6"),
-    (FLAT_K5, 17, 100_000, 11, "0x1.91705769551d5p+0", "0x1.bbad4da892cecp-6"),
-    # the last substream takes the remainder: 2500 samples each, 2503 in the last
-    (X1 ** 2 * X2 ** 2 - 3 * X2, 15, 40_003, 9, "0x1.c4d622677af2ep-1", "0x1.26c856c96ee72p-6"),
+    (X1 ** 4, 50, 200_000, 7, "0x1.6d6017128c4acp+1", "0x1.36ce27dfcdcdap-6"),
+    (FLAT_K5, 17, 100_000, 11, "0x1.7c38ca6bbe831p+0", "0x1.acb4fa14e2c6fp-6"),
+    # the last cell is short: 39 cells of 1024 points and one of 67
+    (X1 ** 2 * X2 ** 2 - 3 * X2, 15, 40_003, 9, "0x1.cc1fa725d42d1p-1", "0x1.25d8ff5531eb3p-6"),
     # n = k draws no chi-square
-    (X1 ** 2 * X2 + X3 ** 4, 3, 20_000, 4, "0x1.cd0988dde85dcp+0", "0x1.27d5a6ff6576bp-6"),
-    # every substream runs a full MC_CHUNK and a short second chunk
-    (X1 ** 3 - 2 * X1, 6, 16 * MC_CHUNK + 37, 2, "-0x1.684ccebbadb17p-13",
-     "0x1.523f9dded289ap-10"),
+    (X1 ** 2 * X2 + X3 ** 4, 3, 20_000, 4, "0x1.cca6d0afea012p+0", "0x1.26faba445d289p-6"),
+    # many chunks, the last one 37 points
+    (X1 ** 3 - 2 * X1, 6, 16 * 65_536 + 37, 2, "0x1.12db4fb5828bdp-11", "0x1.52db633d69c3cp-10"),
 ], ids=["x1^2*x2^2", "verify", "flat-k5", "remainder", "n=k", "two-chunks"])
 def test_mc_estimates_are_pinned(p, n, samples, seed, value, std_error):
     est = mc_sphere_moment(p, n, samples=samples, seed=seed)
@@ -212,18 +211,43 @@ def _mc_peak(p, n, samples) -> int:
 
 
 def test_mc_peak_memory_is_one_workspace(monkeypatch):
-    # k + 2 rows of draws for c points, c = min(MC_CHUNK, largest substream),
-    # and the evaluation plan's rows for one block of at most c points
+    # k + 2 rows of draws for c = min(MC_CHUNK, samples) points, and the
+    # evaluation plan's rows for one block of at most c points
     p, n, k = FLAT_K5, 17, 5
     plan = _EvalPlan(p)
     mc_sphere_moment(p, n, samples=1000)
     for samples in (10 ** 5, 10 ** 6):
-        cap = min(MC_CHUNK, samples // N_SUBSTREAMS + samples % N_SUBSTREAMS)
+        cap = min(MC_CHUNK, samples)
         workspace = ((k + 2) * cap + plan.rows * min(cap, plan.step)) * 8
         assert _mc_peak(p, n, samples) <= workspace + (64 << 10)
     # once c is MC_CHUNK the peak does not grow with the sample count
     monkeypatch.setattr(oracle, "MC_CHUNK", 2048)
     assert _mc_peak(p, n, 10 ** 6) <= _mc_peak(p, n, 10 ** 5) + (16 << 10)
+
+
+@pytest.mark.parametrize("p, n, samples", [
+    (FLAT_K5, 17, 100_003),
+    # at either chunk size the last chunk is one point
+    (X1 ** 2 * X2 ** 2 - 3 * X2, 15, 2 * MC_CHUNK + 1),
+], ids=["flat-k5", "one-point-chunk"])
+def test_mc_estimate_does_not_depend_on_chunk_or_block_size(monkeypatch, p, n, samples):
+    assert MC_CHUNK % MC_CELL == 0 and 2048 % MC_CELL == 0
+    est = mc_sphere_moment(p, n, samples=samples, seed=8)
+    half = polyalg.EVAL_BLOCK_BYTES // 2
+    for chunk, block_bytes in ((2048, polyalg.EVAL_BLOCK_BYTES), (MC_CHUNK, half), (2048, half)):
+        monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
+        monkeypatch.setattr(polyalg, "EVAL_BLOCK_BYTES", block_bytes)
+        assert mc_sphere_moment(p, n, samples=samples, seed=8) == est
+
+
+def test_mc_standard_error_is_calibrated():
+    # E[x1^2] = 1 on the radius-sqrt(n) sphere; |z| <= 2 holds with
+    # probability about 0.954 when the standard error is right
+    zs = [(est.value - 1.0) / est.std_error
+          for est in (mc_sphere_moment(X1 ** 2, 5, samples=2000, seed=seed)
+                      for seed in range(400))]
+    share = sum(abs(z) <= 2 for z in zs) / len(zs)
+    assert 0.91 <= share <= 0.995
 
 
 def test_mc_starts_no_threads(monkeypatch):

@@ -215,6 +215,22 @@ def test_eval_array_equals_evaluate_across_blocks(monkeypatch, family, mode, cou
         assert abs(value - p.evaluate(point)) <= 1e-13 * size.evaluate(np.abs(point)).real
 
 
+@pytest.mark.parametrize("family", [RealPoly, CxPoly])
+def test_eval_array_gives_a_point_the_same_bits_in_any_block(monkeypatch, family):
+    p = random_real_poly(seeded_rng(62), k=3, degree=6, terms=6).to_float()
+    pts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(20_001, 3))
+    if family is CxPoly:
+        p = holomorphic_extend(p).mod_square() + (A2 * ABAR1 ** 2).to_float().scale(1 - 2j)
+        pts = pts + 1j * np.random.default_rng(6).uniform(-1.5, 1.5, size=(20_001, 3))
+    values = p.eval_array(pts)
+    assert polyalg._EvalPlan(p).step < len(pts)
+    for block_bytes in (polyalg.EVAL_BLOCK_BYTES // 2, 1):  # half, then one point a block
+        monkeypatch.setattr(polyalg, "EVAL_BLOCK_BYTES", block_bytes)
+        assert p.eval_array(pts).tobytes() == values.tobytes()
+    assert b"".join(p.eval_array(pts[i:i + 1]).tobytes() for i in range(50)) == \
+        values[:50].tobytes()
+
+
 @pytest.mark.parametrize("family, pts", [
     (RealPoly, np.linspace(-1, 1, 10).reshape(5, 2)),
     (CxPoly, np.linspace(-1, 1, 10).reshape(5, 2) * (1 - 2j)),
@@ -280,6 +296,30 @@ def test_gaussian_rational_hashes_as_the_number_it_equals():
         assert hash(GaussianRational(value)) == hash(value)
     assert len({GaussianRational(1), 1}) == 1
     assert len({GaussianRational(1, 1), GaussianRational(1), 1}) == 2
+
+
+def test_scale_raises_where_a_float_coefficient_overflows():
+    for p in (RealPoly.variable(0, FLOAT), CxPoly.a(0, FLOAT)):
+        big = p.scale(1e300)
+        with pytest.raises(OverflowError):
+            big.scale(1e300)
+        with pytest.raises(OverflowError):
+            1e300 * big
+    assert (X1 * 10 ** 400).scale(10 ** 400) == X1 * 10 ** 800
+
+
+def test_float_dilate_rounds_each_coefficient_once():
+    # 1e-300 * 1e200^2 fits; lam^2 alone does not
+    p = RealPoly({(2,): 1e-300, (1,): 3.0, (): -0.5}, FLOAT).dilate(1e200)
+    assert p.coefficient((2,)) == float(Fraction(1e-300) * Fraction(1e200) ** 2)
+    assert p.coefficient((1,)) == float(Fraction(3.0) * Fraction(1e200))
+    assert p.coefficient(()) == -0.5
+    # one rounding of c * lam^3, where rounding lam^3 first gives other bits
+    lam, c = 0.7, 0.7
+    q = RealPoly({(3,): c}, FLOAT).dilate(lam)
+    assert q.coefficient((3,)) == float(Fraction(c) * Fraction(lam) ** 3) != c * lam ** 3
+    with pytest.raises(OverflowError):
+        RealPoly({(2,): 1.0}, FLOAT).dilate(1e200)
 
 
 def test_dilate_examples():

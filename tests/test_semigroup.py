@@ -439,6 +439,41 @@ def test_single_node_flow_weights_raise_as_the_general_route():
                 semigroup._flow_weights(*args)
 
 
+# c t from tiny to near overflow, both signs: weights underflow to zero,
+# and past 1e154 the third weight (c t)^2 / 2 or a later one overflows
+_HEAT_TIMES = (0.37, -0.37, 2.5, -41.0, 1e-9, 1e-200, -1e-200, 1e-320, 7.3e77, -1.3e154, 1e300)
+
+
+def test_heat_flow_weights_are_the_divided_differences_on_zero_nodes_bit_for_bit():
+    # the closed form w_j = w_{j-1} (c t) / j against scaling and squaring on
+    # 1 .. 60 nodes at 0, and the same OverflowError where that overflows
+    for s in _HEAT_TIMES:
+        for nodes in range(1, 61):
+            try:
+                want = semigroup._exp_divided_differences([0.0] * nodes, s).tolist()
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    semigroup._flow_weights(0, 0, 1, s, 2 * nodes - 2)
+                continue
+            weights = semigroup._flow_weights(0, 0, 1, s, 2 * nodes - 2)
+            assert [w.hex() for w in weights] == [w.hex() for w in want]
+    rng = seeded_rng(27)
+    for _ in range(500):
+        nodes, s = rng.randint(1, 60), rng.uniform(-30.0, 30.0)
+        assert semigroup._flow_weights(0, 0, 1, s, 2 * nodes - 2) == tuple(
+            semigroup._exp_divided_differences([0.0] * nodes, s).tolist())
+
+
+def test_exact_heat_flow_weights_are_the_taylor_coefficients():
+    c, t = Fraction(-2, 3), Fraction(5, 7)
+    weights = semigroup._flow_weights(0, 0, c, t, 13)
+    assert weights == tuple((c * t) ** j / math.factorial(j) for j in range(7))
+    assert all(type(w) is Fraction for w in weights)
+    for args in ((0, 0, 1, math.inf, 4), (0, 0, 1e300, 1e300, 4), (0, 0, 0, math.nan, 0)):
+        with pytest.raises(ValueError, match="finite time"):
+            semigroup._flow_weights(*args)
+
+
 @pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])
 def test_graded_flow_matches_dense_exponential(k, l):
     rng = seeded_rng(24 + k)
