@@ -427,8 +427,8 @@ class _Poly:
         if not c:
             return self.zero(self.mode)
         terms = _nonzero({key: c * v for key, v in self.terms.items()})
-        if self.mode == FLOAT and not all(map(cmath.isfinite, terms.values())):
-            raise OverflowError("a scaled coefficient does not fit in a float")
+        if self.mode == FLOAT:
+            _finite_terms(terms, "scaled")
         return self._trusted(terms, self.mode)
 
     def dilate(self, lam):
@@ -549,7 +549,10 @@ class _EvalPlan:
     Each distinct monomial of each part has a row of a (monomials x points)
     table.  The value is sum_i c_i X_i for one part and
     sum_a A_a * (sum_b C_ab B_b) for two, so |p|^2 of a 10-term p costs 20
-    rows, not 100 terms.  A second part reads the conjugate point.
+    rows, not 100 terms.  A second part reads the conjugate point.  A
+    two-part plan reads a first power from its coordinate (or conjugate)
+    row and gives it no table row; the block size still counts one per
+    monomial, so the blocks are those of a table row for each.
 
     Power e of a coordinate is power e - 1 times the coordinate, one multiply
     each, so it carries e - 1 roundings: numpy sends ``column ** e`` for
@@ -589,9 +592,16 @@ class _EvalPlan:
         rows = 0
         self.conjugates, self.ones, self.multiplies, tables, values = [], [], [], [], []
         for side, seen in enumerate(monos):
-            table = range(base + rows, base + rows + len(seen))
-            rows += len(seen)
             monomials = [tuple((j, e) for j, e in enumerate(mono) if e) for mono in seen]
+            table = []
+            for factors in monomials:
+                if len(monos) > 1 and len(factors) == 1 and factors[0][1] == 1:
+                    # read from its coordinate row; only a one-part plan writes
+                    # c_i X_i into the row of a first power
+                    table.append(None)
+                else:
+                    table.append(base + rows)
+                    rows += 1
             top, at = {}, {}
             for factors in monomials:
                 for j, e in factors:
@@ -739,6 +749,12 @@ def _float_image(p: _Poly) -> _Poly:
 def _nonzero(terms: dict) -> dict:
     # float results can underflow to zero
     return {key: c for key, c in terms.items() if c}
+
+
+def _finite_terms(terms: dict, what: str) -> None:
+    # a float sum or product that overflowed to inf or nan is an OverflowError
+    if not all(map(cmath.isfinite, terms.values())):
+        raise OverflowError(f"a {what} coefficient does not fit in a float")
 
 
 # ---------------------------------------------------------------------------

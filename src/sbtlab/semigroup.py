@@ -37,7 +37,7 @@ import numpy as np
 
 from . import diffops
 from .diffops import GroupGenerator, _laplacian_chain
-from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, _rational, mono_degree
+from .polyalg import EXACT, FLOAT, CxPoly, RealPoly, _finite_terms, _rational, mono_degree
 
 
 class CommutationError(ValueError):
@@ -59,28 +59,63 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
     so the squarings do not cancel; the diagonal is reset to exact
     exponentials after each (Al-Mohy and Higham, SIMAX 31, 2009).  Raises
     OverflowError when a weight does not fit in a float.
+
+    The series is term_k = term_{k-1} B / k, summed one term at a time, and
+    stops at the first k with |term_k| <= 2^-53 |x_k| in every entry.  That
+    test runs on batches of stored terms and sums, not once per term: the
+    first len(z) terms (no series stops sooner), 13 more (most stop there),
+    then 4 at a time.  Terms past the stopping index are computed and
+    discarded, and an overflow past it does not count, so the weights and
+    the errors are those of a test after every term.  The shift, scale and
+    B are computed in Python floats.
     """
-    z = np.asarray(z, dtype=float)
-    if not (np.all(np.isfinite(z)) and math.isfinite(s)):
+    z = [float(v) for v in z]
+    if not (all(map(math.isfinite, z)) and math.isfinite(s)):
         raise ValueError("graded flows need a finite time")
-    mid = (z.max() + z.min()) / 2.0
-    y = z - mid
-    radius = float(np.max(np.abs(y)))
+    n = len(z)
+    mid = (max(z) + min(z)) / 2.0
+    y = [v - mid for v in z]
+    radius = max(map(abs, y))
     p = math.ceil(math.log2(2.0 * radius)) if radius > 0.5 else 0
     scale = 2.0 ** -p
-    a = np.diag(y * scale) + np.diag(np.full(len(z) - 1, abs(s) * scale), 1)
-    x = term = np.eye(len(z))
+    a = np.zeros((n, n))
+    a.flat[::n + 1] = [v * scale + 0.0 for v in y]  # + 0.0 maps -0.0 to 0.0, as the pinned bits do
+    a.flat[1::n + 1] = abs(s) * scale
+    # slot i of a batch holds term_{k+i} and its sum x_{k+i}; slot 0 the batch before's last
+    terms = np.empty((max(n, 13) + 1, n, n))
+    sums = np.empty_like(terms)
+    terms[0] = sums[0] = np.eye(n)
+    k, last = 0, n + 39  # entry (i, j) needs about j - i + 20 terms when |diagonal| <= 1/2
     try:
         with np.errstate(over="raise"):
-            # entry (i, j) needs about j - i + 20 terms when |diagonal| <= 1/2
-            for k in range(1, len(z) + 40):
-                term = term.dot(a) / k
-                x = x + term
-                if (np.abs(term) <= 2.0 ** -53 * x).all():
+            while True:
+                size = min(n if k == 0 else 13 if k == n else 4, last - k)
+                term, total, done, overflow = terms[0], sums[0], 0, None
+                try:
+                    for i in range(1, size + 1):
+                        term = term.dot(a, terms[i])
+                        term /= k + i
+                        total = np.add(total, term, sums[i])
+                        done = i
+                except FloatingPointError as exc:
+                    overflow = exc  # counts only if no earlier term stops the series
+                small = np.abs(terms[1:done + 1]) <= 2.0 ** -53 * sums[1:done + 1]
+                small = small.all(axis=(1, 2)).tolist()
+                if True in small:
+                    x = sums[small.index(True) + 1]
                     break
+                if overflow:
+                    raise overflow
+                k += size
+                if k == last:
+                    x = sums[size]
+                    break
+                terms[0], sums[0] = terms[size], sums[size]
+            if p:
+                resets = np.exp(np.multiply.outer([2.0 ** (q + 1 - p) for q in range(p)], y))
             for q in range(p):
                 x = x.dot(x)
-                np.fill_diagonal(x, np.exp(y * 2.0 ** (q + 1 - p)))
+                x.flat[::n + 1] = resets[q]
             row = x[0] * math.exp(mid)
     except FloatingPointError:
         raise OverflowError("graded-flow weights overflow a float") from None
@@ -104,6 +139,11 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     float.  Any other flow at one node (degree 0 or 1, or c = 0) is f[z_0] =
     exp(z_0), which is what ``_exp_divided_differences`` returns there bit
     for bit; a non-finite node or time still goes to it and raises there.
+
+    The nodes are z = t * float(lambda_d).  For rational a2 and a1, lambda_d
+    is one integer numerator over the integer d2 d1, and the int / int
+    division rounds it once, to the float of that Fraction, with no
+    Fraction built; float coefficients keep the float expression.
     """
     depth = m // 2 + 1 if c else 1
     if not a2 and not a1:
@@ -121,7 +161,15 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
             raise OverflowError("graded-flow weights overflow a float")
         return tuple(weights)
     t = float(t)
-    z = [t * float(a2 * d * d + a1 * d) for d in range(m, m - 2 * depth, -2)]
+    degrees = range(m, m - 2 * depth, -2)
+    if _rational(a2, a1):
+        # a2 d^2 + a1 d over the denominator d2 d1, rounded once by one int / int
+        # division: float() of that Fraction, without building it
+        n2, n1 = a2.numerator * a1.denominator, a1.numerator * a2.denominator
+        den = a2.denominator * a1.denominator
+        z = [t * ((n2 * d * d + n1 * d) / den) for d in degrees]
+    else:
+        z = [t * float(a2 * d * d + a1 * d) for d in degrees]
     if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):
         return (math.exp(z[0]),)
     return tuple(_exp_divided_differences(z, c * t).tolist())
@@ -192,7 +240,8 @@ def exp_graded(gen: GroupGenerator, t, q):
 
     The result is exact when q is exact and so is every group's flow
     (``_exact_flow``: a strictly degree-lowering flow at rational c and t);
-    otherwise it is a float-mode poly.
+    otherwise it is a float-mode poly, and OverflowError is raised when a
+    float sum overflows, as ``_Poly.scale`` does.
     """
     gen.check_domain(q)
     kind = gen.family
@@ -205,7 +254,10 @@ def exp_graded(gen: GroupGenerator, t, q):
     for key, c in q.terms.items():
         for beta, v in flow(key).items():
             out[beta] = out.get(beta, 0) + c * v
-    return kind._trusted({beta: v for beta, v in out.items() if v}, EXACT if exact else FLOAT)
+    out = {beta: v for beta, v in out.items() if v}
+    if not exact:
+        _finite_terms(out, "flowed")
+    return kind._trusted(out, EXACT if exact else FLOAT)
 
 
 def dilation_exp(lam, q):

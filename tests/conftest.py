@@ -318,5 +318,72 @@ def _matchings(labels: tuple) -> int:
     return sum(_matchings(rest[:i] + rest[i + 1:]) for i, x in enumerate(rest) if x == first)
 
 
+def exp_divided_differences_frozen(z, s: float) -> np.ndarray:
+    """``semigroup._exp_divided_differences`` as it stood when the weights' bits were pinned.
+
+    Kept verbatim, so tests can hold the faster routine to these bits: a
+    stopping test after every Taylor term, and the shift, scale and
+    bidiagonal built with numpy.
+    """
+    z = np.asarray(z, dtype=float)
+    if not (np.all(np.isfinite(z)) and math.isfinite(s)):
+        raise ValueError("graded flows need a finite time")
+    mid = (z.max() + z.min()) / 2.0
+    y = z - mid
+    radius = float(np.max(np.abs(y)))
+    p = math.ceil(math.log2(2.0 * radius)) if radius > 0.5 else 0
+    scale = 2.0 ** -p
+    a = np.diag(y * scale) + np.diag(np.full(len(z) - 1, abs(s) * scale), 1)
+    x = term = np.eye(len(z))
+    try:
+        with np.errstate(over="raise"):
+            for k in range(1, len(z) + 40):
+                term = term.dot(a) / k
+                x = x + term
+                if (np.abs(term) <= 2.0 ** -53 * x).all():
+                    break
+            for q in range(p):
+                x = x.dot(x)
+                np.fill_diagonal(x, np.exp(y * 2.0 ** (q + 1 - p)))
+            row = x[0] * math.exp(mid)
+    except FloatingPointError:
+        raise OverflowError("graded-flow weights overflow a float") from None
+    if s < 0:
+        row[1::2] *= -1.0
+    return row
+
+
+def flow_weights_frozen(a2, a1, c, t, m: int) -> tuple:
+    """``semigroup._flow_weights`` as it stood when the weights' bits were pinned.
+
+    Its nodes are t * float(a2 d^2 + a1 d), a Fraction rounded by float()
+    when a2 and a1 are rational; the rest of the flow goes to
+    ``exp_divided_differences_frozen``.
+    """
+    def rational(*values):
+        return all(isinstance(v, (int, Fraction)) for v in values)
+
+    depth = m // 2 + 1 if c else 1
+    if not a2 and not a1:
+        if rational(c, t):
+            ct = Fraction(c) * t
+        else:
+            t = float(t)
+            ct = c * t
+            if not (math.isfinite(t) and math.isfinite(ct)):
+                raise ValueError("graded flows need a finite time")
+        weights = [ct ** 0]
+        for j in range(1, depth):
+            weights.append(weights[-1] * ct / j)
+        if isinstance(ct, float) and math.isinf(weights[-1]):
+            raise OverflowError("graded-flow weights overflow a float")
+        return tuple(weights)
+    t = float(t)
+    z = [t * float(a2 * d * d + a1 * d) for d in range(m, m - 2 * depth, -2)]
+    if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):
+        return (math.exp(z[0]),)
+    return tuple(exp_divided_differences_frozen(z, c * t).tolist())
+
+
 def seeded_rng(seed: int = 1234) -> random.Random:
     return random.Random(seed)

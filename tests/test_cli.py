@@ -171,6 +171,15 @@ def test_verify_overtight_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_isometry_exits_two_where_the_forward_flow_overflows(capsys):
+    # the euclidean output e^{Lap/2} p = 1.5e308 (x1^2 + 2) overflows in the float sum of the flow
+    argv = ["isometry", "--poly", "1.5e308*x1^2 + 1.5e308", "--transform", "euclidean", "--T", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: overflow: a flowed coefficient does not fit in a float\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1e-9"])
 def test_isometry_rejects_a_nan_or_negative_tolerance(tol, capsys):
     # a NaN or negative gate would fail even a zero gap

@@ -231,6 +231,19 @@ def test_eval_array_gives_a_point_the_same_bits_in_any_block(monkeypatch, family
         values[:50].tobytes()
 
 
+def test_two_part_eval_plan_gives_a_first_power_no_table_row():
+    # |p|^2 of p = a1 + 2 a2 + 3 a3 + a1^2: a table row each for a1^2 and abar1^2,
+    # three conjugate rows, and the term and scratch rows; a1, a2, a3 and their
+    # conjugates are read from the coordinate and conjugate rows.  A one-part plan
+    # writes c_i X_i into a row for each monomial.
+    p = A1 + A2.scale(2) + CxPoly.a(2).scale(3) + A1 ** 2
+    sq = p.mod_square()
+    assert polyalg._EvalPlan(sq).rows == 7
+    assert polyalg._EvalPlan(X1 + X2.scale(2) + RealPoly.variable(2).scale(3) + X1 ** 2).rows == 4
+    pts = np.array([[0.5 - 1j, 2.0 + 0.25j, -1.5 + 0.5j], [1.0, -2.0j, 0.75 + 0.75j]])
+    np.testing.assert_allclose(sq.eval_array(pts), [sq.evaluate(point) for point in pts], rtol=1e-13)
+
+
 @pytest.mark.parametrize("family, pts", [
     (RealPoly, np.linspace(-1, 1, 10).reshape(5, 2)),
     (CxPoly, np.linspace(-1, 1, 10).reshape(5, 2) * (1 - 2j)),

@@ -20,6 +20,8 @@ from sbtlab.semigroup import (
 from sbtlab.suite import random_real_poly
 
 from conftest import (
+    exp_divided_differences_frozen,
+    flow_weights_frozen,
     graded_matrices,
     quadric_moment_reference,
     seeded_rng,
@@ -272,6 +274,17 @@ def test_exp_graded_heat_flow_rational_time_on_float_polynomial():
     assert coeff_distance(out, (X1 ** 2 + 1).to_float()) == 0
 
 
+@pytest.mark.parametrize("gen, t", [(diffops.LAPLACIAN, 1.0), (diffops.HERMITE, -1.0)],
+                         ids=["heat", "hermite-backward"])
+def test_exp_graded_raises_where_a_float_sum_overflows(gen, t):
+    # a flowed coefficient overflows: inf was stored, and a product with it failed later
+    q = RealPoly({(2,): 1.5e308, (): 1.5e308}, "float")
+    with pytest.raises(OverflowError, match="a flowed coefficient does not fit in a float"):
+        exp_graded(gen, t, q)
+    small = exp_graded(gen, t, q.scale(0.125))
+    assert small.mode == "float" and all(map(math.isfinite, small.terms.values()))
+
+
 def test_flow_monomial_matches_scipy_across_colliding_gamma_n_blocks():
     # at ambient dimension 4 the bidegree operator's degree-6 and degree-8
     # blocks share the eigenvalue 24, a collision across degree blocks that
@@ -472,6 +485,65 @@ def test_exact_heat_flow_weights_are_the_taylor_coefficients():
     for args in ((0, 0, 1, math.inf, 4), (0, 0, 1e300, 1e300, 4), (0, 0, 0, math.nan, 0)):
         with pytest.raises(ValueError, match="finite time"):
             semigroup._flow_weights(*args)
+
+
+def _bits(f, *args):
+    """f's weights as float.hex (a Fraction as itself), or the type of the error f raised."""
+    try:
+        return [w.hex() if isinstance(w, float) else (type(w), w) for w in f(*args)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+_FROZEN_TIMES = tuple(sign * t for t in (1e-9, 0.05, 0.5, 3.0, 41.0, 400.0, 800.0) for sign in (1, -1))
+
+
+@pytest.mark.parametrize("gen", [
+    *(diffops.spherical_laplacian_op(n) for n in (3, 5, 12, 50, 1000)),
+    diffops.HERMITE,
+    0.3 * diffops.HERMITE,
+    diffops.spherical_laplacian_op(7) + 0.25 * diffops.EULER,
+], ids=["sphere-3", "sphere-5", "sphere-12", "sphere-50", "sphere-1000", "hermite",
+        "0.3-hermite", "sphere-7-plus-euler"])
+def test_flow_weights_keep_the_frozen_bits(gen):
+    # the batched stopping test and the integer nodes move no bit and change no
+    # error: degrees 0-60, nodes merged to overflowing, both directions in time
+    [g] = gen.groups
+    errors = set()
+    for t in _FROZEN_TIMES:
+        for m in range(61):
+            want = _bits(flow_weights_frozen, g.a2, g.a1, g.c, t, m)
+            assert _bits(semigroup._flow_weights, g.a2, g.a1, g.c, t, m) == want, (t, m)
+            if isinstance(want, type):
+                errors.add(want)
+    assert errors == {OverflowError}
+
+
+def test_flow_weights_keep_the_frozen_bits_on_random_flows():
+    rng = seeded_rng(28)
+
+    def coefficient():
+        return rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                           rng.uniform(-3.0, 3.0)))
+
+    errors = set()
+    for _ in range(2000):
+        a2, a1, c = coefficient(), coefficient(), rng.choice((1, Fraction(1, 2), 0.3, coefficient()))
+        t = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9.0, 3.0)
+        t = rng.choice((t, t, t, Fraction(t).limit_denominator(64), math.inf, math.nan))
+        m = rng.randint(0, 60)
+        want = _bits(flow_weights_frozen, a2, a1, c, t, m)
+        assert _bits(semigroup._flow_weights, a2, a1, c, t, m) == want, (a2, a1, c, t, m)
+        if isinstance(want, type):
+            errors.add(want)
+    for _ in range(300):
+        # raw nodes: signed zeros, spreads from merged to overflowing
+        z = [rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)))
+             for _ in range(rng.randint(1, 40))]
+        s = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = _bits(lambda *args: exp_divided_differences_frozen(*args).tolist(), z, s)
+        assert _bits(lambda *args: semigroup._exp_divided_differences(*args).tolist(), z, s) == want
+    assert errors == {OverflowError, ValueError}
 
 
 @pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])
