@@ -140,8 +140,8 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     exp(z_0), which is what ``_exp_divided_differences`` returns there bit
     for bit; a non-finite node or time still goes to it and raises there.
 
-    The nodes are z = t * float(lambda_d).  For rational a2 and a1, lambda_d
-    is one integer numerator over the integer d2 d1, and the int / int
+    The nodes are z = t * float(lambda_d).  For rational a2 = n2/d2 and
+    a1 = n1/d1, lambda_d is one integer numerator over d2 d1, and the int / int
     division rounds it once, to the float of that Fraction, with no
     Fraction built; float coefficients keep the float expression.
     """
