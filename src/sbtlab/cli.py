@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import diffops, limits, measures, oracle, semigroup, suite, transforms
 from .diffops import DimensionError
-from .polyalg import CxPoly, RealPoly, coeff_distance, holomorphic_extend
+from .polyalg import CxPoly, RealPoly, coeff_distance, holomorphic_extend, trim
 
 CSV_COLUMNS = ("N", "T", "quantity", "value", "reference", "abs_error", "rel_error")
 
@@ -104,7 +104,9 @@ def parse_poly(text: str) -> RealPoly:
             return "num", Fraction(int(literal), den), False
         return "num", Fraction(int(literal)), False
 
-    terms = []
+    # exact sums, float literals at their binary values; with any float literal each
+    # is rounded once, and one that does not fit is reported at its last term
+    acc, last = {}, {}  # monomial -> coefficient, column of its last term
     saw_float = False
     first = True
     skip_ws()
@@ -132,25 +134,25 @@ def parse_poly(text: str) -> RealPoly:
                 exps[index] = exps.get(index, 0) + power
             else:
                 value, is_float = payload
+                if is_float and not math.isfinite(value):
+                    err("coefficient overflows a float", start)
                 saw_float = saw_float or is_float
-                coeff = coeff * value
+                coeff = coeff * Fraction(value)
             skip_ws()
             if pos < n and text[pos] == "*":
                 pos += 1
                 continue
             break
-        width = max(exps) + 1 if exps else 0
-        key = tuple(exps.get(j, 0) for j in range(width))
-        terms.append((key, coeff, start))
-    mode_float = saw_float
-    acc: dict = {}
-    for key, coeff, start in terms:
-        acc[key] = acc.get(key, Fraction(0) if not mode_float else 0.0) + (
-            float(coeff) if mode_float else coeff
-        )
-        if mode_float and not math.isfinite(acc[key]):
-            err("coefficient overflows a float", start)
-    return RealPoly(acc, "float" if mode_float else "exact")
+        key = trim(tuple(exps.get(j, 0) for j in range(max(exps, default=-1) + 1)))
+        acc[key] = acc.get(key, 0) + coeff
+        last[key] = start
+    if saw_float:
+        for key, c in acc.items():
+            try:
+                acc[key] = float(c)  # one int / int division, as to_float()
+            except OverflowError:
+                err("coefficient overflows a float", last[key])
+    return RealPoly(acc, "float" if saw_float else "exact")
 
 
 def _check_suite_shape(k: int, deg: int) -> None:

@@ -32,9 +32,8 @@ abar-monomial of q.
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
-float flows).  Otherwise each real moment or norm, each complex norm (Re and
-Im apart for the quadric) and each abar-group of a complex moment is the
-exact sum, rounded once.
+float flows).  Otherwise each real moment or norm, each complex norm and each
+abar-group of a complex moment is the exact sum, rounded once.
 """
 
 from __future__ import annotations
@@ -394,7 +393,7 @@ def norm2(spec: MeasureSpec, f) -> float:
       exact, so the xi norm is ``float(moment(spec, f.mod_square()).re)``.
     * quadric (holomorphic f): the sphere norm of y = sum f_alpha F x^alpha,
       the sphere heat flow of f run backward for T/2, as the real forms of
-      Re y and Im y, each summed exactly and rounded once.
+      Re y and Im y, summed exactly together and rounded once.
 
     The complex norms are ``_flow_form`` of f's flow with itself, the form
     ``moment`` takes of every complex integrand.
@@ -410,10 +409,7 @@ def norm2(spec: MeasureSpec, f) -> float:
     exact = f.mode == EXACT and spec.rational
     flows = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
     forms = [_ratio_form(part) for part in flows if part]
-    if spec.family != "quadric":
-        return _flow_form(spec, [(form, form) for form in forms])
-    # Re y and Im y are two real sphere norms, each rounded once
-    return _finite(sum((_flow_form(spec, [(form, form)]) for form in forms), 0.0))
+    return _flow_form(spec, [(form, form) for form in forms])
 
 
 def gaussian_moment(p: RealPoly, t):

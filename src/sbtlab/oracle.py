@@ -69,8 +69,8 @@ def mc_sphere_moment(p: RealPoly, n: int, samples: int = 1_000_000,
 
     Memory is one workspace per call, reused by every chunk: k + 2 float
     rows (coordinates, squared length, values) of c = min(MC_CHUNK,
-    samples) points, plus the rows of p's evaluation plan (its monomial
-    table and the powers that are not table rows) for one block of at most
+    samples) points, plus the rows of p's evaluation plan (its power,
+    conjugate, product, ones and scratch rows) for one block of at most
     c points.  The draws go straight into the workspace and nothing of that
     size is allocated per chunk, so the peak does not grow with samples
     once c reaches MC_CHUNK.
@@ -229,31 +229,27 @@ def _matching_count(labels: tuple) -> int:
 def isserlis_moment(p: RealPoly, t):
     """Gaussian moment of p by summing over pair partitions of each monomial.
 
-    Exact for exact p and rational t; independent of the heat-operator route.
-    In the exact case the integer numerators of p's integer form times their
-    matching counts are summed by half-degree m, each sum is weighted by t^m
-    once, and the total is one Fraction.
+    Independent of the heat-operator route.  p's coefficients and t are read
+    at their exact values (a float at its binary rational): the integer
+    numerators of p's integer form times their matching counts are summed
+    by half-degree m, and each sum is weighted by t^m once.  The total is
+    one Fraction for exact p and rational t, and otherwise that Fraction
+    rounded once, by one int / int division.
     """
     MeasureSpec.gauss(t).check(p)
-    exact = p.mode == "exact" and _rational(t)
-    if exact:
-        nums, den = _integer_form(p)
-        sums: dict = {}
-        for alpha, c in nums.items():
-            count = _monomial_matchings(alpha)
-            if count:
-                m = mono_degree(alpha) // 2
-                sums[m] = sums.get(m, 0) + c * count
-        top = max(sums, default=0)
-        num, t_den = Fraction(t).as_integer_ratio()
-        return Fraction(sum(s * num ** m * t_den ** (top - m) for m, s in sums.items()),
-                        den * t_den ** top)
-    total = 0.0
-    for alpha, c in p.terms.items():
+    nums, den = _integer_form(p)
+    sums: dict = {}
+    for alpha, c in nums.items():
         count = _monomial_matchings(alpha)
         if count:
-            total = total + float(c) * count * float(t) ** (mono_degree(alpha) // 2)
-    return total
+            m = mono_degree(alpha) // 2
+            sums[m] = sums.get(m, 0) + c * count
+    top = max(sums, default=0)
+    num, t_den = Fraction(t).as_integer_ratio()
+    total = sum(s * num ** m * t_den ** (top - m) for m, s in sums.items())
+    if p.mode == "exact" and _rational(t):
+        return Fraction(total, den * t_den ** top)
+    return total / (den * t_den ** top)
 
 
 def _monomial_matchings(alpha: tuple) -> int:

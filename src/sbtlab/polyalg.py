@@ -48,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import chain, cycle
+from itertools import chain, count, cycle
 from operator import add as _add, truediv
 
 import numpy as np
@@ -58,9 +58,9 @@ FLOAT = "float"
 
 _MODES = (EXACT, FLOAT)
 
-# bytes of monomial tables per block of points an _EvalPlan evaluates: the block
-# holds as many points as fit, so memory does not grow with the number of points;
-# no value depends on it
+# bytes per block of points an _EvalPlan evaluates: the block holds as many points
+# as one row per distinct monomial fits in, so memory does not grow with the number
+# of points; no value depends on it
 EVAL_BLOCK_BYTES = 640 << 10
 
 
@@ -546,33 +546,32 @@ class _Poly:
 class _EvalPlan:
     """How ``eval_array`` evaluates one polynomial: built once, run on any points.
 
-    Each distinct monomial of each part has a row of a (monomials x points)
-    table.  The value is sum_i c_i X_i for one part and
-    sum_a A_a * (sum_b C_ab B_b) for two, so |p|^2 of a 10-term p costs 20
-    rows, not 100 terms.  A second part reads the conjugate point.  A
-    two-part plan reads a first power from its coordinate (or conjugate)
-    row and gives it no table row; the block size still counts one per
-    monomial, so the blocks are those of a table row for each.
-
-    Power e of a coordinate is power e - 1 times the coordinate, one multiply
-    each, so it carries e - 1 roundings: numpy sends ``column ** e`` for
-    e >= 3 to libm ``pow``, some fifty times slower.  A power that is itself
-    a monomial of the table is computed in its table row; the others take
-    rows of their own.
+    The value is sum_i c_i X_i over the distinct monomials X_i of one part,
+    and sum_a A_a * (sum_b C_ab B_b) over those of two, so |p|^2 of a
+    10-term p costs 20 monomials, not 100 terms.  A second part reads the
+    conjugate point, kept in conjugate rows.  One row rule places every
+    monomial: one of a single factor is read from its coordinate, conjugate
+    or power row, one of several factors gets a row of its own, and a
+    constant reads a ones row.  Power e of a coordinate is power e - 1
+    times the coordinate, one multiply each, so it carries e - 1 roundings:
+    numpy sends ``column ** e`` for e >= 3 to libm ``pow``, some fifty
+    times slower.  A monomial of several factors is the chain of products
+    of its factors' rows in index order.
 
     A point's value does not depend on the block it is evaluated in: every
     sum runs in index order, one rounded product added at a time, and the
     plan keeps to whole-row operations (a broadcast one can buffer a copy of
     its operands).  No complex product is written over one of its operands:
     on a one-point block numpy takes that for a reduction, whose complex
-    loop rounds differently; a real product rounds alike on every path, so
-    a real table row takes its own c_i X_i.
+    loop rounds differently.  So a chain alternates between the output row
+    (free until the sum) and its monomial's row, and every c_i X_i and
+    A_a * (sum_b C_ab B_b) goes to one scratch row before it is added.
 
-    The steps are fixed here, on slots: the output row (free until the sum,
-    so it holds partial products), the coordinates, then ``rows`` rows of a
-    workspace the caller owns (``workspace``), so a caller can reuse one for
-    every call; the plan holds no buffer.  Points go in blocks of ``step``,
-    whose tables take about EVAL_BLOCK_BYTES.
+    The steps are fixed here, on slots: the output row, the coordinates,
+    then ``rows`` rows of a workspace the caller owns (``workspace``), so a
+    caller can reuse one for every call; the plan holds no buffer.  Points
+    go in blocks of ``step``: as many as one row per distinct monomial
+    holds in EVAL_BLOCK_BYTES.
     """
 
     def __init__(self, p: _Poly):
@@ -589,62 +588,41 @@ class _EvalPlan:
         self.step = max(1, EVAL_BLOCK_BYTES // (table_rows * self.dtype.itemsize))
         self.width = p.width()
         base = 1 + self.width  # slot of workspace row 0; slot 1 + j is coordinate j
-        rows = 0
-        self.conjugates, self.ones, self.multiplies, tables, values = [], [], [], [], []
+        slots = count(base)
+        self.conjugates, self.ones, self.multiplies, values = [], [], [], []
         for side, seen in enumerate(monos):
             monomials = [tuple((j, e) for j, e in enumerate(mono) if e) for mono in seen]
-            table = []
-            for factors in monomials:
-                if len(monos) > 1 and len(factors) == 1 and factors[0][1] == 1:
-                    # read from its coordinate row; only a one-part plan writes
-                    # c_i X_i into the row of a first power
-                    table.append(None)
-                else:
-                    table.append(base + rows)
-                    rows += 1
-            top, at = {}, {}
-            for factors in monomials:
-                for j, e in factors:
-                    top[j] = max(top.get(j, 1), e)
+            top = {}
+            for j, e in chain.from_iterable(monomials):
+                top[j] = max(top.get(j, 1), e)
+            at = {}
             for j in sorted(top):
-                at[j, 1] = 1 + j
+                at[j, 1] = next(slots) if side else 1 + j
                 if side:
-                    # a second part reads conjugated coordinates, kept in rows of their own
-                    at[j, 1] = base + rows
-                    self.conjugates.append((1 + j, base + rows))
-                    rows += 1
-            for slot, factors in zip(table, monomials):
-                if len(factors) == 1 and factors[0][1] > 1:
-                    at[factors[0]] = slot
-            for j in sorted(top):
+                    self.conjugates.append((1 + j, at[j, 1]))
                 for e in range(2, top[j] + 1):
-                    if (j, e) not in at:
-                        at[j, e] = base + rows
-                        rows += 1
+                    at[j, e] = next(slots)
                     self.multiplies.append((at[j, e - 1], at[j, 1], at[j, e]))
-            for slot, factors in zip(table, monomials):
+            column = []
+            for factors in monomials:
                 if not factors:
-                    self.ones.append(slot)
-                elif len(factors) > 1:
-                    # partial products alternate between the output slot and the
-                    # table row, ending in the row
-                    value = at[factors[0]]
+                    self.ones.append(next(slots))
+                value = at[factors[0]] if factors else self.ones[-1]
+                if len(factors) > 1:
+                    row = next(slots)
                     for factor, target in zip(factors[1:], cycle(
-                            (slot, 0) if len(factors) % 2 == 0 else (0, slot))):
+                            (row, 0) if len(factors) % 2 == 0 else (0, row))):
                         self.multiplies.append((at[factor], value, target))
                         value = target
-            tables.append(table)
-            values.append([at[f[0]] if len(f) == 1 else slot for slot, f in zip(table, monomials)])
-        self.terms = self.pairs = None
-        if len(monos) == 1:
-            # (c_i, slot of X_i, table row that takes c_i X_i)
-            self.terms = list(zip(coeffs.tolist(), values[0], tables[0]))
-        else:
-            self.pairs = list(zip(coeffs.tolist(), values[0]))
-            self.second = values[1]
-            self.term = base + rows  # and the scratch row after it
-            rows += 2
-        self.rows = rows
+                column.append(value)
+            values.append(column)
+        # sum_b C_ab B_b over the last part's rows, times A_a over the first's if two
+        self.coeffs, self.inner = coeffs.tolist(), values[-1]
+        self.outer = self.term = None
+        if len(values) > 1:
+            self.outer, self.term = values[0], next(slots)
+        self.scratch = next(slots)
+        self.rows = self.scratch + 1 - base
 
     def workspace(self, points: int) -> np.ndarray:
         """A buffer for blocks of up to ``points`` points, reusable by any run of this plan."""
@@ -665,16 +643,20 @@ class _EvalPlan:
             slots[dst].fill(1)
         for a, b, dst in self.multiplies:
             np.multiply(slots[a], slots[b], out=slots[dst])
-        out.fill(0)
-        if self.pairs is None:
-            for c, src, dst in self.terms:
-                out += np.multiply(c, slots[src], out=slots[dst])
+        scratch = slots[self.scratch]
+
+        def contract(total, coeffs):
+            total.fill(0)
+            for c, b in zip(coeffs, self.inner):
+                total += np.multiply(c, slots[b], out=scratch)
+
+        if self.outer is None:
+            contract(out, self.coeffs)
             return
-        term, scratch = slots[self.term], slots[self.term + 1]
-        for coeffs, a in self.pairs:
-            term.fill(0)
-            for c, b in zip(coeffs, self.second):
-                term += np.multiply(c, slots[b], out=scratch)
+        term = slots[self.term]
+        out.fill(0)
+        for coeffs, a in zip(self.coeffs, self.outer):
+            contract(term, coeffs)
             out += np.multiply(slots[a], term, out=scratch)
 
 

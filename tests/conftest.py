@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import cycle, zip_longest
 
 import mpmath
 import numpy as np
 import sympy
 
-from sbtlab import diffops, semigroup
+from sbtlab import diffops, polyalg, semigroup
 from sbtlab.polyalg import FLOAT, CxPoly, GaussianRational, RealPoly, mono_degree, trim
 
 
@@ -283,8 +283,8 @@ def quadric_norm2_reference(f: CxPoly, n: int, T) -> float:
     from ``flow_monomial`` with the float operations of the package, in f's
     term order; each part's sphere norm sums u v <x^a x^b> over every
     ordered pair of its terms as exact Fractions, with the sphere moments
-    of ``_sphere_monomial_moment``, and is rounded once.  The two rounded
-    norms are added.
+    of ``_sphere_monomial_moment``, and the two exact norms are added and
+    rounded once.
     """
     gen = diffops.spherical_laplacian_op(n)
     parts = ({}, {})
@@ -294,10 +294,9 @@ def quadric_norm2_reference(f: CxPoly, n: int, T) -> float:
             if x:
                 for gamma, w in semigroup.flow_monomial(gen, -float(T) / 2.0, alpha).items():
                     part[gamma] = part.get(gamma, 0.0) + x * w
-    re, im = (float(sum((Fraction(u) * Fraction(v) * _sphere_monomial_moment(
+    return float(sum((Fraction(u) * Fraction(v) * _sphere_monomial_moment(
         tuple(i + j for i, j in zip_longest(a, b, fillvalue=0)), n)
-        for a, u in part.items() for b, v in part.items()), Fraction(0))) for part in parts)
-    return re + im
+        for part in parts for a, u in part.items() for b, v in part.items()), Fraction(0)))
 
 
 def fraction_isserlis(p: RealPoly, t: Fraction) -> Fraction:
@@ -383,6 +382,144 @@ def flow_weights_frozen(a2, a1, c, t, m: int) -> tuple:
     if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):
         return (math.exp(z[0]),)
     return tuple(exp_divided_differences_frozen(z, c * t).tolist())
+
+
+class eval_plan_frozen:
+    """``polyalg._EvalPlan`` as it stood before its one row rule, kept verbatim.
+
+    Tests hold the plan to these bits.  How ``eval_array`` evaluated one
+    polynomial: built once, run on any points.
+
+    Each distinct monomial of each part has a row of a (monomials x points)
+    table.  The value is sum_i c_i X_i for one part and
+    sum_a A_a * (sum_b C_ab B_b) for two, so |p|^2 of a 10-term p costs 20
+    rows, not 100 terms.  A second part reads the conjugate point.  A
+    two-part plan reads a first power from its coordinate (or conjugate)
+    row and gives it no table row; the block size still counts one per
+    monomial, so the blocks are those of a table row for each.
+
+    Power e of a coordinate is power e - 1 times the coordinate, one multiply
+    each, so it carries e - 1 roundings: numpy sends ``column ** e`` for
+    e >= 3 to libm ``pow``, some fifty times slower.  A power that is itself
+    a monomial of the table is computed in its table row; the others take
+    rows of their own.
+
+    A point's value does not depend on the block it is evaluated in: every
+    sum runs in index order, one rounded product added at a time, and the
+    plan keeps to whole-row operations (a broadcast one can buffer a copy of
+    its operands).  No complex product is written over one of its operands:
+    on a one-point block numpy takes that for a reduction, whose complex
+    loop rounds differently; a real product rounds alike on every path, so
+    a real table row takes its own c_i X_i.
+
+    The steps are fixed here, on slots: the output row (free until the sum,
+    so it holds partial products), the coordinates, then ``rows`` rows of a
+    workspace the caller owns (``workspace``), so a caller can reuse one for
+    every call; the plan holds no buffer.  Points go in blocks of ``step``,
+    whose tables take about EVAL_BLOCK_BYTES.
+    """
+
+    def __init__(self, p):
+        monos = [{} for _ in p._names]
+        places = [
+            tuple(seen.setdefault(mono, len(seen)) for seen, mono in zip(monos, p._parts(key)))
+            for key in p.terms
+        ]
+        self.dtype = np.dtype(p._float)
+        coeffs = np.zeros([len(seen) for seen in monos], dtype=self.dtype)
+        for place, c in zip(places, p.terms.values()):
+            coeffs[place] = p._float(c)
+        table_rows = max(sum(map(len, monos)), 1)
+        self.step = max(1, polyalg.EVAL_BLOCK_BYTES // (table_rows * self.dtype.itemsize))
+        self.width = p.width()
+        base = 1 + self.width  # slot of workspace row 0; slot 1 + j is coordinate j
+        rows = 0
+        self.conjugates, self.ones, self.multiplies, tables, values = [], [], [], [], []
+        for side, seen in enumerate(monos):
+            monomials = [tuple((j, e) for j, e in enumerate(mono) if e) for mono in seen]
+            table = []
+            for factors in monomials:
+                if len(monos) > 1 and len(factors) == 1 and factors[0][1] == 1:
+                    # read from its coordinate row; only a one-part plan writes
+                    # c_i X_i into the row of a first power
+                    table.append(None)
+                else:
+                    table.append(base + rows)
+                    rows += 1
+            top, at = {}, {}
+            for factors in monomials:
+                for j, e in factors:
+                    top[j] = max(top.get(j, 1), e)
+            for j in sorted(top):
+                at[j, 1] = 1 + j
+                if side:
+                    # a second part reads conjugated coordinates, kept in rows of their own
+                    at[j, 1] = base + rows
+                    self.conjugates.append((1 + j, base + rows))
+                    rows += 1
+            for slot, factors in zip(table, monomials):
+                if len(factors) == 1 and factors[0][1] > 1:
+                    at[factors[0]] = slot
+            for j in sorted(top):
+                for e in range(2, top[j] + 1):
+                    if (j, e) not in at:
+                        at[j, e] = base + rows
+                        rows += 1
+                    self.multiplies.append((at[j, e - 1], at[j, 1], at[j, e]))
+            for slot, factors in zip(table, monomials):
+                if not factors:
+                    self.ones.append(slot)
+                elif len(factors) > 1:
+                    # partial products alternate between the output slot and the
+                    # table row, ending in the row
+                    value = at[factors[0]]
+                    for factor, target in zip(factors[1:], cycle(
+                            (slot, 0) if len(factors) % 2 == 0 else (0, slot))):
+                        self.multiplies.append((at[factor], value, target))
+                        value = target
+            tables.append(table)
+            values.append([at[f[0]] if len(f) == 1 else slot for slot, f in zip(table, monomials)])
+        self.terms = self.pairs = None
+        if len(monos) == 1:
+            # (c_i, slot of X_i, table row that takes c_i X_i)
+            self.terms = list(zip(coeffs.tolist(), values[0], tables[0]))
+        else:
+            self.pairs = list(zip(coeffs.tolist(), values[0]))
+            self.second = values[1]
+            self.term = base + rows  # and the scratch row after it
+            rows += 2
+        self.rows = rows
+
+    def workspace(self, points: int) -> np.ndarray:
+        """A buffer for blocks of up to ``points`` points, reusable by any run of this plan."""
+        return np.empty(self.rows * min(points, self.step), dtype=self.dtype)
+
+    def run(self, cols, out: np.ndarray, work: np.ndarray) -> None:
+        """Write the polynomial at the points whose coordinate j is cols[j] into out."""
+        for start in range(0, len(out), self.step):
+            size = min(self.step, len(out) - start)
+            self._block([c[start:start + size] for c in cols[:self.width]],
+                        out[start:start + size], work[:self.rows * size].reshape(self.rows, size))
+
+    def _block(self, cols, out, work) -> None:
+        slots = [out, *cols, *work]
+        for src, dst in self.conjugates:
+            np.conjugate(slots[src], out=slots[dst])
+        for dst in self.ones:
+            slots[dst].fill(1)
+        for a, b, dst in self.multiplies:
+            np.multiply(slots[a], slots[b], out=slots[dst])
+        out.fill(0)
+        if self.pairs is None:
+            for c, src, dst in self.terms:
+                out += np.multiply(c, slots[src], out=slots[dst])
+            return
+        term, scratch = slots[self.term], slots[self.term + 1]
+        for coeffs, a in self.pairs:
+            term.fill(0)
+            for c, b in zip(coeffs, self.second):
+                term += np.multiply(c, slots[b], out=scratch)
+            out += np.multiply(slots[a], term, out=scratch)
 
 
 def seeded_rng(seed: int = 1234) -> random.Random:

@@ -446,6 +446,27 @@ def test_parse_rejects_non_finite_coefficients():
     assert "column 6" in str(info.value)
 
 
+def test_parsed_float_coefficients_do_not_depend_on_term_order():
+    # the exact sum of the three binary values, rounded once
+    for text in ("0.1*x1 + 0.2*x1 + 0.3*x1", "0.3*x1 + 0.2*x1 + 0.1*x1",
+                 "0.2*x1 + 0.3*x1 + 0.1*x1"):
+        assert parse_poly(text).terms[(1,)].hex() == "0x1.3333333333333p-1"
+    # x2^0 is the monomial 1, and x1*x2^0 is x1
+    assert parse_poly("x2^0 + 1") == RealPoly.constant(2)
+    assert parse_poly("x1*x2^0 + 0.5*x1") == RealPoly({(1,): 1.5}, "float")
+    # a product of literals is rounded once too
+    assert parse_poly("0.1*0.2*0.3*x1").terms[(1,)] == float(
+        Fraction(0.1) * Fraction(0.2) * Fraction(0.3))
+
+
+def test_parse_reports_only_a_rounded_coefficient_that_overflows():
+    assert parse_poly("1e308*x1 + 1e308*x1 - 1e308*x1").terms == {(1,): 1e308}
+    assert parse_poly("1e200*1e200*x1 - 1e200*1e200*x1 + x2").terms == {(0, 1): 1.0}
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("1e308*x1 + 1e308*x1 + x2")
+    assert "column 12" in str(info.value)
+
+
 def test_a_nan_gap_fails_the_tolerance(monkeypatch, capsys):
     def nan_report(p, tag):
         return transforms.TransformResult(p, None, tag, 1.0, math.nan)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbtlab import diffops, limits, measures, oracle, polyalg, semigroup, transforms
@@ -217,6 +217,22 @@ def test_isserlis_moment_is_the_fraction_sum(p, q, t):
     for r in (p, p * q):
         value = oracle.isserlis_moment(r, t)
         assert type(value) is Fraction and value == fraction_isserlis(r, t)
+
+
+_FLOAT_REAL_POLYS = st.dictionaries(
+    _EXPONENTS, st.floats(-8, 8, allow_subnormal=False).filter(bool), max_size=6,
+).map(lambda terms: RealPoly(terms, FLOAT))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FLOAT_REAL_POLYS | _REAL_POLYS,
+       st.floats(0.1, 3) | st.fractions(Fraction(1, 9), 5, max_denominator=9).filter(bool))
+def test_float_isserlis_moment_is_the_gaussian_moment_bit_for_bit(p, t):
+    assume(p.mode == FLOAT or isinstance(t, float))
+    value = oracle.isserlis_moment(p, t)
+    assert type(value) is float
+    assert value.hex() == measures.gaussian_moment(p, t).hex()
+    assert value == float(fraction_isserlis(_binary_values(p), Fraction(t)))
 
 
 def test_integer_routes_multiply_no_two_fractions(monkeypatch):

@@ -27,7 +27,7 @@ from sbtlab.oracle import (
 from sbtlab.polyalg import CxPoly, RealPoly, _EvalPlan, holomorphic_extend
 from sbtlab.suite import random_real_poly
 
-from conftest import seeded_rng
+from conftest import eval_plan_frozen, seeded_rng
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
@@ -184,6 +184,19 @@ FLAT_K5 = RealPoly({
 def test_mc_estimates_are_pinned(p, n, samples, seed, value, std_error):
     est = mc_sphere_moment(p, n, samples=samples, seed=seed)
     assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_mc_estimate_gives_the_frozen_plans_bits(monkeypatch, k):
+    # flat-oracle-shaped inputs: ten terms of degree up to 8, and a float copy
+    p = random_real_poly(seeded_rng(70 + k), k=k, degree=8, terms=10)
+    for q in (p, p.to_float()):
+        est = mc_sphere_moment(q, 3 * k, samples=20_003, seed=k)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_EvalPlan", eval_plan_frozen)
+            frozen = mc_sphere_moment(q, 3 * k, samples=20_003, seed=k)
+        assert (est.value.hex(), est.std_error.hex()) == \
+            (frozen.value.hex(), frozen.std_error.hex())
 
 
 def test_mc_concurrent_calls_keep_their_bits():

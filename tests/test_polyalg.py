@@ -24,7 +24,7 @@ from sbtlab.polyalg import (
 )
 from sbtlab.suite import random_real_poly
 
-from conftest import seeded_rng
+from conftest import eval_plan_frozen, seeded_rng
 
 X1 = RealPoly.variable(0)
 X2 = RealPoly.variable(1)
@@ -185,7 +185,7 @@ def test_eval_array_monomials_against_exact_values(degree):
 
 
 def _table_rows(p) -> int:
-    """Rows of eval_array's monomial tables: distinct monomials of each part."""
+    """Distinct monomials of each part: the rows an _EvalPlan budgets its block size for."""
     parts = [p._parts(key) for key in p.terms]
     return sum(len({key[side] for key in parts}) for side in range(len(p._names)))
 
@@ -231,17 +231,63 @@ def test_eval_array_gives_a_point_the_same_bits_in_any_block(monkeypatch, family
         values[:50].tobytes()
 
 
-def test_two_part_eval_plan_gives_a_first_power_no_table_row():
-    # |p|^2 of p = a1 + 2 a2 + 3 a3 + a1^2: a table row each for a1^2 and abar1^2,
-    # three conjugate rows, and the term and scratch rows; a1, a2, a3 and their
-    # conjugates are read from the coordinate and conjugate rows.  A one-part plan
-    # writes c_i X_i into a row for each monomial.
+def test_eval_plan_gives_a_monomial_of_one_factor_no_row_of_its_own():
+    # a monomial of one factor is read from its coordinate, conjugate or power
+    # row.  |p|^2 of p = a1 + 2 a2 + 3 a3 + a1^2: power rows for a1^2 and
+    # abar1^2, three conjugate rows, and the term and scratch rows.  Its real
+    # image x1 + 2 x2 + 3 x3 + x1^2: the power row of x1^2 and the scratch row.
     p = A1 + A2.scale(2) + CxPoly.a(2).scale(3) + A1 ** 2
     sq = p.mod_square()
     assert polyalg._EvalPlan(sq).rows == 7
-    assert polyalg._EvalPlan(X1 + X2.scale(2) + RealPoly.variable(2).scale(3) + X1 ** 2).rows == 4
+    assert polyalg._EvalPlan(X1 + X2.scale(2) + RealPoly.variable(2).scale(3) + X1 ** 2).rows == 2
     pts = np.array([[0.5 - 1j, 2.0 + 0.25j, -1.5 + 0.5j], [1.0, -2.0j, 0.75 + 0.75j]])
     np.testing.assert_allclose(sq.eval_array(pts), [sq.evaluate(point) for point in pts], rtol=1e-13)
+
+
+def _plan_cases():
+    rng = seeded_rng(63)
+    holomorphic = holomorphic_extend(random_real_poly(rng, k=3, degree=5, terms=6))
+    multi = random_real_poly(rng, k=4, degree=8, terms=10)
+    return {
+        "constant": RealPoly.constant(Fraction(-7, 3)),
+        "cx-constant": CxPoly.constant(GaussianRational(1, -2)),
+        "first-powers": X1 - X2.scale(Fraction(3, 2)) + RealPoly.variable(3).scale(5),
+        "pure-powers": X1 ** 5 + X2 ** 2 - X1 ** 2 + RealPoly.variable(2) ** 3,
+        "multi-factor": multi + RealPoly.constant(1),
+        "holomorphic": holomorphic * holomorphic,
+        "mod-square": holomorphic.mod_square(),
+        "mixed-cx": holomorphic.mod_square() + (A2 * ABAR1 ** 2).scale(GaussianRational(1, -2))
+        + CxPoly.constant(3),
+    }
+
+
+@pytest.mark.parametrize("count, block", [(1, None), (700, None), (3000, 7)],
+                         ids=["one-point", "one-block", "several-blocks"])
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("case", list(_plan_cases()))
+def test_eval_plan_gives_the_frozen_plans_bits(monkeypatch, case, mode, count, block):
+    p = _plan_cases()[case]
+    if mode == FLOAT:
+        p = p.to_float()
+    width = max(p.width(), 1)
+    gen = np.random.default_rng(count)
+    pts = gen.uniform(-1.5, 1.5, size=(count, width))
+    if isinstance(p, CxPoly):
+        pts = pts + 1j * gen.uniform(-1.5, 1.5, size=(count, width))
+    if block:
+        monkeypatch.setattr(polyalg, "EVAL_BLOCK_BYTES",
+                            _table_rows(p) * np.dtype(p._float).itemsize * block)
+    plan, frozen = polyalg._EvalPlan(p), eval_plan_frozen(p)
+    assert plan.step == frozen.step and (plan.step < count) == bool(block)
+    assert len(plan.multiplies) == len(frozen.multiplies)
+    assert plan.rows <= frozen.rows + 1
+    values = []
+    for each in (plan, frozen):
+        out = np.empty(count, dtype=each.dtype)
+        each.run(pts.T, out, each.workspace(count))
+        values.append(out.tobytes())
+    assert values[0] == values[1]
+    assert p.eval_array(pts).tobytes() == values[1]
 
 
 @pytest.mark.parametrize("family, pts", [
