@@ -103,17 +103,15 @@ class _FlowKey:
     """One group's (a2, a1, c) for the semigroup's flow tables.
 
     Hashed and compared by identity, so a table lookup hashes no Fraction of
-    the coefficients.  ``_flow_key`` hands out one per distinct (a2, a1, c)
-    while it holds it; a key built after one was dropped names equal flows.
+    the coefficients.  Each generator builds its own keys, so two generators
+    share a flow table only when they are one object, such as a memoized or
+    module-level operator; keys of equal coefficients name equal flows.
     """
 
     __slots__ = ("a2", "a1", "c")
 
     def __init__(self, a2, a1, c):
         self.a2, self.a1, self.c = a2, a1, c
-
-
-_flow_key = lru_cache(maxsize=256)(_FlowKey)
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ class GroupGenerator:
 
     def __post_init__(self):
         object.__setattr__(self, "flow_keys",
-                           tuple(_flow_key(g.a2, g.a1, g.c) for g in self.groups))
+                           tuple(_FlowKey(g.a2, g.a1, g.c) for g in self.groups))
 
     @property
     def is_complexified(self) -> bool:

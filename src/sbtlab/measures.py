@@ -27,13 +27,13 @@ prod_i (alpha_i - 1)!! weighted by one cached integer table N_m / D per
 at n = 10^4 and beyond.  A complex moment or norm is the form of two flows
 read from flow tables: backward sphere heat flows under the sphere's pair
 sums for the quadric, holomorphic Hermite coefficients e^{(c2/2) Lap} under
-the diagonal Hermite form for xi and gamma; a moment takes one form per
+the diagonal Hermite form for xi and gamma; a moment sums one form per
 abar-monomial of q.
 
 Exactness: a moment is exact only when the input is exact and every
 parameter is rational (gamma's e^T never is, and quadric moments go through
 float flows).  Otherwise each real moment or norm, each complex norm and each
-abar-group of a complex moment is the exact sum, rounded once.
+part (real and imaginary) of a complex moment is the exact sum, rounded once.
 """
 
 from __future__ import annotations
@@ -337,35 +337,26 @@ def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
     """sum of the forms <y_beta, F x^beta> over q's abar-monomials beta.
 
     y_beta = sum_alpha c_{alpha beta} F x^alpha gathers the terms that share
-    beta, so each group is one form of two flows, Re and Im each summed
-    exactly and rounded once.  ``exact`` (exact q under a rational spec)
-    flows exactly and returns the exact GaussianRational.
+    beta, so each group is one form of two flows.  The Re y_beta forms of
+    every group are summed exactly together and rounded once, and so are
+    the Im y_beta forms: one rounding per part.  ``exact`` (exact q under a
+    rational spec) flows exactly and returns the exact GaussianRational.
     """
     by_abar: dict = {}
     for (alpha, beta), c in q.terms.items():
-        group = by_abar.setdefault(beta, [])  # the groups' order is the order of their sum
         # every flow keeps each exponent's parity, and every family is even in
         # each coordinate, so a term of mixed parity integrates to 0
         if _parity(alpha) == _parity(beta):
-            group.append((alpha, c))
+            by_abar.setdefault(beta, []).append((alpha, c))
     one = GaussianRational(1) if exact else 1
-    total = [0, 0]
+    pairs = ([], [])  # (Re y_beta, F x^beta) and (Im y_beta, F x^beta)
     for beta, terms in by_abar.items():
-        x_beta = _backward_flow(spec, [(beta, one)], exact)[0]
-        other = _ratio_form(x_beta)
-        for i, part in enumerate(_backward_flow(spec, terms, exact)):
+        other = _ratio_form(_backward_flow(spec, [(beta, one)], exact)[0])
+        for part_pairs, part in zip(pairs, _backward_flow(spec, terms, exact)):
             if part:
-                if spec.family != "quadric":
-                    # the Hermite form is diagonal: only the keys part shares with x_beta count
-                    part = {k: part[k] for k in x_beta if k in part}
-                total[i] += _flow_form(spec, [(_ratio_form(part), other)], exact)
-    return GaussianRational(*total) if exact else _finite(complex(*total))
-
-
-def _finite(value):
-    if not math.isfinite(abs(value)):
-        raise OverflowError("a moment or norm overflows a float")
-    return value
+                part_pairs.append((_ratio_form(part), other))
+    re, im = (_flow_form(spec, part_pairs, exact) for part_pairs in pairs)
+    return GaussianRational(re, im) if exact else complex(re, im)
 
 
 # ---------------------------------------------------------------------------

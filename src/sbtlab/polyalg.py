@@ -29,8 +29,9 @@ store equal values.
 The integer form (``_integer_form``) is the polynomial over one common
 denominator: ({key: numerator}, den) for a ``RealPoly``, ({key: (re, im)},
 den) for a ``CxPoly``; a float coefficient reads as its exact binary
-rational.  Products, operator actions (``diffops.GroupGenerator.apply``),
-distances, moments and pair counts run on these integers in either mode.
+rational.  Products, scalings (a product with a constant), operator
+actions (``diffops.GroupGenerator.apply``), distances, moments and pair
+counts run on these integers in either mode.
 An exact result builds each output ``Fraction`` once, instead of once per
 product and once per sum, and keeps its own integer form in its memo, so
 what reads it next does not convert again.  ``den`` is a common
@@ -394,20 +395,15 @@ class _Poly:
         return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return self.scale(other)
-        if type(other) is not type(self):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        _check_modes(self, other)
         (nums, den), (other_nums, other_den) = _integer_form(self), _integer_form(other)
         return self._from_integer_form(
             self._numerator_product(nums, other_nums, self._key_mul), den * other_den, self.mode
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, self._scalars):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -423,13 +419,7 @@ class _Poly:
         return self.constant(1, self.mode) if out is None else out
 
     def scale(self, c):
-        c = self._coeff(c, self.mode)
-        if not c:
-            return self.zero(self.mode)
-        terms = _nonzero({key: c * v for key, v in self.terms.items()})
-        if self.mode == FLOAT:
-            _finite_terms(terms, "scaled")
-        return self._trusted(terms, self.mode)
+        return self * self.constant(c, self.mode)
 
     def dilate(self, lam):
         """Rescale the point x -> lam*x (a -> lam*a, abar -> conj(lam)*abar).
@@ -731,12 +721,6 @@ def _float_image(p: _Poly) -> _Poly:
 def _nonzero(terms: dict) -> dict:
     # float results can underflow to zero
     return {key: c for key, c in terms.items() if c}
-
-
-def _finite_terms(terms: dict, what: str) -> None:
-    # a float sum or product that overflowed to inf or nan is an OverflowError
-    if not all(map(cmath.isfinite, terms.values())):
-        raise OverflowError(f"a {what} coefficient does not fit in a float")
 
 
 # ---------------------------------------------------------------------------

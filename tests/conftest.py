@@ -299,6 +299,44 @@ def quadric_norm2_reference(f: CxPoly, n: int, T) -> float:
         for part in parts for a, u in part.items() for b, v in part.items()), Fraction(0)))
 
 
+def complex_moment_reference(spec, q: CxPoly) -> complex:
+    """The float moment of q under a quadric, xi or gamma spec, its forms summed as Fractions.
+
+    Every abar-group's y_beta = sum_alpha c F x^alpha and its F x^beta are
+    read from ``flow_monomial`` with the float operations of the package, at
+    its flow times and in q's term order.  The forms <y_beta, F x^beta> of
+    every group are added pair by pair as exact Fractions, with the sphere
+    moments of ``_sphere_monomial_moment`` (quadric) or the diagonal Hermite
+    weights gamma! g2^|gamma| (xi and gamma), and each part is rounded once.
+    """
+    if spec.family == "quadric":
+        gen, t = diffops.spherical_laplacian_op(spec.n), -float(spec.T) / 2.0
+
+        def weight(a, b):
+            return _sphere_monomial_moment(
+                tuple(i + j for i, j in zip_longest(a, b, fillvalue=0)), spec.n)
+    else:
+        c2, g2 = spec.covariances()
+        gen, t = diffops.LAPLACIAN, float(c2) / 2.0
+
+        def weight(a, b):
+            return Fraction(g2) ** sum(a) * math.prod(map(math.factorial, a)) if a == b else 0
+    groups: dict = {}  # beta -> (Re y_beta, Im y_beta)
+    for (alpha, beta), c in q.terms.items():
+        c = complex(c)
+        for part, x in zip(groups.setdefault(beta, ({}, {})), (c.real, c.imag)):
+            if x:
+                for gamma, w in semigroup.flow_monomial(gen, t, alpha).items():
+                    part[gamma] = part.get(gamma, 0.0) + x * w
+    sums = [Fraction(0), Fraction(0)]
+    for beta, parts in groups.items():
+        x_beta = semigroup.flow_monomial(gen, t, beta)
+        for i, part in enumerate(parts):
+            sums[i] += sum((Fraction(u) * Fraction(v) * weight(a, b) for a, u in part.items()
+                            for b, v in x_beta.items()), Fraction(0))
+    return complex(*map(float, sums))
+
+
 def fraction_isserlis(p: RealPoly, t: Fraction) -> Fraction:
     """Gaussian moment of exact p at rational t, summed over pair partitions term by term."""
     total = Fraction(0)

@@ -4,8 +4,8 @@ Products, operator actions, coefficient distances and pair-partition moments
 of exact polynomials run on each polynomial's memoized integer form, and the
 quadric squared norm sums its backward flow's binary rationals as integers;
 the references in conftest do the same sums one Fraction at a time.  Float
-products, actions and distances are the exact ones on the binary values,
-rounded once.
+products, scalings, actions, distances and complex moments are the exact
+ones on the binary values, rounded once.
 """
 
 import math
@@ -28,6 +28,7 @@ from sbtlab.polyalg import (
 
 from conftest import (
     _sphere_monomial_moment,
+    complex_moment_reference,
     fraction_apply,
     fraction_isserlis,
     fraction_product,
@@ -178,6 +179,42 @@ def test_float_results_are_the_exact_results_on_the_binary_values_rounded_once(p
             e.hex() for e in limits.laplacian_limit(exact_p, ns).errors]
 
 
+_FLOAT_SCALARS = {RealPoly: _FLOATS, CxPoly: st.builds(complex, _FLOATS, st.just(0.0) | _FLOATS)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(_REAL_FLOAT_POLYS, _FLOAT_SCALARS[RealPoly]),
+                 st.tuples(_CX_FLOAT_POLYS, _FLOAT_SCALARS[CxPoly])))
+@example((CxPoly({((1,), ()): 0.1 + 0.2j}, FLOAT), 0.3 + 0.7j))
+def test_float_scaling_is_the_exact_product_rounded_once(pair):
+    p, c = pair
+    exact_c = Fraction(c) if isinstance(p, RealPoly) else GaussianRational(c.real, c.imag)
+    want = type(p)({key: v * exact_c for key, v in _binary_values(p).terms.items()}).to_float()
+    for scaled in (p.scale(c), p * c, c * p):
+        assert _bits(scaled) == _bits(want)
+
+
+_LINEAR_KEYS = st.sampled_from([(1,), (0, 1), (0, 0, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_LINEAR_KEYS, _FLOATS, min_size=1), _FLOAT_SCALARS[RealPoly],
+       st.dictionaries(_LINEAR_KEYS.map(lambda a: (a, ())), _FLOAT_SCALARS[CxPoly], min_size=1),
+       _FLOAT_SCALARS[CxPoly])
+def test_scaling_a_linear_form_is_its_dilation(real_terms, lam, cx_terms, z):
+    for p, c in ((RealPoly(real_terms, FLOAT), lam), (CxPoly(cx_terms, FLOAT), z)):
+        assert _bits(p.scale(c)) == _bits(p.dilate(c))
+
+
+def test_a_complex_scaling_rounds_each_part_once():
+    # (0.1 + 0.2j) * (0.3 + 0.7j) in complex floats rounds each of the two
+    # products in a part and then their difference: -0x1.c28f5c28f5c28p-4
+    p = CxPoly({((1,), ()): 0.1 + 0.2j}, FLOAT)
+    scaled = p * (0.3 + 0.7j)
+    assert scaled.coefficient((1,)).real.hex() == "-0x1.c28f5c28f5c29p-4"
+    assert scaled == p.dilate(0.3 + 0.7j)
+
+
 def test_a_float_product_rounds_each_coefficient_once():
     x1 = RealPoly.variable(0, FLOAT)
     product = (-0.8 * x1 - 0.9) * (0.7 * x1 - 0.1)
@@ -313,6 +350,28 @@ def test_laplacian_limit_builds_no_output_polynomial(monkeypatch):
 _FLOAT_COMPLEX = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
 _HOLOMORPHIC_FLOAT = st.dictionaries(_EXPONENTS.map(lambda a: (a, ())), _FLOAT_COMPLEX,
                                      max_size=6).map(lambda terms: CxPoly(terms, FLOAT))
+
+
+_FLOAT_INTEGRANDS = st.dictionaries(st.tuples(_EXPONENTS, _EXPONENTS), _FLOAT_COMPLEX.filter(bool),
+                                    min_size=1, max_size=6).map(lambda terms: CxPoly(terms, FLOAT))
+_COMPLEX_SPECS = st.one_of(
+    st.builds(measures.MeasureSpec.quadric, st.integers(4, 12), st.floats(0.05, 2.5)),
+    st.builds(measures.MeasureSpec.gamma, st.floats(0.05, 3.0)),
+    st.builds(lambda s, ratio: measures.MeasureSpec.xi(s, ratio * s),
+              st.floats(0.5, 3.0), st.floats(0.05, 1.95)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FLOAT_INTEGRANDS, _COMPLEX_SPECS)
+@example(((CxPoly.a(0) + 1) ** 2 * (CxPoly.a(1) + 2) ** 2).mod_square(),
+         measures.MeasureSpec.quadric(5, 0.6))
+# each abar-group is 3 e^709, too large for a float; their sum is exactly 0
+@example(CxPoly.a(0) ** 3 * CxPoly.abar(0) - CxPoly.a(0) * CxPoly.abar(0) ** 3,
+         measures.MeasureSpec.gamma(709.0))
+def test_complex_moment_is_the_fraction_sum_of_its_flows_rounded_once(q, spec):
+    value, want = measures.moment(spec, q), complex_moment_reference(spec, q)
+    assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def _quadric_norm2_hex(f, n, T) -> str:

@@ -252,7 +252,8 @@ def test_quadric_moment_converges_to_gamma():
 @pytest.mark.parametrize("q, n, T, re, im", [
     (A1 ** 2 * ABAR1 + A2 * ABAR1 ** 2 + A1 * ABAR1 - 3, 5, 0.7,
      "-0x1.3fd3ed5138c11p+0", "0x0.0p+0"),
-    (((A1 + 1) ** 2 * (A2 + 2) ** 2).mod_square(), 5, 0.6, "0x1.518915ff3af56p+9", "0x0.0p+0"),
+    # quadric_moment_reference rounded
+    (((A1 + 1) ** 2 * (A2 + 2) ** 2).mod_square(), 5, 0.6, "0x1.518915ff3af55p+9", "0x0.0p+0"),
     (CxPoly({((1, 0, 1), (3, 2, 3)): GaussianRational(0, 1),
              ((2, 1), (0, 1)): GaussianRational(Fraction(1, 3), -2),
              ((1,), (1,)): GaussianRational(Fraction(-3, 4), Fraction(5, 2))}), 12, 1.7,
@@ -330,6 +331,22 @@ def test_float_complex_gaussian_moments_are_within_rounding_of_the_exact_sum(q, 
         gap = abs(complex(float(Fraction(value.real) - reference.re),
                           float(Fraction(value.imag) - reference.im)))
         assert gap <= 1e-14 * _moment_scale(q, *spec.covariances()), spec
+
+
+@pytest.mark.parametrize("p, T, re", [
+    (X1 ** 2 + X2 + Fraction(1, 2), 1.0, "0x1.3bf13adccf9c4p+4"),
+    (X1 ** 2 + X2, 0.7, "0x1.63f90ef5afca9p+3"),
+    (X1 ** 3 + 2 * X1 * X2 - Fraction(1, 2), 1.0, "0x1.5d916623d3cc4p+7"),
+], ids=["verify-integrand", "modsq-0.7", "modsq-cubic-1"])
+def test_gamma_moments_of_mod_squares_are_the_pairing_count_rounded(p, T, re):
+    # the integrands of verify's quadrature-vs-gamma line and of two
+    # converge reference columns: every part of the moment is rounded once,
+    # so each is the exact pairing count at e^T's binary value, rounded
+    q = holomorphic_extend(p).mod_square()
+    value = gamma_moment(q, T)
+    reference = complex_gaussian_moment_reference(q, *MeasureSpec.gamma(T).covariances())
+    assert (value.real, value.imag) == (float(reference.re), float(reference.im)) == (
+        float.fromhex(re), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +428,12 @@ def test_every_parameter_must_be_positive_and_finite(call):
 
 def test_complex_gaussian_moment_overflow_raises():
     # E[a^3 abar] = 3 e^T overflows at T = 709, though e^T itself fits: the
-    # integer sum of the E[a^3 abar] group is 3 e^709, too large for the one
-    # division that rounds it, with or without the - a abar^3 term
-    for q in (A1 ** 3 * ABAR1, A1 ** 3 * ABAR1 - A1 * ABAR1 ** 3):
-        with pytest.raises(OverflowError):
-            gamma_moment(q, 709.0)
+    # integer sum is 3 e^709, too large for the one division that rounds it.
+    # E[a abar^3] is 3 e^709 too, so their difference is exactly 0, which fits
+    with pytest.raises(OverflowError):
+        gamma_moment(A1 ** 3 * ABAR1, 709.0)
+    value = gamma_moment(A1 ** 3 * ABAR1 - A1 * ABAR1 ** 3, 709.0)
+    assert (value.real, value.imag) == (0.0, 0.0)
 
 
 def test_moments_are_exact_only_for_exact_input_and_rational_parameters():

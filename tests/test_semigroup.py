@@ -587,18 +587,18 @@ def test_flow_tables_are_bounded():
 
 
 def test_memos_stay_bounded_over_distinct_dimensions():
-    # each n brings its own sphere Laplacian, flow key and flow table; all
-    # three memos keep at most 256
+    # each n brings its own sphere Laplacian and flow table; both memos keep
+    # at most 256
     f = holomorphic_extend(X1 ** 2 + X2)
     for n in range(3, 2003):
         measures.norm2(measures.MeasureSpec.quadric(n, 0.5), f)
-    for memo in (diffops.spherical_laplacian_op, diffops._flow_key, semigroup._flow_table):
+    for memo in (diffops.spherical_laplacian_op, semigroup._flow_table):
         assert memo.cache_info().currsize == 256, memo
 
 
 def test_generator_whose_flow_key_was_dropped_flows_as_a_fresh_one():
-    # 256 newer coefficient triples push gen's flow keys out of their memo; a
-    # generator built afterwards gets new keys, and both flow bit for bit alike
+    # a generator built anew from gen's groups, after 256 others, gets flow
+    # keys of its own, and both flow bit for bit alike
     gens = [diffops.spherical_laplacian_op(9), diffops.g_uv_op(2), diffops.LAPLACIAN]
     for n in range(3000, 3256):
         diffops.jsq_a_op(n)
