@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -520,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("--tol", type=float, default=1e-9)
     iso.add_argument("--format", choices=("csv", "json"), default="csv")
     iso.add_argument("--out", default=None)
-    iso.set_defaults(fn=cmd_isometry)
 
     conv = sub.add_parser("converge", help="large-dimension convergence sweep")
     conv.add_argument("--quantity", required=True, choices=(
@@ -532,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--T", default="1.0")
     conv.add_argument("--format", choices=("csv", "json"), default="csv")
     conv.add_argument("--out", default=None)
-    conv.set_defaults(fn=cmd_converge)
 
     ver = sub.add_parser("verify", help="run the module invariants")
     ver.add_argument("--k", type=int, default=2, help="variable count")
@@ -540,16 +539,21 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--tol", type=float, default=None,
                      help="override every check tolerance (tighten to force failures)")
-    ver.set_defaults(fn=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up on each call, so a replaced cmd_* function is the one that runs
+        return globals()["cmd_" + args.command](args)
     except AssertionError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1

@@ -9,10 +9,12 @@ per-group flows, and each group flows as
 
     exp(t(lambda + c Lap)) x^alpha = sum_j f[t lambda_m, ..., t lambda_{m-2j}] (ct)^j Lap^j x^alpha
 
-with f = exp.  The chain Lap^j x^alpha is exact integer arithmetic; the
-divided-difference weights come from the exponential of one small bidiagonal
-matrix per degree, or, when every lambda is 0, from their closed form
-(ct)^j / j!, exact when c and t are rational; the numbers alone decide it.
+with f = exp.  The chain Lap^j x^alpha is exact integer arithmetic.  A
+linear group (a2 = 0: the heat, Euler and Hermite flows and their sums) has
+equally spaced nodes and takes its divided-difference weights in closed form
+(Mehler's formula for the Hermite flow), exact when a1 = 0 and c and t are
+rational; the numbers alone decide it.  Any other group takes them from the
+exponential of one small bidiagonal matrix per degree.
 
 * ``exp_graded``   -- exp(t*A) applied to one polynomial, term by term, so
   the cost follows the polynomial's terms, not the size of the graded basis.
@@ -50,7 +52,7 @@ class CommutationError(ValueError):
 
 
 def _exp_divided_differences(z, s: float) -> np.ndarray:
-    """s^j exp[z_0, ..., z_j] for j = 0 .. len(z) - 1.
+    """s^j exp[z_0, ..., z_j] for j = 0 .. len(z) - 1: the weights of a group with a2 != 0.
 
     The first row of exp(B) for the bidiagonal B with diagonal z and
     superdiagonal s (Opitz), which stays accurate as the nodes merge, where
@@ -133,13 +135,19 @@ def _exact_flow(a2, a1, c, t) -> bool:
 def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     """f[t lambda_m, ..., t lambda_{m-2j}] (c t)^j for j = 0 .. m // 2, f = exp.
 
-    A heat flow (every lambda 0) has the closed form (c t)^j / j!, taken as
-    w_j = w_{j-1} (c t) / j: Fractions when ``_exact_flow`` holds, else
-    floats at float(t), with the bits ``_exp_divided_differences`` gives on
-    all-zero nodes, and its OverflowError when a weight does not fit a
-    float.  Any other flow at one node (degree 0 or 1, or c = 0) is f[z_0] =
-    exp(z_0), which is what ``_exp_divided_differences`` returns there bit
-    for bit; a non-finite node or time still goes to it and raises there.
+    A linear group (a2 = 0) has equally spaced nodes z_j = z_0 + j h, with
+    h = -2 a1 t, and the closed form
+
+        w_j = e^{max(z_0, z_j)} S^j / j!,   S = c t (1 - e^{-|h|}) / |h|
+
+    (Mehler's formula for the Hermite flow, where S = (1 - e^{-2t}) / 2 at
+    t > 0), taken as S^j / j! = (S^{j-1} / (j-1)!) S / j, the factor with
+    ``expm1``.  A heat flow (a1 = 0) is its case h = 0, S = c t: Fractions
+    when ``_exact_flow`` holds, else floats at float(t).  Raises
+    OverflowError when a weight does not fit a float.  A float flow at one
+    node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0); the other a2 != 0
+    rows take the scaling and squaring of ``_exp_divided_differences``.  A
+    non-finite node or c t raises ValueError.
 
     The nodes are z = t * float(lambda_d).  For rational a2 = n2/d2 and
     a1 = n1/d1, lambda_d is one integer numerator over d2 d1, and the int / int
@@ -147,23 +155,18 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     Fraction built; float coefficients keep the float expression.
     """
     depth = m // 2 + 1 if c else 1
-    if not a2 and not a1:
-        if _rational(c, t):
-            ct = Fraction(c) * t
-        else:
-            t = float(t)
-            ct = c * t
-            if not (math.isfinite(t) and math.isfinite(ct)):
-                raise ValueError("graded flows need a finite time")
-        weights = [ct ** 0]  # 1, a Fraction or a float like ct
+    if _exact_flow(a2, a1, c, t):
+        s = Fraction(c) * t
+        weights = [s ** 0]
         for j in range(1, depth):
-            weights.append(weights[-1] * ct / j)
-        if isinstance(ct, float) and math.isinf(weights[-1]):
-            raise OverflowError("graded-flow weights overflow a float")
+            weights.append(weights[-1] * s / j)
         return tuple(weights)
     t = float(t)
+    ct = c * t
     degrees = range(m, m - 2 * depth, -2)
-    if _rational(a2, a1):
+    if not a2 and not a1:
+        z = [0.0 * t] * depth  # NaN at an infinite t
+    elif _rational(a2, a1):
         # a2 d^2 + a1 d over the denominator d2 d1, rounded once by one int / int
         # division: float() of that Fraction, without building it
         n2, n1 = a2.numerator * a1.denominator, a1.numerator * a2.denominator
@@ -171,9 +174,25 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
         z = [t * ((n2 * d * d + n1 * d) / den) for d in degrees]
     else:
         z = [t * float(a2 * d * d + a1 * d) for d in degrees]
-    if depth == 1 and math.isfinite(z[0]) and math.isfinite(c * t):
+    if not (math.isfinite(ct) and all(map(math.isfinite, z))):
+        raise ValueError("graded flows need a finite time")
+    if depth == 1:
         return (math.exp(z[0]),)
-    return tuple(_exp_divided_differences(z, c * t).tolist())
+    if a2:
+        return tuple(_exp_divided_differences(z, ct).tolist())
+    h = 2.0 * abs(a1 * t)
+    s = ct * (-math.expm1(-h) / h) if h else ct
+    weights = [1.0]  # S^j / j!
+    for j in range(1, depth):
+        weights.append(weights[-1] * s / j)
+    if h:
+        try:
+            weights = [math.exp(max(z[0], v)) * w for v, w in zip(z, weights)]
+        except OverflowError:  # from exp(z_0), itself the weight w_0
+            weights = [math.inf]
+    if not all(map(math.isfinite, weights)):
+        raise OverflowError("graded-flow weights overflow a float")
+    return tuple(weights)
 
 
 class _FlowTable(dict):

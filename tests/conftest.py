@@ -162,6 +162,25 @@ def _mp(x):
     return mpmath.mpf(x)
 
 
+def linear_flow_weights_reference(a1, c, t, m: int) -> list:
+    """exp[z_0, ..., z_j] (c t)^j for j = 0 .. m // 2 (j = 0 alone at c = 0), at 60 digits.
+
+    The weights of a group with a2 = 0, whose nodes z_j = t a1 (m - 2j) are
+    equally spaced with step h = -2 a1 t: the j-th forward difference of exp
+    is e^{z_0} (e^h - 1)^j, so exp[z_0, ..., z_j] = e^{z_0} (e^h - 1)^j / (j! h^j),
+    1 / j! at h = 0.  a1, c and t are read at their exact binary or rational
+    values; the package's float nodes are not used.
+    """
+    with mpmath.workdps(60):
+        a1, c, t = _mp(a1), _mp(c), _mp(t)
+        h = -2 * a1 * t
+        ratio = c * t * (mpmath.expm1(h) / h if h else 1)
+        weights = [mpmath.exp(t * a1 * m)]
+        for j in range(1, m // 2 + 1 if c else 1):
+            weights.append(weights[-1] * ratio / j)
+        return weights
+
+
 def quadric_moment_reference(q: CxPoly, n: int, T) -> complex:
     """The moment of q under the quadric measure at (n, T), from a 60-digit evaluation.
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from conftest import (
     exp_divided_differences_frozen,
     flow_weights_frozen,
     graded_matrices,
+    linear_flow_weights_reference,
     quadric_moment_reference,
     seeded_rng,
     to_sympy,
@@ -447,7 +449,7 @@ def test_single_node_flow_weights_raise_as_the_general_route():
     with pytest.raises(OverflowError):
         semigroup._exp_divided_differences([800.0], -800.0)
     for t in (math.inf, -math.inf, math.nan):
-        for args in ((0, -1, 1, t, 1), (0, -1, 1, t, 0), (0, 1, 0, t, 3)):
+        for args in ((0, -1, 1, t, 1), (0, -1, 1, t, 0), (0, 1, 0, t, 3), (0, -1, 1, t, 4)):
             with pytest.raises(ValueError, match="finite time"):
                 semigroup._flow_weights(*args)
 
@@ -500,14 +502,13 @@ _FROZEN_TIMES = tuple(sign * t for t in (1e-9, 0.05, 0.5, 3.0, 41.0, 400.0, 800.
 
 @pytest.mark.parametrize("gen", [
     *(diffops.spherical_laplacian_op(n) for n in (3, 5, 12, 50, 1000)),
-    diffops.HERMITE,
-    0.3 * diffops.HERMITE,
     diffops.spherical_laplacian_op(7) + 0.25 * diffops.EULER,
-], ids=["sphere-3", "sphere-5", "sphere-12", "sphere-50", "sphere-1000", "hermite",
-        "0.3-hermite", "sphere-7-plus-euler"])
+], ids=["sphere-3", "sphere-5", "sphere-12", "sphere-50", "sphere-1000", "sphere-7-plus-euler"])
 def test_flow_weights_keep_the_frozen_bits(gen):
     # the batched stopping test and the integer nodes move no bit and change no
-    # error: degrees 0-60, nodes merged to overflowing, both directions in time
+    # error: degrees 0-60, nodes merged to overflowing, both directions in time.
+    # Linear groups (a2 = 0) left this route; their weights are held to
+    # test_linear_flow_weights_match_the_60_digit_reference
     [g] = gen.groups
     errors = set()
     for t in _FROZEN_TIMES:
@@ -532,6 +533,8 @@ def test_flow_weights_keep_the_frozen_bits_on_random_flows():
         t = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9.0, 3.0)
         t = rng.choice((t, t, t, Fraction(t).limit_denominator(64), math.inf, math.nan))
         m = rng.randint(0, 60)
+        if not a2 and a1 and c and m > 1:
+            continue  # a linear flow at two or more nodes: closed form, not the frozen route
         want = _bits(flow_weights_frozen, a2, a1, c, t, m)
         assert _bits(semigroup._flow_weights, a2, a1, c, t, m) == want, (a2, a1, c, t, m)
         if isinstance(want, type):
@@ -544,6 +547,46 @@ def test_flow_weights_keep_the_frozen_bits_on_random_flows():
         want = _bits(lambda *args: exp_divided_differences_frozen(*args).tolist(), z, s)
         assert _bits(lambda *args: semigroup._exp_divided_differences(*args).tolist(), z, s) == want
     assert errors == {OverflowError, ValueError}
+
+
+_LINEAR_TIMES = tuple(sign * t for t in (1e-9, 1e-3, 0.05, 0.25, 0.5, 1.0, 1.7, 3.0, 10.0, 41.0, 100.0)
+                      for sign in (1, -1))
+
+
+@pytest.mark.parametrize("gen", [
+    diffops.HERMITE,
+    0.3 * diffops.HERMITE,
+    GroupGenerator((Group("x", None, 0, -0.35, 0.45),)),
+    diffops.G_K,
+    diffops.g_uv_op(2),
+    diffops.EULER + diffops.LAPLACIAN,
+], ids=["hermite", "0.3-hermite", "a1-0.35-c0.45", "g-k", "g-uv", "euler-plus-laplacian"])
+def test_linear_flow_weights_match_the_60_digit_reference(gen):
+    # equally spaced nodes, degrees 0-60, merged to far apart, both directions in
+    # time: every weight within 1e-12 relative (one below the normal range to
+    # within its last bits), and OverflowError only where a weight does not fit
+    for g in gen.groups:
+        for t in _LINEAR_TIMES:
+            for m in range(61):
+                want = linear_flow_weights_reference(g.a1, g.c, t, m)
+                try:
+                    weights = semigroup._flow_weights(g.a2, g.a1, g.c, t, m)
+                except OverflowError:
+                    assert max(map(abs, want)) > sys.float_info.max, (g, t, m)
+                    continue
+                assert len(weights) == len(want)
+                for w, x in zip(weights, want):
+                    assert abs(w - x) <= 1e-12 * abs(x) + 2.0 ** -1073, (g, t, m)
+
+
+def test_linear_flow_weights_reference_is_the_divided_difference_sum():
+    # the reference's forward-difference closed form against the Lagrange sum
+    for t in (0.5, 1.0, 3.0, -1.0):
+        for m in range(15):
+            z = [-t * d for d in range(m, -1, -2)]  # Hermite nodes, exact in floats
+            want = _exp_divided_differences_reference(z, t)
+            got = [float(w) for w in linear_flow_weights_reference(-1, 1, t, m)]
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("k,l", [(3, 6), (4, 8), (5, 8)])

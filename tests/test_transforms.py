@@ -120,8 +120,8 @@ _RESIDUAL = RealPoly({(3, 2): Fraction(3, 2), (0, 0, 2): Fraction(-1, 2)})
     (_MIXED, Sphere(5, 2.0), "0x1.5c1b1706c5c1bp+3", "0x1.5c1b1706c5c19p+3"),
     (_MIXED, Sphere(50, 0.1), "0x1.36e9e06522c3fp+4", "0x1.36e9e06522c43p+4"),
     (X1 ** 4, Sphere(50, 2.0), "0x1.4dde15e15e15ep+6", "0x1.4dde15e15e15dp+6"),
-    # 2.33 ulp below the exact 64/3: the float weights of the Hermite flow e^{Lap/2}
-    (_MIXED, Limit(1.0), "0x1.5555555555555p+4", "0x1.5555555555553p+4"),
+    # the exact 64/3 rounded once: the closed-form (Mehler) weights of the Hermite flow
+    (_MIXED, Limit(1.0), "0x1.5555555555555p+4", "0x1.5555555555555p+4"),
     (_RESIDUAL, Euclidean(1.0, 0.5), "0x1.9800000000000p+6", "0x1.9800000000000p+6"),
 ], ids=["sphere-5-0.1", "sphere-5-2", "sphere-50-0.1", "sphere-50-2", "limit-1", "euclidean-0.5"])
 def test_unitarity_report_norms_are_pinned_bit_for_bit(p, tag, domain, range_):
