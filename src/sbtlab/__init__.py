@@ -69,6 +69,7 @@ from .transforms import (
     Euclidean,
     Limit,
     Sphere,
+    Transform,
     TransformResult,
     euclidean_sbt,
     limit_sbt,

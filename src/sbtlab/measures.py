@@ -333,6 +333,14 @@ def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
     return re, im
 
 
+def _flow_ratio_form(part: dict) -> tuple:
+    """``_ratio_form`` of one part of a backward flow, whose float entries may overflow."""
+    try:
+        return _ratio_form(part)
+    except (OverflowError, ValueError):  # an infinite or NaN float has no integer ratio
+        raise OverflowError("a flowed coefficient does not fit in a float") from None
+
+
 def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
     """sum of the forms <y_beta, F x^beta> over q's abar-monomials beta.
 
@@ -351,10 +359,10 @@ def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
     one = GaussianRational(1) if exact else 1
     pairs = ([], [])  # (Re y_beta, F x^beta) and (Im y_beta, F x^beta)
     for beta, terms in by_abar.items():
-        other = _ratio_form(_backward_flow(spec, [(beta, one)], exact)[0])
+        other = _flow_ratio_form(_backward_flow(spec, [(beta, one)], exact)[0])
         for part_pairs, part in zip(pairs, _backward_flow(spec, terms, exact)):
             if part:
-                part_pairs.append((_ratio_form(part), other))
+                part_pairs.append((_flow_ratio_form(part), other))
     re, im = (_flow_form(spec, part_pairs, exact) for part_pairs in pairs)
     return GaussianRational(re, im) if exact else complex(re, im)
 
@@ -399,7 +407,7 @@ def norm2(spec: MeasureSpec, f) -> float:
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
     exact = f.mode == EXACT and spec.rational
     flows = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
-    forms = [_ratio_form(part) for part in flows if part]
+    forms = [_flow_ratio_form(part) for part in flows if part]
     return _flow_form(spec, [(form, form) for form in forms])
 
 

@@ -184,16 +184,13 @@ def quad_gauss_moment(q, family: MeasureSpec, order: int) -> OracleEstimate:
         value = sum(c * math.prod(table[e] for e in alpha + (0,) * (k - len(alpha)))
                     for alpha, c in q.to_float().terms.items())
         return OracleEstimate(float(value), 0.0, order)
-    if family.family == "xi":
-        var_u = (2.0 * float(family.s) - float(family.t)) / 2.0
-        var_v = float(family.t) / 2.0
-    elif family.family == "gamma":
-        var_u = (math.exp(float(family.T)) + 1.0) / 2.0
-        var_v = (math.exp(float(family.T)) - 1.0) / 2.0
-    else:
+    if family.family not in ("xi", "gamma"):
         raise ValueError(f"no quadrature for family {family.family!r}")
     if not isinstance(q, CxPoly):
         raise TypeError("complex-family quadrature takes complexified polynomials")
+    # z = u + i v with independent u, v: E[z^2] = c2 and E[z zbar] = g2
+    c2, g2 = family.covariances()
+    var_u, var_v = float(g2 + c2) / 2.0, float(g2 - c2) / 2.0
     z = (math.sqrt(var_u) * nodes[:, None] + 1j * math.sqrt(var_v) * nodes[None, :]).ravel()
     w = np.multiply.outer(weights, weights).ravel()
     table = ((_power_rows(z, degree) * w) @ _power_rows(z.conjugate(), degree).T).tolist()

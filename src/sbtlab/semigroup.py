@@ -143,11 +143,12 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
     (Mehler's formula for the Hermite flow, where S = (1 - e^{-2t}) / 2 at
     t > 0), taken as S^j / j! = (S^{j-1} / (j-1)!) S / j, the factor with
     ``expm1``.  A heat flow (a1 = 0) is its case h = 0, S = c t: Fractions
-    when ``_exact_flow`` holds, else floats at float(t).  Raises
-    OverflowError when a weight does not fit a float.  A float flow at one
-    node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0); the other a2 != 0
-    rows take the scaling and squaring of ``_exp_divided_differences``.  A
-    non-finite node or c t raises ValueError.
+    when ``_exact_flow`` holds, else floats at float(t).  A float flow at
+    one node (degree 0 or 1, or c = 0) is f[z_0] = exp(z_0), whatever a2;
+    the other a2 != 0 rows take the scaling and squaring of
+    ``_exp_divided_differences``.  Raises OverflowError("graded-flow
+    weights overflow a float") when a weight does not fit a float, and
+    ValueError at a non-finite node or c t.
 
     The nodes are z = t * float(lambda_d).  For rational a2 = n2/d2 and
     a1 = n1/d1, lambda_d is one integer numerator over d2 d1, and the int / int
@@ -176,19 +177,17 @@ def _flow_weights(a2, a1, c, t, m: int) -> tuple:
         z = [t * float(a2 * d * d + a1 * d) for d in degrees]
     if not (math.isfinite(ct) and all(map(math.isfinite, z))):
         raise ValueError("graded flows need a finite time")
-    if depth == 1:
-        return (math.exp(z[0]),)
-    if a2:
+    if a2 and depth > 1:
         return tuple(_exp_divided_differences(z, ct).tolist())
     h = 2.0 * abs(a1 * t)
     s = ct * (-math.expm1(-h) / h) if h else ct
     weights = [1.0]  # S^j / j!
     for j in range(1, depth):
         weights.append(weights[-1] * s / j)
-    if h:
+    if h or depth == 1:  # at one node: exp(z_0) * 1.0
         try:
             weights = [math.exp(max(z[0], v)) * w for v, w in zip(z, weights)]
-        except OverflowError:  # from exp(z_0), itself the weight w_0
+        except OverflowError:
             weights = [math.inf]
     if not all(map(math.isfinite, weights)):
         raise OverflowError("graded-flow weights overflow a float")
@@ -248,11 +247,6 @@ def monomial_flows(gen: GroupGenerator, t):
         return flowed
 
     return product
-
-
-def flow_monomial(gen: GroupGenerator, t, key) -> dict:
-    """exp(t*gen) of the monomial ``key`` as {key: weight}; see ``monomial_flows``."""
-    return monomial_flows(gen, t)(key)
 
 
 def exp_graded(gen: GroupGenerator, t, q):

@@ -10,9 +10,10 @@ the result as a holomorphic polynomial in the complexified variables:
 * ``Limit(T)``, ``limit_sbt`` -- heat flow of the Gaussian Hermite
   operator; the large-n limit of the sphere transform.
 
-A transform carries its generator, its flow time and its domain and range
-measures, built and checked on the first construction with its parameters
-and read from a bounded memo after that.  ``unitarity_report`` pairs the
+A transform is a ``Transform``: its generator, its flow time and its domain
+and range measures.  ``Euclidean``, ``Sphere`` and ``Limit`` build and check
+it on the first call with their parameters and return that one instance
+from a bounded memo after that.  ``unitarity_report`` pairs the
 squared domain norm of the input with the squared range norm of the output
 (``measures.norm2``); the two agree for every transform here, at finite n
 included.
@@ -20,9 +21,9 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import diffops, measures, semigroup
 from .measures import MeasureSpec
@@ -30,94 +31,65 @@ from .polyalg import CxPoly, RealPoly, _rational, holomorphic_extend
 
 
 def _memoized_parts(build):
-    """build(*params), kept in a bounded memo keyed on the params and their types.
+    """build(...), kept in a bounded memo keyed on the arguments and their types.
 
-    A failing build raises on every call and caches nothing; params that
+    A failing build raises on every call and caches nothing; arguments that
     cannot be hashed are built each time.  Types stay apart, so an exact
-    Euclidean time stays exact.
+    Euclidean time stays exact.  A keyword call has its own memo entry.
     """
     memo = lru_cache(maxsize=256, typed=True)(build)
 
-    def parts(*params):
+    @wraps(build)
+    def parts(*args, **kwargs):
         try:
-            hash(params)
+            hash((args, *kwargs.values()))
         except TypeError:
-            return build(*params)
-        return memo(*params)
+            return build(*args, **kwargs)
+        return memo(*args, **kwargs)
 
     return parts
 
 
-@_memoized_parts
-def _euclidean_parts(s, t) -> tuple:
-    xi = MeasureSpec.xi(s, t)  # first, so that a bad s reads as the xi check
-    return (diffops.LAPLACIAN, Fraction(t, 2) if _rational(t) else t / 2.0,
-            MeasureSpec.gauss(s), xi)
-
-
-@_memoized_parts
-def _sphere_parts(n, T) -> tuple:
-    domain = MeasureSpec.sphere(n)  # first, so that a bad n reads as the sphere check
-    return diffops.spherical_laplacian_op(n), T / 2.0, domain, MeasureSpec.quadric(n, T)
-
-
-@_memoized_parts
-def _limit_parts(T) -> tuple:
-    return diffops.HERMITE, T / 2.0, MeasureSpec.gauss(1), MeasureSpec.gamma(T)
-
-
 @dataclass(frozen=True)
-class _Transform:
+class Transform:
     """A heat flow by ``generator`` for ``time``, from the ``domain`` measure to ``range``.
 
-    Each transform takes its flow and its two measures from a memo of its
-    parameter set, built and checked by the measures on the first use.
+    Built by ``Euclidean``, ``Sphere`` and ``Limit``, one shared instance per
+    typed parameter set.
     """
 
-    generator: diffops.GroupGenerator = field(init=False, repr=False, compare=False)
-    time: object = field(init=False, repr=False, compare=False)
-    domain: MeasureSpec = field(init=False, repr=False, compare=False)
-    range: MeasureSpec = field(init=False, repr=False, compare=False)
-
-    def _set(self, parts: tuple) -> None:
-        for name, value in zip(("generator", "time", "domain", "range"), parts):
-            object.__setattr__(self, name, value)
+    generator: diffops.GroupGenerator
+    time: object
+    domain: MeasureSpec
+    range: MeasureSpec
 
     def apply(self, p: RealPoly) -> CxPoly:
         """Flow p, then extend holomorphically."""
         return holomorphic_extend(semigroup.exp_graded(self.generator, self.time, p))
 
 
-@dataclass(frozen=True)
-class Euclidean(_Transform):
-    """Two-parameter flat transform: heat time t into the xi_{s,t} range."""
-
-    s: float
-    t: float
-
-    def __post_init__(self):
-        self._set(_euclidean_parts(self.s, self.t))
+@_memoized_parts
+def Euclidean(s, t) -> Transform:
+    """The flat transform: the Laplacian's flow for t/2, from the Gaussian of
+    variance s to xi_{s,t}; the flow time is exact when t is rational."""
+    xi = MeasureSpec.xi(s, t)  # first, so that a bad s reads as the xi check
+    return Transform(diffops.LAPLACIAN, Fraction(t, 2) if _rational(t) else t / 2.0,
+                     MeasureSpec.gauss(s), xi)
 
 
-@dataclass(frozen=True)
-class Sphere(_Transform):
-    """Sphere transform at radius sqrt(n) with heat time T."""
-
-    n: int
-    T: float
-
-    def __post_init__(self):
-        self._set(_sphere_parts(self.n, self.T))
+@_memoized_parts
+def Sphere(n, T) -> Transform:
+    """The sphere transform at radius sqrt(n): the sphere Laplacian's flow for T/2,
+    from the sphere measure to the quadric's heat-kernel measure."""
+    domain = MeasureSpec.sphere(n)  # first, so that a bad n reads as the sphere check
+    return Transform(diffops.spherical_laplacian_op(n), T / 2.0, domain,
+                     MeasureSpec.quadric(n, T))
 
 
-@dataclass(frozen=True)
-class Limit(_Transform):
-    """Limiting transform into the gamma_T range."""
-
-    T: float
-
-    def __post_init__(self):
-        self._set(_limit_parts(self.T))
+@_memoized_parts
+def Limit(T) -> Transform:
+    """The limiting transform: the Hermite flow for T/2, from the standard Gaussian to gamma_T."""
+    return Transform(diffops.HERMITE, T / 2.0, MeasureSpec.gauss(1), MeasureSpec.gamma(T))
 
 
 def euclidean_sbt(p: RealPoly, s, t) -> CxPoly:
@@ -157,7 +129,7 @@ class TransformResult:
         return gap / abs(self.domain_norm2)
 
 
-def unitarity_report(p: RealPoly, tag: _Transform) -> TransformResult:
+def unitarity_report(p: RealPoly, tag: Transform) -> TransformResult:
     """Domain norm of p vs range norm of its transform, as squared L2 norms."""
     output = tag.apply(p)
     return TransformResult(p, output, tag, measures.norm2(tag.domain, p),

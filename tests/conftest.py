@@ -95,7 +95,7 @@ def sympy_sphere_laplacian(p: RealPoly, n: int) -> RealPoly:
 def graded_matrices(gen, t, k: int, l: int):
     """(keys, flow, dense): exp(t*gen) and gen as float matrices on the graded (k, l) basis.
 
-    Column j of ``flow`` is ``flow_monomial``'s flow of basis monomial
+    Column j of ``flow`` is ``monomial_flows``'s flow of basis monomial
     ``keys[j]`` under t*gen, and column j of ``dense`` is ``gen.apply`` of it,
     so scipy's expm of t*dense is an independent reference for ``flow``.
     """
@@ -104,7 +104,7 @@ def graded_matrices(gen, t, k: int, l: int):
     flow = np.zeros((len(keys), len(keys)))
     dense = np.zeros((len(keys), len(keys)))
     for j, key in enumerate(keys):
-        for beta, v in semigroup.flow_monomial(t * gen, 1.0, key).items():
+        for beta, v in semigroup.monomial_flows(t * gen, 1.0)(key).items():
             flow[index[beta], j] = v
         for beta, c in gen.apply(gen.family({key: 1.0}, FLOAT)).terms.items():
             assert complex(c).imag == 0
@@ -299,7 +299,7 @@ def quadric_norm2_reference(f: CxPoly, n: int, T) -> float:
     """The quadric squared norm of holomorphic f, its sphere sums taken pair by pair as Fractions.
 
     Re y and Im y of the backward flow y = sum f_alpha F x^alpha are read
-    from ``flow_monomial`` with the float operations of the package, in f's
+    from ``monomial_flows`` with the float operations of the package, in f's
     term order; each part's sphere norm sums u v <x^a x^b> over every
     ordered pair of its terms as exact Fractions, with the sphere moments
     of ``_sphere_monomial_moment``, and the two exact norms are added and
@@ -311,7 +311,7 @@ def quadric_norm2_reference(f: CxPoly, n: int, T) -> float:
         c = complex(c)
         for part, x in zip(parts, (c.real, c.imag)):
             if x:
-                for gamma, w in semigroup.flow_monomial(gen, -float(T) / 2.0, alpha).items():
+                for gamma, w in semigroup.monomial_flows(gen, -float(T) / 2.0)(alpha).items():
                     part[gamma] = part.get(gamma, 0.0) + x * w
     return float(sum((Fraction(u) * Fraction(v) * _sphere_monomial_moment(
         tuple(i + j for i, j in zip_longest(a, b, fillvalue=0)), n)
@@ -322,7 +322,7 @@ def complex_moment_reference(spec, q: CxPoly) -> complex:
     """The float moment of q under a quadric, xi or gamma spec, its forms summed as Fractions.
 
     Every abar-group's y_beta = sum_alpha c F x^alpha and its F x^beta are
-    read from ``flow_monomial`` with the float operations of the package, at
+    read from ``monomial_flows`` with the float operations of the package, at
     its flow times and in q's term order.  The forms <y_beta, F x^beta> of
     every group are added pair by pair as exact Fractions, with the sphere
     moments of ``_sphere_monomial_moment`` (quadric) or the diagonal Hermite
@@ -345,11 +345,11 @@ def complex_moment_reference(spec, q: CxPoly) -> complex:
         c = complex(c)
         for part, x in zip(groups.setdefault(beta, ({}, {})), (c.real, c.imag)):
             if x:
-                for gamma, w in semigroup.flow_monomial(gen, t, alpha).items():
+                for gamma, w in semigroup.monomial_flows(gen, t)(alpha).items():
                     part[gamma] = part.get(gamma, 0.0) + x * w
     sums = [Fraction(0), Fraction(0)]
     for beta, parts in groups.items():
-        x_beta = semigroup.flow_monomial(gen, t, beta)
+        x_beta = semigroup.monomial_flows(gen, t)(beta)
         for i, part in enumerate(parts):
             sums[i] += sum((Fraction(u) * Fraction(v) * weight(a, b) for a, u in part.items()
                             for b, v in x_beta.items()), Fraction(0))

@@ -392,7 +392,7 @@ def test_quadric_norm2_of_a_flow_that_cancels_to_zero(c):
     # a1^2 - w: the backward flow of x1^2 puts w on the constant, which the
     # second term cancels to an exact 0.0 in every nonzero part
     n, T = 7, 1.3
-    w = semigroup.flow_monomial(diffops.spherical_laplacian_op(n), -T / 2.0, (2,))[()]
+    w = semigroup.monomial_flows(diffops.spherical_laplacian_op(n), -T / 2.0)((2,))[()]
     f = CxPoly({((2,), ()): c, ((), ()): -c * w}, FLOAT)
     re, im = measures._backward_flow(measures.MeasureSpec.quadric(n, T),
                                      [(a, v) for (a, _), v in f.terms.items()])

@@ -20,6 +20,7 @@ from sbtlab.measures import (
     xi_moment,
 )
 from sbtlab.polyalg import (
+    FLOAT,
     CxPoly,
     GaussianRational,
     HolomorphicityError,
@@ -434,6 +435,18 @@ def test_complex_gaussian_moment_overflow_raises():
         gamma_moment(A1 ** 3 * ABAR1, 709.0)
     value = gamma_moment(A1 ** 3 * ABAR1 - A1 * ABAR1 ** 3, 709.0)
     assert (value.real, value.imag) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: norm2(MeasureSpec.quadric(5, 3.0), CxPoly({((4,), ()): 1.5e308}, FLOAT)),
+    lambda: norm2(MeasureSpec.gamma(3.0), CxPoly({((4,), ()): 1.5e308}, FLOAT)),
+    lambda: quadric_moment(CxPoly({((2,), ()): 1.5e308}, FLOAT), 5, 3.0),
+    lambda: xi_moment(CxPoly({((2,), (2,)): 1.5e308}, FLOAT), 5.0, 1.0),
+], ids=["quadric-norm", "gamma-norm", "quadric-moment", "xi-moment"])
+def test_a_backward_flow_past_a_float_names_its_overflow(call):
+    # the flowed coefficient is infinite, and has no integer form to sum
+    with pytest.raises(OverflowError, match="^a flowed coefficient does not fit in a float$"):
+        call()
 
 
 def test_moments_are_exact_only_for_exact_input_and_rational_parameters():

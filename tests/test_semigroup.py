@@ -16,7 +16,7 @@ from sbtlab.semigroup import (
     dilation_exp,
     exp_graded,
     factor_quadric_limit,
-    flow_monomial,
+    monomial_flows,
 )
 from sbtlab.suite import random_real_poly
 
@@ -143,7 +143,7 @@ def test_dilation_exp_matches_euler_exponential():
 def test_realized_element_at_time_zero_is_identity():
     # every basis monomial flows to itself, so the flow matrix is the identity
     for key in basis_keys(2, 3):
-        assert flow_monomial(0.0 * diffops.HERMITE, 1.0, key) == {key: 1.0}
+        assert monomial_flows(0.0 * diffops.HERMITE, 1.0)(key) == {key: 1.0}
 
 
 def test_spherical_diagonal_eigenvalues():
@@ -443,6 +443,15 @@ def test_single_node_flow_weights_are_the_exponential_bit_for_bit(gen):
             assert [w.hex() for w in weights] == [math.exp(z0).hex()] == [w.hex() for w in general]
 
 
+def test_one_node_flow_weights_overflow_with_the_message_of_a_longer_row():
+    messages = []
+    for m in (1, 2):
+        with pytest.raises(OverflowError) as info:
+            semigroup._flow_weights(0, -1, 1, -800.0, m)
+        messages.append(str(info.value))
+    assert messages == ["graded-flow weights overflow a float"] * 2
+
+
 def test_single_node_flow_weights_raise_as_the_general_route():
     with pytest.raises(OverflowError):
         semigroup._flow_weights(0, -1, 1, -800.0, 1)
@@ -621,11 +630,11 @@ def test_flow_tables_are_bounded():
     # past 256 tables; a dropped table is rebuilt with the same weights
     semigroup._flow_table.cache_clear()
     gen = diffops.spherical_laplacian_op(25)
-    first = dict(semigroup.flow_monomial(gen, 0.001, (4, 2)))
+    first = dict(semigroup.monomial_flows(gen, 0.001)((4, 2)))
     for i in range(2, 302):
-        semigroup.flow_monomial(gen, 0.001 * i, (4, 2))
+        semigroup.monomial_flows(gen, 0.001 * i)((4, 2))
     assert semigroup._flow_table.cache_info().currsize == 256
-    assert semigroup.flow_monomial(gen, 0.001, (4, 2)) == first
+    assert semigroup.monomial_flows(gen, 0.001)((4, 2)) == first
     semigroup._flow_table.cache_clear()
 
 
@@ -650,8 +659,8 @@ def test_generator_whose_flow_key_was_dropped_flows_as_a_fresh_one():
         fresh = GroupGenerator(gen.groups, gen.n)
         assert not set(map(id, fresh.flow_keys)) & set(map(id, gen.flow_keys))
         for key in keys:
-            old = semigroup.flow_monomial(gen, t, key)
-            new = semigroup.flow_monomial(fresh, t, key)
+            old = semigroup.monomial_flows(gen, t)(key)
+            new = semigroup.monomial_flows(fresh, t)(key)
             assert {k: float(v).hex() for k, v in old.items()} == (
                 {k: float(v).hex() for k, v in new.items()}) and old == new
 
@@ -663,7 +672,7 @@ def test_flow_exactness_follows_the_time_and_the_generator(times):
     # flow is exact at the rational time and float at the float one, in
     # either order
     semigroup._flow_table.cache_clear()
-    flows = {type(t): flow_monomial(diffops.LAPLACIAN, t, (4,)) for t in times}
+    flows = {type(t): monomial_flows(diffops.LAPLACIAN, t)((4,)) for t in times}
     assert flows[Fraction] == {(4,): 1, (2,): 6, (): 3}
     assert {type(v) for v in flows[Fraction].values()} == {Fraction}
     assert flows[float] == {(4,): 1.0, (2,): 6.0, (): 3.0}
@@ -673,11 +682,11 @@ def test_flow_exactness_follows_the_time_and_the_generator(times):
 def test_a_rational_time_flows_in_floats_where_a_lambda_is_not_zero():
     # the Hermite flow of x1^2 at t = 1/2 is e^-1 x1^2 + (1 - e^-1), the float
     # flow at 0.5 bit for bit; the Euler flow of x1^3 at t = 1 is e^3 x1^3
-    flow = flow_monomial(diffops.HERMITE, Fraction(1, 2), (2,))
+    flow = monomial_flows(diffops.HERMITE, Fraction(1, 2))((2,))
     assert {k: v.hex() for k, v in flow.items()} == {
-        k: v.hex() for k, v in flow_monomial(diffops.HERMITE, 0.5, (2,)).items()}
+        k: v.hex() for k, v in monomial_flows(diffops.HERMITE, 0.5)((2,)).items()}
     assert flow == pytest.approx({(2,): math.exp(-1), (): -math.expm1(-1)}, rel=1e-15)
-    assert flow_monomial(diffops.EULER, 1, (3,)) == pytest.approx({(3,): math.exp(3)}, rel=1e-15)
+    assert monomial_flows(diffops.EULER, 1)((3,)) == pytest.approx({(3,): math.exp(3)}, rel=1e-15)
     out = exp_graded(diffops.HERMITE, Fraction(1, 2), X1 ** 2)
     assert out.mode == "float" and out == exp_graded(diffops.HERMITE, 0.5, X1 ** 2)
 
@@ -691,13 +700,14 @@ def test_flow_tables_stay_bounded_under_concurrent_threads():
     gen = diffops.spherical_laplacian_op(9)
     times = [0.01 * i for i in range(1, 1501)]
     semigroup._flow_table.cache_clear()
-    serial = [semigroup.flow_monomial(gen, t, (3, 1)) for t in times]
+    serial = [semigroup.monomial_flows(gen, t)((3, 1)) for t in times]
     semigroup._flow_table.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(semigroup.flow_monomial, gen, t, (3, 1)) for t in times]
+            futures = [pool.submit(lambda t: semigroup.monomial_flows(gen, t)((3, 1)), t)
+                       for t in times]
             values = [fut.result(timeout=60) for fut in futures]
     finally:
         sys.setswitchinterval(switch)

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from sbtlab import measures, polyalg, semigroup
+from sbtlab import diffops, measures, polyalg, semigroup
 from sbtlab.diffops import DimensionError
+from sbtlab.measures import MeasureSpec
 from sbtlab.polyalg import CxPoly, RealPoly, coeff_distance
 from sbtlab.suite import acceptance_suite, random_real_poly
 from sbtlab.transforms import (
     Euclidean,
     Limit,
     Sphere,
+    Transform,
     euclidean_sbt,
     limit_sbt,
     sphere_sbt,
@@ -290,3 +292,42 @@ def test_transform_memo_keeps_parameter_types_apart():
     for tag in (Sphere(np.int64(5), 1.0), Sphere(5, np.array(1.0))):
         rep = unitarity_report(p, tag)
         assert (rep.domain_norm2, rep.range_norm2) == (ref.domain_norm2, ref.range_norm2)
+
+
+def test_a_repeated_construction_returns_the_same_transform():
+    assert Sphere(5, 1.0) is Sphere(5, 1.0)
+    assert Limit(0.5) is Limit(0.5)
+    assert Euclidean(1, Fraction(1, 2)) is Euclidean(1, Fraction(1, 2))
+    # a keyword call is its own memo entry, with equal parts
+    assert Sphere(n=5, T=1.0) == Sphere(5, 1.0) == Sphere(5, T=1.0)
+    assert Euclidean(s=1.0, t=0.5) == Euclidean(1.0, 0.5)
+    assert Limit(T=0.5) == Limit(0.5)
+
+
+def test_a_transform_is_its_four_parts():
+    sphere = Sphere(7, 0.8)
+    assert isinstance(sphere, Transform)
+    assert sphere.generator == diffops.spherical_laplacian_op(7)
+    assert (sphere.time, sphere.domain, sphere.range) == (
+        0.4, MeasureSpec.sphere(7), MeasureSpec.quadric(7, 0.8))
+    limit = Limit(0.5)
+    assert limit.generator is diffops.HERMITE
+    assert (limit.time, limit.domain, limit.range) == (
+        0.25, MeasureSpec.gauss(1), MeasureSpec.gamma(0.5))
+    flat = Euclidean(1, Fraction(1, 2))
+    assert flat.generator is diffops.LAPLACIAN
+    assert (flat.time, flat.domain, flat.range) == (
+        Fraction(1, 4), MeasureSpec.gauss(1), MeasureSpec.xi(1, Fraction(1, 2)))
+
+
+def test_a_warm_construction_checks_no_measure(monkeypatch):
+    builds = [lambda: Sphere(11, 0.3), lambda: Limit(0.3), lambda: Euclidean(2.0, 0.3)]
+    first = [build() for build in builds]
+    checks = []
+    post_init = MeasureSpec.__post_init__
+    monkeypatch.setattr(MeasureSpec, "__post_init__",
+                        lambda self: checks.append(self.family) or post_init(self))
+    assert [build() for build in builds] == first
+    assert checks == []
+    Sphere(13, 0.3)  # a cold one checks its two measures
+    assert checks == ["sphere", "quadric"]
