@@ -129,19 +129,14 @@ class GroupGenerator:
     n: int | None = None
     # each group's flow key, for the semigroup's flow tables
     flow_keys: tuple = field(init=False, repr=False, compare=False)
+    # the polynomial family this generator acts on
+    family: type = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "flow_keys",
                            tuple(_FlowKey(g.a2, g.a1, g.c) for g in self.groups))
-
-    @property
-    def is_complexified(self) -> bool:
-        return any(g.side != "x" for g in self.groups)
-
-    @property
-    def family(self) -> type:
-        """The polynomial family this generator acts on."""
-        return CxPoly if self.is_complexified else RealPoly
+        complexified = any(g.side != "x" for g in self.groups)
+        object.__setattr__(self, "family", CxPoly if complexified else RealPoly)
 
     def check_domain(self, p) -> None:
         """Raise unless p is a polynomial this generator acts on."""
@@ -283,8 +278,8 @@ def spherical_laplacian_op(n: int) -> GroupGenerator:
 
     Memoized, apart for each argument type so that a float n is still
     rejected: each backward flow of a quadric norm or moment
-    (``measures._backward_flow``) reads one, 2 048 per round of the
-    benchmark's suite workload.
+    (``measures._flow``) reads one, 2 048 per round of the benchmark's
+    suite workload.
     """
     n = ambient_dimension("spherical_laplacian", n, 1)
     return GroupGenerator((Group("x", None, Fraction(-1, n), Fraction(2 - n, n), 1),), n)

@@ -25,7 +25,8 @@ q with the constant 1: pairing counts
 prod_i (alpha_i - 1)!! weighted by one cached integer table N_m / D per
 (t or n, top half-degree), which keeps the convergence experiments accurate
 at n = 10^4 and beyond.  A complex moment or norm is the form of two flows
-read from flow tables: backward sphere heat flows under the sphere's pair
+by ``semigroup.exp_graded`` of the real and imaginary parts of its a-side
+terms: backward sphere heat flows under the sphere's pair
 sums for the quadric, holomorphic Hermite coefficients e^{(c2/2) Lap} under
 the diagonal Hermite form for xi and gamma; a moment sums one form per
 abar-monomial of q.
@@ -48,6 +49,7 @@ from . import diffops, semigroup
 from .diffops import DimensionError, ambient_dimension
 from .polyalg import (
     EXACT,
+    FLOAT,
     CxPoly,
     GaussianRational,
     HolomorphicityError,
@@ -230,14 +232,17 @@ def _radial_sum(spec: MeasureSpec, sums: dict, den: int, exact: bool = False):
     """sum_m S_m N_m / (D den) with the radial table of spec, in one int / int division.
 
     The sphere and quadric tables read n, the Gaussian tables t (gauss) or
-    E[a abar] (xi and gamma).  The division rounds once, correctly;
-    ``exact`` returns the Fraction instead.
+    E[a abar] (xi and gamma).  The division rounds once, correctly, or raises
+    OverflowError naming the measure; ``exact`` returns the Fraction instead.
     """
     sphere = spec.family in ("sphere", "quadric")
     x = spec.n if sphere else spec.t if spec.family == "gauss" else spec.covariances()[1]
     weights, common = _radial_table(sphere, x, max(sums, default=0))
     num = sum(s * weights[m] for m, s in sums.items())
-    return Fraction(num, common * den) if exact else num / (common * den)
+    try:
+        return Fraction(num, common * den) if exact else num / (common * den)
+    except OverflowError:
+        raise OverflowError(f"a {spec.family} moment or norm does not fit in a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +253,8 @@ def _radial_sum(spec: MeasureSpec, sums: dict, den: int, exact: bool = False):
 # tau = T/(2n) the holomorphic half -n*Lap + Euler^2 + (n-2)*Euler is
 # -(T/2) times the sphere Laplacian.  So the moment of a^alpha abar^beta is
 # the sphere integral <F x^alpha, F x^beta> of two backward flows: F is the
-# sphere heat flow run backward for T/2, read from the sphere Laplacian's
-# flow table at time -T/2.
+# sphere heat flow run backward for T/2: the sphere Laplacian's flow at
+# time -T/2.
 #
 # The complex Gaussians read a flow too.  Per coordinate let c2 = E[a^2] and
 # g2 = E[a abar].  The holomorphic Hermite polynomials e^{-(c2/2) Lap} a^beta
@@ -307,38 +312,26 @@ def _flow_form(spec: MeasureSpec, pairs, exact: bool = False):
     return _radial_sum(spec, sums, den, exact)
 
 
-def _backward_flow(spec: MeasureSpec, terms, exact: bool = False) -> tuple:
-    """Real and imaginary parts of sum c F x^alpha over the (alpha, c) in terms, as dicts.
+def _split(terms, mode: str) -> tuple:
+    """sum c x^alpha over the (alpha, c) in terms as its real and imaginary
+    RealPolys in mode, None where 0; a holomorphic polynomial memoizes its own."""
+    parts = ({}, {})
+    for alpha, c in terms:
+        for part, x in zip(parts, (c.re, c.im) if mode == EXACT else (c.real, c.imag)):
+            if x:
+                part[alpha] = x
+    return tuple(RealPoly._trusted(part, mode) if part else None for part in parts)
 
-    F is e^{-(T/2) sphere Lap} (quadric) or e^{(c2/2) Lap} (xi and gamma),
-    applied to a holomorphic f for its norm, or to the a-part of one
-    abar-group, or to x^beta, for a moment.  ``exact`` flows exact
-    coefficients at the exact time c2/2; otherwise the flow runs in floats.
-    An entry may be 0.0 where flows cancel; it adds nothing to a form.
-    """
+
+def _flow(spec: MeasureSpec, p: RealPoly) -> tuple:
+    """The integer form of F p by ``exp_graded``, exact where its numbers are: F is
+    e^{-(T/2) sphere Lap} (quadric) or e^{(c2/2) Lap} (xi and gamma)."""
     if spec.family == "quadric":
         gen, t = diffops.spherical_laplacian_op(spec.n), -float(spec.T) / 2.0
     else:
         c2 = spec.covariances()[0]
-        gen, t = diffops.LAPLACIAN, Fraction(c2, 2) if exact else float(c2) / 2.0
-    flow = semigroup.monomial_flows(gen, t)
-    re: dict = {}
-    im: dict = {}
-    for alpha, c in terms:
-        c = c if exact else complex(c)
-        for part, x in zip((re, im), (c.re, c.im) if exact else (c.real, c.imag)):
-            if x:
-                for gamma, w in flow(alpha).items():
-                    part[gamma] = part.get(gamma, 0) + x * w
-    return re, im
-
-
-def _flow_ratio_form(part: dict) -> tuple:
-    """``_ratio_form`` of one part of a backward flow, whose float entries may overflow."""
-    try:
-        return _ratio_form(part)
-    except (OverflowError, ValueError):  # an infinite or NaN float has no integer ratio
-        raise OverflowError("a flowed coefficient does not fit in a float") from None
+        gen, t = diffops.LAPLACIAN, Fraction(c2, 2) if _rational(c2) else float(c2) / 2.0
+    return _ratio_form(semigroup.exp_graded(gen, t, p).terms)
 
 
 def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
@@ -346,9 +339,10 @@ def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
 
     y_beta = sum_alpha c_{alpha beta} F x^alpha gathers the terms that share
     beta, so each group is one form of two flows.  The Re y_beta forms of
-    every group are summed exactly together and rounded once, and so are
-    the Im y_beta forms: one rounding per part.  ``exact`` (exact q under a
-    rational spec) flows exactly and returns the exact GaussianRational.
+    every group are summed exactly together and rounded once, and so are the
+    Im y_beta forms: one rounding per part.  ``exact`` (exact q under a
+    rational spec, whose flows are exact) flows x^beta exactly too and
+    returns the GaussianRational; otherwise x^beta flows in floats.
     """
     by_abar: dict = {}
     for (alpha, beta), c in q.terms.items():
@@ -356,13 +350,13 @@ def _complex_moment(spec: MeasureSpec, q: CxPoly, exact: bool):
         # each coordinate, so a term of mixed parity integrates to 0
         if _parity(alpha) == _parity(beta):
             by_abar.setdefault(beta, []).append((alpha, c))
-    one = GaussianRational(1) if exact else 1
+    mode, one = (EXACT, Fraction(1)) if exact else (FLOAT, 1.0)
     pairs = ([], [])  # (Re y_beta, F x^beta) and (Im y_beta, F x^beta)
     for beta, terms in by_abar.items():
-        other = _flow_ratio_form(_backward_flow(spec, [(beta, one)], exact)[0])
-        for part_pairs, part in zip(pairs, _backward_flow(spec, terms, exact)):
-            if part:
-                part_pairs.append((_flow_ratio_form(part), other))
+        other = _flow(spec, RealPoly._trusted({beta: one}, mode))
+        for part_pairs, part in zip(pairs, _split(terms, q.mode)):
+            if part is not None:
+                part_pairs.append((_flow(spec, part), other))
     re, im = (_flow_form(spec, part_pairs, exact) for part_pairs in pairs)
     return GaussianRational(re, im) if exact else complex(re, im)
 
@@ -405,9 +399,10 @@ def norm2(spec: MeasureSpec, f) -> float:
         return _radial_sum(spec, sums, den)
     if not f.is_holomorphic():
         raise HolomorphicityError("squared norms need a holomorphic polynomial")
-    exact = f.mode == EXACT and spec.rational
-    flows = _backward_flow(spec, [(a, c) for (a, _), c in f.terms.items()], exact)
-    forms = [_flow_ratio_form(part) for part in flows if part]
+    # kept in f's memo; a transform output's is its forward flow (``holomorphic_extend``)
+    parts = f._memoized("parts", lambda f: _split(
+        [(alpha, c) for (alpha, _), c in f.terms.items()], f.mode))
+    forms = [_flow(spec, part) for part in parts if part is not None]
     return _flow_form(spec, [(form, form) for form in forms])
 
 

@@ -22,7 +22,9 @@ polynomial compares equal no matter how many ambient variables it is read in.
 A polynomial never changes, so what its terms determine is computed once,
 on first use, and kept in a private memo on the instance: its width, its
 float image (``to_float()``), its integer form and, for ``measures``, the
-half-degree pair sums behind its Gaussian and sphere squared norms.  The
+half-degree pair sums behind its Gaussian and sphere squared norms and the
+real and imaginary ``RealPoly`` parts of a holomorphic polynomial
+(``"parts"``), which ``holomorphic_extend`` seeds with its input.  The
 memo takes no part in equality, printing or JSON; threads that race on it
 store equal values.
 
@@ -816,7 +818,9 @@ def holomorphic_extend(p: RealPoly) -> CxPoly:
         terms = {(a, ()): GaussianRational._of(c, _ZERO) for a, c in p.terms.items()}
     else:
         terms = {(a, ()): complex(c) for a, c in p.terms.items()}
-    return CxPoly._trusted(terms, p.mode)
+    q = CxPoly._trusted(terms, p.mode)
+    object.__setattr__(q, "_memo", {"parts": (p, None)})  # its real part is p
+    return q
 
 
 def coeff_distance(p, q):

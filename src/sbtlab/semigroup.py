@@ -17,7 +17,8 @@ rational; the numbers alone decide it.  Any other group takes them from the
 exponential of one small bidiagonal matrix per degree.
 
 * ``exp_graded``   -- exp(t*A) applied to one polynomial, term by term, so
-  the cost follows the polynomial's terms, not the size of the graded basis.
+  the cost follows the polynomial's terms, not the size of the graded basis;
+  the one routine that sums the flows ``monomial_flows`` reads.
 * ``dilation_exp`` -- closed-form dilation semigroup of the Euler operator.
 
 Also here: the commutation-relation exponential identities ("[X,Y] = aY"
@@ -120,7 +121,7 @@ def _exp_divided_differences(z, s: float) -> np.ndarray:
                 x = x.dot(x)
                 x.flat[::n + 1] = resets[q]
             row = x[0] * math.exp(mid)
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):  # numpy's overflow, or math.exp's
         raise OverflowError("graded-flow weights overflow a float") from None
     if s < 0:
         row[1::2] *= -1.0
@@ -250,7 +251,7 @@ def monomial_flows(gen: GroupGenerator, t):
 
 
 def exp_graded(gen: GroupGenerator, t, q):
-    """Apply exp(t*gen) to q, term by term.
+    """Apply exp(t*gen) to q, term by term; every graded flow in the package is summed here.
 
     The result is exact when q is exact and so is every group's flow
     (``_exact_flow``: a strictly degree-lowering flow at rational c and t);
@@ -268,7 +269,8 @@ def exp_graded(gen: GroupGenerator, t, q):
     for key, c in q.terms.items():
         for beta, v in flow(key).items():
             out[beta] = out.get(beta, 0) + c * v
-    out = {beta: v for beta, v in out.items() if v}
+    if not all(out.values()):  # a sum cancelled to 0
+        out = {beta: v for beta, v in out.items() if v}
     if not exact and not all(map(cmath.isfinite, out.values())):
         raise OverflowError("a flowed coefficient does not fit in a float")
     return kind._trusted(out, EXACT if exact else FLOAT)

@@ -99,7 +99,7 @@ def graded_matrices(gen, t, k: int, l: int):
     ``keys[j]`` under t*gen, and column j of ``dense`` is ``gen.apply`` of it,
     so scipy's expm of t*dense is an independent reference for ``flow``.
     """
-    keys = diffops.basis_keys(k, l, gen.is_complexified)
+    keys = diffops.basis_keys(k, l, gen.family is CxPoly)
     index = {key: i for i, key in enumerate(keys)}
     flow = np.zeros((len(keys), len(keys)))
     dense = np.zeros((len(keys), len(keys)))

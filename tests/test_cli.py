@@ -180,6 +180,17 @@ def test_isometry_exits_two_where_the_forward_flow_overflows(capsys):
     assert captured.out == ""
 
 
+def test_a_moment_past_a_float_exits_two_and_names_its_measure(capsys):
+    # the sweep's reference, the gamma moment E|a1^4|^2 = 24 e^1200 at T = 300,
+    # does not fit in a float
+    argv = ["converge", "--quantity", "quadric-moment", "--poly", "modsq:x1^4", "--N", "10,100",
+            "--T", "300"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: overflow: a gamma moment or norm does not fit in a float\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1e-9"])
 def test_isometry_rejects_a_nan_or_negative_tolerance(tol, capsys):
     # a NaN or negative gate would fail even a zero gap

@@ -166,7 +166,7 @@ def test_g_uv_matches_complex_form():
 def _images(op, k, l) -> dict:
     """op.apply of each monomial of the graded (k, l) basis, exactly: the columns of op's matrix."""
     return {key: op.apply(op.family({key: 1}))
-            for key in diffops.basis_keys(k, l, op.is_complexified)}
+            for key in diffops.basis_keys(k, l, op.family is CxPoly)}
 
 
 def _commutator(a, b, m):

@@ -388,16 +388,32 @@ def test_quadric_norm2_is_the_fraction_sum_of_its_flow_rounded_once(f, n, T):
 
 
 @pytest.mark.parametrize("c", [1.0, 1 + 1j, -0.5j])
-def test_quadric_norm2_of_a_flow_that_cancels_to_zero(c):
+def test_quadric_norm2_of_a_flow_that_cancels_to_zero(c, monkeypatch):
     # a1^2 - w: the backward flow of x1^2 puts w on the constant, which the
-    # second term cancels to an exact 0.0 in every nonzero part
+    # second term cancels to an exact 0.0 in every nonzero part, and
+    # exp_graded drops it
     n, T = 7, 1.3
     w = semigroup.monomial_flows(diffops.spherical_laplacian_op(n), -T / 2.0)((2,))[()]
     f = CxPoly({((2,), ()): c, ((), ()): -c * w}, FLOAT)
-    re, im = measures._backward_flow(measures.MeasureSpec.quadric(n, T),
-                                     [(a, v) for (a, _), v in f.terms.items()])
-    assert (re or im) and all(part[()] == 0.0 for part in (re, im) if part)
+    flows, exp_graded = [], semigroup.exp_graded
+    monkeypatch.setattr(semigroup, "exp_graded",
+                        lambda *args: flows.append(exp_graded(*args)) or flows[-1])
     assert _quadric_norm2_hex(f, n, T) == quadric_norm2_reference(f, n, T).hex()
+    assert flows and all((2,) in y.terms and () not in y.terms for y in flows)
+
+
+def test_warm_sphere_report_splits_no_polynomial_into_parts(monkeypatch):
+    # the output's real part is the forward flow itself, which
+    # holomorphic_extend keeps in the output's memo
+    p = RealPoly({(2, 1): Fraction(1, 3), (1,): Fraction(-2), (0, 3): Fraction(1)})
+    tag = transforms.Sphere(7, 0.8)
+    first = transforms.unitarity_report(p, tag)
+    split, calls = measures._split, []
+    monkeypatch.setattr(measures, "_split", lambda *args: calls.append(args) or split(*args))
+    second = transforms.unitarity_report(p, tag)
+    assert calls == []
+    assert second.range_norm2 == first.range_norm2
+    assert second.output._memo["parts"] == (semigroup.exp_graded(tag.generator, tag.time, p), None)
 
 
 def test_warm_sphere_report_converts_no_polynomial_to_integers(monkeypatch):

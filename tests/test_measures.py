@@ -449,6 +449,27 @@ def test_a_backward_flow_past_a_float_names_its_overflow(call):
         call()
 
 
+@pytest.mark.parametrize("spec", [MeasureSpec.quadric(5, 1.0), MeasureSpec.xi(2, 1),
+                                  MeasureSpec.gamma(1.0)], ids=["quadric", "xi", "gamma"])
+@pytest.mark.parametrize("mode", ["exact", FLOAT])
+def test_every_complex_norm_and_moment_flows_through_exp_graded(spec, mode, monkeypatch):
+    # a norm flows each nonzero part of f; a moment each nonzero part of
+    # every abar-group of q, and first that group's x^beta.  The parts flow in
+    # the integrand's mode, x^beta exactly only where the moment is exact
+    i = GaussianRational(0, 1)
+    f, q = A1 ** 2 + i * A1, A1 * ABAR1 + 2 * A1 ** 3 * ABAR1 + i * A1 ** 2
+    if mode == FLOAT:
+        f, q = f.to_float(), q.to_float()
+    calls, exp_graded = [], semigroup.exp_graded
+    monkeypatch.setattr(semigroup, "exp_graded",
+                        lambda *args: calls.append(args) or exp_graded(*args))
+    norm2(spec, f)
+    moment(spec, q)
+    assert {type(p) for _, _, p in calls} == {RealPoly}
+    one = "exact" if mode == "exact" and spec.rational else FLOAT
+    assert [p.mode for _, _, p in calls] == [mode, mode, one, mode, one, mode]
+
+
 def test_moments_are_exact_only_for_exact_input_and_rational_parameters():
     # a float input integrates as the exact sum at its binary values, rounded once
     p = RealPoly({(4,): 0.3, (2, 2): 0.7, (): -0.1}, "float")

@@ -444,12 +444,51 @@ def test_single_node_flow_weights_are_the_exponential_bit_for_bit(gen):
 
 
 def test_one_node_flow_weights_overflow_with_the_message_of_a_longer_row():
+    # the one-node divided difference e^800 overflows in the exponential of its midpoint
+    calls = [lambda m=m: semigroup._flow_weights(0, -1, 1, -800.0, m) for m in (1, 2)]
+    calls.append(lambda: semigroup._exp_divided_differences([800.0], -800.0))
     messages = []
-    for m in (1, 2):
+    for call in calls:
         with pytest.raises(OverflowError) as info:
-            semigroup._flow_weights(0, -1, 1, -800.0, m)
+            call()
         messages.append(str(info.value))
-    assert messages == ["graded-flow weights overflow a float"] * 2
+    assert messages == ["graded-flow weights overflow a float"] * 3
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="ROADMAP item 6: e^710 at the nodes' midpoint overflows, no weight does")
+def test_divided_differences_of_far_apart_nodes_fit_a_float():
+    # the true weights e^700 and 1e-20 (e^720 - e^700) / 20, about 2.5e291, are floats
+    import mpmath
+
+    z, s = [700.0, 720.0], 1e-20
+    with mpmath.workdps(60):
+        want = [mpmath.exp(z[0]), s * (mpmath.exp(z[1]) - mpmath.exp(z[0])) / (z[1] - z[0])]
+        want = [float(w) for w in want]
+    got = semigroup._exp_divided_differences(z, s).tolist()
+    assert all(abs(g - w) <= 1e-14 * w for g, w in zip(got, want))
+
+
+def test_only_exp_graded_reads_monomial_flows():
+    # one routine sums every graded flow in the package: any other reader of
+    # monomial_flows in src/sbtlab would be a second flow loop
+    import ast
+    from pathlib import Path
+
+    readers = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            names = [a.name for a in child.names] if isinstance(child, ast.ImportFrom) else \
+                [getattr(child, "id", None), getattr(child, "attr", None)]
+            if "monomial_flows" in names:
+                readers.add(".".join((module, *scope)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, (*scope, child.name) if named else scope, module)
+
+    for path in sorted(Path(semigroup.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.stem)
+    assert readers == {"semigroup.exp_graded"}
 
 
 def test_single_node_flow_weights_raise_as_the_general_route():
